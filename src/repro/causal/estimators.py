@@ -10,6 +10,7 @@ is reported alongside.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Sequence
 
@@ -269,7 +270,12 @@ class BoundSubpopulation:
     """
 
     def __init__(self, estimator: CATEEstimator, subpopulation: Pattern | None):
-        self.estimator = estimator
+        # Weak: the estimator memoizes its bindings, so a strong reference
+        # back would be a cycle, and a dropped estimator (mask cache,
+        # filtered table, design buffers) would wait for the cyclic collector
+        # instead of being freed by reference counting.  Every caller of
+        # ``bind`` holds the estimator for as long as it uses the binding.
+        self._estimator = weakref.ref(estimator)
         self.subpopulation = subpopulation
         table = estimator.table
         cache = estimator.mask_cache
@@ -303,6 +309,10 @@ class BoundSubpopulation:
         self._identity = base is table  # binding covers the whole table unchanged
         self._domain_sizes: dict[str, int] = {}
         self._design_cache: dict[tuple[str, ...], ReusableDesign] = {}
+
+    @property
+    def estimator(self) -> CATEEstimator:
+        return self._estimator()
 
     @property
     def n_rows(self) -> int:

@@ -190,29 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_compact.add_argument("--min-rows", type=int, default=None,
                                help="shards smaller than this are merged "
                                     "(default: the target shard size)")
-
-    store_index = store_sub.add_parser(
-        "index", help="manage committed per-shard predicate bitmap indexes "
-                      "(the adaptive planner promotes hot predicates to "
-                      "these automatically; this is the manual path)")
-    index_sub = store_index.add_subparsers(dest="index_command", required=True)
-    index_ls = index_sub.add_parser(
-        "ls", help="list a dataset's committed predicate indexes")
-    index_ls.add_argument("root", type=Path, help="store directory")
-    index_ls.add_argument("name", help="dataset name")
-    index_promote = index_sub.add_parser(
-        "promote", help="materialize one predicate's bitmap index")
-    index_promote.add_argument("root", type=Path, help="store directory")
-    index_promote.add_argument("name", help="dataset name")
-    index_promote.add_argument(
-        "predicate", help="predicate text, e.g. \"state == 'CA'\" or "
-                          "\"age <= 40\" (values parse as Python literals; "
-                          "bare words are strings)")
-    index_drop = index_sub.add_parser(
-        "drop", help="drop one committed predicate index by its key")
-    index_drop.add_argument("root", type=Path, help="store directory")
-    index_drop.add_argument("name", help="dataset name")
-    index_drop.add_argument("key", help="index key as shown by `index ls`")
     return parser
 
 
@@ -470,8 +447,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
                   f"version={stats['version']}  bytes={stats['bytes']}  "
                   f"[{registered}]")
         return 0
-    if args.store_command == "index":
-        return _cmd_store_index(args)
     if args.store_command == "compact":
         try:
             store = DatasetStore(args.root)
@@ -509,44 +484,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     print(f"imported {name!r}: rows={stats['rows']} shards={stats['shards']} "
           f"bytes={stats['bytes']} -> {args.root}")
     return 0
-
-
-def _cmd_store_index(args: argparse.Namespace) -> int:
-    """``repro store index ls|promote|drop`` — committed bitmap indexes."""
-    from repro.adapt import predicate_from_repr
-    from repro.storage import DatasetStore, StorageError
-
-    try:
-        store = DatasetStore(args.root)
-        dataset = store.dataset(args.name)
-        if args.index_command == "ls":
-            stats = dataset.index_stats()
-            for key, entry in sorted(stats["indexes"].items()):
-                print(f"{key}  shards={entry['shards']}/"
-                      f"{stats['shards_total']}  rows={entry['n_rows']}  "
-                      f"matches={entry['matches']}  bytes={entry['nbytes']}")
-            print(f"{len(stats['indexes'])} index(es), "
-                  f"{stats['total_nbytes']} bytes, "
-                  f"version={stats['version']}")
-            return 0
-        if args.index_command == "promote":
-            predicate = predicate_from_repr(args.predicate, strict=False)
-            if predicate is None:
-                print(f"error: cannot parse predicate {args.predicate!r} "
-                      f"(expected e.g. \"state == 'CA'\")", file=sys.stderr)
-                return 2
-            result = dataset.promote_index(predicate)
-            print(f"promoted {result['key']}: shards={result['shards']} "
-                  f"bytes={result['nbytes']} version={result['version']}")
-            return 0
-        # drop
-        result = dataset.drop_index(args.key)
-        print(f"dropped {result['key']}: shards={result['shards']} "
-              f"version={result['version']}")
-        return 0
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:

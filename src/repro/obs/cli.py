@@ -5,8 +5,7 @@ Three views over ``<store>/telemetry/queries-*.jsonl``:
 * ``repro obs summary STORE`` — totals, cache-outcome rates, and the
   planner's estimated-vs-actual selectivity error across every record;
   ``--per-conjunct [N]`` appends the N worst-estimated served conjuncts
-  (ranked by mean |estimated − actual| selectivity error) — the same
-  rows the adaptive planner's warm start corrects from;
+  (ranked by mean |estimated − actual| selectivity error);
 * ``repro obs top STORE`` — the most frequent query fingerprints with
   request counts and mean latency;
 * ``repro obs slow STORE`` — the slowest individual requests, with where

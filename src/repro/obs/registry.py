@@ -307,7 +307,7 @@ REGISTRY = MetricsRegistry()
 
 #: Unified-name mapping of per-engine ``stats()`` sections (the old keys stay
 #: in place as this release's alias layer; these are the canonical names).
-_CACHE_LEVELS = ("plan", "view", "population", "summary")
+_CACHE_LEVELS = ("plan", "population", "summary")
 _CACHE_FIELDS = ("hits", "misses", "evictions", "invalidations", "entries")
 
 

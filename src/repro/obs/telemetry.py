@@ -4,9 +4,8 @@ One :class:`TelemetryLog` lives under ``<store>/telemetry/`` and receives
 one record per served explain/batch query: fingerprint, chosen plan with
 per-conjunct estimated vs actual selectivities, shard skip/scan counts,
 cache-level outcomes, admission queue wait, and the request's span-tree
-timings.  ROADMAP item 3 (adaptive re-planning) reads this log back — every
-record carries the dataset name and data version, so the est/actual history
-can be filtered per dataset version.
+timings.  Every record carries the dataset name and data version, so the
+est/actual history can be filtered per dataset version.
 
 Durability model: appends go to ``queries-<seq>.jsonl`` (``<seq>`` is the
 rotation sequence number) entirely **outside the manifest critical path** —
@@ -229,11 +228,11 @@ def read_records(directory: str | Path) -> tuple[list[dict], int]:
 class TelemetryReader:
     """Version-filtered reading + per-conjunct aggregation of telemetry.
 
-    The consumer-facing API over the raw JSONL files: ``repro obs`` and the
-    adaptive warm start (:mod:`repro.adapt`) both go through it instead of
-    parsing lines themselves.  When ``versions`` maps dataset names to their
-    current committed manifest versions, records for unknown datasets or
-    with a data version outside ``[min_versions.get(name, 0), versions[name]]``
+    The consumer-facing API over the raw JSONL files: ``repro obs`` goes
+    through it instead of parsing lines itself.  When ``versions`` maps
+    dataset names to their current committed manifest versions, records for
+    unknown datasets or with a data version outside
+    ``[min_versions.get(name, 0), versions[name]]``
     are **skipped as stale**: telemetry files outlive store rebuilds (the
     log is outside the manifest protocol by design), so a re-imported store
     can see leftover records whose versions never existed in its history.

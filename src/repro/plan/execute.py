@@ -89,8 +89,7 @@ def _record(conjunct, candidates_in: int, candidates_out: int,
             candidates_out=conjunct.candidates_out)
 
 
-def shard_scan_indices(table, predicates,
-                       masks=None) -> tuple[np.ndarray, list]:
+def shard_scan_indices(table, predicates) -> tuple[np.ndarray, list]:
     """One shard's slice of a planned scan: ``(indices, per-conjunct counts)``.
 
     Runs the already-ordered conjuncts with the same short-circuit AND as
@@ -100,32 +99,16 @@ def shard_scan_indices(table, predicates,
     every predicate is row-local, so per-shard counts (and indices, offset
     into the shard) sum/concatenate to exactly the serial whole-table scan
     (:func:`merge_shard_counts`).
-
-    ``masks`` (parallel to ``predicates``; entries may be ``None``) supplies
-    precomputed shard-local boolean row masks — committed bitmap indexes
-    (see :mod:`repro.adapt`).  A mask entry replaces the conjunct's kernel:
-    the first conjunct becomes ``flatnonzero(mask)``, later ones fancy-index
-    the mask at the surviving candidates.  Bitmaps are exact row masks, so
-    counts and indices are identical to the kernel path's.
     """
     n = table.n_rows
     counts: list[tuple[int, int]] = []
     if not predicates:
         return np.arange(n), counts
-    first_mask = masks[0] if masks is not None else None
-    if first_mask is not None:
-        indices = np.flatnonzero(first_mask)
-    else:
-        indices = np.flatnonzero(predicates[0].evaluate(table))
+    indices = np.flatnonzero(predicates[0].evaluate(table))
     counts.append((n, int(indices.size)))
-    for position in range(1, len(predicates)):
+    for predicate in predicates[1:]:
         before = int(indices.size)
-        mask = masks[position] if masks is not None else None
-        if mask is not None:
-            satisfied = mask[indices]
-        else:
-            satisfied = predicates[position].evaluate_at(table, indices)
-        indices = indices[satisfied]
+        indices = indices[predicate.evaluate_at(table, indices)]
         counts.append((before, int(indices.size)))
     return indices, counts
 

@@ -12,7 +12,7 @@ The IR is *canonical by construction*: lowering normalises literals
 attributes, and relies on :class:`~repro.dataframe.Pattern` to sort and
 deduplicate conjuncts — two requests asking the same question lower to equal
 plans with equal fingerprints, which is exactly the property the engine's
-summary/view caches need from a key.
+summary cache needs from a key.
 """
 
 from __future__ import annotations

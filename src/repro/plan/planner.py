@@ -124,27 +124,11 @@ def plan_scan(table, pattern: Pattern | Predicate,
         list(pattern.predicates)
     if stats is None:
         stats = table_stats(table)
-    # Feedback loop (repro.adapt): once a conjunct has enough observed
-    # actual-selectivity history for this table incarnation, the EWMA of the
-    # actuals replaces the static histogram/top-k estimate.  Imported lazily
-    # — repro.adapt depends on predicates only, never back on repro.plan.
-    from repro.adapt import GLOBAL_CORRECTOR, adaptive_enabled
-    corrector = GLOBAL_CORRECTOR if adaptive_enabled() else None
-    incarnation = stats.incarnation
-    corrections = 0
-    conjuncts = []
-    for i, p in enumerate(predicates):
-        estimated = stats.selectivity(p)
-        if corrector is not None:
-            estimated, applied = corrector.corrected(incarnation, p,
-                                                     estimated)
-            corrections += applied
-        conjuncts.append(
-            ConjunctPlan(predicate=p, estimated_selectivity=estimated,
-                         cost=predicate_cost(table, p), position=i))
+    conjuncts = [
+        ConjunctPlan(predicate=p, estimated_selectivity=stats.selectivity(p),
+                     cost=predicate_cost(table, p), position=i)
+        for i, p in enumerate(predicates)]
     conjuncts.sort(key=lambda c: (c.rank, c.position))
-    if corrections:
-        GLOBAL_PLANNER_STATS.record_corrections(corrections)
     plan = ScanPlan(conjuncts=conjuncts,
                     reordered=any(c.position != i
                                   for i, c in enumerate(conjuncts)))
@@ -168,11 +152,6 @@ class PlannerStats:
     atoms_deferred: int = 0  # guarded-by: _lock
     store_code_lookups: int = 0  # guarded-by: _lock
     store_code_cached: int = 0  # guarded-by: _lock
-    corrections_applied: int = 0  # guarded-by: _lock
-    drift_replans: int = 0  # guarded-by: _lock
-    bitmap_conjuncts_served: int = 0  # guarded-by: _lock
-    indexes_promoted: int = 0  # guarded-by: _lock
-    indexes_demoted: int = 0  # guarded-by: _lock
     _lock: threading.Lock = field(
         default_factory=lambda: named_lock("PlannerStats._lock"), repr=False)
 
@@ -200,29 +179,6 @@ class PlannerStats:
             self.store_code_lookups += lookups
             self.store_code_cached += cached
 
-    def record_corrections(self, count: int) -> None:
-        """Conjuncts whose estimate was replaced by observed feedback."""
-        with self._lock:
-            self.corrections_applied += count
-
-    def record_drift_replans(self, count: int) -> None:
-        """Cached views purged because their plan's estimates drifted."""
-        with self._lock:
-            self.drift_replans += count
-
-    def record_bitmap_conjuncts(self, count: int) -> None:
-        """Conjunct × shard evaluations answered from a bitmap index."""
-        with self._lock:
-            self.bitmap_conjuncts_served += count
-
-    def record_index_promotions(self, count: int = 1) -> None:
-        with self._lock:
-            self.indexes_promoted += count
-
-    def record_index_demotions(self, count: int = 1) -> None:
-        with self._lock:
-            self.indexes_demoted += count
-
     def snapshot(self) -> dict:
         with self._lock:
             return {
@@ -235,11 +191,12 @@ class PlannerStats:
                 "atoms_deferred": self.atoms_deferred,
                 "store_code_lookups": self.store_code_lookups,
                 "store_code_cached": self.store_code_cached,
-                "corrections_applied": self.corrections_applied,
-                "drift_replans": self.drift_replans,
-                "bitmap_conjuncts_served": self.bitmap_conjuncts_served,
-                "indexes_promoted": self.indexes_promoted,
-                "indexes_demoted": self.indexes_demoted,
+                # Read only by the frozen benchmark
+                # (benchmarks/e2e/workloads.py::_flow_counters); leave with
+                # its adapt.* rows.
+                "drift_replans": 0,
+                "indexes_promoted": 0,
+                "bitmap_conjuncts_served": 0,
             }
 
     def reset(self) -> None:
@@ -248,9 +205,6 @@ class PlannerStats:
             self.shards_zone_map_skipped = self.shards_stats_skipped = 0
             self.shards_scanned = self.atoms_deferred = 0
             self.store_code_lookups = self.store_code_cached = 0
-            self.corrections_applied = self.drift_replans = 0
-            self.bitmap_conjuncts_served = 0
-            self.indexes_promoted = self.indexes_demoted = 0
 
 
 #: One process-wide collector — engines report it under ``stats()["planner"]``.

@@ -288,17 +288,6 @@ class TableStats:
     def n_rows(self) -> int:
         return self._table.n_rows
 
-    @property
-    def incarnation(self) -> tuple[str, int]:
-        """``(table name, row count)`` — the feedback-correction key prefix.
-
-        The row count discriminates dataset versions: every committed append
-        changes it, so observations recorded against a superseded incarnation
-        stop matching instead of polluting the new one's corrections (see
-        :mod:`repro.adapt.feedback`).
-        """
-        return (getattr(self._table, "name", "?"), self._table.n_rows)
-
     def column(self, attribute: str) -> ColumnStats | None:
         if attribute not in self._columns:
             stats = None

@@ -8,14 +8,11 @@ registered once, queries are canonicalised and fingerprinted, and results are
 served through a hierarchy of caches —
 
 1. **plan cache** — SQL text → parsed :class:`~repro.sql.GroupByAvgQuery`;
-2. **view cache** — canonical query → materialised
-   :class:`~repro.sql.AggregateView` (one ``GroupByIndex``, group keys,
-   averages) per dataset version;
-3. **population cache** — (WHERE clause, outcome) → a
+2. **population cache** — (WHERE clause, outcome) → a
    :class:`~repro.causal.CATEEstimator` whose shared
    :class:`~repro.dataframe.MaskCache` and lattice-atom cache are reused by
    *every* query over that filtered population, whatever it groups by;
-4. **summary cache** — fingerprint → finished
+3. **summary cache** — fingerprint → finished
    :class:`~repro.core.ExplanationSummary` (LRU with hit/miss/eviction
    statistics).
 
@@ -57,13 +54,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.adapt import (
-    GLOBAL_CORRECTOR,
-    GLOBAL_HEAT,
-    adaptive_config,
-    adaptive_enabled,
-    predicate_from_repr,
-)
 from repro.analysis.lockwatch import named_lock
 from repro.causal import CATEEstimator
 from repro.core import CauSumX, CauSumXConfig, ExplanationSummary
@@ -73,7 +63,12 @@ from repro.obs import trace
 from repro.obs.registry import unified_engine_metrics
 from repro.obs.telemetry import telemetry_enabled
 from repro.parallel import GLOBAL_PARALLEL_STATS, worker_count
-from repro.plan import GLOBAL_PLANNER_STATS, lower_query, planner_enabled
+from repro.plan import (
+    GLOBAL_PLANNER_STATS,
+    ScanPlan,
+    lower_query,
+    planner_enabled,
+)
 from repro.service.lru import LRUCache
 from repro.sql import (
     AggregateView,
@@ -129,9 +124,8 @@ class ExplanationEngine:
     ----------
     max_workers:
         Thread-pool width for :meth:`explain_many` batches (``1`` = serial).
-    summary_cache_size / view_cache_size / population_cache_size /
-    plan_cache_size:
-        Capacities of the four cache levels.
+    summary_cache_size / population_cache_size / plan_cache_size:
+        Capacities of the three cache levels.
     memory_budget:
         Optional shared :class:`~repro.service.MemoryBudget`: the summary
         cache weighs its entries (pickled bytes) against the budget's global
@@ -140,8 +134,8 @@ class ExplanationEngine:
     """
 
     def __init__(self, max_workers: int = 4, summary_cache_size: int = 256,
-                 view_cache_size: int = 64, population_cache_size: int = 32,
-                 plan_cache_size: int = 512, memory_budget=None):
+                 population_cache_size: int = 32, plan_cache_size: int = 512,
+                 memory_budget=None):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.max_workers = max_workers
@@ -153,7 +147,6 @@ class ExplanationEngine:
         # _datasets_lock is held just for the snapshot and the final swap.
         self._mutation_lock = named_lock("ExplanationEngine._mutation_lock")
         self._plan_cache = LRUCache(plan_cache_size)
-        self._view_cache = LRUCache(view_cache_size)
         self._population_cache = LRUCache(population_cache_size)
         self._summary_cache = LRUCache(
             summary_cache_size, budget=memory_budget,
@@ -273,8 +266,6 @@ class ExplanationEngine:
                 restored += 1
         with engine._flights_lock:
             engine._restored_summaries = restored
-        if adaptive_enabled():
-            engine._warm_adaptive(store)
         return engine
 
     def snapshot(self) -> dict:
@@ -369,23 +360,24 @@ class ExplanationEngine:
         telemetered = self._telemetry is not None and telemetry_enabled()
         outcomes = {} if (telemetered or trace.enabled()) else None
         with trace.trace_span("engine.explain", dataset=name) as span:
-            summary, info, canonical, plan = self._explain_serve(
+            summary, info, canonical, scan_plan = self._explain_serve(
                 name, query, use_summary_cache, outcomes, start)
         if telemetered:
-            self._record_telemetry(info, outcomes, span, canonical)
-        if adaptive_enabled():
-            self._adaptive_tick(name, plan)
+            self._record_telemetry(info, outcomes, span, canonical, scan_plan)
         return summary, info
 
     def _explain_serve(self, name: str, query: GroupByAvgQuery | str,
                        use_summary_cache: bool, outcomes: dict | None,
                        start: float
                        ) -> tuple[ExplanationSummary, dict, GroupByAvgQuery,
-                                  object]:
+                                  ScanPlan | None]:
         """The serving core of :meth:`explain_with_info`.
 
         ``outcomes`` (when not ``None``) collects per-cache-level hit/miss
-        outcomes for the telemetry record as serving passes each level.
+        outcomes for the telemetry record as serving passes each level.  The
+        fourth element is the :class:`~repro.plan.ScanPlan` this request
+        executed — ``None`` when it executed none (summary hit, coalesced
+        follower, WHERE-less query).
         """
         state = self.dataset_state(name)
         canonical = self._canonical(query, outcomes)
@@ -404,7 +396,7 @@ class ExplanationEngine:
                     outcomes["summary"] = "hit"
                 info["cached"] = True
                 info["seconds"] = time.perf_counter() - start
-                return summary, info, canonical, plan
+                return summary, info, canonical, None
         if outcomes is not None:
             outcomes["summary"] = "miss"
 
@@ -419,7 +411,8 @@ class ExplanationEngine:
                 if outcomes is not None:
                     outcomes["flight"] = "leader"
                 try:
-                    summary = self._compute(state, canonical, plan, outcomes)
+                    summary, scan_plan = self._compute(state, canonical, plan,
+                                                       outcomes)
                     if use_summary_cache:
                         self._summary_cache.put(key, summary)
                     flight.summary = summary
@@ -431,7 +424,7 @@ class ExplanationEngine:
                         self._flights.pop(key, None)
                     flight.done.set()
                 info["seconds"] = time.perf_counter() - start
-                return summary, info, canonical, plan
+                return summary, info, canonical, scan_plan
             flight.done.wait()
             if flight.error is None and flight.summary is not None:
                 with self._flights_lock:
@@ -440,16 +433,13 @@ class ExplanationEngine:
                     outcomes["flight"] = "coalesced"
                 info["coalesced"] = True
                 info["seconds"] = time.perf_counter() - start
-                return flight.summary, info, canonical, plan
+                return flight.summary, info, canonical, None
             # The leader failed; retry (and possibly become the leader).
 
     def _record_telemetry(self, info: dict, outcomes: dict | None, span,
-                          canonical: GroupByAvgQuery) -> None:
+                          canonical: GroupByAvgQuery,
+                          scan_plan: ScanPlan | None) -> None:
         """Append one query-telemetry record; never fails the query."""
-        key = (info["dataset"], info["version"], info["fingerprint"])
-        # peek(): telemetry must not perturb cache stats or recency.
-        view = self._view_cache.peek(key)
-        scan_plan = getattr(view, "scan_plan", None)
         root = trace.current_root()
         record = {
             "kind": "explain",
@@ -517,28 +507,14 @@ class ExplanationEngine:
 
         Returns the lowered logical plan, the physical conjunct schedule with
         **estimated vs. actual** per-conjunct selectivities, and the shard
-        zone-map/statistics skip counts.  The scan really runs (that is where
-        the actuals come from) and warms the view cache, so a subsequent
-        :meth:`explain` of the same query reuses the materialised view.
+        zone-map/statistics skip counts.  The scan really runs — that is
+        where the actuals come from.
         """
         state = self.dataset_state(name)
         canonical = self._canonical(query)
         plan = lower_query(canonical)
-        view = self._view(state, canonical, plan)
-        scan_plan = view.scan_plan if planner_enabled() else None
-        if planner_enabled() and plan.conjuncts and scan_plan is None:
-            # The cached view predates the current planner mode (it was
-            # materialised under oracle_mode): re-execute the scan now so
-            # the report's actuals describe this call, not a stale build.
-            from repro.plan import planned_select_with_plan
-
-            _, scan_plan = planned_select_with_plan(
-                state.table, plan.filter,
-                mask_cache=self._where_mask_cache(state))
-            if adaptive_enabled():
-                GLOBAL_CORRECTOR.observe_plan(self._incarnation(state),
-                                              scan_plan)
-        scan = scan_plan.to_dict() if scan_plan is not None else None
+        view = self._view(state, canonical)
+        scan = view.scan_plan.to_dict() if view.scan_plan is not None else None
         return {
             "dataset": name,
             "version": state.version,
@@ -551,150 +527,6 @@ class ExplanationEngine:
                      "filtered": view.table.n_rows},
             "groups": view.m,
         }
-
-    # ------------------------------------------------------------------ adaptive loop
-
-    @staticmethod
-    def _incarnation(state: DatasetState) -> tuple[str, int]:
-        """The corrector key prefix — matches ``TableStats.incarnation``."""
-        return (state.table.name, state.table.n_rows)
-
-    def _adaptive_tick(self, name: str, plan) -> None:
-        """One turn of the adaptive loop, after a query was served.
-
-        Heat is recorded for every served WHERE conjunct (cache hits
-        included — heat measures demand); then cached views whose planned
-        estimates have drifted past the threshold are purged (they re-plan
-        with corrected estimates on next materialization), and at most one
-        newly hot predicate is promoted to a committed bitmap index, with
-        LRU-by-heat demotion under the byte budget.  The tick never touches
-        results — it only reorders and pre-answers future scans.
-        """
-        config = adaptive_config()
-        try:
-            state = self.dataset_state(name)
-        except KeyError:  # pragma: no cover - raced with deregistration
-            return
-        predicates = list(plan.conjuncts)
-        if predicates:
-            GLOBAL_HEAT.record(name, predicates)
-            self._check_drift(state, config)
-            if state.store is not None:
-                self._maybe_promote(state, config)
-
-    def _check_drift(self, state: DatasetState, config) -> None:
-        """Purge cached views whose plans the corrector now disagrees with.
-
-        The "plan cache" the drift loop invalidates is the **view cache**:
-        views hold the executed :class:`ScanPlan` (the physical schedule),
-        and purging one forces the next serve to re-materialise — and
-        therefore re-plan with the corrected estimates.  Summaries stay
-        cached: drift changes performance, never results.
-        """
-        incarnation = self._incarnation(state)
-        stale = []
-        for key, view in self._view_cache.items():
-            if key[0] != state.name or key[1] != state.version:
-                continue
-            scan_plan = getattr(view, "scan_plan", None)
-            if scan_plan is None:
-                continue
-            drift = 0.0
-            for conjunct in scan_plan.conjuncts:
-                corrected, applied = GLOBAL_CORRECTOR.correction(
-                    incarnation, conjunct.predicate,
-                    conjunct.estimated_selectivity)
-                if applied:
-                    drift = max(drift,
-                                abs(corrected - conjunct.estimated_selectivity))
-            if drift > config.drift_threshold:
-                stale.append(key)
-        if stale:
-            for stale_key in stale:
-                self._view_cache.purge(lambda k, sk=stale_key: k == sk)
-            GLOBAL_PLANNER_STATS.record_drift_replans(len(stale))
-
-    def _maybe_promote(self, state: DatasetState, config) -> None:
-        """Commit a bitmap index for the hottest unindexed predicate, if any.
-
-        At most one promotion per serve bounds the inline latency a single
-        request can absorb; the loop converges over the next few serves.
-        Demotion only evicts a committed index *strictly colder* than the
-        candidate, so two hot predicates can never demote each other back
-        and forth under a tight budget.
-        """
-        from repro.storage.format import StorageError
-
-        hot = GLOBAL_HEAT.hot(state.name, config.heat_threshold)
-        if not hot:
-            return
-        store = state.store
-        stats = store.index_stats()
-        committed = {key: entry["nbytes"]
-                     for key, entry in stats["indexes"].items()}
-        total = stats["total_nbytes"]
-        for key, predicate in hot:
-            if predicate is None or key in committed:
-                continue
-            if predicate.attribute not in state.table.attributes:
-                continue
-            estimate = (store.manifest.n_rows + 7) // 8
-            while committed and total + estimate > config.index_budget_bytes:
-                victim = min(committed,
-                             key=lambda k: GLOBAL_HEAT.rank(state.name, k))
-                if GLOBAL_HEAT.rank(state.name, victim) >= \
-                        GLOBAL_HEAT.rank(state.name, key):
-                    break
-                try:
-                    store.drop_index(victim)
-                except StorageError:  # pragma: no cover - concurrent writer
-                    break
-                total -= committed.pop(victim)
-                dropper = getattr(state.table, "drop_predicate_index", None)
-                if dropper is not None:
-                    dropper(victim)
-                GLOBAL_PLANNER_STATS.record_index_demotions()
-            if total + estimate > config.index_budget_bytes:
-                continue  # does not fit even after eligible demotions
-            try:
-                result = store.promote_index(predicate)
-            except StorageError:
-                continue
-            GLOBAL_PLANNER_STATS.record_index_promotions()
-            # Serve the new index on the live handle immediately; committed
-            # coverage alone would only apply after the next reload.  An
-            # index commit never bumps the version, so a mismatch means the
-            # live table predates other committed changes — skip then.
-            installer = getattr(state.table, "install_predicate_index", None)
-            if installer is not None and \
-                    getattr(state.table, "version", None) == result["version"]:
-                installer(result["key"], result["masks"])
-            break
-
-    def _warm_adaptive(self, store) -> None:
-        """Replay persisted telemetry into the corrector + heat tracker.
-
-        Runs once at ``from_store`` time, through the version-filtered
-        :meth:`~repro.storage.DatasetStore.telemetry_reader` — stale-version
-        records never pollute the current incarnation's corrections.
-        """
-        try:
-            rows = store.telemetry_reader().conjunct_stats()
-        except OSError:  # pragma: no cover - unreadable telemetry dir
-            return
-        for row in rows:
-            name = row["dataset"]
-            with self._datasets_lock:
-                state = self._datasets.get(name)
-            if state is None:
-                continue
-            predicate = predicate_from_repr(row["predicate"])
-            GLOBAL_HEAT.warm(name, row["predicate"], row["count"], predicate)
-            if row["executed"]:
-                GLOBAL_CORRECTOR.observe(
-                    self._incarnation(state), row["predicate"],
-                    row["mean_estimated"], row["mean_actual"],
-                    weight=row["executed"])
 
     # ------------------------------------------------------------------ incremental data
 
@@ -861,9 +693,6 @@ class ExplanationEngine:
                 name: {"hits": s.hits, "misses": s.misses,
                        "entries": s.entries, "bytes": s.bytes}
                 for name, s in where_masks.items()},
-            "adaptive": {"enabled": adaptive_enabled(),
-                         "corrector": GLOBAL_CORRECTOR.snapshot(),
-                         "heat": GLOBAL_HEAT.snapshot()},
         }
         result = {
             "datasets": datasets,
@@ -874,7 +703,10 @@ class ExplanationEngine:
             "parallel": {"workers": worker_count(),
                          **GLOBAL_PARALLEL_STATS.snapshot()},
             "plan_cache": level(self._plan_cache),
-            "view_cache": level(self._view_cache),
+            # Read only by the frozen benchmark
+            # (benchmarks/e2e/workloads.py::_engine_counters); leaves with
+            # its service.view_hit_rate row.
+            "view_cache": {"hits": 0, "misses": 0},
             "population_cache": level(self._population_cache),
             "summary_cache": level(self._summary_cache),
             "mask_caches": mask_stats,
@@ -918,39 +750,28 @@ class ExplanationEngine:
         return normalize_query(query)
 
     def _compute(self, state: DatasetState, canonical: GroupByAvgQuery,
-                 plan, outcomes: dict | None = None) -> ExplanationSummary:
+                 plan, outcomes: dict | None = None
+                 ) -> tuple[ExplanationSummary, ScanPlan | None]:
+        """The summary and the ``ScanPlan`` its view's WHERE scan executed."""
         with self._flights_lock:
             self._computations += 1
-        view = self._view(state, canonical, plan, outcomes)
+        view = self._view(state, canonical)
         population = self._population(state, plan, view, outcomes)
         algorithm = CauSumX(state.table, state.dag, state.config)
         with trace.trace_span("engine.mine",
                               groups=view.m) if trace.enabled() else trace.NOOP:
-            return algorithm.explain(
+            summary = algorithm.explain(
                 canonical,
                 grouping_attributes=state.grouping_attributes,
                 treatment_attributes=state.treatment_attributes,
                 view=view, estimator=population.estimator)
+        return summary, view.scan_plan
 
-    def _view(self, state: DatasetState, canonical: GroupByAvgQuery,
-              plan, outcomes: dict | None = None) -> AggregateView:
-        key = (state.name, state.version, plan.fingerprint)
-        view = self._view_cache.get(key)
-        if outcomes is not None:
-            outcomes["view"] = "miss" if view is None else "hit"
-        if view is None:
-            with trace.trace_span("engine.view_materialize",
-                                  dataset=state.name):
-                view = AggregateView(state.table, canonical,
-                                     mask_cache=self._where_mask_cache(state))
-            self._view_cache.put(key, view)
-            if adaptive_enabled():
-                # Feed the executed scan's estimated-vs-actual selectivities
-                # into the corrector — the source of every later correction,
-                # drift purge, and (via heat, separately) index promotion.
-                GLOBAL_CORRECTOR.observe_plan(
-                    self._incarnation(state), getattr(view, "scan_plan", None))
-        return view
+    def _view(self, state: DatasetState,
+              canonical: GroupByAvgQuery) -> AggregateView:
+        with trace.trace_span("engine.view_materialize", dataset=state.name):
+            return AggregateView(state.table, canonical,
+                                 mask_cache=self._where_mask_cache(state))
 
     def _where_mask_cache(self, state: DatasetState) -> MaskCache:
         """The per-dataset-version mask cache WHERE conjuncts route through.
@@ -1005,8 +826,7 @@ class ExplanationEngine:
     def _invalidate(self, name: str) -> int:  # guarded-by: _datasets_lock
         """Drop every cache entry belonging to dataset ``name`` (any version)."""
         invalidated = 0
-        for cache in (self._summary_cache, self._view_cache,
-                      self._population_cache):
+        for cache in (self._summary_cache, self._population_cache):
             invalidated += cache.purge(lambda key: key[0] == name)
         self._where_masks.pop(name, None)
         return invalidated

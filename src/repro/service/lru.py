@@ -1,7 +1,7 @@
 """A small thread-safe LRU cache with hit/miss/eviction/invalidation stats.
 
-Backs every cache level of the explanation engine (parsed plans, materialised
-views, bound populations, finished summaries).  Deliberately minimal: plain
+Backs every cache level of the explanation engine (parsed plans, bound
+populations, finished summaries).  Deliberately minimal: plain
 ``OrderedDict`` + lock, no TTLs — entries are invalidated explicitly when a
 dataset's data version moves (:meth:`purge`), and capacity evictions drop the
 least recently *used* entry.
@@ -111,11 +111,6 @@ class LRUCache:
                 self._evictions += 1
         if self.budget is not None:
             self.budget.rebalance()
-
-    def peek(self, key: Hashable, default=None):
-        """Look up ``key`` without touching recency or hit/miss accounting."""
-        with self._lock:
-            return self._entries.get(key, default)
 
     def purge(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate`` (invalidation).

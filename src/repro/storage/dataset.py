@@ -22,7 +22,6 @@ already (the common import case), codes pass through as the raw memory map.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import uuid
 from contextlib import contextmanager
@@ -71,7 +70,7 @@ from repro.storage.format import (
     load_manifest,
     sweep_temp_files,
 )
-from repro.storage.shard import open_shard, pack_bitmap, unpack_bitmap, write_shard
+from repro.storage.shard import open_shard, write_shard
 from repro.storage.zonemap import (
     categorical_zone_map,
     numeric_zone_map,
@@ -171,7 +170,6 @@ class StoredDataset:
                     f"store is at {manifest.version}")
             self._validate_batch(manifest, batch)
             shard = self._write_shard(manifest, batch)
-            shard = self._cover_indexes(manifest, shard, batch)
             # Commit on a fresh Manifest object: live readers snapshot
             # ``self.manifest`` outside the writer lock, so the object a
             # reader holds must never mutate — it is published only after
@@ -399,142 +397,6 @@ class StoredDataset:
                         len(s.group_partials["keys"]) for s in new_shards
                         if s.group_partials is not None)}
 
-    # ------------------------------------------------------------------ bitmap indexes
-
-    def promote_index(self, predicate: Predicate) -> dict:
-        """Commit an exact per-shard packed-bitmap index for ``predicate``.
-
-        Every shard's rows are evaluated once (through the shared decode
-        path) and the resulting boolean masks are packed into the manifest
-        as per-shard ``predicate_indexes`` entries, committed atomically at
-        the **same version** — an index changes no data and no results, so
-        it must not trip the engine's append version fencing.  Shards
-        already carrying the key are left untouched (their bitmaps are
-        returned unpacked alongside the new ones, for live installation).
-
-        Runs under the same in-process + cross-process locks as ``append``,
-        so promotion interleaves safely with concurrent writers.
-        """
-        key = repr(predicate)
-        with self._lock, _append_lock(self.directory):
-            manifest = load_manifest(self.directory)
-            if predicate.attribute not in manifest.attributes:
-                raise StorageError(
-                    f"cannot index {key!r}: {predicate.attribute!r} is not "
-                    f"a stored attribute")
-            if not isinstance(predicate.value, _JSON_SAFE):
-                raise StorageError(
-                    f"cannot index {key!r}: value of type "
-                    f"{type(predicate.value).__name__} cannot live in a "
-                    f"JSON manifest")
-            new_shards: list[ShardInfo] = []
-            masks: dict[str, np.ndarray] = {}
-            total = 0
-            for shard in manifest.shards:
-                existing = shard.predicate_indexes.get(key)
-                if existing is not None:
-                    new_shards.append(shard)
-                    masks[shard.shard_id] = unpack_bitmap(existing)
-                    total += int(existing["nbytes"])
-                    continue
-                rows = self._decode_shards(manifest, [shard])
-                spec = pack_bitmap(predicate.evaluate(rows))
-                spec.update({"attribute": predicate.attribute,
-                             "op": predicate.op.value,
-                             "value": predicate.value})
-                indexes = dict(shard.predicate_indexes)
-                indexes[key] = spec
-                new_shards.append(dataclasses.replace(
-                    shard, predicate_indexes=indexes))
-                masks[shard.shard_id] = unpack_bitmap(spec)
-                total += int(spec["nbytes"])
-            committed = Manifest(
-                name=manifest.name, schema=manifest.schema,
-                vocabs=manifest.vocabs, shards=new_shards,
-                version=manifest.version)
-            commit_manifest(self.directory, committed)
-            self.manifest = committed
-            return {"key": key, "shards": len(new_shards), "nbytes": total,
-                    "version": committed.version, "masks": masks}
-
-    def drop_index(self, key: str) -> dict:
-        """Remove a committed bitmap index from every shard (same version)."""
-        with self._lock, _append_lock(self.directory):
-            manifest = load_manifest(self.directory)
-            new_shards: list[ShardInfo] = []
-            dropped = 0
-            for shard in manifest.shards:
-                if key in shard.predicate_indexes:
-                    indexes = dict(shard.predicate_indexes)
-                    indexes.pop(key)
-                    new_shards.append(dataclasses.replace(
-                        shard, predicate_indexes=indexes))
-                    dropped += 1
-                else:
-                    new_shards.append(shard)
-            if dropped:
-                committed = Manifest(
-                    name=manifest.name, schema=manifest.schema,
-                    vocabs=manifest.vocabs, shards=new_shards,
-                    version=manifest.version)
-                commit_manifest(self.directory, committed)
-                self.manifest = committed
-            return {"key": key, "shards": dropped,
-                    "version": self.manifest.version}
-
-    def index_stats(self) -> dict:
-        """Committed bitmap indexes: per-key coverage, matches, and bytes."""
-        manifest = self.manifest
-        indexes: dict[str, dict] = {}
-        for shard in manifest.shards:
-            for key, spec in shard.predicate_indexes.items():
-                entry = indexes.setdefault(key, {
-                    "attribute": spec["attribute"], "op": spec["op"],
-                    "value": spec["value"], "shards": 0, "n_rows": 0,
-                    "matches": 0, "nbytes": 0})
-                entry["shards"] += 1
-                entry["n_rows"] += int(spec["n_rows"])
-                entry["matches"] += int(spec["matches"])
-                entry["nbytes"] += int(spec["nbytes"])
-        return {"indexes": indexes,
-                "total_nbytes": sum(e["nbytes"] for e in indexes.values()),
-                "shards_total": len(manifest.shards),
-                "version": manifest.version}
-
-    def _cover_indexes(self, manifest: Manifest, shard: ShardInfo,
-                       batch: Table) -> ShardInfo:
-        """Extend every committed bitmap index to a freshly appended shard.
-
-        Indexes are value-space predicates, so evaluating them on the batch
-        (whatever its encoding) yields exactly the mask the shard's rows
-        deserve — committed indexes therefore stay *complete* across
-        appends instead of being invalidated.  A predicate the batch cannot
-        evaluate (e.g. an un-orderable comparison) simply leaves the new
-        shard uncovered for that key: per-shard consult falls back to the
-        kernel there, which is correct, just slower.
-        """
-        specs: dict[str, dict] = {}
-        for existing in manifest.shards:
-            for key, spec in existing.predicate_indexes.items():
-                specs.setdefault(key, spec)
-        if not specs:
-            return shard
-        indexes: dict[str, dict] = {}
-        for key, spec in specs.items():
-            predicate = Predicate(spec["attribute"], Op(spec["op"]),
-                                  spec["value"])
-            try:
-                mask = predicate.evaluate(batch)
-            except (TypeError, ValueError):
-                continue
-            entry = pack_bitmap(mask)
-            entry.update({"attribute": spec["attribute"], "op": spec["op"],
-                          "value": spec["value"]})
-            indexes[key] = entry
-        if not indexes:
-            return shard
-        return dataclasses.replace(shard, predicate_indexes=indexes)
-
     def _decode_shards(self, manifest: Manifest,
                        shards: list[ShardInfo]) -> Table:
         """Materialise a run of committed shards as one in-memory table.
@@ -717,18 +579,6 @@ class ShardedTable(Table):
         self._stats_skipped = 0  # guarded-by: _stats_lock
         self._rows_skipped = 0  # guarded-by: _stats_lock
         self._partials_served = 0  # guarded-by: _stats_lock
-        self._bitmap_served = 0  # guarded-by: _stats_lock
-        # Hot-predicate bitmap indexes (repro.adapt).  ``_index_keys`` is
-        # the lookup authority: seeded from the committed manifest, extended
-        # by live installs, shrunk by demotions (a demoted key's committed
-        # spec may linger in this handle's ShardInfo — the key set hides
-        # it).  ``_live_bitmaps`` caches unpacked read-only masks per
-        # ``(key, shard_id)`` so each committed bitmap is decoded once.
-        self._index_lock = named_lock("ShardedTable._index_lock")
-        self._index_keys = {key for handle in handles
-                            for key in handle.info.predicate_indexes
-                            }  # guarded-by: _index_lock
-        self._live_bitmaps: dict[str, dict[str, np.ndarray]] = {}  # guarded-by: _index_lock
         columns = [self._lazy_column(attribute, handles)
                    for attribute in manifest.attributes]
         super().__init__(columns, name=manifest.name)
@@ -859,42 +709,27 @@ class ShardedTable(Table):
         if lookups:
             GLOBAL_PLANNER_STATS.record_store_codes(lookups, cached)
         ordered = plan.ordered_predicates
-        indexed = self._any_indexes()
         survivors = []
-        survivor_masks: list[list] = []
-        zone_skipped = stats_skipped = rows_skipped = bitmap_hits = 0
+        zone_skipped = stats_skipped = rows_skipped = 0
         prune = self._prune and len(self._handles) > 1
         for handle in self._handles:
-            # Bitmap consult (repro.adapt): shards holding a committed or
-            # installed index for a conjunct answer it via unpackbits
-            # instead of a kernel.  A covered conjunct also needs no
-            # zone-map/statistics "may match" guess — the bitmap is the
-            # exact answer, and the consult itself can be expensive (wide
-            # categorical vocabularies decide per entry in Python).
-            masks = [self._bitmap_for(handle, predicate)
-                     for predicate in ordered] if indexed else \
-                [None] * len(ordered)
-            covered = {predicate for predicate, mask
-                       in zip(ordered, masks) if mask is not None}
-            if prune and len(covered) < len(ordered):
+            if prune:
                 if not all(
                         shard_may_match(
                             handle.info.zone_maps.get(p.attribute), p,
                             vocabs.get(p.attribute))
-                        for p in predicates if p not in covered):
+                        for p in predicates):
                     zone_skipped += 1
                     rows_skipped += handle.n_rows
                     continue
                 if not all(
                         stats_may_match(handle.column_stats(p.attribute), p,
                                         vocabs.get(p.attribute), eq_code=code)
-                        for p, code in resolved if p not in covered):
+                        for p, code in resolved):
                     stats_skipped += 1
                     rows_skipped += handle.n_rows
                     continue
             survivors.append(handle)
-            survivor_masks.append(masks)
-            bitmap_hits += len(covered)
         plan.shards_total = len(self._handles)
         plan.shards_zone_map_skipped = zone_skipped
         plan.shards_stats_skipped = stats_skipped
@@ -908,16 +743,7 @@ class ShardedTable(Table):
                 self._rows_skipped += rows_skipped
             GLOBAL_PLANNER_STATS.record_shards(zone_skipped, stats_skipped,
                                                len(survivors))
-        # Any bitmap hit routes through the per-shard executor — at one
-        # worker map_morsels degenerates to the serial loop and the
-        # per-shard counts/rows merge is byte-identical to the whole-table
-        # scan.
-        shard_masks = None
-        if bitmap_hits:
-            shard_masks = survivor_masks
-            self._record_bitmap_served(bitmap_hits)
-        if shard_masks is None and \
-                (worker_count() <= 1 or len(survivors) <= 1):
+        if worker_count() <= 1 or len(survivors) <= 1:
             subset = self if len(survivors) == len(self._handles) else \
                 self._subset(survivors)
             indices = scan_indices(subset, plan)
@@ -926,15 +752,12 @@ class ShardedTable(Table):
         # ordered short-circuit AND over its own rows; counts sum and rows
         # concatenate in shard order, byte-identical to the serial scan.
         shard_tables = [self._subset([handle]) for handle in survivors]
-        if shard_masks is None:
-            shard_masks = [None] * len(survivors)
 
-        def scan(item) -> tuple[Table, list]:
-            shard, masks = item
-            indices, counts = shard_scan_indices(shard, ordered, masks=masks)
+        def scan(shard: Table) -> tuple[Table, list]:
+            indices, counts = shard_scan_indices(shard, ordered)
             return shard.take(indices), counts
 
-        results = map_morsels(scan, list(zip(shard_tables, shard_masks)))
+        results = map_morsels(scan, shard_tables)
         merge_shard_counts(plan, sum(h.n_rows for h in survivors),
                            [counts for _, counts in results])
         return self._merge_parts([part for part, _ in results]), plan
@@ -960,103 +783,20 @@ class ShardedTable(Table):
                     self._sorted_vocabs[attribute]))
         return Table(columns, name=self.name)
 
-    # ------------------------------------------------------------------ bitmap indexes
-
-    def install_predicate_index(self, key: str,
-                                shard_masks: dict[str, np.ndarray]) -> None:
-        """Make a just-promoted index servable on this live handle.
-
-        ``shard_masks`` maps shard id → unpacked boolean mask (as returned
-        by :meth:`StoredDataset.promote_index`); this handle's ShardInfo
-        objects predate the promotion commit, so the masks are cached here
-        instead of re-read from disk.
-        """
-        for mask in shard_masks.values():
-            mask.setflags(write=False)
-        with self._index_lock:
-            self._live_bitmaps.setdefault(key, {}).update(shard_masks)
-            self._index_keys.add(key)
-
-    def drop_predicate_index(self, key: str) -> None:
-        """Stop serving a (demoted) index on this live handle."""
-        with self._index_lock:
-            self._live_bitmaps.pop(key, None)
-            self._index_keys.discard(key)
-
-    def predicate_index_keys(self) -> set[str]:
-        with self._index_lock:
-            return set(self._index_keys)
-
-    def _any_indexes(self) -> bool:
-        with self._index_lock:
-            return bool(self._index_keys)
-
-    def _bitmap_for(self, handle: _ShardHandle,
-                    predicate: Predicate) -> np.ndarray | None:
-        """The shard's committed/installed bitmap for ``predicate``, if any.
-
-        Decoded bitmaps are cached per ``(key, shard id)``; a miss on the
-        live cache falls back to the handle's committed spec (cold restart
-        path).  ``None`` means no index: the caller runs the kernel.
-        """
-        key = repr(predicate)
-        with self._index_lock:
-            if key not in self._index_keys:
-                return None
-            bucket = self._live_bitmaps.get(key)
-            mask = None if bucket is None else \
-                bucket.get(handle.info.shard_id)
-        if mask is not None:
-            return mask
-        spec = handle.info.predicate_indexes.get(key)
-        if spec is None:  # e.g. freshly appended shard not yet covered
-            return None
-        mask = unpack_bitmap(spec)
-        with self._index_lock:
-            if key in self._index_keys:  # benign race with demotion
-                self._live_bitmaps.setdefault(key, {})[
-                    handle.info.shard_id] = mask
-        return mask
-
     def shard_predicate_mask(self, predicate: Predicate) -> np.ndarray:
         """Full boolean mask of one predicate, evaluated shard by shard.
 
         Sorted-vocab codes are shard-subset-invariant, so per-shard masks
         concatenated in shard order equal the whole-table kernel bit for
         bit; with one worker — or at most one shard — the whole-table
-        kernel runs directly, exactly as before.  Shards holding a bitmap
-        index for the predicate serve their slice from it (an unpackbits,
-        no kernel) — bitmaps are exact row masks, so the concatenation is
-        still bit-identical.
+        kernel runs directly.
         """
-        if planner_enabled() and self._any_indexes() and self._handles:
-            masks = [self._bitmap_for(handle, predicate)
-                     for handle in self._handles]
-            hits = sum(1 for mask in masks if mask is not None)
-            if hits:
-                shard_tables = [None if mask is not None
-                                else self._subset([handle])
-                                for handle, mask in zip(self._handles, masks)]
-
-                def resolve(item):
-                    mask, shard = item
-                    return mask if mask is not None \
-                        else predicate.evaluate(shard)
-
-                parts = map_morsels(resolve, list(zip(masks, shard_tables)))
-                self._record_bitmap_served(hits)
-                return parts[0] if len(parts) == 1 else np.concatenate(parts)
         if worker_count() <= 1 or len(self._handles) <= 1:
             return predicate.evaluate(self)
         shard_tables = [self._subset([handle]) for handle in self._handles]
         parts = map_morsels(lambda shard: predicate.evaluate(shard),
                             shard_tables)
         return np.concatenate(parts)
-
-    def _record_bitmap_served(self, count: int) -> None:
-        with self._stats_lock:
-            self._bitmap_served += count
-        GLOBAL_PLANNER_STATS.record_bitmap_conjuncts(count)
 
     # ------------------------------------------------------------------ partials
 
@@ -1188,7 +928,6 @@ class ShardedTable(Table):
                     "stats_skipped": self._stats_skipped,
                     "rows_skipped": self._rows_skipped,
                     "partials_served": self._partials_served,
-                    "bitmap_conjuncts_served": self._bitmap_served,
                     "shards_open": shards_open}
 
 

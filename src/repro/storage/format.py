@@ -131,14 +131,6 @@ class ShardInfo:
     #: --cluster-by`` over a categorical key; ``None`` everywhere else
     #: (and omitted from the serialized manifest).
     group_partials: dict | None = None
-    #: Committed hot-predicate bitmap indexes keyed by ``repr(predicate)`` —
-    #: ``{"attribute", "op", "value", "bits" (base64 packbits), "n_rows",
-    #: "matches", "nbytes"}`` per entry (see :mod:`repro.adapt`).  Exact
-    #: per-shard row masks: a hit answers the conjunct with ``unpackbits``
-    #: instead of a predicate kernel.  Rewritten shards (compaction) start
-    #: with none; appends extend every committed key to the new shard.
-    #: Empty in pre-adaptive manifests (and omitted when serialized empty).
-    predicate_indexes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         spec = {"id": self.shard_id, "file": self.file, "n_rows": self.n_rows,
@@ -146,8 +138,6 @@ class ShardInfo:
                 "column_stats": self.column_stats}
         if self.group_partials is not None:
             spec["group_partials"] = self.group_partials
-        if self.predicate_indexes:
-            spec["predicate_indexes"] = self.predicate_indexes
         return spec
 
     @classmethod
@@ -156,8 +146,7 @@ class ShardInfo:
                    n_rows=int(spec["n_rows"]), fingerprint=spec["fingerprint"],
                    zone_maps=dict(spec.get("zone_maps", {})),
                    column_stats=dict(spec.get("column_stats", {})),
-                   group_partials=spec.get("group_partials"),
-                   predicate_indexes=dict(spec.get("predicate_indexes", {})))
+                   group_partials=spec.get("group_partials"))
 
 
 @dataclass

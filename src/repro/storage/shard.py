@@ -34,42 +34,6 @@ from repro.storage.format import StorageError
 _OPEN_LOCK = named_lock("shard._npy_header_lock")
 
 
-def pack_bitmap(mask: np.ndarray) -> dict:
-    """Serialize a boolean row mask as a manifest-inline packed bitmap.
-
-    ``np.packbits`` + base64 keeps a shard's bitmap at ~n_rows/8 bytes
-    (~4/3 of that once base64-encoded) — small enough to ride inside the
-    manifest JSON through the same atomic commit as zone maps and column
-    stats, so bitmap indexes need no extra files or commit protocol.
-    """
-    import base64
-
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 1:
-        raise StorageError("bitmap masks must be one-dimensional")
-    packed = np.packbits(mask.astype(np.uint8, copy=False))
-    return {
-        "bits": base64.b64encode(packed.tobytes()).decode("ascii"),
-        "n_rows": int(mask.size),
-        "matches": int(np.count_nonzero(mask)),
-        "nbytes": int(packed.nbytes),
-    }
-
-
-def unpack_bitmap(spec: dict) -> np.ndarray:
-    """Inverse of :func:`pack_bitmap`: a read-only boolean mask."""
-    import base64
-
-    n_rows = int(spec["n_rows"])
-    raw = base64.b64decode(spec["bits"])
-    if len(raw) * 8 < n_rows:
-        raise StorageError("bitmap shorter than its declared row count")
-    packed = np.frombuffer(raw, dtype=np.uint8)
-    mask = np.unpackbits(packed, count=n_rows).astype(bool)
-    mask.setflags(write=False)
-    return mask
-
-
 def write_shard(path: Path, arrays: dict[str, np.ndarray]) -> None:
     """Write column arrays as an uncompressed ``.npz`` (not yet committed).
 

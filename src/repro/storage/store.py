@@ -85,8 +85,7 @@ class DatasetStore:
         whose recorded data version falls outside the dataset's committed
         window — leftovers of a deleted-and-recreated store at the same
         path would otherwise pollute every aggregate that joins telemetry
-        against current statistics (``repro obs summary``, the adaptive
-        warm start).
+        against current statistics (``repro obs summary``).
         """
         from repro.obs.telemetry import TelemetryReader
 
@@ -223,15 +222,27 @@ class DatasetStore:
         return {"datasets": registered, "summaries": len(entries)}
 
     def load_summaries(self) -> list[tuple]:
-        """The pickled summary-cache entries, or ``[]`` when none were saved."""
+        """The pickled summary-cache entries, or ``[]`` when there are none.
+
+        The snapshot is only a cache: a missing, unreadable, truncated or
+        wrong-shaped file means a cold start, never a failed one.
+        """
         path = self.root / _ENGINE / _SUMMARIES
-        if not path.exists():
+        try:
+            with path.open("rb") as handle:
+                payload = pickle.load(handle)
+        except Exception:  # noqa: BLE001 — damaged bytes raise an open set of types
             return []
-        with path.open("rb") as handle:
-            payload = pickle.load(handle)
-        if payload.get("format_version") != FORMAT_VERSION:
+        if not isinstance(payload, dict) or \
+                payload.get("format_version") != FORMAT_VERSION:
             return []
-        return list(payload.get("entries", []))
+        entries = payload.get("entries")
+        if not isinstance(entries, list) or not all(
+                isinstance(entry, tuple) and len(entry) == 2
+                and isinstance(entry[0], tuple) and len(entry[0]) == 3
+                for entry in entries):
+            return []
+        return entries
 
     # ------------------------------------------------------------------ stats
 

@@ -1,5 +1,8 @@
 """Tests for the shared pattern-evaluation engine (mask cache + bound estimation)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.core import CauSumX, CauSumXConfig, render_summary
 from repro.dataframe import MaskCache, Op, Pattern, Predicate, Table
 from repro.mining.lattice import PatternLattice
 from repro.mining.treatments import TreatmentMinerConfig, mine_top_treatment
+from repro.sql import AggregateView, parse_query
 
 
 @pytest.fixture
@@ -151,6 +155,38 @@ class TestBoundEstimation:
         estimator.bind(Pattern.equalities({"Continent": "Europe"}))
         estimator.bind(Pattern.equalities({"GDP": "High"}))  # evicts the oldest
         assert estimator.bind(Pattern.equalities({"Continent": "Asia"})) is not first
+
+    def test_dropped_estimator_is_freed_without_the_cyclic_collector(
+            self, so_bundle):
+        """Engine-style explain, then drop: refcounting alone reclaims the
+        estimator, its filtered table and the view (evicted populations hold
+        MBs of masks and design buffers; waiting for a full gc pass showed up
+        as server RSS)."""
+        config = CauSumXConfig(
+            k=3, theta=0.5, apriori_threshold=0.1, sample_size=None,
+            min_group_size=5,
+            treatment=TreatmentMinerConfig(max_levels=1, min_group_size=5,
+                                           max_values_per_attribute=6))
+        query = ("SELECT Country, AVG(Salary) FROM SO "
+                 "WHERE Gender = 'Male' GROUP BY Country")
+        algorithm = CauSumX(so_bundle.table, so_bundle.dag, config)
+        gc.collect()
+        gc.disable()
+        try:
+            view = AggregateView(so_bundle.table, parse_query(query))
+            estimator = CauSumX.build_estimator(view.table, "Salary",
+                                                so_bundle.dag, config)
+            summary = algorithm.explain(
+                query, grouping_attributes=so_bundle.grouping_attributes,
+                treatment_attributes=so_bundle.treatment_attributes,
+                view=view, estimator=estimator)
+            assert summary.patterns
+            refs = [weakref.ref(estimator), weakref.ref(view.table),
+                    weakref.ref(view)]
+            del view, estimator
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_mine_top_treatment_same_result_with_and_without_cache(self, so_bundle):
         config = TreatmentMinerConfig(max_levels=2, min_group_size=10,

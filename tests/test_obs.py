@@ -24,6 +24,7 @@ from repro.obs import (
     LogHistogram,
     MetricsRegistry,
     TelemetryLog,
+    TelemetryReader,
     read_records,
     telemetry_enabled,
     trace,
@@ -316,6 +317,68 @@ class TestTelemetryLog:
             assert telemetry_enabled()
 
 
+# ------------------------------------------------------------------ reader
+
+
+class TestTelemetryReader:
+    def test_version_window_filtering(self, tmp_path):
+        log = TelemetryLog(tmp_path)
+        log.record({"dataset": "d", "version": 0, "plan": None})
+        log.record({"dataset": "d", "version": 3, "plan": None})
+        log.record({"dataset": "d", "version": 9, "plan": None})
+        log.record({"dataset": "other", "version": 0, "plan": None})
+        log.record({"dataset": "d", "version": "bogus", "plan": None})
+        log.close()
+        reader = TelemetryReader(tmp_path, versions={"d": 3},
+                                 min_versions={"d": 1})
+        records, corrupt, stale = reader.read()
+        assert corrupt == 0
+        assert stale == 4  # v0 (below min), v9 (future), other, bogus
+        assert [r["version"] for r in records] == [3]
+        unfiltered = TelemetryReader(tmp_path)
+        assert len(unfiltered.read()[0]) == 5
+
+    def test_conjunct_stats_ranking_and_executed(self, tmp_path):
+        log = TelemetryLog(tmp_path)
+        for actual in (0.5, 0.7):
+            log.record({"dataset": "d", "version": 0,
+                        "plan": {"conjuncts": [
+                            {"predicate": "a == 1",
+                             "estimated_selectivity": 0.1,
+                             "actual_selectivity": actual}]}})
+        log.record({"dataset": "d", "version": 0,
+                    "plan": {"conjuncts": [
+                        {"predicate": "b == 2",
+                         "estimated_selectivity": 0.2,
+                         "actual_selectivity": None}]}})
+        log.close()
+        rows = TelemetryReader(tmp_path, versions={"d": 0}).conjunct_stats()
+        assert [r["predicate"] for r in rows] == ["a == 1", "b == 2"]
+        worst = rows[0]
+        assert worst["count"] == 2 and worst["executed"] == 2
+        assert worst["mean_abs_error"] == pytest.approx(0.5)
+        assert worst["max_abs_error"] == pytest.approx(0.6)
+        assert worst["mean_actual"] == pytest.approx(0.6)
+        never = rows[1]
+        assert never["count"] == 1 and never["executed"] == 0
+        assert never["mean_abs_error"] == 0.0
+
+    def test_obs_summary_per_conjunct(self, tmp_path, capsys):
+        log = TelemetryLog(tmp_path / "telemetry")
+        log.record({"dataset": "d", "version": 0, "duration_ms": 1.0,
+                    "plan": {"conjuncts": [
+                        {"predicate": "a == 1",
+                         "estimated_selectivity": 0.1,
+                         "actual_selectivity": 0.9}]}})
+        log.close()
+        args = argparse.Namespace(obs_command="summary",
+                                  store=tmp_path, per_conjunct=5)
+        assert run_obs(args) == 0
+        out = capsys.readouterr().out
+        assert "worst-estimated conjuncts" in out
+        assert "a == 1" in out
+
+
 # ------------------------------------------------------------------ CLI
 
 
@@ -426,6 +489,23 @@ class TestStoreTelemetryEndToEnd:
         metrics = stats["metrics"]
         assert metrics["repro_engine_summary_cache_hits"] >= 1
         assert any(key.startswith("repro_planner_") for key in metrics)
+
+    def test_plan_is_the_scan_this_request_executed(self, so_bundle,
+                                                     tmp_path):
+        store = DatasetStore.init(tmp_path / "store")
+        store.import_bundle(so_bundle, config=obs_config())
+        engine = ExplanationEngine.from_store(store)
+        name = engine.datasets()[0]
+        query = WHERE_QUERY.replace("Woman", "Male")  # selects rows
+        with trace.tracing(True):
+            engine.explain(name, query)
+            engine.explain(name, query)  # summary-cache hit: no scan
+        miss, hit = read_records(store.root / "telemetry")[0]
+        assert [miss["cached"], hit["cached"]] == [False, True]
+        (conjunct,) = miss["plan"]["conjuncts"]
+        assert 0 < conjunct["estimated_selectivity"] < 1
+        assert 0 < conjunct["actual_selectivity"] < 1
+        assert hit["plan"] is None
 
     def test_tracing_off_records_nothing(self, so_bundle, tmp_path):
         store = DatasetStore.init(tmp_path / "store")

@@ -9,7 +9,9 @@ and the cross-engine memory budget.
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.core import CauSumX, CauSumXConfig, summary_to_dict
 from repro.dataframe import Column, LazyColumn, Op, Pattern, Predicate, Table
 from repro.datasets import load_dataset
 from repro.mining.treatments import TreatmentMinerConfig
+from repro.parallel import workers
 from repro.service import ExplanationEngine, LRUCache, MemoryBudget
 from repro.storage import (
     DatasetStore,
@@ -311,10 +314,87 @@ class TestWarmRestart:
         _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
         assert not info["cached"]
 
+    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape",
+                                        "wrong-entries"])
+    def test_damaged_snapshot_means_cold_start(self, tmp_path, bundle, damage):
+        """``engine/summaries.pkl`` is only a cache: damage never bricks
+        a restart."""
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config())
+        engine = ExplanationEngine.from_store(store, max_workers=1)
+        engine.explain("stackoverflow", self.QUERY)
+        assert engine.snapshot()["summaries"] == 1
+        path = store.root / "engine" / "summaries.pkl"
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-20])
+        elif damage == "wrong-shape":
+            path.write_bytes(pickle.dumps([("stackoverflow", 0, "fp")]))
+        else:
+            payload = pickle.loads(path.read_bytes())
+            payload["entries"] = ["stackoverflow"]
+            path.write_bytes(pickle.dumps(payload))
+        restarted = ExplanationEngine.from_store(store, max_workers=1)
+        assert restarted.stats()["restored_summaries"] == 0
+        _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
+        assert not info["cached"]
+
     def test_snapshot_requires_store(self):
         engine = ExplanationEngine()
         with pytest.raises(ValueError):
             engine.snapshot()
+
+
+class TestManifestCompatibility:
+    """Manifests that carry the retired per-shard ``predicate_indexes``
+    key still open, answer identically, and shed it when next committed."""
+
+    QUERY = ("SELECT Country, AVG(Salary) FROM SO "
+             "WHERE Gender = 'Male' GROUP BY Country")
+
+    @pytest.fixture
+    def indexed_store(self, tmp_path):
+        bundle = load_dataset("stackoverflow", n=300, seed=0)
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config(), shard_rows=100)
+        path = store.dataset("stackoverflow").directory / "MANIFEST.json"
+        manifest = json.loads(path.read_text())
+        male = np.asarray(bundle.table.column("Gender").values) == "Male"
+        start = 0
+        for shard in manifest["shards"]:
+            mask = male[start:start + shard["n_rows"]]
+            start += shard["n_rows"]
+            packed = np.packbits(mask.astype(np.uint8))
+            shard["predicate_indexes"] = {"Gender == 'Male'": {
+                "bits": base64.b64encode(packed.tobytes()).decode("ascii"),
+                "n_rows": int(mask.size), "matches": int(mask.sum()),
+                "nbytes": int(packed.nbytes),
+                "attribute": "Gender", "op": "==", "value": "Male"}}
+        path.write_text(json.dumps(manifest))
+        return DatasetStore(store.root), bundle, path
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_opens_and_answers_like_in_memory(self, indexed_store, width):
+        store, bundle, _ = indexed_store
+        reference = CauSumX(bundle.table, bundle.dag, _config()).explain(
+            self.QUERY, grouping_attributes=bundle.grouping_attributes,
+            treatment_attributes=bundle.treatment_attributes)
+        with workers(width):
+            engine = ExplanationEngine.from_store(store, max_workers=1)
+            served = engine.explain("stackoverflow", self.QUERY)
+        assert _payload(served) == _payload(reference)
+
+    @pytest.mark.parametrize("commit", ["append", "compact"])
+    def test_next_commit_sheds_the_key(self, indexed_store, commit):
+        store, bundle, path = indexed_store
+        assert "predicate_indexes" in path.read_text()
+        if commit == "append":
+            store.dataset("stackoverflow").append(Table.from_rows(
+                [bundle.table.row(0)], schema=list(bundle.table.attributes)))
+        else:
+            assert store.compact("stackoverflow",
+                                 shard_rows=150)["rewritten"] == 3
+        assert "predicate_indexes" not in path.read_text()
+        store.dataset("stackoverflow").verify()
 
 
 class TestMemoryBudget:
