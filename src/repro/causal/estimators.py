@@ -18,10 +18,14 @@ import numpy as np
 
 from repro.causal.assumptions import check_positivity
 from repro.causal.effects import EffectEstimate
-from repro.causal.ols import ReusableDesign, ols_fit
+from repro.causal.ols import DegenerateFit, FactoredDesign
 from repro.dataframe import MaskCache, Pattern, Table, design_matrix
 from repro.graph import CausalDAG, backdoor_adjustment_set, parents_adjustment_set
-from repro.parallel import map_morsels
+from repro.obs.registry import REGISTRY
+# Read only by the frozen benchmark, which rebinds this module's name on
+# every traced run (benchmarks/e2e/spans.py::_MAP_MORSELS_CONSUMERS); leaves
+# with that entry.
+from repro.parallel import map_morsels  # noqa: F401
 
 
 def naive_difference_in_means(outcome: np.ndarray, treated: np.ndarray) -> EffectEstimate:
@@ -74,12 +78,11 @@ class CATEEstimator:
     seed:
         Random seed for the sampling optimisation.
     use_cache:
-        Enable the shared pattern-evaluation engine: predicate masks are
-        memoized in a :class:`~repro.dataframe.MaskCache` and sub-populations
-        are *bound* once (selection, sampling, missing-outcome filtering, and
-        design-matrix encoding are computed a single time) and reused for every
-        treatment candidate.  Results are numerically identical with the cache
-        on or off; the cache only removes redundant recomputation.
+        Memoize across calls: predicate masks in a shared
+        :class:`~repro.dataframe.MaskCache` and bound sub-populations (with
+        their factorisations and estimates) per pattern.  Off, every call
+        binds afresh and nothing outlives it; the arithmetic is the same
+        :class:`BoundSubpopulation` either way, so results are bit-identical.
     bound_cache_size:
         Maximum number of bound sub-populations kept alive at once (LRU).
     """
@@ -145,8 +148,10 @@ class CATEEstimator:
         mask (through the shared :class:`MaskCache` when enabled) and runs the
         regression.  Bound sub-populations are memoized per pattern in a small
         LRU so repeated lattice levels of the same grouping pattern reuse one
-        binding.
+        binding (with ``use_cache`` off, every call gets a fresh one).
         """
+        if not self.use_cache:
+            return BoundSubpopulation(self, subpopulation)
         key = () if subpopulation is None else subpopulation.predicates
         with self._bound_lock:
             bound = self._bound.get(key)
@@ -173,77 +178,21 @@ class CATEEstimator:
         and control (pattern does not hold) units; the effect is the adjusted
         difference in expected outcome (Eq. 5) estimated by linear regression.
         """
-        if self.use_cache:
-            return self.bind(subpopulation).estimate(treatment, extra_adjustment)
-        base = self.table if subpopulation is None or subpopulation.is_empty() \
-            else self.table.select(subpopulation)
-        if self.sample_size is not None and base.n_rows > self.sample_size:
-            base = base.sample(self.sample_size, seed=self.seed)
-        if base.n_rows == 0:
-            return EffectEstimate.undefined()
-
-        treated = treatment.evaluate(base)
-        outcome_values = base.column(self.outcome).values.astype(np.float64)
-        valid = ~np.isnan(outcome_values)
-        if not valid.all():
-            keep = np.nonzero(valid)[0]
-            base = base.take(keep)
-            treated = treated[keep]
-            outcome_values = outcome_values[keep]
-        n_treated = int(treated.sum())
-        n_control = int(base.n_rows - n_treated)
-        if not check_positivity(treated, self.min_group_size):
-            return EffectEstimate.undefined(n_treated, n_control)
-
-        adjustment_attrs = list(self.adjustment_set(treatment.attributes))
-        for attr in extra_adjustment:
-            if attr not in adjustment_attrs and attr in base and attr != self.outcome:
-                adjustment_attrs.append(attr)
-        # Attributes appearing in the sub-population pattern are constant within
-        # the sub-population only when the pattern is an equality; keep them out
-        # of the design matrix if they have a single value (no variance).
-        adjustment_attrs = [a for a in adjustment_attrs
-                            if len(base.domain(a)) > 1]
-
-        confounders, confounder_names = design_matrix(base, adjustment_attrs)
-        design = np.hstack([
-            np.ones((base.n_rows, 1)),
-            treated.astype(np.float64).reshape(-1, 1),
-            confounders,
-        ])
-        names = ["intercept", "__treatment__", *confounder_names]
-        result = ols_fit(design, outcome_values, names)
-        return EffectEstimate(
-            value=result.coefficient("__treatment__"),
-            std_error=result.std_error("__treatment__"),
-            p_value=result.p_value("__treatment__"),
-            n_treated=n_treated,
-            n_control=n_control,
-            estimator="linear_regression",
-        )
+        return self.bind(subpopulation).estimate(treatment, extra_adjustment)
 
     def estimate_many(self, treatments: Sequence[Pattern],
                       subpopulation: Pattern | None = None) -> list[EffectEstimate]:
         """Estimate CATE for a batch of candidate treatment patterns.
 
-        With the cache enabled the sub-population is bound once and every
-        treatment of the batch reuses the binding (one selection + one design
-        matrix per adjustment set instead of one per treatment).
-
-        The batch runs through the morsel pool
-        (:func:`repro.parallel.map_morsels`): at width 1 it is exactly the
-        serial list comprehension, and at any width the result is the same
-        list in the same order — :meth:`BoundSubpopulation.estimate` is
-        thread-safe (the mask cache locks, regression buffers are
-        thread-local) and bit-deterministic, so summaries are byte-identical
-        across pool widths.  Mining groupings already fan out over the pool;
-        this nested call then runs serially inside a worker (no pool-in-pool)
-        and in parallel when the outer layer is serial.
+        The sub-population is bound once and every treatment of the batch
+        goes through :meth:`BoundSubpopulation.estimate` in turn, on the
+        calling thread: a candidate is a closed-form solve against a shared
+        factorisation, far too small to be worth a future, and each estimate
+        depends on its own candidate alone, so the list is the same whatever
+        the batch, its order or the pool width around it.
         """
-        if not self.use_cache:
-            return [self.estimate(t, subpopulation) for t in treatments]
         bound = self.bind(subpopulation)
-        return map_morsels(bound.estimate, treatments)
+        return [bound.estimate(treatment) for treatment in treatments]
 
     def cache_stats(self):
         """Statistics of the shared mask cache (``None`` when caching is off)."""
@@ -256,23 +205,27 @@ class BoundSubpopulation:
     Construction performs all treatment-independent work of
     :meth:`CATEEstimator.estimate` exactly once: evaluating the sub-population
     pattern, applying the sampling optimisation, and dropping tuples with a
-    missing outcome.  Per adjustment-attribute tuple the confounder design
-    matrix is also computed once and memoized — within one sub-population every
-    treatment over the same attributes shares it verbatim, so the regression
-    inputs (and therefore the estimates) are bitwise identical to the unbound
-    path.
+    missing outcome.  Per adjustment-attribute tuple the ``[1 | confounders]``
+    block is encoded and factored once (:class:`~repro.causal.ols.FactoredDesign`)
+    — within one sub-population every treatment over the same attributes
+    shares it — and every estimate is memoized, so the ``+`` and the ``-``
+    search of one grouping pattern solve their common lattice nodes once.
 
     The bound table is a :meth:`Table.take` slice, so its categorical columns
     share the parent vocabulary: treatment masks sliced from the full-table
-    cache line up with the bound rows, and the memoized design matrices are
-    built by fancy-indexing the inherited dictionary codes (no re-encoding of
-    the sub-population).
+    cache line up with the bound rows, and the confounder blocks are built by
+    fancy-indexing the inherited dictionary codes (no re-encoding of the
+    sub-population).
+
+    Bindings are shared across threads without a lock: factorisations and
+    estimates are deterministic functions of the bound rows, so two threads
+    racing on one key store equal values and either may win.
     """
 
     def __init__(self, estimator: CATEEstimator, subpopulation: Pattern | None):
         # Weak: the estimator memoizes its bindings, so a strong reference
         # back would be a cycle, and a dropped estimator (mask cache,
-        # filtered table, design buffers) would wait for the cyclic collector
+        # filtered table, factorisations) would wait for the cyclic collector
         # instead of being freed by reference counting.  Every caller of
         # ``bind`` holds the estimator for as long as it uses the binding.
         self._estimator = weakref.ref(estimator)
@@ -308,7 +261,8 @@ class BoundSubpopulation:
         self.outcome_values = outcome_values
         self._identity = base is table  # binding covers the whole table unchanged
         self._domain_sizes: dict[str, int] = {}
-        self._design_cache: dict[tuple[str, ...], ReusableDesign] = {}
+        self._designs: dict[tuple[str, ...], FactoredDesign] = {}
+        self._estimates: dict[tuple, EffectEstimate] = {}
 
     @property
     def estimator(self) -> CATEEstimator:
@@ -333,24 +287,28 @@ class BoundSubpopulation:
             self._domain_sizes[attribute] = size
         return size
 
-    def _design(self, attributes: tuple[str, ...]) -> ReusableDesign:
-        """The reusable design matrix for one adjustment-attribute tuple.
-
-        The confounder block is encoded once and the full buffer is
-        preallocated; per-treatment fits only rewrite the treatment column
-        (see :class:`~repro.causal.ols.ReusableDesign`), so no ``np.hstack``
-        runs per candidate.
-        """
-        entry = self._design_cache.get(attributes)
-        if entry is None:
-            confounders, names = design_matrix(self.base, list(attributes))
-            entry = ReusableDesign(confounders, names)
-            self._design_cache[attributes] = entry
-        return entry
+    def _design(self, attributes: tuple[str, ...]) -> FactoredDesign:
+        """The factored ``[1 | confounders]`` block of one adjustment tuple."""
+        design = self._designs.get(attributes)
+        if design is None:
+            block, _ = design_matrix(self.base, list(attributes),
+                                     add_intercept=True)
+            design = self._designs.setdefault(
+                attributes, FactoredDesign(block, self.outcome_values))
+        return design
 
     def estimate(self, treatment: Pattern,
                  extra_adjustment: Sequence[str] = ()) -> EffectEstimate:
         """Estimate the CATE of one treatment within the bound sub-population."""
+        key = (treatment, tuple(extra_adjustment))
+        estimate = self._estimates.get(key)
+        if estimate is None:
+            estimate = self._estimates.setdefault(
+                key, self._solve(treatment, extra_adjustment))
+        return estimate
+
+    def _solve(self, treatment: Pattern,
+               extra_adjustment: Sequence[str]) -> EffectEstimate:
         if self.base.n_rows == 0:
             return EffectEstimate.undefined()
         estimator = self.estimator
@@ -365,14 +323,21 @@ class BoundSubpopulation:
             if attr not in adjustment_attrs and attr in self.base \
                     and attr != estimator.outcome:
                 adjustment_attrs.append(attr)
+        # Attributes the sub-population pins to a single value carry no
+        # variance; keep them out of the confounder block.
         adjustment_attrs = [a for a in adjustment_attrs if self._domain_size(a) > 1]
 
-        design = self._design(tuple(adjustment_attrs))
-        result = design.fit(treated, self.outcome_values)
+        try:
+            fit = self._design(tuple(adjustment_attrs)).solve(
+                np.flatnonzero(treated))
+        except DegenerateFit as skipped:
+            REGISTRY.counter("repro_causal_skipped_total",
+                             reason=skipped.reason).inc()
+            return EffectEstimate.undefined(n_treated, n_control)
         return EffectEstimate(
-            value=result.coefficient("__treatment__"),
-            std_error=result.std_error("__treatment__"),
-            p_value=result.p_value("__treatment__"),
+            value=fit.coefficient,
+            std_error=fit.std_error,
+            p_value=fit.p_value,
             n_treated=n_treated,
             n_control=n_control,
             estimator="linear_regression",

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
+from repro.dataframe.groupby import GroupByIndex
 from repro.dataframe.table import Table
 
 
@@ -17,22 +20,19 @@ def fd_holds(table: Table, lhs: Sequence[str], rhs: str) -> bool:
     """Return True iff the functional dependency ``lhs -> rhs`` holds in ``table``.
 
     Every combination of ``lhs`` values must map to exactly one ``rhs`` value.
-    Missing values on the right-hand side are treated as a regular value.
+    Missing values on the right-hand side are treated as a regular value; a
+    ``NaN`` on the left-hand side equals nothing, so its row is a group of its
+    own (the grouping semantics of :class:`GroupByIndex`).
     """
-    if rhs in lhs:
-        return True
-    lhs_columns = [table.column(a).values for a in lhs]
-    rhs_column = table.column(rhs).values
-    seen: dict[tuple, object] = {}
-    for i in range(table.n_rows):
-        key = tuple(col[i] for col in lhs_columns)
-        value = rhs_column[i]
-        if key in seen:
-            if seen[key] != value and not _both_nan(seen[key], value):
-                return False
-        else:
-            seen[key] = value
-    return True
+    return rhs in lhs or _constant_within_groups(GroupByIndex(table, lhs),
+                                                 table.column(rhs))
+
+
+def _constant_within_groups(index: GroupByIndex, column) -> bool:
+    """Does every row carry the value of its group's first row?"""
+    values = column.values if column.numeric else column.codes
+    return bool(np.array_equal(values, values[index.first_row[index.inverse]],
+                               equal_nan=column.numeric))
 
 
 def fd_closure(table: Table, group_by: Sequence[str],
@@ -40,16 +40,14 @@ def fd_closure(table: Table, group_by: Sequence[str],
     """Attributes ``W`` (other than the grouping attributes) with ``A_gb -> W``.
 
     These are the attributes eligible for grouping patterns.  ``exclude`` can
-    be used to keep the outcome attribute out of consideration.
+    be used to keep the outcome attribute out of consideration.  The rows are
+    grouped by ``group_by`` once, whatever the number of attributes checked.
     """
     excluded = set(group_by) | set(exclude)
-    closure = []
-    for attr in table.attributes:
-        if attr in excluded:
-            continue
-        if fd_holds(table, group_by, attr):
-            closure.append(attr)
-    return closure
+    index = GroupByIndex(table, group_by)
+    return [attr for attr in table.attributes
+            if attr not in excluded
+            and _constant_within_groups(index, table.column(attr))]
 
 
 def grouping_attribute_partition(table: Table, group_by: Sequence[str],
@@ -64,10 +62,3 @@ def grouping_attribute_partition(table: Table, group_by: Sequence[str],
     blocked = set(grouping) | set(group_by) | {outcome}
     treatment = [a for a in table.attributes if a not in blocked]
     return grouping, treatment
-
-
-def _both_nan(a, b) -> bool:
-    try:
-        return a != a and b != b  # nan != nan
-    except TypeError:
-        return False

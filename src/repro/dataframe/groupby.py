@@ -43,6 +43,9 @@ class GroupByIndex:
         group id.
     n_groups:
         Number of distinct groups.
+    first_row:
+        ``int64`` array with the index of each group's first row, indexed by
+        group id (ascending: groups are numbered by first occurrence).
     keys:
         Group keys (tuples of raw values) indexed by group id, in first
         occurrence order.
@@ -68,11 +71,11 @@ class GroupByIndex:
         renumber[order] = np.arange(n_groups, dtype=np.int64)
         self.inverse = renumber[inverse_first] if n else inverse_first
         self.n_groups = n_groups
-        self._first_row = first_row[order]
+        self.first_row = first_row[order]
         self.sizes = np.bincount(self.inverse, minlength=n_groups)
         self.keys: list[tuple] = [
             tuple(table.column(a).values[row] for a in self.attributes)
-            for row in self._first_row
+            for row in self.first_row
         ]
         self._indices: list[np.ndarray] | None = None
 

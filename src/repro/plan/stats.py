@@ -39,6 +39,7 @@ shard holds no matching row.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -272,17 +273,28 @@ def column_stats(column, bins: int = DEFAULT_NUMERIC_BINS,
 class TableStats:
     """Lazily-built per-column statistics of one table.
 
-    ``provider`` overrides the default build-from-column path; the storage
-    layer supplies one that derives statistics from the manifest's per-shard
-    entries without decoding any shard.  Column entries are computed on first
-    request and cached, so a planner that only ever sees predicates over two
-    attributes never pays for statistics of the rest.
+    A table may expose ``plan_column_stats(attribute)`` to override the
+    default build-from-column path; the storage layer supplies one that
+    derives statistics from the manifest's per-shard entries without decoding
+    any shard.  Column entries are computed on first request and cached, so a
+    planner that only ever sees predicates over two attributes never pays for
+    statistics of the rest.
+
+    The table caches its statistics (:func:`table_stats`), so the reference
+    back to it is weak and the provider is looked up per call, not stored as
+    a bound method: a strong one would close a cycle, and every table version
+    an append supersedes would wait for the cyclic collector — which numpy
+    buffers do not nudge — instead of being freed when its last user lets go.
+    Callers hold the table while they use its statistics.
     """
 
-    def __init__(self, table, provider=None):
-        self._table = table
-        self._provider = provider
+    def __init__(self, table):
+        self._table_ref = weakref.ref(table)
         self._columns: dict[str, ColumnStats | None] = {}
+
+    @property
+    def _table(self):
+        return self._table_ref()
 
     @property
     def n_rows(self) -> int:
@@ -290,17 +302,19 @@ class TableStats:
 
     def column(self, attribute: str) -> ColumnStats | None:
         if attribute not in self._columns:
+            table = self._table
             stats = None
-            if attribute in self._table.attributes:
-                if self._provider is not None:
+            if attribute in table.attributes:
+                provider = getattr(table, "plan_column_stats", None)
+                if provider is not None:
                     # A provider that cannot prove statistics (e.g. a
                     # pre-planner manifest) yields None and the planner
                     # estimates conservatively — never fall back to building
                     # from the column, which would force-decode every shard
                     # of a storage-backed table just to rank conjuncts.
-                    stats = self._provider(attribute)
+                    stats = provider(attribute)
                 else:
-                    stats = column_stats(self._table.column(attribute))
+                    stats = column_stats(table.column(attribute))
             self._columns[attribute] = stats
         return self._columns[attribute]
 
@@ -367,8 +381,7 @@ def table_stats(table) -> TableStats:
     cached = table.__dict__.get("_plan_table_stats")
     if cached is not None:
         return cached
-    provider = getattr(table, "plan_column_stats", None)
-    stats = TableStats(table, provider=provider)
+    stats = TableStats(table)
     table.__dict__["_plan_table_stats"] = stats
     return stats
 

@@ -1,5 +1,8 @@
 """Unit tests for ATE/CATE estimation with backdoor adjustment."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,12 @@ from repro.causal import (
     overlap_holds,
     check_positivity,
 )
+from repro.causal.ols import FactoredDesign
 from repro.dataframe import Column, Pattern, Table
 from repro.graph import CausalDAG
+from repro.mining.treatments import TreatmentMinerConfig, mine_top_treatment
+from repro.obs.registry import REGISTRY
+from repro.parallel import workers
 
 
 class TestEffectEstimate:
@@ -121,13 +128,36 @@ class TestAdjustment:
 
     def test_missing_outcomes_are_dropped(self, confounded_dag):
         table = Table([
-            Column("Z", [0, 1] * 50, numeric=False),
+            Column("Z", [0, 0, 1, 1] * 25, numeric=False),
             Column("T", [0, 1] * 50, numeric=False),
             Column("Y", [float(i) if i % 3 else None for i in range(100)], numeric=True),
         ])
         estimator = CATEEstimator(table, "Y", dag=confounded_dag, min_group_size=5)
         estimate = estimator.estimate(Pattern.of(("T", "=", 1)))
         assert estimate.is_valid()
+        assert estimate.n_units == 66
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_treatment_collinear_with_confounder_is_undefined_and_counted(
+            self, confounded_dag, use_cache):
+        """``T`` is a function of its confounder ``Z``: the effect is not
+        identifiable, and ``pinv`` used to return a minimum-norm coefficient
+        for it as if it were."""
+        table = Table([
+            Column("Z", [0, 1] * 50, numeric=False),
+            Column("T", [0, 1] * 50, numeric=False),
+            Column("Y", [float(i % 7) for i in range(100)], numeric=True),
+        ])
+        skipped = REGISTRY.counter("repro_causal_skipped_total",
+                                   reason="collinear_treatment")
+        before = skipped.value
+        estimator = CATEEstimator(table, "Y", dag=confounded_dag,
+                                  min_group_size=5, use_cache=use_cache)
+        estimate = estimator.estimate(Pattern.of(("T", "=", 1)))
+        assert not estimate.is_valid()
+        assert (estimate.n_treated, estimate.n_control) == (50, 50)
+        assert estimate.p_value == 1.0
+        assert skipped.value == before + 1
 
     def test_estimate_many(self, confounded_table, confounded_dag):
         estimator = CATEEstimator(confounded_table, "Y", dag=confounded_dag)
@@ -155,3 +185,91 @@ class TestIPW:
     def test_ipw_overlap_violation(self, confounded_table):
         effect = ipw_ate(confounded_table, Pattern.of(("Y", ">", -1e12)), "Y")
         assert not effect.is_valid()
+
+
+def _bits(estimate: EffectEstimate) -> tuple:
+    return (estimate.value.hex(), estimate.std_error.hex(),
+            estimate.p_value.hex(), estimate.n_treated, estimate.n_control)
+
+
+class TestOneSolvePerCandidate:
+    SUBPOPULATION = Pattern.equalities({"Continent": "Europe"})
+    TREATMENTS = [Pattern.equalities(assignment) for assignment in (
+        {"Gender": "Male"}, {"Gender": "Female"}, {"Education": "PhD"},
+        {"Education": "M.S."}, {"Student": "Yes"},
+        {"Student": "Yes", "Gender": "Male"}, {"Role": "Data Scientist"},
+        {"Education": "B.Sc.", "Gender": "Female"})]
+
+    def test_estimate_depends_on_its_own_candidate_alone(self, so_bundle):
+        """Bit-identical alone, inside a batch, inside the reversed batch, at
+        pool widths 1 and 2, memoised or not, and from two threads racing on
+        one binding."""
+        def estimator(use_cache=True):
+            return CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
+                                 use_cache=use_cache)
+
+        position = 5
+        target = self.TREATMENTS[position]
+        seen = {"alone": estimator().estimate(target, self.SUBPOPULATION)}
+        assert seen["alone"].is_valid()
+        for use_cache in (True, False):
+            for width in (1, 2):
+                with workers(width):
+                    fresh = estimator(use_cache)
+                    seen[f"batch/{use_cache}/{width}"] = fresh.estimate_many(
+                        self.TREATMENTS, self.SUBPOPULATION)[position]
+                    seen[f"reversed/{use_cache}/{width}"] = \
+                        estimator(use_cache).estimate_many(
+                            self.TREATMENTS[::-1], self.SUBPOPULATION)[-1 - position]
+            seen[f"alone/{use_cache}"] = estimator(use_cache).estimate(
+                target, self.SUBPOPULATION)
+
+        shared = estimator()
+        barrier = threading.Barrier(2)
+        results: dict[int, list] = {}
+
+        def race(order: int) -> None:
+            barrier.wait(timeout=30)
+            bound = shared.bind(self.SUBPOPULATION)
+            batch = self.TREATMENTS[::order]
+            results[order] = [bound.estimate(t) for t in batch][::order]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=race, args=(order,))
+                       for order in (1, -1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        seen["thread/forward"] = results[1][position]
+        seen["thread/backward"] = results[-1][position]
+        assert [_bits(a) for a in results[1]] == [_bits(b) for b in results[-1]]
+
+        assert {_bits(estimate) for estimate in seen.values()} == \
+            {_bits(seen["alone"])}, seen
+
+    def test_second_direction_solves_no_level_one_atom_again(self, so_bundle,
+                                                             monkeypatch):
+        """``+`` and ``-`` search the same level-one atoms on one binding; the
+        binding's memo answers the second search without a solve."""
+        solves = []
+        solve = FactoredDesign.solve
+        monkeypatch.setattr(
+            FactoredDesign, "solve",
+            lambda design, rows: solves.append(len(rows)) or solve(design, rows))
+        estimator = CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag)
+        config = TreatmentMinerConfig(max_levels=1, min_group_size=10,
+                                      max_values_per_attribute=8)
+        attributes = ["Gender", "Education", "Student", "Role"]
+        mine_top_treatment(estimator, self.SUBPOPULATION, attributes, "+",
+                           so_bundle.dag, config)
+        first = len(solves)
+        assert first > 0
+        mine_top_treatment(estimator, self.SUBPOPULATION, attributes, "-",
+                           so_bundle.dag, config)
+        assert len(solves) == first

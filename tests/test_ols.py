@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.causal import ols_fit
+from repro.causal import CATEEstimator, ols_fit
+from repro.causal.ols import DegenerateFit, FactoredDesign
+from repro.dataframe import Column, Pattern, Table, design_matrix
+from repro.graph import CausalDAG
 
 
 class TestOLSFit:
@@ -61,31 +65,109 @@ class TestOLSFit:
         assert result.r_squared == pytest.approx(1.0)
 
 
-class TestReusableDesign:
-    def test_byte_identical_to_hstack_path(self):
-        from repro.causal.ols import ReusableDesign
+# --------------------------------------------------------------------------- FactoredDesign
 
-        rng = np.random.default_rng(7)
-        n = 500
-        confounders = rng.normal(size=(n, 3))
-        outcome = rng.normal(size=n)
-        design = ReusableDesign(confounders, ["z0", "z1", "z2"])
-        for seed in range(5):
-            treated = np.random.default_rng(seed).random(n) < 0.4
-            reused = design.fit(treated, outcome)
-            stacked = ols_fit(
-                np.hstack([np.ones((n, 1)),
-                           treated.astype(np.float64).reshape(-1, 1),
-                           confounders]),
-                outcome, ["intercept", "__treatment__", "z0", "z1", "z2"])
-            assert reused.coefficients.tobytes() == stacked.coefficients.tobytes()
-            assert reused.std_errors.tobytes() == stacked.std_errors.tobytes()
-            assert reused.p_values.tobytes() == stacked.p_values.tobytes()
 
-    def test_no_confounders_and_empty_rows(self):
-        from repro.causal.ols import ReusableDesign
+def _stacked_reference(block, treated, outcome):
+    """``ols_fit`` on ``[1 | t | Z]``: the regression the solver must reproduce."""
+    design = np.hstack([block[:, :1], treated.astype(np.float64).reshape(-1, 1),
+                        block[:, 1:]])
+    return ols_fit(design, outcome), design
 
-        design = ReusableDesign(np.empty((4, 0)), [])
-        result = design.fit(np.array([True, False, True, False]),
-                            np.array([2.0, 1.0, 2.0, 1.0]))
-        assert result.coefficient("__treatment__") == pytest.approx(1.0)
+
+class TestFactoredDesign:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_ols_fit_through_the_estimator(self, data):
+        """Random tables — numeric and one-hot confounders, rank-deficient
+        confounder blocks, unbalanced arms, missing outcomes, missing
+        treatment values — estimated by ``CATEEstimator`` and refitted by
+        ``ols_fit`` on the stacked design built here by hand."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        n = data.draw(st.integers(30, 300))
+        share = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.85]))
+        columns, confounders = [], []
+        for i in range(data.draw(st.integers(0, 2))):
+            confounders.append(f"x{i}")
+            columns.append(Column(f"x{i}", rng.normal(size=n) * 3.0 + i,
+                                  numeric=True))
+        for i, levels in enumerate(data.draw(st.lists(st.integers(2, 4),
+                                                      max_size=2))):
+            confounders.append(f"c{i}")
+            columns.append(Column(f"c{i}", [f"l{v}" for v in
+                                            rng.integers(0, levels, n)],
+                                  numeric=False))
+        if confounders and data.draw(st.booleans()):  # a rank-deficient block
+            source = columns[0]
+            confounders.append("copy")
+            columns.append(Column("copy", source.values, numeric=source.numeric))
+        treatment_values = np.where(rng.random(n) < share, "yes", "no").astype(object)
+        treatment_values[rng.random(n) < data.draw(st.sampled_from([0.0, 0.1]))] = None
+        outcome = 2.0 * (treatment_values == "yes") + rng.normal(size=n)
+        for column in columns:
+            if column.numeric:
+                outcome = outcome + 0.5 * column.values
+            else:
+                outcome = outcome + column.codes
+        outcome[rng.random(n) < data.draw(st.sampled_from([0.0, 0.15]))] = np.nan
+        table = Table([*columns, Column("t", treatment_values, numeric=False),
+                       Column("y", outcome, numeric=True)])
+        dag = CausalDAG.from_dict({"t": confounders, "y": ["t", *confounders]})
+        use_cache = data.draw(st.booleans())
+
+        estimator = CATEEstimator(table, "y", dag=dag, min_group_size=5,
+                                  use_cache=use_cache)
+        estimate = estimator.estimate(Pattern.of(("t", "=", "yes")))
+
+        kept = table.take(np.flatnonzero(~np.isnan(outcome)))
+        treated = np.array([v == "yes" for v in kept.column("t").values])
+        assert (estimate.n_treated, estimate.n_control) == \
+            (int(treated.sum()), int((~treated).sum()))
+        adjustment = estimator.adjustment_set(["t"])  # its column order
+        assert sorted(adjustment) == sorted(confounders)
+        block, _ = design_matrix(
+            kept, [a for a in adjustment if len(kept.domain(a)) > 1],
+            add_intercept=True)
+        reference, stacked = _stacked_reference(block, treated,
+                                                kept.column("y").values)
+        if not estimate.is_valid():
+            assert min(estimate.n_treated, estimate.n_control) < 5 \
+                or np.linalg.matrix_rank(stacked) == np.linalg.matrix_rank(block)
+            return
+        design = FactoredDesign(block, kept.column("y").values)
+        fit = design.solve(np.flatnonzero(treated))
+        assert fit == (estimate.value, estimate.std_error, estimate.p_value)
+        assert design.df_resid == reference.df_resid
+        assert fit.std_error == pytest.approx(reference.std_errors[1], rel=1e-8)
+        assert fit.coefficient == pytest.approx(
+            reference.coefficients[1], rel=1e-8, abs=1e-8 * fit.std_error)
+        assert fit.p_value == pytest.approx(reference.p_values[1], rel=1e-6,
+                                            abs=1e-12)
+
+    def test_no_confounders_is_the_difference_in_means(self):
+        design = FactoredDesign(np.ones((4, 1)), np.array([2.0, 1.0, 2.5, 1.5]))
+        assert design.solve(np.array([0, 2])).coefficient == pytest.approx(1.0)
+        assert design.df_resid == 2
+
+    @pytest.mark.parametrize("reason,block,outcome,rows", [
+        # The treatment column equals a confounder column.
+        ("collinear_treatment",
+         np.column_stack([np.ones(8), [0, 1] * 4]), np.arange(8.0) ** 2, [1, 3, 5, 7]),
+        # As many parameters as rows once the treatment joins the block.
+        ("no_residual_df",
+         np.column_stack([np.ones(3), [0.0, 1.0, 5.0]]), np.array([1.0, 2.0, 4.0]), [0]),
+        # The outcome is an exact linear function of treatment and block.
+        ("zero_residual_variance",
+         np.column_stack([np.ones(8), np.arange(8.0)]),
+         3.0 + 2.0 * np.arange(8.0) + 5.0 * np.array([1, 0, 0, 1, 1, 0, 1, 0]),
+         [0, 3, 4, 6]),
+        # A constant outcome: the residuals are pure rounding noise.
+        ("zero_residual_variance",
+         np.column_stack([np.ones(9), np.arange(9.0) / 7.0]), np.full(9, 0.1),
+         [0, 3, 4, 6]),
+    ])
+    def test_degenerate_designs_raise_their_reason(self, reason, block,
+                                                   outcome, rows):
+        with pytest.raises(DegenerateFit) as raised:
+            FactoredDesign(block, outcome).solve(np.array(rows))
+        assert raised.value.reason == reason
