@@ -7,13 +7,17 @@ advice:
 
 * warm-up rounds are discarded, so lazy set-up — imports, the morsel pool
   reaching its thread count, page cache — is finished before timing;
-* a timed phase is ``BLOCKS`` equal time slices; each slice runs whole
-  rounds, so all hold the same mix of operations; the timing and rate
-  metrics inside every slice are kept in the result file, and a run whose
-  slice medians spread by more than ``DISTURBED_SPREAD`` is printed as
-  *disturbed*.  Between slices (outside timing) the runner calls
-  ``gc.collect()`` and times a fixed calibration kernel.  GC stays enabled
-  *inside* timing: it is the program's cost;
+* a timed phase is ``BLOCKS`` blocks of equal *work*: each runs the
+  workload's ``Scale.block_cap`` whole rounds, so all hold the same mix of
+  operations and every run ends on the same table, and stops early only if
+  its fifth of ``--seconds`` runs out first (``ended_by: "clock"``, printed
+  as *clock-bound*: such a run did less work and is not comparable with one
+  that ended by cap).  The timing metrics inside every block are
+  kept in the result file, and a run whose block medians spread by more
+  than ``DISTURBED_SPREAD`` is printed as *disturbed*.  Between blocks
+  (outside timing) the runner calls ``gc.collect()`` and times a fixed
+  calibration kernel.  GC stays enabled *inside* timing: it is the
+  program's cost;
 * every result file carries a ``host`` block.
 """
 
@@ -39,14 +43,13 @@ from repro.plan import lower_query
 from repro.sql import normalize_query, parse_query
 
 from spans import SPAN_FIELDS, SpanRecorder, fold
-from workloads import CONFIG, Sample, Workload
+from workloads import BLOCKS, CONFIG, Sample, Workload
 
-BLOCKS = 5
 #: Canonical queries per run recomputed by the in-memory oracle.
 ORACLE_SAMPLES = 10
 DISTURBED_SPREAD = 1.15
-#: Share of ``--seconds`` a traced run gives its untraced reference pass;
-#: the recorder pass gets the rest.
+#: Share of ``--seconds`` and of the round caps a traced run gives its
+#: untraced reference pass; the recorder pass gets the rest.
 REFERENCE_SHARE = 0.4
 #: Requests per kind whose raw spans are written out (every request is in
 #: the folded ledger; raw spans of all of them would be tens of MB).
@@ -54,8 +57,8 @@ TRACE_SAMPLE_PER_KIND = 3
 
 END_TO_END = (
     ("setup_s", "s"), ("explain_p50_s", "s"), ("explain_p90_s", "s"),
-    ("explains_per_s", "1/s"), ("cpu_s_per_explain", "s"),
-    ("peak_rss_mb", "MB"),
+    ("wall_s_per_explain", "s"), ("cpu_s_per_explain", "s"),
+    ("peak_rss_mb", "MB"), ("rounds", "count"),
 )
 
 PER_LAYER = (
@@ -71,7 +74,7 @@ PER_LAYER = (
     ("optimize.select_s", "s"),
     ("core.serialize_s", "s"), ("core.unattributed_share", "share"),
     ("core.cold_stackoverflow_s", "s"),
-    ("service.summary_hit_rate", "share"), ("service.view_hit_rate", "share"),
+    ("service.summary_hit_rate", "share"),
     ("service.population_hit_rate", "share"),
     ("service.plan_hit_rate", "share"),
     ("service.hit_p50_s", "s"), ("service.miss_p50_s", "s"),
@@ -84,8 +87,6 @@ PER_LAYER = (
     ("parallel.batches_per_explain", "count"), ("parallel.pool_s", "s"),
     ("parallel.vcsw_per_explain", "count"),
     ("parallel.cpu_over_wall", "share"),
-    ("adapt.drift_replans", "count"), ("adapt.index_promotions", "count"),
-    ("adapt.bitmap_conjuncts_served", "count"),
     ("obs.trace_overhead_ratio", "share"),
     ("obs.telemetry_bytes_per_explain", "B"),
     ("net.hit_rtt_p50_s", "s"), ("net.overhead_p50_s", "s"),
@@ -94,7 +95,6 @@ PER_LAYER = (
     ("host.nproc", "count"), ("host.blas_threads", "count"),
     ("host.calib_s", "s"), ("host.block_spread", "share"),
 )
-
 
 # ---------------------------------------------------------------------- host
 
@@ -134,13 +134,22 @@ def blas_threads() -> int:
 
 
 def git_sha() -> str:
+    """HEAD, with ``+dirty`` when the benchmark or the program differ from
+    it (a baseline taken before its PR is committed names the parent)."""
+    here = Path(__file__).resolve().parent
     try:
         done = subprocess.run(
             ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            cwd=Path(__file__).resolve().parent, timeout=10)
+            cwd=here, timeout=10)
+        changed = subprocess.run(
+            ["git", "status", "--porcelain", "--", ".", ":!results",
+             "../../src", "../../BENCHMARK.json"],
+            capture_output=True, text=True, cwd=here, timeout=10)
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    return done.stdout.strip() if done.returncode == 0 else "unknown"
+    if done.returncode != 0:
+        return "unknown"
+    return done.stdout.strip() + ("+dirty" if changed.stdout.strip() else "")
 
 
 def host_block(seed: int, scrubbed: dict, load_start: tuple) -> dict:
@@ -165,12 +174,15 @@ def host_block(seed: int, scrubbed: dict, load_start: tuple) -> dict:
 
 
 class Block(NamedTuple):
-    """One equal time slice of a timed phase."""
+    """One block of a timed phase: ``rounds`` whole rounds, ``ended_by``
+    its round ``"cap"`` or, with fewer done, by the ``"clock"``."""
 
     wall: float
     cpu_s: float
     vcsw: int
     calib_s: float
+    rounds: int
+    ended_by: str
     samples: list[Sample]
 
     def explains(self) -> list[Sample]:
@@ -202,8 +214,12 @@ class Phase:
     def vcsw(self) -> int:
         return sum(block.vcsw for block in self.blocks)
 
+    @property
+    def rounds(self) -> int:
+        return sum(block.rounds for block in self.blocks)
+
     def statistics(self) -> dict:
-        """The timing and rate metrics over the whole phase: every explain
+        """The timing metrics over the whole phase: every explain
         pooled, and the wall and CPU of everything the phase contains."""
         return _statistics([s.seconds for s in self.explains()], self.wall,
                            self.cpu_s)
@@ -212,7 +228,8 @@ class Phase:
         """The same metrics inside each block."""
         return [{**_statistics([s.seconds for s in block.explains()],
                                block.wall, block.cpu_s),
-                 "wall_s": block.wall, "calib_s": block.calib_s}
+                 "wall_s": block.wall, "calib_s": block.calib_s,
+                 "rounds": block.rounds, "ended_by": block.ended_by}
                 for block in self.blocks]
 
     def decode(self) -> None:
@@ -223,16 +240,21 @@ class Phase:
             for block in self.blocks]
 
 
-def run_phase(workload: Workload, seconds: float, recorder=None) -> Phase:
+def run_phase(workload: Workload, seconds: float, cap: int,
+              recorder=None) -> Phase:
+    """``BLOCKS`` blocks, each ``cap`` whole rounds under an equal slice of
+    ``seconds``."""
     blocks = []
     for _ in range(BLOCKS):
         gc.collect()
         calib_s = calibration_kernel()
         before = workload.usage()
-        wall, samples = workload.run_block(seconds / BLOCKS, recorder)
+        wall, rounds, samples = workload.run_block(seconds / BLOCKS, cap,
+                                                   recorder)
         after = workload.usage()
         blocks.append(Block(wall, after["cpu_s"] - before["cpu_s"],
-                            after["vcsw"] - before["vcsw"], calib_s, samples))
+                            after["vcsw"] - before["vcsw"], calib_s, rounds,
+                            "cap" if rounds == cap else "clock", samples))
     return Phase(blocks)
 
 
@@ -244,7 +266,7 @@ def _statistics(seconds: list[float], wall: float, cpu_s: float) -> dict:
     count = len(seconds)
     return {"explain_p50_s": percentile(seconds, 50),
             "explain_p90_s": percentile(seconds, 90),
-            "explains_per_s": count / wall,
+            "wall_s_per_explain": wall / count if count else 0.0,
             "cpu_s_per_explain": cpu_s / count if count else 0.0,
             "explains": count}
 
@@ -337,29 +359,26 @@ def run_untraced(workload: Workload, seed: int, seconds: float,
     workload.warm_up()
     setup_s = time.perf_counter() - started
 
-    phase = run_phase(workload, seconds)
+    phase = run_phase(workload, seconds,
+                      workload.scale.block_cap[workload.name])
     usage = workload.usage()
     phase.decode()
     blocks = phase.block_statistics()
     return {
+        # ``rounds`` is listed so that the line the driver parses says how
+        # much work the run did: below 5 × cap, some block ended by clock.
         "metrics": {"setup_s": setup_s, **phase.statistics(),
-                    "peak_rss_mb": usage["peak_rss_mb"]},
+                    "peak_rss_mb": usage["peak_rss_mb"],
+                    "rounds": phase.rounds},
         **_outcome(phase, workload, seed),
         "timed_wall_s": phase.wall,
+        "rounds": phase.rounds,
+        # Table rows the last explain was answered on: equal between runs
+        # that ended by cap, whatever their speed.
+        "final_rows": max((s.rows for s in phase.explains()), default=0),
         "blocks": blocks,
         "block_spread": block_spread(blocks),
     }
-
-
-def _mask_stats(recorder: SpanRecorder) -> dict:
-    """Mask-cache counters of estimators seen outside any engine."""
-    hits = misses = 0
-    for estimator in recorder.estimators.values():
-        stats = estimator.cache_stats()
-        if stats is not None:
-            hits += stats.hits
-            misses += stats.misses
-    return {"mask_hits": hits, "mask_misses": misses}
 
 
 def _rate(counters: dict, level: str) -> float:
@@ -431,7 +450,6 @@ def per_layer_metrics(ledgers: list[dict], reference: Phase, traced: Phase,
         "core.unattributed_share": root_self_ns / wall_ns,
         "core.cold_stackoverflow_s": extra.get("cold_stackoverflow_s", 0.0),
         "service.summary_hit_rate": _rate(counters, "summary"),
-        "service.view_hit_rate": _rate(counters, "view"),
         "service.population_hit_rate": _rate(counters, "population"),
         "service.plan_hit_rate": _rate(counters, "plan"),
         "service.hit_p50_s": duration_p50("service.explain", True),
@@ -450,10 +468,6 @@ def per_layer_metrics(ledgers: list[dict], reference: Phase, traced: Phase,
         "parallel.pool_s": self_s("parallel.map_morsels"),
         "parallel.vcsw_per_explain": traced.vcsw / explains,
         "parallel.cpu_over_wall": traced.cpu_s / traced.wall,
-        "adapt.drift_replans": counters.get("drift_replans", 0),
-        "adapt.index_promotions": counters.get("index_promotions", 0),
-        "adapt.bitmap_conjuncts_served":
-            counters.get("bitmap_conjuncts_served", 0),
         "obs.trace_overhead_ratio":
             traced_p50 / reference_p50 if reference_p50 else 0.0,
         "obs.telemetry_bytes_per_explain":
@@ -493,9 +507,15 @@ def run_traced(workload: Workload, seed: int, seconds: float) -> dict:
     extra = workload.beside_trace()
     seconds = max(seconds - (time.perf_counter() - start), 0.4 * seconds)
 
+    # The passes split the round cap as they split the seconds; together
+    # they stay inside the demand ``Workload.reserve`` checked.
+    cap = workload.scale.block_cap[workload.name]
+    reference_cap = max(1, int(cap * REFERENCE_SHARE))
+    assert reference_cap < cap, "a traced run needs a block cap of 2 or more"
+
     workload.build()
     workload.warm_up()
-    reference = run_phase(workload, seconds * REFERENCE_SHARE)
+    reference = run_phase(workload, seconds * REFERENCE_SHARE, reference_cap)
     reference.decode()
     reference_usage = workload.usage()
     extra.update(workload.reference_extras(reference.explains()))
@@ -509,12 +529,14 @@ def run_traced(workload: Workload, seed: int, seconds: float) -> dict:
             workload.warm_up()
         before = workload.counters()
         traced = run_phase(workload, seconds * (1.0 - REFERENCE_SHARE),
-                           recorder)
+                           cap - reference_cap, recorder)
         counters = _delta(workload.counters(), before)
+        traced_usage = workload.usage()
     finally:
         recorder.uninstall()
-    if "mask_hits" not in counters:
-        counters.update(_mask_stats(recorder))
+    if "mask_hits" not in counters:  # no engine: estimators the recorder saw
+        counters.update(mask_hits=recorder.mask_hits,
+                        mask_misses=recorder.mask_misses)
     traced.decode()
     ledgers = fold(recorder.spans)
     return {
@@ -524,6 +546,9 @@ def run_traced(workload: Workload, seed: int, seconds: float) -> dict:
         **_outcome(traced, workload, seed, unchecked=reference),
         "reference": {**reference.statistics(),
                       "peak_rss_mb": reference_usage["peak_rss_mb"]},
+        "traced_peak_rss_mb": traced_usage["peak_rss_mb"],
+        "rounds": reference.rounds + traced.rounds,
+        "blocks": reference.block_statistics() + traced.block_statistics(),
         "trace": trace_document(recorder.spans, ledgers),
     }
 

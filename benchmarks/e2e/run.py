@@ -82,10 +82,12 @@ def _single(args: argparse.Namespace) -> int:
 
     print(f"# {args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"trace={args.trace} explain_samples={result['explain_samples']} "
-          f"oracle_runs={result['oracle_runs']}")
+          f"oracle_runs={result['oracle_runs']} rounds={result['rounds']}")
     if args.trace:
         for name, value in result["reference"].items():
             print(f"{'reference.' + name:38s} {value:.6g}")
+        print(f"{'traced.peak_rss_mb':38s} "
+              f"{result['traced_peak_rss_mb']:.6g}")
     for name, entry in metrics.items():
         print(f"{name:38s} {entry['value']:.6g} {entry['unit']}")
     print(f"{'failed_share':38s} {result['failed_share']:.6g} share")
@@ -94,6 +96,13 @@ def _single(args: argparse.Namespace) -> int:
     if spread > harness.DISTURBED_SPREAD:
         print(f"# disturbed: block medians spread {spread:.3f} > "
               f"{harness.DISTURBED_SPREAD}")
+    by_clock = [str(i + 1) for i, block in enumerate(result["blocks"])
+                if block["ended_by"] == "clock"]
+    if by_clock:
+        print(f"# clock-bound: block {', '.join(by_clock)} of "
+              f"{len(result['blocks'])} ran out of seconds before its round "
+              f"cap ({result['rounds']} rounds done): less work than a "
+              "cap-bound run, so not comparable with one")
     for error in result["errors"]:
         print(f"# failed op:\n{error}", file=sys.stderr)
     print(json.dumps({"correct": result["failed"] == 0,

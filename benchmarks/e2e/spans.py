@@ -93,7 +93,7 @@ _METHODS = (
      "storage", None),
 )
 
-_MAP_MORSELS_CONSUMERS = ("repro.causal.estimators", "repro.storage.dataset")
+_MAP_MORSELS_CONSUMERS = ("repro.storage.dataset",)
 
 
 class SpanRecorder:
@@ -101,7 +101,9 @@ class SpanRecorder:
 
     def __init__(self):
         self.spans: list[list] = []
-        self.estimators: dict[int, object] = {}  # id -> CATEEstimator seen
+        # Mask-cache traffic of every CATEEstimator a request used, added
+        # when the request ends; no estimator outlives its request here.
+        self.mask_hits = self.mask_misses = 0
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._request_ids = itertools.count(1)
@@ -128,12 +130,20 @@ class SpanRecorder:
         record[6] = kind
         self._roots[request] = index
         tls.request, tls.current = request, index
+        tls.estimators = {}  # id -> (estimator, hits, misses at first sight)
         record[2] = time.perf_counter_ns()
         try:
             yield
         finally:
             record[3] = time.perf_counter_ns()
             tls.request = tls.current = None
+            used = [(estimator.cache_stats(), hits, misses)
+                    for estimator, hits, misses in tls.estimators.values()]
+            tls.estimators = None
+            with self._lock:
+                for stats, hits, misses in used:
+                    self.mask_hits += stats.hits - hits
+                    self.mask_misses += stats.misses - misses
 
     def current_request(self) -> int | None:
         return getattr(self._tls, "request", None)
@@ -218,8 +228,12 @@ class SpanRecorder:
     def _remember_estimator(self, original):
         @functools.wraps(original)
         def wrapper(estimator, *args, **kwargs):
-            if getattr(self._tls, "request", None) is not None:
-                self.estimators[id(estimator)] = estimator
+            seen = getattr(self._tls, "estimators", None)
+            if seen is not None and id(estimator) not in seen:
+                stats = estimator.cache_stats()
+                if stats is not None:
+                    seen[id(estimator)] = (estimator, stats.hits,
+                                           stats.misses)
             return original(estimator, *args, **kwargs)
 
         return wrapper

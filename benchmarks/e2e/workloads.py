@@ -10,6 +10,14 @@ Inputs come from ``--seed`` alone: the generated tables, the appended
 batches (``seed + 1``), the order queries are drawn in, and each HTTP
 client's hit/miss/append schedule.  The program only ever sees the
 generated tables, rows and SQL text.
+
+**Equal work.**  A timed block is a fixed number of whole rounds
+(``Scale.block_cap``) under a time cap, not a time filled with however many
+rounds the program's speed allows: a faster program ends a run sooner, on
+the same table, having drawn the same queries.  Everything finite a phase
+draws from — the query pool, the rows to append — is checked against that
+fixed demand in ``build``, so running dry is a construction-time error that
+names both numbers, never a crash in the fourth block.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import dataclasses
 import http.client
 import itertools
 import json
+import math
 import os
 import random
 import resource
@@ -65,6 +74,8 @@ DATASET = "accidents"
 COLD_DATASET = "cps"
 GROUPABLE = ("Weather", "Temperature", "Visibility", "TrafficSignal",
              "TrafficCalming", "RoadType", "RushHour", "Daylight")
+#: Blocks of a timed phase: equal shares of the rounds and of the seconds.
+BLOCKS = 5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,17 +92,29 @@ class Scale:
     http_append_rows: int   # rows per serve_http append
     cycles_per_maintenance: int  # append_explain: snapshot+compact+reopen
     warmup_cycles: int      # discarded ops/cycles before the timed phase
+    # Whole rounds that end a timed block (requests per client for
+    # serve_http), by workload name; README "Equal work" has the rule.
+    block_cap: dict[str, int]
     stackoverflow_rows: int  # the cold explains reported beside the trace
     stackoverflow_reps: int
+
+    def rounds(self, workload: str) -> int:
+        """Rounds an untraced run of ``workload`` performs when every block
+        ends by cap; both passes of a traced run together stay below it."""
+        return self.warmup_cycles + BLOCKS * self.block_cap[workload]
 
 
 FULL = Scale(cold_rows=20_000, store_rows=200_000, http_rows=50_000,
              base_rows=50_000, shards=32, append_rows=500,
              http_append_rows=20, cycles_per_maintenance=20, warmup_cycles=5,
+             block_cap={"cold_explain": 32, "store_restart": 30,
+                        "append_explain": 36, "serve_http": 75},
              stackoverflow_rows=2000, stackoverflow_reps=3)
 SMOKE = Scale(cold_rows=400, store_rows=2000, http_rows=2000, base_rows=2000,
               shards=4, append_rows=50, http_append_rows=5,
               cycles_per_maintenance=2, warmup_cycles=1,
+              block_cap={"cold_explain": 4, "store_restart": 2,
+                         "append_explain": 2, "serve_http": 6},
               stackoverflow_rows=200, stackoverflow_reps=1)
 
 
@@ -170,8 +193,9 @@ class QueryPool:
     which rows it touches.  Exhaustion raises instead of silently turning
     misses into hits: a ``store_restart`` cycle draws one of 280
     two-attribute pairs, one of 560 three-attribute pairs and two of 700
-    two-conjunct queries, so the pool lasts 280 cycles — four times what the
-    reference host completes in a run.
+    two-conjunct queries, so the pool lasts 280 cycles.  A run's demand is
+    fixed by its ``Scale`` (155 cycles at full scale) and checked against
+    the pool by :meth:`require` when the workload is built.
     """
 
     def __init__(self, seed: int):
@@ -211,6 +235,9 @@ class QueryPool:
         city, group_by = self._narrow[weather].pop()
         return {"City": city, "Weather": weather}, group_by
 
+    #: Queries one turn of :meth:`singles` yields.
+    ROTATION = 6
+
     def singles(self):
         """Endless fixed rotation of the shapes (HTTP miss traffic)."""
         while True:
@@ -218,6 +245,26 @@ class QueryPool:
             yield self.narrow()
             yield from self.pair(3)
             yield self.narrow()
+
+    def require(self, pairs2: int, pairs3: int, narrows: int) -> None:
+        """Raise unless that many more ``pair(2)``, ``pair(3)`` and
+        ``narrow()`` calls will succeed."""
+        for width, needs in ((2, pairs2), (3, pairs3)):
+            holds = sum(len(sets) // 2 for (_, w), sets in self._wide.items()
+                        if w == width)
+            require(f"QueryPool {width}-attribute pairs", holds, needs)
+        # Weathers take turns, so the shortest list ends the rotation.
+        require("QueryPool two-conjunct queries",
+                len(WEATHER) * min(map(len, self._narrow.values())), narrows)
+
+
+def require(resource: str, holds: int, needs: int) -> None:
+    """Construction-time check of one finite resource against the fixed
+    demand of the run (``Scale.rounds``)."""
+    if holds < needs:
+        raise ValueError(
+            f"{resource}: holds {holds} draws, the run needs {needs} — "
+            "lower Scale.block_cap or enlarge the resource")
 
 
 def directory_bytes(path: Path) -> int:
@@ -249,6 +296,16 @@ class Workload:
     # -- set-up ---------------------------------------------------------------
 
     def build(self, traced: bool = False) -> None:
+        """``reserve``, then the workload's own ``_build``: a run that would
+        exhaust a pool is refused before any set-up work is spent."""
+        self.reserve()
+        self._build(traced)
+
+    def reserve(self) -> None:
+        """Lay out whatever finite the run draws from and check it against
+        ``scale.rounds`` (:func:`require`); needs no table, store or server."""
+
+    def _build(self, traced: bool) -> None:
         raise NotImplementedError
 
     def warm_up(self) -> None:
@@ -271,19 +328,22 @@ class Workload:
     def round(self, recorder) -> list[Sample]:
         raise NotImplementedError
 
-    def run_block(self, budget: float, recorder=None
-                  ) -> tuple[float, list[Sample]]:
-        """``(wall, samples)`` of the whole rounds that come closest to
-        ``budget``.  Whole rounds, so every block holds the same mix of
+    def run_block(self, budget: float, cap: int, recorder=None
+                  ) -> tuple[float, int, list[Sample]]:
+        """``(wall, rounds, samples)`` of ``cap`` whole rounds, or of the
+        whole rounds that come closest to ``budget`` seconds if that is
+        fewer.  Whole rounds, so every block holds the same mix of
         operations; closest, so long rounds do not overrun the run."""
         samples: list[Sample] = []
         wall = last = 0.0
-        while wall + last / 2 < budget:
+        rounds = 0
+        while rounds < cap and wall + last / 2 < budget:
             start = time.perf_counter()
             samples.extend(self.round(recorder))
             last = time.perf_counter() - start
             wall += last
-        return wall, samples
+            rounds += 1
+        return wall, rounds, samples
 
     # -- observation ----------------------------------------------------------
 
@@ -321,9 +381,6 @@ def _flow_counters(planner: dict, pool: dict) -> dict:
         "shards_skipped": planner["shards_zone_map_skipped"]
         + planner["shards_stats_skipped"],
         "shards_scanned": planner["shards_scanned"],
-        "drift_replans": planner["drift_replans"],
-        "index_promotions": planner["indexes_promoted"],
-        "bitmap_conjuncts_served": planner["bitmap_conjuncts_served"],
         "morsels": pool["morsels"],
         "batches": pool["batches"],
     }
@@ -334,7 +391,7 @@ def _global_counters() -> dict:
                           GLOBAL_PARALLEL_STATS.snapshot())
 
 
-_CACHE_LEVELS = ("summary", "view", "population", "plan")
+_CACHE_LEVELS = ("summary", "population", "plan")
 
 
 def _engine_counters(stats: dict) -> dict:
@@ -358,7 +415,7 @@ def _add(total: dict, part: dict) -> None:
 class ColdExplain(Workload):
     name = "cold_explain"
 
-    def build(self, traced: bool = False) -> None:
+    def _build(self, traced: bool) -> None:
         self.bundle = load_dataset(COLD_DATASET, n=self.scale.cold_rows,
                                    seed=self.seed)
         self.sql = self.bundle.query.to_sql()
@@ -412,7 +469,6 @@ class _StoreWorkload(Workload):
         stored = store.dataset(DATASET)
         self.bytes_per_row = stored.nbytes() / stored.manifest.n_rows
         self.store_path = path
-        self.pool = QueryPool(self.seed)
         self._retired: dict = {}
         return path
 
@@ -450,7 +506,12 @@ class _StoreWorkload(Workload):
 class StoreRestart(_StoreWorkload):
     name = "store_restart"
 
-    def build(self, traced: bool = False) -> None:
+    def reserve(self) -> None:
+        self.pool = QueryPool(self.seed)
+        rounds = self.scale.rounds(self.name)
+        self.pool.require(pairs2=rounds, pairs3=rounds, narrows=2 * rounds)
+
+    def _build(self, traced: bool) -> None:
         self._build_store()
         self._previous_first = None
 
@@ -492,11 +553,17 @@ class StoreRestart(_StoreWorkload):
 class AppendExplain(_StoreWorkload):
     name = "append_explain"
 
-    def build(self, traced: bool = False) -> None:
+    def reserve(self) -> None:
+        # Rows to append: half the table (the run appends 46% of it).
+        self._fresh_count = self.scale.store_rows // 2
+        require("AppendExplain._fresh batches",
+                self._fresh_count // self.scale.append_rows,
+                self.scale.rounds(self.name))
+
+    def _build(self, traced: bool) -> None:
         self._build_store()
-        # Rows to append: half the table is more than a run gets through.
         _, self._fresh = accidents_inputs(
-            self.seed + 1, self.scale.store_rows // 2, self.scale.base_rows)
+            self.seed + 1, self._fresh_count, self.scale.base_rows)
         self._appended: list = []
         self.engine = ExplanationEngine.from_store(
             DatasetStore(self.store_path), **ENGINE_KWARGS)
@@ -529,7 +596,7 @@ class AppendExplain(_StoreWorkload):
         ``cycles_per_maintenance``-th, snapshot, re-cluster and re-open, all
         inside the timed phase."""
         size = self.scale.append_rows
-        start = (len(self._appended) * size) % (self._fresh.n_rows - size)
+        start = len(self._appended) * size
         batch = self._fresh.take(np.arange(start, start + size))
         samples = [timed("append",
                          lambda: self.engine.append_rows(DATASET, batch),
@@ -576,9 +643,13 @@ class AppendExplain(_StoreWorkload):
 
 # ---------------------------------------------------------------------- http
 
-HOT_SHARE, MISS_SHARE = 0.60, 0.35   # the remaining 5% are appends
 HTTP_CLIENTS = 2
 WRITER_TENANT = "writer"
+#: The traffic mix, as the kinds of twenty consecutive requests of a client:
+#: 60% hot, 35% misses, 5% appends.  Each client deals itself shuffled
+#: decks, not one independent draw per request, so two seeds send the same
+#: amount of each kind and differ only in when.
+DECK = ("hot",) * 12 + ("miss",) * 7 + ("append",)
 
 
 class ServeHttp(_StoreWorkload):
@@ -586,31 +657,56 @@ class ServeHttp(_StoreWorkload):
     rows_attr = "http_rows"
     rebuild_for_trace = True
 
-    def build(self, traced: bool = False) -> None:
+    def reserve(self) -> None:
+        """Deal every client's whole schedule of request kinds now —
+        ``scale.rounds`` requests each, a round being one request per client
+        — so the run's demand on the miss pool and on the rows to append is
+        known exactly before anything is built."""
+        self.pool = QueryPool(self.seed)
+        self.hot = [sql_for(*q) for q in (*self.pool.pair(2),
+                                          self.pool.narrow(),
+                                          self.pool.narrow())]
+        self._rngs = [random.Random(self.seed * 1000 + index)
+                      for index in range(HTTP_CLIENTS)]
+        self._schedules = [self._schedule(rng) for rng in self._rngs]
+        misses = sum(s.count("miss") for s in self._schedules)
+        turns = math.ceil(misses / QueryPool.ROTATION)
+        self.pool.require(pairs2=turns, pairs3=turns, narrows=2 * turns)
+        # Rows to append: a tenth of the table.  Clients take alternate
+        # batches, and each sends one more while warming up.
+        self._fresh_count = self.scale.http_rows // 10
+        require("ServeHttp._fresh_rows batches",
+                self._fresh_count // self.scale.http_append_rows,
+                HTTP_CLIENTS * (1 + max(s.count("append")
+                                        for s in self._schedules)))
+
+    def _schedule(self, rng: random.Random) -> list[str]:
+        """One client's request kinds: part of a shuffled deck for the
+        warm-up, then shuffled whole decks for the timed phase."""
+        rounds = self.scale.rounds(self.name)
+        schedule = rng.sample(DECK, self.scale.warmup_cycles)
+        while len(schedule) < rounds:
+            schedule += rng.sample(DECK, len(DECK))
+        return schedule[:rounds]
+
+    def _build(self, traced: bool) -> None:
         path = self._build_store()
         self.process = self.server = None
         if traced:
             self._start_in_process(path)
         else:
             self._start_child(path)
-        # Rows to append: a tenth of the table is more than a run sends.
-        _, fresh = accidents_inputs(self.seed + 1, self.scale.http_rows // 10,
+        _, fresh = accidents_inputs(self.seed + 1, self._fresh_count,
                                     self.scale.base_rows)
         self._fresh_rows = fresh.to_rows()
-        self.hot = [sql_for(*q) for q in (*self.pool.pair(2),
-                                          self.pool.narrow(),
-                                          self.pool.narrow())]
-        misses = self.pool.singles()
-        self._clients = []
-        for index in range(HTTP_CLIENTS):
-            self._clients.append({
-                "conn": http.client.HTTPConnection(self.host, self.port,
-                                                   timeout=120),
-                "rng": random.Random(self.seed * 1000 + index),
-                "misses": misses,
-                "appended": index,
-            })
+        self._misses = self.pool.singles()
         self._miss_lock = threading.Lock()
+        self._clients = [
+            {"conn": http.client.HTTPConnection(self.host, self.port,
+                                                timeout=120),
+             "schedule": iter(schedule), "rng": rng, "appended": index}
+            for index, (schedule, rng) in enumerate(zip(self._schedules,
+                                                        self._rngs))]
 
     def _start_child(self, store: Path) -> None:
         """`python -m repro serve --store … --http 127.0.0.1:0`, as a user
@@ -652,7 +748,7 @@ class ServeHttp(_StoreWorkload):
             for sql in self.hot:
                 self._post(client, "/v1/explain", {"query": sql}, None)
             self._append(client, None)
-        self.run_block(0.1 * self.scale.warmup_cycles)
+        self.run_block(math.inf, self.scale.warmup_cycles)
 
     def close(self) -> None:
         for client in getattr(self, "_clients", []):
@@ -695,7 +791,7 @@ class ServeHttp(_StoreWorkload):
 
     def _append(self, client: dict, recorder) -> Sample:
         size = self.scale.http_append_rows
-        start = (client["appended"] * size) % (len(self._fresh_rows) - size)
+        start = client["appended"] * size
         client["appended"] += HTTP_CLIENTS
         rows = self._fresh_rows[start:start + size]
         return timed("append",
@@ -705,30 +801,38 @@ class ServeHttp(_StoreWorkload):
                      recorder)
 
     def _request(self, client: dict, recorder) -> Sample:
-        draw = client["rng"].random()
-        if draw >= HOT_SHARE + MISS_SHARE:
+        kind = next(client["schedule"])
+        if kind == "append":
             return self._append(client, recorder)
-        if draw < HOT_SHARE:
+        if kind == "hot":
             sql = client["rng"].choice(self.hot)
         else:
             with self._miss_lock:
-                sql = sql_for(*next(client["misses"]))
+                sql = sql_for(*next(self._misses))
         return timed("explain",
                      lambda: self._post(client, "/v1/explain", {"query": sql},
                                         recorder),
                      recorder, sql=sql, rows=self.table.n_rows)
 
-    def run_block(self, budget: float, recorder=None
-                  ) -> tuple[float, list[Sample]]:
-        """Both clients issue requests back to back for ``budget`` seconds."""
+    def run_block(self, budget: float, cap: int, recorder=None
+                  ) -> tuple[float, int, list[Sample]]:
+        """Both clients issue ``cap`` requests back to back, or as many as
+        ``budget`` seconds allow; ``rounds`` is what the slower one
+        completed."""
         collected: list[list[Sample]] = [[] for _ in self._clients]
+        done = [0] * len(self._clients)
         start = time.perf_counter()
         deadline = start + budget
 
         def drive(index: int) -> None:
             client = self._clients[index]
-            while time.perf_counter() < deadline:
-                collected[index].append(self._request(client, recorder))
+            try:
+                while done[index] < cap and time.perf_counter() < deadline:
+                    collected[index].append(self._request(client, recorder))
+                    done[index] += 1
+            except Exception:  # noqa: BLE001 — a dead client is a failed op
+                collected[index].append(
+                    Sample("explain", 0.0, False, traceback.format_exc()))
 
         threads = [threading.Thread(target=drive, args=(i,))
                    for i in range(len(self._clients))]
@@ -737,7 +841,7 @@ class ServeHttp(_StoreWorkload):
         for thread in threads:
             thread.join()
         wall = time.perf_counter() - start
-        return wall, [s for mine in collected for s in mine]
+        return wall, min(done), [s for mine in collected for s in mine]
 
     # -- observation ----------------------------------------------------------
 
