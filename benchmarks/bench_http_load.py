@@ -22,7 +22,9 @@ appends) and gates:
   ``MAX_P99_SECONDS`` over per-request client-side latencies, and overall
   throughput ≥ ``MIN_THROUGHPUT`` requests/second.  The floors are
   conservative: the storm is cache-served (each distinct query is warmed
-  once), so requests cost queue wait + dispatch, not mining time.
+  once), so requests cost queue wait + dispatch, not mining time.  The
+  smoke-sized run holds p50 to ``SMOKE_MAX_P50_SECONDS`` instead, which a
+  response split over two socket writes cannot meet.
 
 * **Lockwatch acyclicity under load**: a second, smaller burst runs against
   a stack built with lock watching enabled; the recorded acquisition-order
@@ -64,6 +66,11 @@ APPENDS_PER_CLIENT = 2
 SMOKE_CLIENTS = 24
 SMOKE_APPENDERS = 4
 MAX_P50_SECONDS = 0.50
+# The smoke's storm is small enough that its p50 is the keep-alive round trip
+# itself (5-12 ms on a 2-CPU host).  A response sent as two socket writes
+# stalls 40+ ms on Nagle + delayed ACK whatever the load, so this ceiling is
+# the tripwire for that regression.
+SMOKE_MAX_P50_SECONDS = 0.020
 MAX_P99_SECONDS = 5.00
 MIN_THROUGHPUT = 30.0    # requests/second over the whole storm
 MAX_INFLIGHT = 8
@@ -269,7 +276,7 @@ def run_load(n_clients: int = N_CLIENTS,
     return row
 
 
-def _check(row: dict) -> list[str]:
+def _check(row: dict, max_p50: float = MAX_P50_SECONDS) -> list[str]:
     failures = []
     if row["errors"]:
         failures.append(f"client errors: {row['errors'][:3]}")
@@ -281,9 +288,9 @@ def _check(row: dict) -> list[str]:
     if row["replay_mismatches"]:
         failures.append(f"{row['replay_mismatches']} client stream(s) not "
                         f"byte-identical to the serial replay")
-    if row["p50_seconds"] > MAX_P50_SECONDS:
+    if row["p50_seconds"] > max_p50:
         failures.append(f"p50 {row['p50_seconds']:.3f}s above the "
-                        f"{MAX_P50_SECONDS}s ceiling")
+                        f"{max_p50}s ceiling")
     if row["p99_seconds"] > MAX_P99_SECONDS:
         failures.append(f"p99 {row['p99_seconds']:.3f}s above the "
                         f"{MAX_P99_SECONDS}s ceiling")
@@ -315,7 +322,8 @@ def test_http_load(benchmark):
     record_rows(benchmark, [row],
                 paper_reference="ROADMAP item 1: concurrent serving tier",
                 expected_shape=EXPECTED_SHAPE)
-    assert not _check(row), (row, _check(row))
+    failures = _check(row, max_p50=SMOKE_MAX_P50_SECONDS)
+    assert not failures, (row, failures)
 
 
 def main(argv=None) -> int:
@@ -350,7 +358,8 @@ def main(argv=None) -> int:
     with (results_dir / "bench_http_load.json").open("w") as handle:
         json.dump(payload, handle, indent=2, default=str)
 
-    failures = _check(row)
+    failures = _check(row, max_p50=SMOKE_MAX_P50_SECONDS if args.smoke
+                      else MAX_P50_SECONDS)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:

@@ -22,10 +22,6 @@ from repro.causal.ols import DegenerateFit, FactoredDesign
 from repro.dataframe import MaskCache, Pattern, Table, design_matrix
 from repro.graph import CausalDAG, backdoor_adjustment_set, parents_adjustment_set
 from repro.obs.registry import REGISTRY
-# Read only by the frozen benchmark, which rebinds this module's name on
-# every traced run (benchmarks/e2e/spans.py::_MAP_MORSELS_CONSUMERS); leaves
-# with that entry.
-from repro.parallel import map_morsels  # noqa: F401
 
 
 def naive_difference_in_means(outcome: np.ndarray, treated: np.ndarray) -> EffectEstimate:

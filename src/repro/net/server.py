@@ -36,6 +36,7 @@ Failure statuses mirror the structured protocol errors: 400 ``bad_request``,
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import time
@@ -278,6 +279,13 @@ class _Handler(BaseHTTPRequestHandler):
                          "text/plain; charset=utf-8")
 
     def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
+        # One socket write per response.  ``end_headers()`` flushes the header
+        # block to the unbuffered ``wfile`` on its own; the body would follow
+        # as a second small segment, which Nagle holds back until the client's
+        # delayed ACK — ~40 ms on every keep-alive response.  So the base
+        # class writes the head into a buffer and head + body leave together.
+        head = io.BytesIO()
+        socket_file, self.wfile = self.wfile, head
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
@@ -286,7 +294,10 @@ class _Handler(BaseHTTPRequestHandler):
             if trace_id is not None:
                 self.send_header("X-Repro-Trace-Id", trace_id)
             self.end_headers()
-            self.wfile.write(body)
+        finally:
+            self.wfile = socket_file
+        try:
+            self.wfile.write(head.getvalue() + body)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away; nothing to report to it
 

@@ -41,12 +41,22 @@ def randomized_rounding(problem: CoverageILP, lp_solution: LPSolution | None = N
     probabilities = probabilities + leftover / problem.n_patterns
     probabilities = probabilities / probabilities.sum()
 
+    # One call takes the uniforms of ``n_draws`` successive k-draws in the
+    # same order.  Both comparisons below are strict, so patterns drawn again
+    # can never displace their first evaluation: skip them.  (Keyed in
+    # first-drawn order, not as a set, because that order decides ties
+    # between equal weights in ``_dedupe_conflicting``.)
+    draws = rng.choice(problem.n_patterns, size=(n_draws, problem.k),
+                       replace=True, p=probabilities)
     best_feasible: Selection | None = None
     best_any: Selection | None = None
-    for _ in range(n_draws):
-        drawn = rng.choice(problem.n_patterns, size=problem.k, replace=True,
-                           p=probabilities)
-        selection = problem.selection(_dedupe_conflicting(problem, drawn))
+    evaluated: set[tuple] = set()
+    for drawn in draws.tolist():
+        distinct = tuple(dict.fromkeys(drawn))
+        if distinct in evaluated:
+            continue
+        evaluated.add(distinct)
+        selection = problem.selection(_dedupe_conflicting(problem, distinct))
         if best_any is None or _rank(selection) > _rank(best_any):
             best_any = selection
         if selection.feasible and (best_feasible is None
@@ -61,7 +71,7 @@ def _dedupe_conflicting(problem: CoverageILP, drawn) -> list[int]:
     This enforces the incomparability constraint (Definition 4.5 item 3) on the
     sampled selection while keeping the highest-weight representative.
     """
-    order = sorted(set(int(j) for j in drawn), key=lambda j: -problem.weights[j])
+    order = sorted(set(drawn), key=lambda j: -problem.weights[j])
     seen_coverages: set[frozenset] = set()
     kept = []
     for j in order:

@@ -191,12 +191,6 @@ class PlannerStats:
                 "atoms_deferred": self.atoms_deferred,
                 "store_code_lookups": self.store_code_lookups,
                 "store_code_cached": self.store_code_cached,
-                # Read only by the frozen benchmark
-                # (benchmarks/e2e/workloads.py::_flow_counters); leave with
-                # its adapt.* rows.
-                "drift_replans": 0,
-                "indexes_promoted": 0,
-                "bitmap_conjuncts_served": 0,
             }
 
     def reset(self) -> None:

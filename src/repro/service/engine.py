@@ -703,10 +703,6 @@ class ExplanationEngine:
             "parallel": {"workers": worker_count(),
                          **GLOBAL_PARALLEL_STATS.snapshot()},
             "plan_cache": level(self._plan_cache),
-            # Read only by the frozen benchmark
-            # (benchmarks/e2e/workloads.py::_engine_counters); leaves with
-            # its service.view_hit_rate row.
-            "view_cache": {"hits": 0, "misses": 0},
             "population_cache": level(self._population_cache),
             "summary_cache": level(self._summary_cache),
             "mask_caches": mask_stats,

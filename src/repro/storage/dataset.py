@@ -151,9 +151,10 @@ class StoredDataset:
         """Durably append a batch as one new shard and commit the manifest.
 
         The shard file is fully written and renamed into place *before* the
-        manifest referencing it is atomically replaced, so a crash at any
-        point leaves the previous committed state readable.  ``version``
-        advances by exactly one per successful append.
+        manifest referencing it is atomically replaced — each step flushed
+        to disk before the next (see :mod:`repro.storage.format`) — so a
+        crash at any point leaves the previous committed state readable.
+        ``version`` advances by exactly one per successful append.
 
         Appends are serialised against *other handles and processes* via an
         advisory ``flock`` on the dataset directory (POSIX; best-effort

@@ -14,6 +14,8 @@ The manifest is the single source of truth: it names the schema (column name
 lists shared by every shard of a categorical column), the ordered shard list
 with per-shard row counts, content fingerprints and zone maps, and a
 monotonic ``version`` that advances by exactly one per committed append.
+It is one line of compact, key-sorted JSON (``python -m json.tool
+MANIFEST.json`` to read it); any JSON layout of the same document opens.
 
 Commits are crash-safe by construction: new shard files are written to
 ``*.tmp-*`` names and ``os.replace``d into place *before* the manifest that
@@ -22,6 +24,12 @@ sees the old manifest (ignoring any newer shard files and leftover temp
 files) or the new manifest with all its shards present — never a torn state.
 Stray ``*.tmp-*`` files from a crashed writer are ignored and cleaned up by
 the next successful commit.
+
+The same holds across an OS crash because every step reaches the disk before
+the next one starts: shard bytes are fsynced before the shard's rename, the
+``shards/`` directory (the renames) before the manifest is written, the
+manifest's bytes before its rename, and the dataset directory after it.  A
+durable manifest therefore never names a shard that is not durable too.
 """
 
 from __future__ import annotations
@@ -50,12 +58,22 @@ class StorageError(RuntimeError):
 # ---------------------------------------------------------------------- atomic io
 
 
+def fsync_directory(directory: Path) -> None:
+    """Flush a directory's entries — the renames into it — to disk."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def atomic_write_bytes(path: Path, payload: bytes) -> None:
     """Write ``payload`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temp file lives in the target directory so the replace never crosses
     filesystems; it is fsynced before the rename so a crash cannot leave a
-    committed-but-empty file.
+    committed-but-empty file, and the directory after it so the rename itself
+    is durable when this returns.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}{TMP_MARKER}{uuid.uuid4().hex}")
@@ -64,11 +82,17 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    fsync_directory(path.parent)
 
 
 def atomic_write_json(path: Path, payload: dict) -> None:
-    atomic_write_bytes(Path(path), (json.dumps(payload, indent=2,
-                                               sort_keys=True) + "\n").encode())
+    """Commit ``payload`` as one line of compact, key-sorted JSON.
+
+    No ``indent``: that would route a 40-shard manifest through the
+    pure-Python encoder (12 ms against 2 ms) on every append.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    atomic_write_bytes(Path(path), (text + "\n").encode())
 
 
 def read_json(path: Path) -> dict:
@@ -212,5 +236,11 @@ def load_manifest(dataset_dir: Path) -> Manifest:
 
 
 def commit_manifest(dataset_dir: Path, manifest: Manifest) -> None:
-    """Atomically replace the dataset's manifest (the commit point)."""
-    atomic_write_json(Path(dataset_dir) / MANIFEST_NAME, manifest.to_dict())
+    """Atomically replace the dataset's manifest (the commit point).
+
+    The shards it names were renamed into ``shards/`` by the caller; those
+    renames are flushed first, so the manifest cannot outlive them.
+    """
+    dataset_dir = Path(dataset_dir)
+    fsync_directory(dataset_dir / SHARD_DIR)
+    atomic_write_json(dataset_dir / MANIFEST_NAME, manifest.to_dict())

@@ -17,6 +17,7 @@ back to a plain eager ``np.load``.
 
 from __future__ import annotations
 
+import os
 import zipfile
 from pathlib import Path
 
@@ -37,8 +38,9 @@ _OPEN_LOCK = named_lock("shard._npy_header_lock")
 def write_shard(path: Path, arrays: dict[str, np.ndarray]) -> None:
     """Write column arrays as an uncompressed ``.npz`` (not yet committed).
 
-    The caller is responsible for atomic placement (write to a temp name and
-    ``os.replace``) and for recording the shard in the manifest.
+    The bytes are on disk when this returns.  The caller is responsible for
+    atomic placement (write to a temp name and ``os.replace``) and for
+    recording the shard in the manifest.
     """
     if not arrays:
         raise StorageError("a shard needs at least one column array")
@@ -48,6 +50,8 @@ def write_shard(path: Path, arrays: dict[str, np.ndarray]) -> None:
                                "stored (vocabularies live in the manifest)")
     with Path(path).open("wb") as handle:
         np.savez(handle, **arrays)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 def open_shard(source, mmap: bool = True) -> dict[str, np.ndarray]:

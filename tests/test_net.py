@@ -540,6 +540,70 @@ class TestHTTPServer:
 # ------------------------------------------------------------------ observability
 
 
+class TestOneWritePerResponse:
+    """Head and body leave in one socket write.
+
+    Two small writes on a keep-alive connection meet Nagle's algorithm and the
+    client's delayed ACK: the body waits ~40 ms behind the header block.
+    """
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        from repro.net.server import _Handler
+
+        log: list[bytes] = []
+
+        class Recording:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def write(self, data):
+                log.append(bytes(data))
+                return self._inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        original_setup = _Handler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            handler.wfile = Recording(handler.wfile)
+
+        monkeypatch.setattr(_Handler, "setup", setup)
+        return log
+
+    def test_every_response_kind_is_one_write(self, so_net, writes):
+        registry = make_registry(so_net)
+        with obs_trace.tracing(False), live_server(registry) as server:
+            exchanges = [
+                ("POST", "/v1/explain",
+                 {"op": "explain", "query": BASE_QUERY, "id": 1}, 200),
+                ("GET", "/metrics?format=text", None, 200),
+                ("POST", "/v1/explain", {"query": "SELECT"}, 400),
+                ("GET", "/nowhere", None, 404),
+            ]
+            for method, path, body, expected in exchanges:
+                del writes[:]
+                status, raw = http_request(server, method, path, body=body)
+                assert status == expected
+                assert len(writes) == 1, (path, [len(w) for w in writes])
+                assert writes[0].startswith(b"HTTP/1.1 ")
+                assert writes[0].endswith(b"\r\n\r\n" + raw)
+
+    def test_traced_response_is_one_write(self, so_net, writes):
+        registry = make_registry(so_net)
+        with obs_trace.tracing(True), live_server(registry) as server:
+            status, raw = http_request(
+                server, "POST", "/v1/stats",
+                headers={"X-Repro-Trace-Id": "cafe0000cafe0000"})
+            assert status == 200
+            assert len(writes) == 1
+            head = writes[0].partition(b"\r\n\r\n")[0].lower()
+            assert b"x-repro-trace-id: cafe0000cafe0000" in head
+            assert writes[0].endswith(raw)
+
+
 class TestHTTPObservability:
     def test_trace_id_echoed_in_envelope_header_and_errors(self, so_net):
         registry = make_registry(so_net)

@@ -1,6 +1,9 @@
 """Unit tests for the ILP model, LP relaxation, rounding, exact and greedy solvers."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from repro.optimize import (
     CoverageILP,
@@ -9,6 +12,7 @@ from repro.optimize import (
     solve_exact,
     solve_lp_relaxation,
 )
+from repro.optimize.rounding import _dedupe_conflicting, _rank
 
 
 class TestCoverageILP:
@@ -94,6 +98,136 @@ class TestRandomizedRounding:
         selection = randomized_rounding(problem, seed=1)
         coverages = [problem.coverage[j] for j in selection.chosen]
         assert len(coverages) == len(set(coverages))
+
+
+# The shipped step 3 answers without a solver when the size constraint cannot
+# bind and takes all its draws in one call.  The references below are the
+# solver on ``lp_arrays()`` and the one-draw-at-a-time loop; the shipped code
+# must return *their* selection, not merely a valid one.
+
+
+def _reference_lp(problem):
+    """``(feasible, pattern_values)`` from HiGHS on the Figure 5 arrays."""
+    if problem.n_patterns == 0:
+        return problem.required_groups == 0, np.zeros(0)
+    arrays = problem.lp_arrays()
+    result = linprog(c=arrays["c"], A_ub=arrays["A_ub"], b_ub=arrays["b_ub"],
+                     bounds=arrays["bounds"], method="highs")
+    if not result.success:
+        return False, np.zeros(problem.n_patterns)
+    return True, np.clip(result.x, 0.0, 1.0)[:problem.n_patterns]
+
+
+def _reference_rounding(problem, n_draws=32, seed=0):
+    feasible, pattern_values = _reference_lp(problem)
+    if not feasible:
+        return None
+    if problem.n_patterns == 0 or problem.k == 0:
+        empty = problem.selection(())
+        return empty if empty.feasible else None
+    rng = np.random.default_rng(seed)
+    probabilities = np.clip(pattern_values, 0.0, None) / problem.k
+    leftover = max(0.0, 1.0 - probabilities.sum())
+    probabilities = probabilities + leftover / problem.n_patterns
+    probabilities = probabilities / probabilities.sum()
+    best_feasible = best_any = None
+    for _ in range(n_draws):
+        drawn = rng.choice(problem.n_patterns, size=problem.k, replace=True,
+                           p=probabilities)
+        selection = problem.selection(
+            _dedupe_conflicting(problem, [int(j) for j in drawn]))
+        if best_any is None or _rank(selection) > _rank(best_any):
+            best_any = selection
+        if selection.feasible and (best_feasible is None or
+                                   selection.objective > best_feasible.objective):
+            best_feasible = selection
+    return best_feasible if best_feasible is not None else best_any
+
+
+@st.composite
+def selection_problems(draw):
+    """1–12 candidates over 1–12 groups, ``k`` below, at and above the count.
+
+    Weights come from a small grid including zero and negatives (which must
+    fall through to the solver) so ties are common, and coverage sets are
+    drawn from a short pool so duplicates are common too.
+    """
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    subsets = st.frozensets(st.integers(0, m - 1), max_size=m)
+    pool = draw(st.lists(subsets, min_size=1, max_size=4))
+    coverage = draw(st.lists(st.one_of(st.sampled_from(pool), subsets),
+                             min_size=n, max_size=n))
+    weights = draw(st.lists(
+        st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                  st.floats(1e-9, 10.0)), min_size=n, max_size=n))
+    k = draw(st.one_of(st.integers(1, 8), st.just(n)))
+    theta = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    return CoverageILP(weights, coverage, list(range(m)), k, theta)
+
+
+class TestSelectionIdentity:
+    @given(problem=selection_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_lp_agrees_with_solver(self, problem):
+        feasible, pattern_values = _reference_lp(problem)
+        lp = solve_lp_relaxation(problem)
+        assert lp.feasible == feasible
+        if feasible and problem.n_patterns <= problem.k:
+            np.testing.assert_allclose(lp.pattern_values, pattern_values,
+                                       rtol=0, atol=1e-9)
+
+    @given(problem=selection_problems(), seed=st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_rounding_returns_the_sequential_loops_selection(self, problem,
+                                                             seed):
+        assert randomized_rounding(problem, seed=seed) == \
+            _reference_rounding(problem, seed=seed)
+
+    def test_one_candidate_needs_no_solver(self, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("linprog called for a non-binding size "
+                                 "constraint")
+        problem = CoverageILP([3.0], [frozenset(["g1", "g2"])],
+                              ["g1", "g2", "g3"], k=5, theta=0.5)
+        expected = _reference_rounding(problem)
+        monkeypatch.setattr("repro.optimize.lp.linprog", no_solver)
+        lp = solve_lp_relaxation(problem)
+        assert lp.feasible and lp.pattern_values.tolist() == [1.0]
+        assert randomized_rounding(problem, lp) == expected
+        assert expected.chosen == (0,) and expected.feasible
+
+    def test_unreachable_coverage_is_none_without_solver(self, monkeypatch):
+        problem = CoverageILP([1.0, 2.0], [frozenset(["g1"])] * 2,
+                              ["g1", "g2"], k=2, theta=1.0)
+        assert _reference_rounding(problem) is None
+        monkeypatch.setattr("repro.optimize.lp.linprog", None)
+        assert not solve_lp_relaxation(problem).feasible
+        assert randomized_rounding(problem) is None
+
+    @pytest.mark.parametrize("weights", [[0.0, 2.0], [-1.0, 2.0]])
+    def test_non_positive_weight_goes_to_the_solver(self, weights,
+                                                    monkeypatch):
+        calls = []
+
+        def counting(**kwargs):
+            calls.append(1)
+            return linprog(**kwargs)
+        problem = CoverageILP(weights, [frozenset(["g1"]), frozenset(["g2"])],
+                              ["g1", "g2"], k=3, theta=0.5)
+        monkeypatch.setattr("repro.optimize.lp.linprog", counting)
+        lp = solve_lp_relaxation(problem)
+        assert calls == [1]
+        assert lp.feasible == _reference_lp(problem)[0]
+
+    def test_duplicate_coverage_keeps_the_heaviest(self):
+        problem = CoverageILP(
+            [1.0, 4.0, 2.0],
+            [frozenset(["g1"]), frozenset(["g1"]), frozenset(["g2"])],
+            ["g1", "g2"], k=3, theta=1.0)
+        selection = randomized_rounding(problem, seed=0)
+        assert selection == _reference_rounding(problem, seed=0)
+        assert selection.chosen == (1, 2)
 
 
 class TestExactSolver:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import pickle
 
 import numpy as np
@@ -173,6 +174,84 @@ class TestAtomicity:
         reopened = StoredDataset(dataset.directory)
         assert reopened.manifest.n_rows == 40
         assert reopened.load_table().n_rows == 40
+
+    def test_manifest_is_one_compact_key_sorted_line(self, store):
+        dataset = store.import_table("people", _table(60), shard_rows=20)
+        dataset.append(_table(5, seed=1))
+        raw = (dataset.directory / "MANIFEST.json").read_bytes()
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 1
+        document = json.loads(raw)
+        assert raw.decode() == json.dumps(
+            document, sort_keys=True, separators=(",", ":")) + "\n"
+        assert document["version"] == 1 and len(document["shards"]) == 4
+
+    def test_indented_manifest_opens_appends_and_compacts(self, store):
+        """The layout older builds wrote — same document, ``indent=2``."""
+        table = _table(60)
+        dataset = store.import_table("people", table, shard_rows=20)
+        path = dataset.directory / "MANIFEST.json"
+
+        def reindent():
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=2,
+                                       sort_keys=True) + "\n")
+
+        reindent()
+        reopened = StoredDataset(dataset.directory)
+        assert reopened.load_table() == table
+        batch = _table(7, seed=4)
+        reopened.append(batch)
+        assert path.read_text().count("\n") == 1  # re-committed compact
+        assert StoredDataset(dataset.directory).load_table() == \
+            table.concat(batch)
+        reindent()
+        compacting = StoredDataset(dataset.directory)
+        assert compacting.compact(shard_rows=40)["rewritten"] == 4
+        final = StoredDataset(dataset.directory)
+        assert final.manifest.version == 2
+        assert final.load_table() == table.concat(batch)
+        final.verify()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="names flushed descriptors through procfs")
+    def test_append_flushes_every_step_before_the_next(self, store,
+                                                       monkeypatch):
+        """A durable manifest never names a shard that is not durable.
+
+        Shard bytes, shard rename, ``shards/`` entries, manifest bytes,
+        manifest rename, dataset-directory entries — in that order.
+        """
+        dataset = store.import_table("people", _table(40), shard_rows=20)
+        directory = str(dataset.directory)
+        events = []
+
+        def label(path: str) -> str:
+            relative = os.path.relpath(path, directory)
+            if relative == ".":
+                return "dataset dir"
+            if relative == "shards":
+                return "shards dir"
+            return "shard" if relative.startswith("shards") else \
+                relative.partition(TMP_MARKER)[0]
+
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(
+                ("fsync", label(os.readlink(f"/proc/self/fd/{fd}"))))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("rename", label(str(dst))))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        dataset.append(_table(5, seed=1))
+        assert events == [
+            ("fsync", "shard"), ("rename", "shard"), ("fsync", "shards dir"),
+            ("fsync", "MANIFEST.json"), ("rename", "MANIFEST.json"),
+            ("fsync", "dataset dir"),
+        ]
 
     def test_malformed_manifest_raises_storage_error(self, tmp_path):
         directory = tmp_path / "broken"
