@@ -94,7 +94,7 @@ def run_comparison(n: int = 1000, append_n: int = 200) -> dict:
     baseline_seconds, baseline_payloads = _baseline((table, dag), WORKLOAD)
 
     # --- engine: registered once, serves the same stream --------------------
-    engine = ExplanationEngine(max_workers=1)
+    engine = ExplanationEngine()
     engine.register_dataset("stackoverflow", table, dag=dag, config=_config())
     engine_payloads: list[tuple[str, str]] = []
     start = time.perf_counter()

@@ -100,7 +100,7 @@ def _make_registry(bundle) -> TenantRegistry:
         bundle.name, bundle.table, dag=bundle.dag, config=_config(),
         grouping_attributes=bundle.grouping_attributes,
         treatment_attributes=bundle.treatment_attributes,
-        tenant_budget_bytes=32 << 20, max_tenants=256, max_workers=2,
+        tenant_budget_bytes=32 << 20, max_tenants=256,
         summary_cache_size=16)
 
 

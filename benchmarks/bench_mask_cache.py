@@ -68,18 +68,16 @@ def _explain(bundle, config):
     return time.perf_counter() - start, summary
 
 
-def run_comparison(n: int = 2000, n_jobs: int = 1) -> dict:
+def run_comparison(n: int = 2000) -> dict:
     """Explain the stackoverflow view cached vs. uncached and compare."""
     bundle = load_dataset("stackoverflow", n=n, seed=0)
     uncached_seconds, uncached = _explain(bundle, _config(use_mask_cache=False))
-    cached_seconds, cached = _explain(bundle, _config(use_mask_cache=True,
-                                                      n_jobs=n_jobs))
+    cached_seconds, cached = _explain(bundle, _config(use_mask_cache=True))
     uncached_text = render_summary(uncached, outcome="annual salary")
     cached_text = render_summary(cached, outcome="annual salary")
     return {
         "dataset": "stackoverflow",
         "rows": bundle.table.n_rows,
-        "n_jobs": n_jobs,
         "uncached_seconds": round(uncached_seconds, 3),
         "cached_seconds": round(cached_seconds, 3),
         "speedup": round(uncached_seconds / max(cached_seconds, 1e-9), 2),
@@ -109,12 +107,10 @@ def main(argv=None) -> int:
                         help="small instance for CI (600 rows)")
     parser.add_argument("--rows", type=int, default=None,
                         help="dataset size (default: 2000, smoke: 600)")
-    parser.add_argument("--n-jobs", type=int, default=1,
-                        help="worker threads for the cached run")
     args = parser.parse_args(argv)
     n = args.rows if args.rows is not None else (600 if args.smoke else 2000)
 
-    row = run_comparison(n=n, n_jobs=args.n_jobs)
+    row = run_comparison(n=n)
     summary_text = row.pop("summary_text")
     print(f"stackoverflow n={row['rows']}  uncached {row['uncached_seconds']:.2f}s  "
           f"cached {row['cached_seconds']:.2f}s  speedup {row['speedup']:.2f}x  "

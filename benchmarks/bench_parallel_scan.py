@@ -1,27 +1,11 @@
-"""Parallel-execution benchmark — morsel-driven shard scans and partials.
+"""Committed group-by partials benchmark.
 
-Three gates for the ``repro.parallel`` subsystem:
-
-* **Identical results at every width**: the planned multi-million-row WHERE
-  scan returns the same rows — and records the same per-conjunct actuals in
-  its :class:`~repro.plan.ScanPlan` — at 4 workers as at 1 (the serial
-  code).  This is the invariant everything else leans on and it is checked
-  unconditionally.
-
-* **Scan scaling ≥ ``MIN_SCAN_SPEEDUP`` (2×) at 4 workers** — the per-shard
-  predicate kernels run over memory-mapped arrays and release the GIL, so
-  four workers should cut wall clock at least in half.  The floor is only
-  enforced when the machine actually has ≥ 4 CPUs (CI runners do); on
-  smaller hosts the gate degrades to a bounded-overhead check (parallel no
-  worse than ``MAX_OVERHEAD`` × serial) since no thread pool can beat the
-  clock on one core.
-
-* **Partials ≥ ``MIN_PARTIALS_SPEEDUP`` (2×), zero rows touched** — after
-  ``compact --cluster-by`` over a categorical key, a no-WHERE group-by
-  answers from the committed manifest partials: the benchmark asserts the
-  answer equals the full group scan's, that it is at least 2× faster, and
-  that **no shard archive was opened** (``scan_stats()["shards_open"] ==
-  0``).  This gate is hardware-independent.
+One gate: after ``compact --cluster-by`` over a categorical key, a no-WHERE
+group-by answers from the committed manifest partials.  The benchmark
+asserts the answer equals the full group scan's, that it is at least
+``MIN_PARTIALS_SPEEDUP`` (2×) faster, and that **no shard archive was
+opened** (``scan_stats()["shards_open"] == 0``).  The gate is
+hardware-independent.
 
 Usable both as a pytest-benchmark test and as a standalone script for CI
 smoke runs (writes ``benchmarks/results/bench_parallel_scan.json``)::
@@ -33,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -45,32 +28,27 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.dataframe import Pattern, Table  # noqa: E402
-from repro.parallel import workers  # noqa: E402
+from repro.dataframe import Table  # noqa: E402
 from repro.sql import AggregateView, parse_query  # noqa: E402
 from repro.storage import DatasetStore  # noqa: E402
 
-MIN_SCAN_SPEEDUP = 2.0       # enforced when the host has >= PARALLEL_WIDTH CPUs
-MAX_OVERHEAD = 2.0           # 1-CPU hosts: parallel must stay within 2x serial
-MIN_PARTIALS_SPEEDUP = 2.0   # hardware-independent
-PARALLEL_WIDTH = 4
+MIN_PARTIALS_SPEEDUP = 2.0
 N_SHARDS = 16
-SCAN_REPEATS = 3
+REPEATS = 3
 
 
 def _dataset(n: int) -> Table:
-    """A synthetic multi-million-row event log (mostly numeric kernels)."""
+    """A synthetic multi-million-row event log."""
     rng = np.random.default_rng(0)
     regions = np.array(["us-east", "us-west", "eu-1", "eu-2", "ap-1", "ap-2"])
     return Table.from_columns({
         "region": regions[rng.integers(0, len(regions), n)].tolist(),
         "latency": rng.gamma(2.0, 30.0, n),
         "payload": rng.integers(0, 1 << 20, n).astype(float),
-        "errors": rng.poisson(0.2, n).astype(float),
     }, name="events")
 
 
-def _best_of(fn, repeats: int = SCAN_REPEATS):
+def _best_of(fn, repeats: int = REPEATS):
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -82,8 +60,6 @@ def _best_of(fn, repeats: int = SCAN_REPEATS):
 
 def run_comparison(n: int = 4_000_000) -> dict:
     table = _dataset(n)
-    pattern = Pattern.of(("latency", ">", 60.0), ("payload", ">", 500_000.0),
-                         ("errors", ">", 0.0))
     # Integer-valued outcome: group sums are exact in float64 under any
     # summation order, so the partials answer can be compared with == even
     # across the row reordering a clustered compaction performs.
@@ -94,24 +70,8 @@ def run_comparison(n: int = 4_000_000) -> dict:
         store = DatasetStore.init(Path(tmp) / "store")
         dataset = store.import_table("events", table,
                                      shard_rows=max(1, n // N_SHARDS))
-
-        # --- planned scan: serial vs 4 workers, cold table each time --------
-        def scan(width: int):
-            with workers(width):
-                loaded = dataset.load_table()
-                return loaded.plan_shard_select(pattern)
-
-        serial_seconds, (serial_rows, serial_plan) = _best_of(
-            lambda: scan(1))
-        parallel_seconds, (parallel_rows, parallel_plan) = _best_of(
-            lambda: scan(PARALLEL_WIDTH))
-        scans_equal = parallel_rows == serial_rows and \
-            parallel_plan.to_dict() == serial_plan.to_dict()
-
-        # --- group-by: full scan vs committed manifest partials -------------
-        with workers(1):
-            scan_seconds, scan_view = _best_of(
-                lambda: AggregateView(dataset.load_table(), query), repeats=1)
+        scan_seconds, scan_view = _best_of(
+            lambda: AggregateView(dataset.load_table(), query), repeats=1)
         store.compact("events", cluster_by="region")
         partial_seconds, partial_view = _best_of(
             lambda: AggregateView(dataset.load_table(), query))
@@ -123,13 +83,6 @@ def run_comparison(n: int = 4_000_000) -> dict:
     return {
         "rows": table.n_rows,
         "shards": N_SHARDS,
-        "cpus": os.cpu_count() or 1,
-        "parallel_width": PARALLEL_WIDTH,
-        "selectivity": round(serial_rows.n_rows / table.n_rows, 4),
-        "serial_scan_seconds": round(serial_seconds, 4),
-        "parallel_scan_seconds": round(parallel_seconds, 4),
-        "scan_speedup": round(serial_seconds / max(parallel_seconds, 1e-9), 2),
-        "scans_equal": scans_equal,
         "groupby_scan_seconds": round(scan_seconds, 4),
         "groupby_partials_seconds": round(partial_seconds, 4),
         "partials_speedup": round(scan_seconds / max(partial_seconds, 1e-9),
@@ -142,8 +95,6 @@ def run_comparison(n: int = 4_000_000) -> dict:
 
 def _check(row: dict) -> list[str]:
     failures = []
-    if not row["scans_equal"]:
-        failures.append("parallel scan differs from serial (rows or plan)")
     if not row["groups_equal"]:
         failures.append("partials-served group-by differs from full scan")
     if not row["partials_served"]:
@@ -155,33 +106,21 @@ def _check(row: dict) -> list[str]:
     if row["partials_speedup"] < MIN_PARTIALS_SPEEDUP:
         failures.append(f"partials speedup {row['partials_speedup']:.2f}x "
                         f"below the {MIN_PARTIALS_SPEEDUP}x floor")
-    if row["cpus"] >= PARALLEL_WIDTH:
-        if row["scan_speedup"] < MIN_SCAN_SPEEDUP:
-            failures.append(
-                f"scan speedup {row['scan_speedup']:.2f}x at "
-                f"{PARALLEL_WIDTH} workers below the {MIN_SCAN_SPEEDUP}x "
-                f"floor ({row['cpus']} CPUs)")
-    elif row["parallel_scan_seconds"] > \
-            MAX_OVERHEAD * row["serial_scan_seconds"]:
-        failures.append(
-            f"parallel scan {row['parallel_scan_seconds']:.4f}s exceeds "
-            f"{MAX_OVERHEAD}x serial {row['serial_scan_seconds']:.4f}s on a "
-            f"{row['cpus']}-CPU host")
     return failures
 
 
-def test_parallel_scan_speedups(benchmark):
-    """Identical results at every width; >=2x scan (4 CPUs) and partials."""
+EXPECTED_SHAPE = (f"partials >= {MIN_PARTIALS_SPEEDUP}x, identical groups, "
+                  f"0 shards opened")
+
+
+def test_partials_speedup(benchmark):
+    """Committed partials answer >= 2x faster, identically, opening nothing."""
     from conftest import record_rows
 
     row = benchmark.pedantic(run_comparison, kwargs={"n": 1_000_000},
                              rounds=1, iterations=1)
-    record_rows(benchmark, [row],
-                paper_reference="ROADMAP parallel execution",
-                expected_shape=f"scan >= {MIN_SCAN_SPEEDUP}x at "
-                               f"{PARALLEL_WIDTH} workers (>= 4 CPUs), "
-                               f"partials >= {MIN_PARTIALS_SPEEDUP}x, "
-                               f"identical results")
+    record_rows(benchmark, [row], paper_reference="ROADMAP partials",
+                expected_shape=EXPECTED_SHAPE)
     assert not _check(row), (row, _check(row))
 
 
@@ -196,12 +135,7 @@ def main(argv=None) -> int:
                                                  else 4_000_000)
 
     row = run_comparison(n=n)
-    print(f"events n={row['rows']}  {row['shards']} shards  "
-          f"{row['cpus']} CPUs  selectivity {row['selectivity']:.1%}")
-    print(f"  planned scan: serial {row['serial_scan_seconds']:.4f}s  "
-          f"{row['parallel_width']} workers "
-          f"{row['parallel_scan_seconds']:.4f}s  "
-          f"speedup {row['scan_speedup']:.2f}x")
+    print(f"events n={row['rows']}  {row['shards']} shards")
     print(f"  group-by: full scan {row['groupby_scan_seconds']:.4f}s  "
           f"manifest partials {row['groupby_partials_seconds']:.4f}s  "
           f"speedup {row['partials_speedup']:.1f}x  "
@@ -210,10 +144,7 @@ def main(argv=None) -> int:
     results_dir = Path(__file__).resolve().parent / "results"
     results_dir.mkdir(exist_ok=True)
     payload = {"benchmark": "bench_parallel_scan", "rows": [row],
-               "expected_shape": f"scan >= {MIN_SCAN_SPEEDUP}x at "
-                                 f"{PARALLEL_WIDTH} workers (>= 4 CPUs), "
-                                 f"partials >= {MIN_PARTIALS_SPEEDUP}x, "
-                                 f"identical results"}
+               "expected_shape": EXPECTED_SHAPE}
     with (results_dir / "bench_parallel_scan.json").open("w") as handle:
         json.dump(payload, handle, indent=2, default=str)
 
@@ -221,12 +152,8 @@ def main(argv=None) -> int:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
-        floor = (f"scan {row['scan_speedup']:.2f}x"
-                 if row["cpus"] >= PARALLEL_WIDTH
-                 else f"scan floor skipped ({row['cpus']} CPU(s))")
-        print(f"\nOK: {floor}, partials {row['partials_speedup']:.1f}x >= "
-              f"{MIN_PARTIALS_SPEEDUP}x, results identical, "
-              f"0 shards opened")
+        print(f"\nOK: partials {row['partials_speedup']:.1f}x >= "
+              f"{MIN_PARTIALS_SPEEDUP}x, results identical, 0 shards opened")
     return 1 if failures else 0
 
 

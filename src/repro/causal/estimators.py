@@ -185,7 +185,7 @@ class CATEEstimator:
         calling thread: a candidate is a closed-form solve against a shared
         factorisation, far too small to be worth a future, and each estimate
         depends on its own candidate alone, so the list is the same whatever
-        the batch, its order or the pool width around it.
+        the batch or its order.
         """
         bound = self.bind(subpopulation)
         return [bound.estimate(treatment) for treatment in treatments]

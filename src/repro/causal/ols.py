@@ -72,6 +72,12 @@ class FactoredDesign:
     """
 
     def __init__(self, block: np.ndarray, outcome: np.ndarray):
+        # An inf/NaN outcome or confounder leaves no fit of this block
+        # defined; decide it here, once, instead of per candidate.
+        self._finite = bool(np.isfinite(outcome).all()
+                            and np.isfinite(block).all())
+        if not self._finite:
+            return
         n = len(outcome)
         basis, singular, _ = np.linalg.svd(block, full_matrices=False)
         # np.linalg.matrix_rank's rule, so df_resid agrees with ols_fit.
@@ -88,10 +94,13 @@ class FactoredDesign:
     def solve(self, treated_rows: np.ndarray) -> TreatmentFit:
         """Fit the treatment whose indicator is 1 exactly on ``treated_rows``.
 
-        Raises :class:`DegenerateFit` when the effect is not estimable: no
-        residual degrees of freedom, a treatment that is a linear combination
-        of the block, or zero residual variance.
+        Raises :class:`DegenerateFit` when the effect is not estimable: a
+        non-finite outcome or confounder value, no residual degrees of
+        freedom, a treatment that is a linear combination of the block, or
+        zero residual variance.
         """
+        if not self._finite:
+            raise DegenerateFit("non_finite")
         if self.df_resid < 1:
             raise DegenerateFit("no_residual_df")
         n_treated = len(treated_rows)

@@ -83,10 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store-dataset", default=None,
                        help="with --store: default dataset for requests that "
                             "don't name one (default: the only/first dataset)")
-    serve.add_argument("--n-jobs", type=int, default=1,
-                       help="worker threads for treatment mining inside one query")
-    serve.add_argument("--max-workers", type=int, default=4,
-                       help="thread-pool width for batched requests")
     serve.add_argument("--summary-cache-size", type=int, default=256,
                        help="LRU capacity of the summary cache")
     serve.add_argument("--memory-budget-mb", type=float, default=None,
@@ -119,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "or a JSON array of strings")
     batch.add_argument("--out", type=Path, default=None,
                        help="output JSON file (default: stdout)")
-    batch.add_argument("--n-jobs", type=int, default=1,
-                       help="worker threads for treatment mining inside one query")
-    batch.add_argument("--max-workers", type=int, default=4,
-                       help="thread-pool width across distinct queries")
 
     plan = sub.add_parser(
         "plan", help="show how a query would execute (chosen conjunct order, "
@@ -209,8 +201,7 @@ def _load_source(args: argparse.Namespace, require_query: bool,
     """
     config = CauSumXConfig(k=args.k, theta=args.theta,
                            apriori_threshold=args.apriori_threshold,
-                           sample_size=None,
-                           n_jobs=getattr(args, "n_jobs", 1))
+                           sample_size=None)
     grouping_attributes = treatment_attributes = None
     if args.dataset:
         bundle = load_dataset(args.dataset, n=args.n, seed=args.seed)
@@ -265,7 +256,6 @@ def _make_engine(args: argparse.Namespace):
         return None
     table, dag, _, grouping_attributes, treatment_attributes, config, name = source
     engine = ExplanationEngine(
-        max_workers=args.max_workers,
         summary_cache_size=getattr(args, "summary_cache_size", 256),
         memory_budget=_memory_budget(args))
     engine.register_dataset(name, table, dag=dag, config=config,
@@ -313,12 +303,10 @@ def _http_registry(args: argparse.Namespace):
         except StorageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return None
-        overrides = {"n_jobs": args.n_jobs} if args.n_jobs != 1 else None
         try:
             return TenantRegistry.from_store(
                 store, default_dataset=args.store_dataset,
                 tenant_budget_bytes=tenant_budget,
-                config_overrides=overrides, max_workers=args.max_workers,
                 summary_cache_size=args.summary_cache_size)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -331,7 +319,7 @@ def _http_registry(args: argparse.Namespace):
         name, table, dag=dag, config=config,
         grouping_attributes=grouping_attributes,
         treatment_attributes=treatment_attributes,
-        tenant_budget_bytes=tenant_budget, max_workers=args.max_workers,
+        tenant_budget_bytes=tenant_budget,
         summary_cache_size=args.summary_cache_size)
 
 
@@ -410,10 +398,8 @@ def _serve_store(args: argparse.Namespace) -> int:
         print(f"error: no dataset {default!r} in store (have: {names})",
               file=sys.stderr)
         return 2
-    overrides = {"n_jobs": args.n_jobs} if args.n_jobs != 1 else None
     engine = ExplanationEngine.from_store(
-        store, config_overrides=overrides, max_workers=args.max_workers,
-        summary_cache_size=args.summary_cache_size,
+        store, summary_cache_size=args.summary_cache_size,
         memory_budget=_memory_budget(args))
     restored = engine.stats().get("restored_summaries", 0)
     print(f"[serving store {str(args.store)!r}: datasets {names}, default "
@@ -513,7 +499,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             print(f"error: no dataset {name!r} in store (have: {names})",
                   file=sys.stderr)
             return 2
-        engine = ExplanationEngine.from_store(store, max_workers=1)
+        engine = ExplanationEngine.from_store(store)
         query = args.query
     else:
         # Planning needs no causal DAG, so the table/query resolve directly
@@ -533,7 +519,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         if query is None:
             print("error: --query is required with --csv", file=sys.stderr)
             return 2
-        engine = ExplanationEngine(max_workers=1)
+        engine = ExplanationEngine()
         engine.register_dataset(name, table)
     try:
         report = engine.explain_plan(name, query)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from typing import Sequence
 
@@ -191,41 +189,15 @@ class CauSumX:
             use_cache=config.use_mask_cache,
         )
 
-    def _resolved_n_jobs(self) -> int:
-        n_jobs = self.config.n_jobs
-        if n_jobs == -1:
-            return max(os.cpu_count() or 1, 1)
-        return n_jobs
-
     def _mine_candidates(self, estimator: CATEEstimator,
                          groupings: Sequence[GroupingPattern],
                          treatment_attrs: Sequence[str]) -> list[ExplanationPattern]:
-        """Mine the best treatments for every grouping pattern (step 2).
-
-        Grouping patterns are independent, so with ``config.n_jobs > 1`` they
-        are mined concurrently by a thread pool sharing one estimator (and
-        therefore one mask cache).  The output order follows ``groupings``
-        regardless of the number of workers.
-
-        Each grouping's data scan may itself fan shards out over the
-        process-wide morsel pool (:mod:`repro.parallel`): that pool is a
-        single shared executor of at most ``REPRO_WORKERS`` threads, and a
-        morsel worker never re-submits to it (``map_morsels`` runs serially
-        from worker threads), so total thread count stays bounded by
-        ``n_jobs + REPRO_WORKERS`` — there is no pool-in-pool explosion.
-        """
-        def mine(grouping: GroupingPattern):
-            return self._treatments_for(estimator, grouping, treatment_attrs)
-
-        n_jobs = self._resolved_n_jobs()
-        if n_jobs > 1 and len(groupings) > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                mined = list(pool.map(mine, groupings))
-        else:
-            mined = [mine(grouping) for grouping in groupings]
-
+        """Mine the best treatments for every grouping pattern (step 2),
+        in ``groupings`` order."""
         candidates = []
-        for grouping, (positive, negative) in zip(groupings, mined):
+        for grouping in groupings:
+            positive, negative = self._treatments_for(estimator, grouping,
+                                                      treatment_attrs)
             candidate = ExplanationPattern(grouping, positive, negative)
             if candidate.has_treatment():
                 candidates.append(candidate)

@@ -48,13 +48,6 @@ class CauSumXConfig:
         reused for all of its treatment candidates.  Explanation summaries are
         identical with the cache on or off — the cache only removes redundant
         recomputation (see ``benchmarks/bench_mask_cache.py``).  Default on.
-    n_jobs:
-        Number of worker threads used to mine treatment patterns for
-        independent grouping patterns concurrently during step 2.  ``1``
-        (the default) mines serially; ``-1`` uses one thread per CPU.  A
-        thread pool is used (rather than processes) so all workers share one
-        mask cache and one table without pickling; results are deterministic
-        and independent of ``n_jobs``.
     coverage_weighting:
         How the greedy selector scores marginal coverage: ``"uniform"``
         (default — every group counts 1, the paper's semantics) or
@@ -81,7 +74,6 @@ class CauSumXConfig:
     min_group_size: int = 10
     treatment: TreatmentMinerConfig = field(default_factory=TreatmentMinerConfig)
     use_mask_cache: bool = True
-    n_jobs: int = 1
     coverage_weighting: str = "uniform"
     seed: int = 0
 
@@ -98,8 +90,6 @@ class CauSumXConfig:
             raise ValueError("theta must be in [0, 1]")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not isinstance(self.n_jobs, int) or (self.n_jobs < 1 and self.n_jobs != -1):
-            raise ValueError("n_jobs must be a positive integer or -1")
         if self.coverage_weighting not in {"uniform", "group_size"}:
             raise ValueError(
                 f"unknown coverage_weighting {self.coverage_weighting!r}")

@@ -328,8 +328,9 @@ class LazyColumn(Column):
         self._vocab_index = None
 
     def _load(self) -> np.ndarray:
-        # Serving engines touch shared columns from a thread pool; the lock
-        # makes the load once-only (and keeps the loader-dropping safe).
+        # Concurrent requests touch shared columns from their handler
+        # threads; the lock makes the load once-only (and keeps the
+        # loader-dropping safe).
         with self._load_lock:
             if self._arr is None:
                 arr = self._loader()

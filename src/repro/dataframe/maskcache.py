@@ -6,7 +6,7 @@ patterns.  :class:`MaskCache` memoizes the boolean mask of every simple
 predicate against one fixed table, keyed by ``(attribute, op, value)``, and
 composes conjunctive patterns via bitwise AND of the cached masks.  Every
 later scaling layer (bound sub-population estimation, batched lattice
-evaluation, parallel treatment mining) sits on top of this engine.
+evaluation, treatment mining) sits on top of this engine.
 
 Since the dataframe layer moved to dictionary-encoded categorical columns,
 *cold* masks are vectorized too: a cache miss evaluates the predicate as a
@@ -95,14 +95,9 @@ class MaskCache:
             if mask is not None:
                 self._hits += 1
                 return mask
-        # Cold path: storage-backed tables evaluate the predicate one shard
-        # at a time on the morsel pool (byte-identical concatenation); plain
-        # tables run the single vectorized kernel as before.
         with trace.trace_span("maskcache.miss", predicate=repr(predicate)) \
                 if trace.enabled() else trace.NOOP:
-            shard_eval = getattr(self.table, "shard_predicate_mask", None)
-            mask = shard_eval(predicate) if shard_eval is not None \
-                else predicate.evaluate(self.table)
+            mask = predicate.evaluate(self.table)
         mask.setflags(write=False)
         with self._lock:
             self._misses += 1

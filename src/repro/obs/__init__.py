@@ -3,7 +3,7 @@
 Three pieces, designed to be free when off and cheap when on:
 
 * :mod:`repro.obs.trace` — ``trace_span``-based per-request span trees with
-  monotonic timings, propagated across thread pools via ``contextvars``;
+  monotonic timings, carried with the logical call via ``contextvars``;
   a strict no-op fast path when ``REPRO_TRACE`` is unset/0 (the default).
 * :mod:`repro.obs.registry` — the process-wide :data:`REGISTRY` of
   counters, gauges, and log-bucketed latency histograms under the

@@ -6,12 +6,9 @@ One request produces one *span tree*: the front end opens a root span
 attributes — answers "where did this query's 300ms go?" without a profiler.
 
 Propagation is :mod:`contextvars`-based: the current span travels with the
-logical call, not the thread.  Fan-out points (``map_morsels`` workers,
-``explain_many``'s thread pool) run each task inside
-``contextvars.copy_context()``, so spans opened on a worker thread attach to
-the submitting request's tree.  Appending a finished child to its parent is
-a single ``list.append`` (atomic under the GIL), so concurrent workers never
-need a lock.
+logical call.  A request runs on the thread that received it — there is no
+intra-request fan-out — so one thread builds each tree, and concurrent
+requests on other handler threads carry their own contexts.
 
 Tracing is **off by default** (``REPRO_TRACE=0``) and the disabled path is a
 strict no-op: :func:`trace_span` returns one shared, stateless context
@@ -195,8 +192,6 @@ class _SpanContext:
         span.duration_ms = (time.perf_counter_ns() - span._start_ns) / 1e6
         _CURRENT.reset(self._token)
         if span.parent is not None:
-            # list.append is atomic under the GIL: workers finishing
-            # concurrently interleave order, never corrupt the list.
             span.parent.children.append(span)
         return False
 

@@ -89,49 +89,6 @@ def _record(conjunct, candidates_in: int, candidates_out: int,
             candidates_out=conjunct.candidates_out)
 
 
-def shard_scan_indices(table, predicates) -> tuple[np.ndarray, list]:
-    """One shard's slice of a planned scan: ``(indices, per-conjunct counts)``.
-
-    Runs the already-ordered conjuncts with the same short-circuit AND as
-    :func:`scan_indices` over one shard-local table, but records the
-    candidate counts into a private list instead of the shared
-    :class:`~repro.plan.planner.ScanPlan` — shards execute concurrently, and
-    every predicate is row-local, so per-shard counts (and indices, offset
-    into the shard) sum/concatenate to exactly the serial whole-table scan
-    (:func:`merge_shard_counts`).
-    """
-    n = table.n_rows
-    counts: list[tuple[int, int]] = []
-    if not predicates:
-        return np.arange(n), counts
-    indices = np.flatnonzero(predicates[0].evaluate(table))
-    counts.append((n, int(indices.size)))
-    for predicate in predicates[1:]:
-        before = int(indices.size)
-        indices = indices[predicate.evaluate_at(table, indices)]
-        counts.append((before, int(indices.size)))
-    return indices, counts
-
-
-def merge_shard_counts(plan: ScanPlan, rows_in: int,
-                       shard_counts: list[list]) -> None:
-    """Fold per-shard conjunct counts into the shared plan's actuals.
-
-    Candidate counts are additive across shards (each row belongs to exactly
-    one shard), so the merged ``candidates_in`` / ``candidates_out`` —
-    and hence every actual selectivity — equal what one serial
-    :func:`scan_indices` pass over the concatenated shards records.
-    """
-    plan.rows_in = rows_in
-    rows_out = rows_in
-    for position, conjunct in enumerate(plan.conjuncts):
-        candidates_in = sum(counts[position][0] for counts in shard_counts)
-        candidates_out = sum(counts[position][1] for counts in shard_counts)
-        _record(conjunct, candidates_in, candidates_out)
-        rows_out = candidates_out
-    plan.rows_out = int(rows_out)
-
-
 def planned_select_with_plan(table, condition, mask_cache=None,
                              stats: TableStats | None = None):
     """``(filtered table, executed ScanPlan | None)`` for one selection.

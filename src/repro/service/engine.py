@@ -19,7 +19,7 @@ served through a hierarchy of caches —
 Identical in-flight requests are *single-flighted*: concurrent callers with
 the same fingerprint block on one computation and all receive the identical
 summary object.  ``explain_many`` additionally deduplicates fingerprints
-within a batch and fans distinct queries out over a thread pool.
+within a batch.
 
 Data is versioned: :meth:`append_rows` concatenates new rows onto a
 registered table (merging dictionary vocabularies, see ``Table.concat``),
@@ -44,11 +44,9 @@ from the cache, byte-identical to the summary it served before the restart.
 
 from __future__ import annotations
 
-import contextvars
 import pickle
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -62,7 +60,7 @@ from repro.graph import CausalDAG
 from repro.obs import trace
 from repro.obs.registry import unified_engine_metrics
 from repro.obs.telemetry import telemetry_enabled
-from repro.parallel import GLOBAL_PARALLEL_STATS, worker_count
+from repro.parallel import GLOBAL_PARALLEL_STATS
 from repro.plan import (
     GLOBAL_PLANNER_STATS,
     ScanPlan,
@@ -122,8 +120,6 @@ class ExplanationEngine:
 
     Parameters
     ----------
-    max_workers:
-        Thread-pool width for :meth:`explain_many` batches (``1`` = serial).
     summary_cache_size / population_cache_size / plan_cache_size:
         Capacities of the three cache levels.
     memory_budget:
@@ -131,14 +127,13 @@ class ExplanationEngine:
         cache weighs its entries (pickled bytes) against the budget's global
         cap, and the budget may evict the globally least-recently-used
         summaries across *every* engine attached to it.
+    max_workers:
+        Ignored; accepted for benchmarks/e2e/workloads.py (ENGINE_KWARGS).
     """
 
-    def __init__(self, max_workers: int = 4, summary_cache_size: int = 256,
+    def __init__(self, summary_cache_size: int = 256,
                  population_cache_size: int = 32, plan_cache_size: int = 512,
-                 memory_budget=None):
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.max_workers = max_workers
+                 memory_budget=None, max_workers: int | None = None):
         self.memory_budget = memory_budget
         self._datasets_lock = named_lock("ExplanationEngine._datasets_lock")
         self._datasets: dict[str, DatasetState] = {}  # guarded-by: _datasets_lock
@@ -215,8 +210,7 @@ class ExplanationEngine:
         )
 
     @classmethod
-    def from_store(cls, store, prune: bool = True,
-                   config_overrides: Mapping | None = None, **engine_kwargs
+    def from_store(cls, store, prune: bool = True, **engine_kwargs
                    ) -> "ExplanationEngine":
         """Rebuild a fully registered engine from a store directory.
 
@@ -228,10 +222,6 @@ class ExplanationEngine:
         ``(dataset, version)`` still matches are restored, so repeated
         queries after a restart are served from cache, byte-identical to the
         summaries computed before the restart.
-
-        ``config_overrides`` replaces individual fields of every restored
-        config (e.g. ``{"n_jobs": 8}`` from the CLI).  Only use overrides
-        that cannot change results — restored cache entries stay valid.
         """
         from repro.graph import CausalDAG as _DAG  # local alias; already imported
         from repro.storage import DatasetStore, config_from_dict
@@ -248,9 +238,6 @@ class ExplanationEngine:
             dag = _DAG.from_dict(entry["dag"]) if entry.get("dag") else None
             config = config_from_dict(entry["config"]) \
                 if entry.get("config") else None
-            if config_overrides:
-                config = (config or CauSumXConfig()).with_overrides(
-                    **config_overrides)
             engine.register_dataset(
                 name, stored.load_table(prune=prune), dag=dag, config=config,
                 grouping_attributes=entry.get("grouping_attributes"),
@@ -465,10 +452,9 @@ class ExplanationEngine:
                      use_summary_cache: bool = True) -> list[ExplanationSummary]:
         """Serve a batch of queries, deduplicating identical fingerprints.
 
-        Duplicate queries are computed once; distinct queries run concurrently
-        on the engine's thread pool (sharing the population-level caches).
-        Results are returned in input order, duplicates receiving the same
-        summary object.
+        Duplicate queries are computed once, in first-occurrence order,
+        sharing the population-level caches.  Results are returned in input
+        order, duplicates receiving the same summary object.
         """
         canonicals = [self._canonical(q) for q in queries]
         fingerprints = [lower_query(c).fingerprint for c in canonicals]
@@ -477,29 +463,8 @@ class ExplanationEngine:
             first_index.setdefault(fp, i)
         with self._flights_lock:
             self._batch_deduped += len(queries) - len(first_index)
-
-        def run(i: int) -> ExplanationSummary:
-            return self.explain(name, canonicals[i], use_summary_cache)
-
-        distinct = list(first_index.values())
-        if self.max_workers == 1 or len(distinct) <= 1:
-            computed = {fingerprints[i]: run(i) for i in distinct}
-        else:
-            traced = trace.enabled()
-            with ThreadPoolExecutor(
-                    max_workers=min(self.max_workers, len(distinct))) as pool:
-                if traced:
-                    # Carry the caller's span context into each worker (one
-                    # context copy per task — a Context cannot be entered
-                    # concurrently), so fanned-out queries stay children of
-                    # the request's trace.
-                    futures = {fingerprints[i]: pool.submit(
-                        contextvars.copy_context().run, run, i)
-                        for i in distinct}
-                else:
-                    futures = {fingerprints[i]: pool.submit(run, i)
-                               for i in distinct}
-                computed = {fp: f.result() for fp, f in futures.items()}
+        computed = {fp: self.explain(name, canonicals[i], use_summary_cache)
+                    for fp, i in first_index.items()}
         return [computed[fp] for fp in fingerprints]
 
     def explain_plan(self, name: str, query: GroupByAvgQuery | str) -> dict:
@@ -697,11 +662,9 @@ class ExplanationEngine:
         result = {
             "datasets": datasets,
             "planner": planner,
-            # Morsel-pool accounting: configured width, batches executed
-            # (serial vs. fanned out), morsels run, and group-bys answered
+            # Per-shard loop batches and morsels run, and group-bys answered
             # from committed manifest partials.
-            "parallel": {"workers": worker_count(),
-                         **GLOBAL_PARALLEL_STATS.snapshot()},
+            "parallel": GLOBAL_PARALLEL_STATS.snapshot(),
             "plan_cache": level(self._plan_cache),
             "population_cache": level(self._population_cache),
             "summary_cache": level(self._summary_cache),

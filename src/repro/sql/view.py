@@ -65,9 +65,7 @@ class AggregateView:
         # view over a sharded base merges per-shard (size, valid count,
         # outcome sum) triples — committed manifest partials when a
         # clustered compaction wrote them (zero rows touched), otherwise
-        # computed shard by shard on the morsel pool.  The partial-sum
-        # formula is the only formula on that path at *every* worker count,
-        # so results never depend on pool width.
+        # computed shard by shard.
         self._lazy_index = None
         self._lazy_group_rows = None
         #: True when the answer tuples were merged from per-shard partials

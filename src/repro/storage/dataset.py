@@ -39,9 +39,11 @@ from repro.dataframe import MISSING_CODE, Column, LazyColumn, Pattern, Predicate
 from repro.dataframe.column import sorted_code_remap
 from repro.dataframe.predicates import Op
 from repro.obs import trace
-from repro.parallel import GLOBAL_PARALLEL_STATS, map_morsels, worker_count
+# map_morsels is a module attribute here because benchmarks/e2e/spans.py
+# (_MAP_MORSELS_CONSUMERS) rebinds it.
+from repro.parallel import GLOBAL_PARALLEL_STATS, map_morsels
 from repro.plan.config import planner_enabled
-from repro.plan.execute import merge_shard_counts, scan_indices, shard_scan_indices
+from repro.plan.execute import scan_indices
 from repro.plan.planner import GLOBAL_PLANNER_STATS, plan_scan
 from repro.plan.stats import (
     DEFAULT_TOP_K,
@@ -602,9 +604,7 @@ class ShardedTable(Table):
                 return np.empty(0, dtype=np.float64 if numeric else np.int32)
             if len(handles) == 1:
                 return handles[0].decoded(attribute)  # the memory map itself
-            # Shards decode on the morsel pool (mmap page-in and the
-            # store→sorted code remap release the GIL); concatenation in
-            # handle order makes the result byte-identical to serial.
+            # Shards decode one by one and concatenate in handle order.
             parts = map_morsels(lambda h: h.decoded(attribute), handles)
             return np.concatenate(parts)
 
@@ -641,22 +641,11 @@ class ShardedTable(Table):
         return self._filter_shards(survivors, condition)
 
     def _filter_shards(self, handles: list[_ShardHandle], condition) -> Table:
-        """Full-mask (oracle) filter over ``handles``, morsel-parallel.
-
-        With one worker — or at most one shard — this is exactly the serial
-        path: full left-to-right masks over the concatenated lazy columns.
-        With more, every shard evaluates the same masks over its own rows
-        concurrently and the per-shard selections concatenate in shard
-        order; predicates are row-local, so the result is byte-identical.
-        """
-        if worker_count() <= 1 or len(handles) <= 1:
-            if len(handles) == len(self._handles):
-                return super().select(condition)
-            return self._subset(handles).select(condition)
-        shard_tables = [self._subset([handle]) for handle in handles]
-        parts = map_morsels(lambda shard: shard.select(condition),
-                            shard_tables)
-        return self._merge_parts(parts)
+        """Full-mask (oracle) filter over ``handles``: left-to-right full
+        masks over the concatenated lazy columns."""
+        if len(handles) == len(self._handles):
+            return super().select(condition)
+        return self._subset(handles).select(condition)
 
     def plan_shard_select(self, condition, mask_cache=None):
         """Selectivity-aware scan: ``(filtered table, executed ScanPlan)``.
@@ -664,8 +653,7 @@ class ShardedTable(Table):
         Three-way decision per shard — zone-map skip, statistics-based skip
         (covers manifests whose zone maps are absent), or scan — followed by
         conjuncts ordered most-selective-cheapest-first with short-circuit
-        AND over the surviving shards, morsel-parallel when more than one
-        shard survives and the pool is wider than one worker.  Both skip
+        AND over the concatenated surviving shards.  Both skip
         layers are conservative proofs, so the result equals the unplanned
         scan row for row.
 
@@ -709,7 +697,6 @@ class ShardedTable(Table):
             resolved.append((p, code))
         if lookups:
             GLOBAL_PLANNER_STATS.record_store_codes(lookups, cached)
-        ordered = plan.ordered_predicates
         survivors = []
         zone_skipped = stats_skipped = rows_skipped = 0
         prune = self._prune and len(self._handles) > 1
@@ -744,60 +731,10 @@ class ShardedTable(Table):
                 self._rows_skipped += rows_skipped
             GLOBAL_PLANNER_STATS.record_shards(zone_skipped, stats_skipped,
                                                len(survivors))
-        if worker_count() <= 1 or len(survivors) <= 1:
-            subset = self if len(survivors) == len(self._handles) else \
-                self._subset(survivors)
-            indices = scan_indices(subset, plan)
-            return subset.take(indices), plan
-        # Morsel-parallel execution: each surviving shard runs the same
-        # ordered short-circuit AND over its own rows; counts sum and rows
-        # concatenate in shard order, byte-identical to the serial scan.
-        shard_tables = [self._subset([handle]) for handle in survivors]
-
-        def scan(shard: Table) -> tuple[Table, list]:
-            indices, counts = shard_scan_indices(shard, ordered)
-            return shard.take(indices), counts
-
-        results = map_morsels(scan, shard_tables)
-        merge_shard_counts(plan, sum(h.n_rows for h in survivors),
-                           [counts for _, counts in results])
-        return self._merge_parts([part for part, _ in results]), plan
-
-    def _merge_parts(self, parts: list[Table]) -> Table:
-        """Concatenate per-shard filter results in shard order.
-
-        Every part was produced against this table's sorted vocabularies,
-        so categorical codes concatenate without remapping; the merged
-        table equals the serial whole-table result column for column.
-        """
-        columns = []
-        for attribute in self._manifest.attributes:
-            pieces = [part.column(attribute) for part in parts]
-            if self._manifest.kind(attribute) == NUMERIC:
-                merged = np.concatenate([p.values for p in pieces])
-                columns.append(Column._from_numeric_data(
-                    attribute, np.asarray(merged, dtype=np.float64)))
-            else:
-                merged = np.concatenate([p.codes for p in pieces])
-                columns.append(Column.from_codes(
-                    attribute, np.asarray(merged, dtype=np.int32),
-                    self._sorted_vocabs[attribute]))
-        return Table(columns, name=self.name)
-
-    def shard_predicate_mask(self, predicate: Predicate) -> np.ndarray:
-        """Full boolean mask of one predicate, evaluated shard by shard.
-
-        Sorted-vocab codes are shard-subset-invariant, so per-shard masks
-        concatenated in shard order equal the whole-table kernel bit for
-        bit; with one worker — or at most one shard — the whole-table
-        kernel runs directly.
-        """
-        if worker_count() <= 1 or len(self._handles) <= 1:
-            return predicate.evaluate(self)
-        shard_tables = [self._subset([handle]) for handle in self._handles]
-        parts = map_morsels(lambda shard: predicate.evaluate(shard),
-                            shard_tables)
-        return np.concatenate(parts)
+        subset = self if len(survivors) == len(self._handles) else \
+            self._subset(survivors)
+        indices = scan_indices(subset, plan)
+        return subset.take(indices), plan
 
     # ------------------------------------------------------------------ partials
 
@@ -815,11 +752,10 @@ class ShardedTable(Table):
           ``compact --cluster-by``): the answer merges pure manifest
           arithmetic and touches **zero** shard rows;
         * **runtime partials** — each shard computes its own group sizes,
-          valid counts, and outcome sums on the morsel pool.
+          valid counts, and outcome sums.
 
         Both sources compute the identical per-shard quantities and merge
-        in shard order, so the result is the same wherever it comes from —
-        and at every worker count.
+        in shard order, so the result is the same wherever it comes from.
         """
         manifest = self._manifest
         if not group_by or outcome not in manifest.attributes or \

@@ -29,9 +29,10 @@ from repro.storage.format import StorageError
 # CPython 3.11's ``ast`` module keeps its object-construction recursion
 # counter in *module* state, so concurrent ``compile()`` calls (numpy parses
 # every npy member header through ``ast.literal_eval``) can corrupt it and
-# raise ``SystemError: AST constructor recursion depth mismatch``.  Shard
-# opens run on the morsel pool, so serialize them; an open is header reads
-# only — no data copy — and costs microseconds under the lock.
+# raise ``SystemError: AST constructor recursion depth mismatch``.
+# Concurrent requests open shards from their own threads, so serialize the
+# opens; an open is header reads only — no data copy — and costs
+# microseconds under the lock.
 _OPEN_LOCK = named_lock("shard._npy_header_lock")
 
 

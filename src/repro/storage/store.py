@@ -260,7 +260,11 @@ def config_to_dict(config: CauSumXConfig) -> dict:
 
 
 def config_from_dict(spec: dict) -> CauSumXConfig:
-    spec = dict(spec)
+    # Registries written by older versions may carry fields CauSumXConfig
+    # has since retired (the mining thread count); drop them on read, so
+    # the next registry write omits them.
+    known = {f.name for f in dataclasses.fields(CauSumXConfig)}
+    spec = {key: value for key, value in spec.items() if key in known}
     treatment = spec.pop("treatment", None)
     if isinstance(treatment, dict):
         spec["treatment"] = TreatmentMinerConfig(**treatment)

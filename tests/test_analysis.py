@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.analysis` — the lint engine, all six rules, the
 CLI exit-code contract, and the runtime lockwatch."""
 
+import ast
 import json
 import threading
 from pathlib import Path
@@ -47,6 +48,23 @@ class TestEngine:
         assert report.suppressed == {}
         assert report.suppressed_by_file == {}
         assert report.files > 50
+
+    def test_no_module_imports_concurrent_futures(self):
+        """A request runs on the thread that received it: no module may
+        bring back an intra-request executor."""
+        offenders = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name == "concurrent" or name.startswith("concurrent.")
+                       for name in names):
+                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert offenders == []
 
     def test_unparseable_file_is_an_error(self, tmp_path):
         write_module(tmp_path, "service/broken.py", "def nope(:\n")

@@ -21,7 +21,6 @@ from repro.dataframe import Column, Pattern, Table
 from repro.graph import CausalDAG
 from repro.mining.treatments import TreatmentMinerConfig, mine_top_treatment
 from repro.obs.registry import REGISTRY
-from repro.parallel import workers
 
 
 class TestEffectEstimate:
@@ -159,6 +158,36 @@ class TestAdjustment:
         assert estimate.p_value == 1.0
         assert skipped.value == before + 1
 
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("poisoned", ["Y", "W"])
+    def test_non_finite_value_is_undefined_and_counted(self, poisoned,
+                                                       use_cache):
+        """One ``inf`` in the outcome or in a numeric confounder makes every
+        fit over those rows undefined and counted, never a silent NaN."""
+        rng = np.random.default_rng(3)
+        n = 120
+        w = rng.normal(size=n)
+        t = (rng.random(n) < 0.5).astype(int)
+        y = 2.0 * t + w + rng.normal(size=n)
+        (y if poisoned == "Y" else w)[7] = np.inf
+        table = Table([
+            Column("W", [float(v) for v in w], numeric=True),
+            Column("T", [int(v) for v in t], numeric=False),
+            Column("Y", [float(v) for v in y], numeric=True),
+        ])
+        dag = CausalDAG.from_dict({"T": ["W"], "Y": ["T", "W"], "W": []})
+        skipped = REGISTRY.counter("repro_causal_skipped_total",
+                                   reason="non_finite")
+        before = skipped.value
+        estimator = CATEEstimator(table, "Y", dag=dag, min_group_size=5,
+                                  use_cache=use_cache)
+        estimates = estimator.estimate_many([Pattern.of(("T", "=", 1)),
+                                             Pattern.of(("T", "=", 0))])
+        for estimate in estimates:
+            assert not estimate.is_valid()
+            assert estimate.n_treated + estimate.n_control == n
+        assert skipped.value == before + 2
+
     def test_estimate_many(self, confounded_table, confounded_dag):
         estimator = CATEEstimator(confounded_table, "Y", dag=confounded_dag)
         results = estimator.estimate_many([Pattern.of(("T", "=", 1)),
@@ -201,9 +230,8 @@ class TestOneSolvePerCandidate:
         {"Education": "B.Sc.", "Gender": "Female"})]
 
     def test_estimate_depends_on_its_own_candidate_alone(self, so_bundle):
-        """Bit-identical alone, inside a batch, inside the reversed batch, at
-        pool widths 1 and 2, memoised or not, and from two threads racing on
-        one binding."""
+        """Bit-identical alone, inside a batch, inside the reversed batch,
+        memoised or not, and from two threads racing on one binding."""
         def estimator(use_cache=True):
             return CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
                                  use_cache=use_cache)
@@ -213,14 +241,10 @@ class TestOneSolvePerCandidate:
         seen = {"alone": estimator().estimate(target, self.SUBPOPULATION)}
         assert seen["alone"].is_valid()
         for use_cache in (True, False):
-            for width in (1, 2):
-                with workers(width):
-                    fresh = estimator(use_cache)
-                    seen[f"batch/{use_cache}/{width}"] = fresh.estimate_many(
-                        self.TREATMENTS, self.SUBPOPULATION)[position]
-                    seen[f"reversed/{use_cache}/{width}"] = \
-                        estimator(use_cache).estimate_many(
-                            self.TREATMENTS[::-1], self.SUBPOPULATION)[-1 - position]
+            seen[f"batch/{use_cache}"] = estimator(use_cache).estimate_many(
+                self.TREATMENTS, self.SUBPOPULATION)[position]
+            seen[f"reversed/{use_cache}"] = estimator(use_cache).estimate_many(
+                self.TREATMENTS[::-1], self.SUBPOPULATION)[-1 - position]
             seen[f"alone/{use_cache}"] = estimator(use_cache).estimate(
                 target, self.SUBPOPULATION)
 

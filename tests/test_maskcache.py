@@ -237,26 +237,11 @@ class TestExplainInvariance:
                  p.negative.cate if p.negative else None)
                 for p in summary]
 
-    def test_summary_invariant_under_cache_and_parallelism(self, small_bundle,
-                                                           invariance_config):
+    def test_summary_invariant_under_cache(self, small_bundle,
+                                           invariance_config):
         reference = self._explain(small_bundle,
                                   invariance_config.with_overrides(use_mask_cache=False))
-        for overrides in ({"use_mask_cache": True, "n_jobs": 1},
-                          {"use_mask_cache": True, "n_jobs": 2},
-                          {"use_mask_cache": False, "n_jobs": 2}):
-            summary = self._explain(small_bundle,
-                                    invariance_config.with_overrides(**overrides))
-            assert self._signature(summary) == self._signature(reference), overrides
-            assert render_summary(summary) == render_summary(reference), overrides
-
-    def test_n_jobs_minus_one_uses_all_cpus(self, small_bundle, invariance_config):
-        summary = self._explain(
-            small_bundle, invariance_config.with_overrides(n_jobs=-1))
-        reference = self._explain(small_bundle, invariance_config)
+        summary = self._explain(small_bundle,
+                                invariance_config.with_overrides(use_mask_cache=True))
         assert self._signature(summary) == self._signature(reference)
-
-    def test_invalid_n_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            CauSumXConfig(n_jobs=0)
-        with pytest.raises(ValueError):
-            CauSumXConfig(n_jobs=-2)
+        assert render_summary(summary) == render_summary(reference)

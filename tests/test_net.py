@@ -42,7 +42,6 @@ def net_config(**overrides) -> CauSumXConfig:
 
 
 def make_registry(bundle, **kwargs) -> TenantRegistry:
-    kwargs.setdefault("max_workers", 2)
     kwargs.setdefault("summary_cache_size", 8)
     return TenantRegistry.single_dataset(
         bundle.name, bundle.table, dag=bundle.dag, config=net_config(),
@@ -456,7 +455,7 @@ class TestHTTPServer:
     def test_drain_sheds_new_snapshots_store_tenants(self, so_net, tmp_path):
         store = DatasetStore.init(tmp_path / "store")
         store.import_bundle(so_net, config=net_config())
-        registry = TenantRegistry.from_store(store, max_workers=2)
+        registry = TenantRegistry.from_store(store)
         server = create_server(registry, "127.0.0.1", 0)
         serve_in_thread(server)
         status, body = post_json(server, "/v1/explain",

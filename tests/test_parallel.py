@@ -1,11 +1,11 @@
-"""Tests for shard-parallel morsel-driven execution (``repro.parallel``).
+"""Tests for per-shard execution over stored datasets.
 
-The load-bearing property is *worker invariance*: whatever the pool width —
-1 (exactly the serial code), 2, or 8 — a sharded scan, a planned scan, a
-lazy column decode, and an aggregate view return identical rows, identical
-plans, and identical answer tuples.  On top of that, clustered compaction
-commits per-shard group-by partials that answer no-WHERE group-bys from the
-manifest without opening a single shard archive.
+The load-bearing property is that a :class:`ShardedTable` — a sharded scan,
+a planned scan, a lazy column decode, an aggregate view, a whole
+explanation — answers exactly like the in-memory table it was written from.
+On top of that, clustered compaction commits per-shard group-by partials
+that answer no-WHERE group-bys from the manifest without opening a single
+shard archive, and concurrent select/append/compact stays lock-order safe.
 """
 
 from __future__ import annotations
@@ -20,20 +20,11 @@ from hypothesis import strategies as st
 
 from repro.analysis import lockwatch
 from repro.dataframe import MaskCache, Op, Pattern, Predicate, Table
-from repro.parallel import (
-    GLOBAL_PARALLEL_STATS,
-    default_workers,
-    in_worker,
-    map_morsels,
-    worker_count,
-    workers,
-)
+from repro.parallel import GLOBAL_PARALLEL_STATS, map_morsels
 from repro.plan import GLOBAL_PLANNER_STATS, oracle_mode
 from repro.service import ExplanationEngine
 from repro.sql import AggregateView, parse_query
 from repro.storage import DatasetStore, StoredDataset
-
-WIDTHS = (1, 2, 8)
 
 
 def _people(n: int, seed: int = 0) -> Table:
@@ -53,35 +44,13 @@ def _people(n: int, seed: int = 0) -> Table:
     }, name="people")
 
 
-# ---------------------------------------------------------------------- pool
+# ------------------------------------------------------------- per-shard loop
 
 
 class TestMorselPool:
-    def test_width_resolution_order(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert worker_count() == default_workers()
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert worker_count() == 3
-        with workers(5):
-            assert worker_count() == 5  # override beats the environment
-        assert worker_count() == 3
-
-    def test_rejects_bad_widths(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "zero")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-        with pytest.raises(ValueError):
-            with workers(0):
-                pass  # pragma: no cover
-
     def test_map_morsels_preserves_input_order(self):
-        for width in WIDTHS:
-            with workers(width):
-                assert map_morsels(lambda x: x * x, range(20)) == \
-                    [x * x for x in range(20)]
+        assert map_morsels(lambda x: x * x, range(20)) == \
+            [x * x for x in range(20)]
 
     def test_exceptions_propagate_in_input_order(self):
         def explode(x):
@@ -89,40 +58,19 @@ class TestMorselPool:
                 raise ValueError(f"boom {x}")
             return x
 
-        with workers(4):
-            with pytest.raises(ValueError, match="boom 1"):
-                map_morsels(explode, range(12))
-
-    def test_nested_fan_out_runs_serially_without_deadlock(self):
-        observed = []
-
-        def inner(x):
-            observed.append(in_worker())
-            return x + 1
-
-        def outer(x):
-            # A worker fanning out again must not wait on its own pool.
-            return sum(map_morsels(inner, range(3))) + x
-
-        with workers(2):
-            results = map_morsels(outer, range(6))
-        assert results == [sum(range(1, 4)) + x for x in range(6)]
-        assert all(observed)  # the nested morsels ran on pool threads
+        with pytest.raises(ValueError, match="boom 1"):
+            map_morsels(explode, range(12))
 
     def test_stats_accounting(self):
         GLOBAL_PARALLEL_STATS.reset()
-        with workers(1):
-            map_morsels(lambda x: x, range(4))
-        with workers(3):
-            map_morsels(lambda x: x, range(5))
+        map_morsels(lambda x: x, range(4))
+        map_morsels(lambda x: x, range(5))
         snapshot = GLOBAL_PARALLEL_STATS.snapshot()
         assert snapshot["batches"] == 2
-        assert snapshot["serial_batches"] == 1
         assert snapshot["morsels"] == 9
-        assert snapshot["max_workers_used"] == 3
 
 
-# ----------------------------------------------------------- worker invariance
+# ------------------------------------------------------ sharded == in-memory
 
 
 def _random_table(rng, n: int) -> Table:
@@ -157,6 +105,8 @@ def _random_pattern(data) -> Pattern:
 
 
 class TestWorkerInvariance:
+    """A :class:`ShardedTable` answers exactly like the in-memory table."""
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_sharded_select_identical_across_widths(self, data):
@@ -168,19 +118,11 @@ class TestWorkerInvariance:
         with tempfile.TemporaryDirectory() as tmp:
             dataset = StoredDataset.create(f"{tmp}/d", "d", table,
                                            shard_rows=shard_rows)
-            results = {}
-            for width in WIDTHS:
-                with workers(width):
-                    planned = dataset.load_table().select(pattern)
-                    with oracle_mode():
-                        oracle = dataset.load_table().select(pattern)
-                results[width] = (planned, oracle)
-            serial_planned, serial_oracle = results[1]
-            assert serial_planned == serial_oracle
-            for width in WIDTHS[1:]:
-                planned, oracle = results[width]
-                assert planned == serial_planned
-                assert oracle == serial_oracle
+            planned = dataset.load_table().select(pattern)
+            with oracle_mode():
+                oracle = dataset.load_table().select(pattern)
+        assert planned == oracle
+        assert oracle == table.select(pattern)
 
     @settings(max_examples=10, deadline=None)
     @given(st.data())
@@ -190,9 +132,7 @@ class TestWorkerInvariance:
         with tempfile.TemporaryDirectory() as tmp:
             dataset = StoredDataset.create(f"{tmp}/d", "d", table,
                                            shard_rows=7)
-            for width in WIDTHS:
-                with workers(width):
-                    assert dataset.load_table() == table
+            assert dataset.load_table() == table
 
     def test_view_identical_across_widths(self):
         table = _people(400)
@@ -202,22 +142,20 @@ class TestWorkerInvariance:
         with tempfile.TemporaryDirectory() as tmp:
             dataset = StoredDataset.create(f"{tmp}/d", "d", table,
                                            shard_rows=37)
-            for width in WIDTHS:
-                with workers(width):
-                    view = AggregateView(dataset.load_table(), query)
-                    assert view.served_from_partials
-                    assert view.groups == in_memory.groups
-                    assert view.group_weights() == in_memory.group_weights()
+            view = AggregateView(dataset.load_table(), query)
+            assert view.served_from_partials
+            assert view.groups == in_memory.groups
+            assert view.group_weights() == in_memory.group_weights()
 
 
 class TestMiningWidthInvariance:
-    """Mining lattice scans run through the pool; summaries must not notice.
+    """Mining over a sharded table serializes byte-identically to mining
+    over the in-memory table it was written from."""
 
-    ``CATEEstimator.estimate_many`` fans whole lattice levels over
-    ``map_morsels`` (serially inside a grouping worker, in parallel when the
-    outer grouping layer is serial), so a full explanation — mining included
-    — must serialize byte-identically at any pool width.
-    """
+    @staticmethod
+    def _sharded(tmp, bundle):
+        return StoredDataset.create(f"{tmp}/d", "d", bundle.table,
+                                    shard_rows=97).load_table()
 
     def test_explain_summary_identical_across_widths(self, so_bundle,
                                                      fast_config):
@@ -227,19 +165,19 @@ class TestMiningWidthInvariance:
 
         query = parse_query("SELECT Country, AVG(Salary) FROM SO "
                             "GROUP BY Country")
-        payloads = {}
-        for width in WIDTHS:
-            with workers(width):
-                summary = CauSumX(so_bundle.table, so_bundle.dag,
-                                  fast_config).explain(
-                    query,
-                    grouping_attributes=so_bundle.grouping_attributes,
-                    treatment_attributes=so_bundle.treatment_attributes)
-            payload = summary_to_dict(summary)
-            payload.pop("timings", None)
-            payloads[width] = json.dumps(payload, sort_keys=True, default=str)
-        for width in WIDTHS[1:]:
-            assert payloads[width] == payloads[1]
+
+        def payload(table):
+            summary = CauSumX(table, so_bundle.dag, fast_config).explain(
+                query,
+                grouping_attributes=so_bundle.grouping_attributes,
+                treatment_attributes=so_bundle.treatment_attributes)
+            result = summary_to_dict(summary)
+            result.pop("timings", None)
+            return json.dumps(result, sort_keys=True, default=str)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            sharded = payload(self._sharded(tmp, so_bundle))
+        assert sharded == payload(so_bundle.table)
 
     def test_estimate_many_identical_across_widths(self, so_bundle):
         import dataclasses
@@ -247,25 +185,23 @@ class TestMiningWidthInvariance:
 
         from repro.causal import CATEEstimator
 
-        def canon(estimates):
+        def canon(table):
+            estimator = CATEEstimator(table, "Salary", dag=so_bundle.dag,
+                                      min_group_size=5)
+            estimates = estimator.estimate_many(treatments, subpopulation)
             # json keeps NaN as a literal, so undefined estimates compare
             # equal (dataclass == would fail on NaN != NaN).
             return json.dumps([dataclasses.asdict(e) for e in estimates],
                               sort_keys=True, default=str)
 
         table = so_bundle.table
-        estimator = CATEEstimator(table, "Salary", dag=so_bundle.dag,
-                                  min_group_size=5)
         treatments = [Pattern.of((attr, "==", value))
                       for attr in so_bundle.treatment_attributes
                       for value in table.domain(attr)[:3]]
         subpopulation = Pattern.of(("Country", "==", table.domain("Country")[0]))
-        with workers(1):
-            serial = canon(estimator.estimate_many(treatments, subpopulation))
-        for width in WIDTHS[1:]:
-            with workers(width):
-                assert canon(estimator.estimate_many(
-                    treatments, subpopulation)) == serial
+        with tempfile.TemporaryDirectory() as tmp:
+            sharded = canon(self._sharded(tmp, so_bundle))
+        assert sharded == canon(table)
 
 
 # ------------------------------------------------------------- store-code memo
@@ -379,12 +315,9 @@ class TestGroupByPartials:
             assert view.groups == in_memory.groups
 
     def test_engine_stats_surface_parallel_counters(self):
-        engine = ExplanationEngine()
-        stats = engine.stats()
-        assert stats["parallel"]["workers"] == worker_count()
-        for key in ("batches", "serial_batches", "morsels",
-                    "max_workers_used", "partials_served"):
-            assert key in stats["parallel"]
+        stats = ExplanationEngine().stats()
+        assert set(stats["parallel"]) == {"batches", "morsels",
+                                          "partials_served"}
 
 
 # ------------------------------------------------------------------ lockwatch
@@ -436,13 +369,12 @@ class TestConcurrencyLockOrder:
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
-        with workers(4):
-            threads = [threading.Thread(target=fn)
-                       for fn in (scan, append, compact)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+        threads = [threading.Thread(target=fn)
+                   for fn in (scan, append, compact)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
         assert not errors
         watch.assert_acyclic()
         assert watch.violations == []

@@ -458,7 +458,7 @@ class TestStatsFreshnessAfterAppend:
         assert reloaded.select(pattern) == oracle
 
     def test_engine_append_refreshes_in_memory_estimates(self):
-        engine = ExplanationEngine(max_workers=1)
+        engine = ExplanationEngine()
         table = Table.from_columns({
             "g": [f"g{i % 3}" for i in range(300)],
             "a": ["rare"] * 3 + ["base"] * 297,
@@ -571,7 +571,7 @@ class TestCompaction:
 class TestEngineIntegration:
     @pytest.fixture
     def engine(self):
-        engine = ExplanationEngine(max_workers=1)
+        engine = ExplanationEngine()
         bundle = load_dataset("stackoverflow", n=400, seed=0)
         engine.register_dataset("so", bundle.table, dag=bundle.dag,
                                 grouping_attributes=bundle.grouping_attributes,

@@ -48,7 +48,7 @@ def so_small(so_bundle):
 
 @pytest.fixture()
 def engine(so_small):
-    engine = ExplanationEngine(max_workers=2, summary_cache_size=8)
+    engine = ExplanationEngine(summary_cache_size=8)
     engine.register_bundle(so_small, config=small_config())
     return engine
 
@@ -199,7 +199,7 @@ class TestConcurrency:
         registry.reset()
         try:
             # Built while enabled, so every named_lock is a WatchedLock.
-            engine = ExplanationEngine(max_workers=2, summary_cache_size=8)
+            engine = ExplanationEngine(summary_cache_size=8)
             engine.register_bundle(so_small, config=small_config())
             rows = so_small.table.take(range(10)).to_rows()
             barrier = threading.Barrier(3)
@@ -360,9 +360,9 @@ class TestSupersededTablesAreFreed:
         if backing == "store":
             store = DatasetStore.init(tmp_path / "store")
             so_small.to_store(store, config=small_config(), shard_rows=100)
-            engine = ExplanationEngine.from_store(store, max_workers=1)
+            engine = ExplanationEngine.from_store(store)
         else:
-            engine = ExplanationEngine(max_workers=1)
+            engine = ExplanationEngine()
             engine.register_dataset(  # a copy: the fixture keeps its own table
                 "stackoverflow", so_small.table.take(range(so_small.table.n_rows)),
                 so_small.dag, config=small_config(),

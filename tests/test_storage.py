@@ -23,13 +23,13 @@ from repro.core import CauSumX, CauSumXConfig, summary_to_dict
 from repro.dataframe import Column, LazyColumn, Op, Pattern, Predicate, Table
 from repro.datasets import load_dataset
 from repro.mining.treatments import TreatmentMinerConfig
-from repro.parallel import workers
 from repro.service import ExplanationEngine, LRUCache, MemoryBudget
 from repro.storage import (
     DatasetStore,
     ShardedTable,
     StorageError,
     StoredDataset,
+    config_from_dict,
     open_shard,
     write_shard,
 )
@@ -351,7 +351,7 @@ class TestWarmRestart:
         store = DatasetStore.init(tmp_path / "store")
         bundle.to_store(store, config=_config(), shard_rows=100)
 
-        engine = ExplanationEngine.from_store(store, max_workers=1)
+        engine = ExplanationEngine.from_store(store)
         served = engine.explain("stackoverflow", self.QUERY)
         reference = CauSumX(bundle.table, bundle.dag, _config()).explain(
             self.QUERY, grouping_attributes=bundle.grouping_attributes,
@@ -366,7 +366,7 @@ class TestWarmRestart:
         assert snapshot["summaries"] >= 1
 
         # Restart: committed shards + registry + summary cache from disk only.
-        restarted = ExplanationEngine.from_store(store, max_workers=1)
+        restarted = ExplanationEngine.from_store(store)
         summary, info = restarted.explain_with_info("stackoverflow", self.QUERY)
         assert info["cached"]  # warm: no recomputation
         assert _payload(summary) == _payload(post_append)
@@ -381,14 +381,14 @@ class TestWarmRestart:
     def test_snapshot_ignores_stale_versions(self, tmp_path, bundle):
         store = DatasetStore.init(tmp_path / "store")
         bundle.to_store(store, config=_config())
-        engine = ExplanationEngine.from_store(store, max_workers=1)
+        engine = ExplanationEngine.from_store(store)
         engine.explain("stackoverflow", self.QUERY)
         engine.snapshot()
         # Data moves on *after* the snapshot: restored entries must be dropped.
         store.dataset("stackoverflow").append(
             Table.from_rows([bundle.table.row(0)],
                             schema=list(bundle.table.attributes)))
-        restarted = ExplanationEngine.from_store(store, max_workers=1)
+        restarted = ExplanationEngine.from_store(store)
         assert restarted.stats().get("restored_summaries", 0) == 0
         _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
         assert not info["cached"]
@@ -400,7 +400,7 @@ class TestWarmRestart:
         a restart."""
         store = DatasetStore.init(tmp_path / "store")
         bundle.to_store(store, config=_config())
-        engine = ExplanationEngine.from_store(store, max_workers=1)
+        engine = ExplanationEngine.from_store(store)
         engine.explain("stackoverflow", self.QUERY)
         assert engine.snapshot()["summaries"] == 1
         path = store.root / "engine" / "summaries.pkl"
@@ -412,7 +412,7 @@ class TestWarmRestart:
             payload = pickle.loads(path.read_bytes())
             payload["entries"] = ["stackoverflow"]
             path.write_bytes(pickle.dumps(payload))
-        restarted = ExplanationEngine.from_store(store, max_workers=1)
+        restarted = ExplanationEngine.from_store(store)
         assert restarted.stats()["restored_summaries"] == 0
         _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
         assert not info["cached"]
@@ -451,15 +451,13 @@ class TestManifestCompatibility:
         path.write_text(json.dumps(manifest))
         return DatasetStore(store.root), bundle, path
 
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_opens_and_answers_like_in_memory(self, indexed_store, width):
+    def test_opens_and_answers_like_in_memory(self, indexed_store):
         store, bundle, _ = indexed_store
         reference = CauSumX(bundle.table, bundle.dag, _config()).explain(
             self.QUERY, grouping_attributes=bundle.grouping_attributes,
             treatment_attributes=bundle.treatment_attributes)
-        with workers(width):
-            engine = ExplanationEngine.from_store(store, max_workers=1)
-            served = engine.explain("stackoverflow", self.QUERY)
+        engine = ExplanationEngine.from_store(store)
+        served = engine.explain("stackoverflow", self.QUERY)
         assert _payload(served) == _payload(reference)
 
     @pytest.mark.parametrize("commit", ["append", "compact"])
@@ -474,6 +472,33 @@ class TestManifestCompatibility:
                                  shard_rows=150)["rewritten"] == 3
         assert "predicate_indexes" not in path.read_text()
         store.dataset("stackoverflow").verify()
+
+
+class TestRegistryCompatibility:
+    """Registries whose configs carry the retired ``n_jobs`` field (every
+    registry written before it was removed) still open, answer like the
+    in-memory oracle, and drop the field at their next commit."""
+
+    QUERY = "SELECT Country, AVG(Salary) FROM SO GROUP BY Country"
+
+    def test_legacy_n_jobs_opens_answers_and_is_shed(self, tmp_path):
+        bundle = load_dataset("stackoverflow", n=300, seed=0)
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config(), shard_rows=100)
+        path = store.root / "engine" / "registry.json"
+        registry = json.loads(path.read_text())
+        registry["stackoverflow"]["config"]["n_jobs"] = 1
+        path.write_text(json.dumps(registry))
+        reference = CauSumX(bundle.table, bundle.dag, _config()).explain(
+            self.QUERY, grouping_attributes=bundle.grouping_attributes,
+            treatment_attributes=bundle.treatment_attributes)
+        engine = ExplanationEngine.from_store(store)
+        assert _payload(engine.explain("stackoverflow", self.QUERY)) == \
+            _payload(reference)
+        engine.snapshot()
+        config = json.loads(path.read_text())["stackoverflow"]["config"]
+        assert "n_jobs" not in config
+        assert config_from_dict(config) == _config()
 
 
 class TestMemoryBudget:
@@ -497,7 +522,7 @@ class TestMemoryBudget:
     def test_engine_budget_eviction_surfaces_in_stats(self):
         bundle = load_dataset("stackoverflow", n=200, seed=0)
         budget = MemoryBudget(capacity_bytes=1)  # everything evicts
-        engine = ExplanationEngine(max_workers=1, memory_budget=budget)
+        engine = ExplanationEngine(memory_budget=budget)
         engine.register_dataset("so", bundle.table, dag=bundle.dag,
                                 config=_config(),
                                 grouping_attributes=bundle.grouping_attributes,
