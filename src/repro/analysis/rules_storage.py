@@ -1,6 +1,6 @@
-"""RL005: atomic-commit discipline in ``repro.storage``.
+"""Storage rules: RL005 atomic-commit discipline, RL007 the trust boundary.
 
-Two sub-checks, both scoped to functions in the storage package:
+RL005 has two sub-checks, both scoped to functions in the storage package:
 
 * **Write-mode opens** must be crash-safe.  A function that opens a file for
   writing is exempt when it also calls ``os.replace`` (the tmp-file +
@@ -14,6 +14,11 @@ Two sub-checks, both scoped to functions in the storage package:
   ``commit_manifest``, every shard-producing call (``write_shard`` /
   ``_write_shard`` / ``os.replace``) must appear on an earlier line than the
   first commit — data must be durable before the manifest names it.
+
+RL007 flags, anywhere in the linted tree, an import of a deserializer that
+executes code found in the bytes it reads (``pickle``, ``marshal``,
+``shelve``, …).  Store files are data; whoever can write a store directory
+must not thereby run code in the server.
 """
 
 from __future__ import annotations
@@ -167,3 +172,39 @@ class AtomicCommitRule(Rule):
     def _is_bare_param(path_expr: ast.expr, params) -> bool:
         inner = _unwrap_path(path_expr)
         return isinstance(inner, ast.Name) and inner.id in params
+
+
+#: Modules whose loaders run code embedded in the bytes they read.
+_CODE_LOADERS = ("pickle", "cPickle", "_pickle", "marshal", "shelve", "dill")
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """Module names an import statement loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module or ""]
+    return []
+
+
+@register
+class TrustBoundaryRule(Rule):
+    id = "RL007"
+    name = "trust-boundary"
+    severity = "error"
+    description = ("import of a code-executing deserializer (pickle, marshal, "
+                   "shelve, dill): stored bytes must never become code")
+
+    def check(self, ctx: ModuleContext):
+        findings = []
+        for node in ast.walk(ctx.tree):
+            for module in _imported_modules(node):
+                if module.split(".")[0] in _CODE_LOADERS:
+                    findings.append(Finding(
+                        rule=self.id, severity=self.severity,
+                        path=ctx.display_path, line=node.lineno,
+                        col=node.col_offset,
+                        message=(f"`{module}` imported: its loader executes "
+                                 f"code from the bytes it reads; persist "
+                                 f"through a schema-checked JSON codec")))
+        return findings

@@ -5,6 +5,10 @@ from repro.core.patterns import ExplanationPattern, ExplanationSummary
 from repro.core.causumx import CauSumX, brute_force, brute_force_lp, greedy_last_step
 from repro.core.render import render_summary, render_pattern
 from repro.core.export import (
+    EncodedSummary,
+    SummaryCodecError,
+    decode_summary,
+    encode_summary,
     summary_to_dict,
     summary_to_json,
     summary_to_markdown,
@@ -17,6 +21,10 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "validate_inputs",
+    "EncodedSummary",
+    "SummaryCodecError",
+    "decode_summary",
+    "encode_summary",
     "summary_to_dict",
     "summary_to_json",
     "summary_to_markdown",

@@ -44,7 +44,6 @@ from the cache, byte-identical to the summary it served before the restart.
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -54,7 +53,13 @@ import numpy as np
 
 from repro.analysis.lockwatch import named_lock
 from repro.causal import CATEEstimator
-from repro.core import CauSumX, CauSumXConfig, ExplanationSummary
+from repro.core import (
+    CauSumX,
+    CauSumXConfig,
+    EncodedSummary,
+    ExplanationSummary,
+    SummaryCodecError,
+)
 from repro.dataframe import MaskCache, Pattern, Table
 from repro.graph import CausalDAG
 from repro.obs import trace
@@ -124,7 +129,7 @@ class ExplanationEngine:
         Capacities of the three cache levels.
     memory_budget:
         Optional shared :class:`~repro.service.MemoryBudget`: the summary
-        cache weighs its entries (pickled bytes) against the budget's global
+        cache weighs its entries (codec bytes) against the budget's global
         cap, and the budget may evict the globally least-recently-used
         summaries across *every* engine attached to it.
     max_workers:
@@ -146,6 +151,7 @@ class ExplanationEngine:
         self._summary_cache = LRUCache(
             summary_cache_size, budget=memory_budget,
             weigher=_summary_nbytes if memory_budget is not None else None)
+        # Values are EncodedSummary entries: restored ones decode on first hit.
         self._flights_lock = named_lock("ExplanationEngine._flights_lock")
         self._flights: dict[tuple, _Flight] = {}  # guarded-by: _flights_lock
         #: name -> (data version, MaskCache over the registered table): the
@@ -156,6 +162,7 @@ class ExplanationEngine:
         self._batch_deduped = 0  # guarded-by: _flights_lock
         self._store = None  # DatasetStore when built via from_store
         self._restored_summaries = 0  # guarded-by: _flights_lock
+        self._summaries_rejected = 0  # guarded-by: _flights_lock
         # HTTP-tier metrics hook (repro.net): attached once before serving
         # starts, read-only afterwards, so no lock is needed.
         self._http_metrics = None
@@ -219,9 +226,10 @@ class ExplanationEngine:
         queries touch them) and registered with the DAG / config / attribute
         partition recorded in the store's registry at the dataset's committed
         manifest version.  Persisted summary-cache entries whose
-        ``(dataset, version)`` still matches are restored, so repeated
-        queries after a restart are served from cache, byte-identical to the
-        summaries computed before the restart.
+        ``(dataset, version)`` still matches are restored undecoded (each
+        body is decoded on its first hit), so repeated queries after a
+        restart are served from cache, byte-identical to the summaries
+        computed before the restart.
         """
         from repro.graph import CausalDAG as _DAG  # local alias; already imported
         from repro.storage import DatasetStore, config_from_dict
@@ -244,12 +252,12 @@ class ExplanationEngine:
                 treatment_attributes=entry.get("treatment_attributes"),
                 version=stored.manifest.version, store=stored)
         restored = 0
-        for key, summary in store.load_summaries():
+        for key, entry in store.load_summaries():
             name, version = key[0], key[1]
             with engine._datasets_lock:
                 state = engine._datasets.get(name)
             if state is not None and state.version == version:
-                engine._summary_cache.put(key, summary)
+                engine._summary_cache.put(key, entry)
                 restored += 1
         with engine._flights_lock:
             engine._restored_summaries = restored
@@ -310,7 +318,7 @@ class ExplanationEngine:
         self._http_metrics = metrics
 
     def summary_cache_items(self) -> list[tuple]:
-        """Snapshot of ``(key, summary)`` entries (for store snapshots)."""
+        """Snapshot of ``(key, EncodedSummary)`` entries (for store snapshots)."""
         return list(self._summary_cache.items())
 
     def datasets(self) -> list[str]:
@@ -377,7 +385,7 @@ class ExplanationEngine:
                 "fingerprint": fingerprint, "cached": False, "coalesced": False}
 
         if use_summary_cache:
-            summary = self._summary_cache.get(key)
+            summary = self._cached_summary(key)
             if summary is not None:
                 if outcomes is not None:
                     outcomes["summary"] = "hit"
@@ -401,7 +409,7 @@ class ExplanationEngine:
                     summary, scan_plan = self._compute(state, canonical, plan,
                                                        outcomes)
                     if use_summary_cache:
-                        self._summary_cache.put(key, summary)
+                        self._cache_summary(key, summary)
                     flight.summary = summary
                 except BaseException as exc:
                     flight.error = exc
@@ -636,6 +644,7 @@ class ExplanationEngine:
             coalesced = self._coalesced
             batch_deduped = self._batch_deduped
             restored_summaries = self._restored_summaries
+            summaries_rejected = self._summaries_rejected
         storage: dict = {}
         with self._datasets_lock:
             states = list(self._datasets.values())
@@ -676,6 +685,7 @@ class ExplanationEngine:
         if storage:
             result["storage"] = storage
             result["restored_summaries"] = restored_summaries
+            result["summaries_rejected"] = summaries_rejected
         if self.memory_budget is not None:
             result["memory_budget"] = self.memory_budget.stats()
         if self._http_metrics is not None:
@@ -695,6 +705,32 @@ class ExplanationEngine:
             return self._computations
 
     # ------------------------------------------------------------------ internals
+
+    def _cached_summary(self, key: tuple) -> ExplanationSummary | None:
+        """The cached summary for ``key``, decoding a restored entry.
+
+        A restored body that fails to decode or schema-check is dropped
+        and counted; the request proceeds as a miss.
+        """
+        entry = self._summary_cache.get(key)
+        if entry is None:
+            return None
+        try:
+            return entry.summary()
+        except SummaryCodecError:
+            self._summary_cache.purge(lambda k: k == key)
+            with self._flights_lock:
+                self._summaries_rejected += 1
+            return None
+
+    def _cache_summary(self, key: tuple, summary: ExplanationSummary) -> None:
+        """Cache a computed summary, unless a memory budget must weigh it
+        and the codec cannot encode it (a group or predicate value JSON
+        has no form for): then it is served uncached."""
+        try:
+            self._summary_cache.put(key, EncodedSummary(summary))
+        except SummaryCodecError:
+            pass
 
     def _canonical(self, query: GroupByAvgQuery | str,
                    outcomes: dict | None = None) -> GroupByAvgQuery:
@@ -791,10 +827,11 @@ class ExplanationEngine:
         return invalidated
 
 
-def _summary_nbytes(summary) -> int:
-    """Approximate retained bytes of a summary: its pickled size.
+def _summary_nbytes(entry: EncodedSummary) -> int:
+    """Approximate retained bytes of a summary: its codec size.
 
-    Deterministic, cheap relative to computing a summary, and proportional
-    to what the cache actually keeps alive (patterns, estimates, metadata).
+    Deterministic, cheap relative to computing a summary, proportional to
+    what the cache keeps alive, and computed once: a snapshot writes the
+    same bytes.
     """
-    return len(pickle.dumps(summary, protocol=pickle.HIGHEST_PROTOCOL))
+    return len(entry.blob())

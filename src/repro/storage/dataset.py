@@ -528,8 +528,15 @@ class _ShardHandle:
     def arrays(self) -> dict[str, np.ndarray]:
         with self._lock:
             if self._arrays is None:
-                self._arrays = open_shard(
+                arrays = open_shard(
                     self.path if self._file is None else self._file)
+                for name, array in arrays.items():
+                    if array.shape != (self.n_rows,):
+                        raise StorageError(
+                            f"shard {self.path.name}: column {name!r} has "
+                            f"shape {array.shape}, the manifest says "
+                            f"{self.n_rows} rows")
+                self._arrays = arrays
             return self._arrays
 
     def is_open(self) -> bool:

@@ -85,14 +85,19 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     fsync_directory(path.parent)
 
 
-def atomic_write_json(path: Path, payload: dict) -> None:
-    """Commit ``payload`` as one line of compact, key-sorted JSON.
+def json_line(payload) -> bytes:
+    """``payload`` as one line of compact, key-sorted JSON.
 
     No ``indent``: that would route a 40-shard manifest through the
     pure-Python encoder (12 ms against 2 ms) on every append.
     """
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    atomic_write_bytes(Path(path), (text + "\n").encode())
+    return (text + "\n").encode()
+
+
+def atomic_write_json(path: Path, payload: dict) -> None:
+    """Commit ``payload`` as one line of compact, key-sorted JSON."""
+    atomic_write_bytes(Path(path), json_line(payload))
 
 
 def read_json(path: Path) -> dict:

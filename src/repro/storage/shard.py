@@ -1,4 +1,4 @@
-"""Shard files: uncompressed ``.npz`` archives, written once, memory-mapped.
+"""Shard files: uncompressed ``.npz`` archives, written once, mapped once.
 
 One shard holds one array per column — ``float64`` data for numeric columns,
 ``int32`` *store codes* for categorical columns (codes into the dataset's
@@ -7,17 +7,28 @@ appends extend the vocabulary).
 
 ``np.load(..., mmap_mode="r")`` silently ignores ``mmap_mode`` for ``.npz``
 archives (it only memory-maps bare ``.npy`` files), so :func:`open_shard`
-implements the mapping itself: because the archive is written *uncompressed*
-(``np.savez``), every member's raw bytes sit contiguously in the file, and
-each array can be exposed as a ``np.memmap`` at the member's data offset —
-zero copies, no page touched until rows are actually read.  Anything
-unexpected (compressed members, pickled objects, exotic npy versions) falls
-back to a plain eager ``np.load``.
+implements the mapping itself.  The archive is written *uncompressed*
+(``np.savez``), so every member's raw bytes sit contiguously in the file:
+the whole file is mapped with **one** ``mmap(2)``, :mod:`zipfile` reads the
+central directory from the mapping, and each column is an ``np.frombuffer``
+view at its member's data offset — zero copies, no column page touched
+until rows are read.
+Each distinct npy header is parsed once per process (a bounded memo).
+
+Nothing is exposed until the whole archive checks out: a file that is not a
+zip (or is truncated), a compressed member, a bad local header, a bad npy
+magic or version, an object dtype, or a shape that overruns its member is a
+:class:`StorageError` naming the shard and the reason.
 """
 
 from __future__ import annotations
 
+import functools
+import io
+import math
+import mmap
 import os
+import struct
 import zipfile
 from pathlib import Path
 
@@ -28,12 +39,13 @@ from repro.storage.format import StorageError
 
 # CPython 3.11's ``ast`` module keeps its object-construction recursion
 # counter in *module* state, so concurrent ``compile()`` calls (numpy parses
-# every npy member header through ``ast.literal_eval``) can corrupt it and
-# raise ``SystemError: AST constructor recursion depth mismatch``.
-# Concurrent requests open shards from their own threads, so serialize the
-# opens; an open is header reads only — no data copy — and costs
-# microseconds under the lock.
+# every npy header through ``ast.literal_eval``) can corrupt it and raise
+# ``SystemError: AST constructor recursion depth mismatch``.  Concurrent
+# requests open shards from their own threads, so header parses are
+# serialized — but only on a memo miss, i.e. once per distinct header.
 _OPEN_LOCK = named_lock("shard._npy_header_lock")
+
+_LOCAL = struct.Struct("<4s5H3L2H")       # local file header, 30 bytes
 
 
 def write_shard(path: Path, arrays: dict[str, np.ndarray]) -> None:
@@ -55,69 +67,90 @@ def write_shard(path: Path, arrays: dict[str, np.ndarray]) -> None:
         os.fsync(handle.fileno())
 
 
-def open_shard(source, mmap: bool = True) -> dict[str, np.ndarray]:
-    """Open a shard, returning ``{column name: array}``.
+def open_shard(source) -> dict[str, np.ndarray]:
+    """Open a shard, returning ``{column name: read-only array}``.
 
     ``source`` is a path or an already-open binary file object.  With an
-    open file object the members are mapped *through that descriptor*, so
-    the arrays stay readable even after the path is unlinked — POSIX keeps
-    the inode alive while a descriptor or mapping references it.  That is
+    open file object the file is mapped *through that descriptor*, so the
+    arrays stay readable even after the path is unlinked — POSIX keeps the
+    inode alive while a descriptor or mapping references it.  That is
     exactly the window a concurrent compaction opens for readers holding a
     pre-compaction manifest, which is why :meth:`StoredDataset.load_table`
     opens every shard's descriptor eagerly and hands it to the lazy handle.
-
-    With ``mmap=True`` (the default) arrays are read-only ``np.memmap`` views
-    into the archive — opening a shard costs a few header reads, not a data
-    copy.  Falls back to an eager load when the archive cannot be mapped.
     """
-    if hasattr(source, "read"):
-        with _OPEN_LOCK:
-            if mmap:
-                try:
-                    source.seek(0)
-                    return _mmap_npz(source)
-                except (StorageError, OSError, ValueError):
-                    pass  # fall back to the eager loader below
-            source.seek(0)
-            with np.load(source, allow_pickle=False) as archive:
-                return {name: archive[name] for name in archive.files}
-    with Path(source).open("rb") as handle:
-        # The mappings outlive the descriptor: mmap(2) holds its own
-        # reference to the inode, so closing the handle here is safe.
-        return open_shard(handle, mmap=mmap)
+    if not hasattr(source, "read"):
+        with Path(source).open("rb") as handle:
+            # The mapping outlives the descriptor: mmap(2) holds its own
+            # reference to the inode, so closing the handle here is safe.
+            return open_shard(handle)
+    label = Path(str(getattr(source, "name", "<shard>"))).name
+    try:
+        view = mmap.mmap(source.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as exc:  # ValueError: an empty file
+        raise StorageError(f"shard {label}: cannot map ({exc})") from exc
+    try:
+        return {name[:-4] if name.endswith(".npy") else name:
+                _member_array(view, offset, size)
+                for name, offset, size in _members(view)}
+    except (ValueError, TypeError, struct.error) as exc:
+        raise StorageError(f"shard {label}: {exc}") from exc
 
 
-def _mmap_npz(handle) -> dict[str, np.ndarray]:
-    """Memory-map every member of an uncompressed ``.npz`` archive."""
-    label = Path(str(getattr(handle, "name", "<shard>"))).name
-    arrays: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(handle) as archive:  # file object stays open
-        for info in archive.infolist():
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise StorageError(f"{label}:{info.filename} is compressed")
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-4]
-            # Skip the local file header to the start of the member's bytes.
-            handle.seek(info.header_offset)
-            local = handle.read(30)
-            if local[:4] != b"PK\x03\x04":
-                raise StorageError(f"{label}: bad local header")
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            handle.seek(info.header_offset + 30 + name_len + extra_len)
-            version = np.lib.format.read_magic(handle)
-            if version == (1, 0):
-                shape, fortran, dtype = \
-                    np.lib.format.read_array_header_1_0(handle)
-            elif version == (2, 0):
-                shape, fortran, dtype = \
-                    np.lib.format.read_array_header_2_0(handle)
-            else:
-                raise StorageError(f"{label}: npy version {version}")
-            if dtype.hasobject:
-                raise StorageError(f"{label}:{info.filename} has objects")
-            arrays[name] = np.memmap(handle, dtype=dtype, mode="r",
-                                     offset=handle.tell(), shape=shape,
-                                     order="F" if fortran else "C")
-    return arrays
+def _members(view) -> list[tuple[str, int, int]]:
+    """``(name, data offset, size)`` of every member, from the mapping."""
+    try:
+        infos = zipfile.ZipFile(view).infolist()
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a zip archive, or truncated ({exc})") from exc
+    members = []
+    for info in infos:
+        name, header = info.filename, info.header_offset
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"member {name} is compressed")
+        local = _LOCAL.unpack_from(view, header) \
+            if header + _LOCAL.size <= len(view) else None
+        if local is None or local[0] != b"PK\x03\x04":
+            raise ValueError(f"member {name}: bad local header")
+        offset = header + _LOCAL.size + local[9] + local[10]
+        if offset + info.file_size > len(view):
+            raise ValueError(f"member {name} is truncated")
+        members.append((name, offset, info.file_size))
+    return members
+
+
+def _member_array(view, offset: int, size: int) -> np.ndarray:
+    """The npy member at ``view[offset:offset + size]`` as a zero-copy array."""
+    # Magic (6 bytes), version (2), then the header length: 2 bytes in
+    # version 1.0, 4 bytes in 2.0.
+    prefix = bytes(view[offset:offset + min(size, 12)])
+    if prefix[:6] != b"\x93NUMPY":
+        raise ValueError("bad npy magic")
+    if prefix[6:8] not in (b"\x01\x00", b"\x02\x00"):
+        raise ValueError(f"unsupported npy version {tuple(prefix[6:8])}")
+    width = 2 if prefix[6] == 1 else 4
+    length = 8 + width + int.from_bytes(prefix[8:8 + width], "little")
+    if length > size:
+        raise ValueError(f"npy header overruns its {size}-byte member")
+    dtype, shape, order = _npy_header(bytes(view[offset:offset + length]))
+    count = math.prod(shape)
+    if length + count * dtype.itemsize > size:
+        raise ValueError(f"npy shape {shape} overruns its {size}-byte member")
+    flat = np.frombuffer(view, dtype=dtype, count=count,
+                         offset=offset + length)
+    return flat.reshape(shape, order=order)
+
+
+@functools.lru_cache(maxsize=256)
+def _npy_header(header: bytes) -> tuple[np.dtype, tuple, str]:
+    """``(dtype, shape, order)`` of one npy header — a pure, memoised parse."""
+    stream = io.BytesIO(header)
+    with _OPEN_LOCK:
+        if np.lib.format.read_magic(stream) == (1, 0):
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(stream)
+        else:
+            shape, fortran, dtype = np.lib.format.read_array_header_2_0(stream)
+    if dtype.hasobject:
+        raise ValueError(f"object dtype {dtype} cannot be mapped")
+    if any(n < 0 for n in shape):
+        raise ValueError(f"negative npy shape {shape}")
+    return dtype, shape, "F" if fortran else "C"

@@ -7,25 +7,35 @@ Layout::
         datasets/<name>/             # one StoredDataset directory each
         engine/
             registry.json            # dataset registrations (DAG, config, …)
-            summaries.pkl            # pickled summary-cache entries
+            summaries.jsonl          # indexed summary-cache snapshot
 
 ``registry.json`` records everything :meth:`ExplanationEngine.register_dataset`
 needs besides the table itself — the causal DAG, the CauSumX configuration,
 and the grouping/treatment attribute partitions — so
 ``ExplanationEngine.from_store`` can rebuild a fully registered engine from
-the directory alone.  ``summaries.pkl`` holds the engine's LRU summary cache
-(pickled, so restored summaries are byte-identical Python objects); entries
-are validated against each dataset's committed manifest version on restore,
-so a cache snapshot can never resurrect summaries for stale data.
+the directory alone.  It is rewritten only when its bytes change.
+
+``summaries.jsonl`` holds the engine's LRU summary cache.  Line 1 is the
+index, ``{"format_version": 1, "index": [[dataset, version, fingerprint,
+offset, length], ...]}``; each further line is one entry's body in the exact
+summary codec (:func:`repro.core.encode_summary`), at ``offset`` bytes past
+the index line.  Opening reads the index only; a body is decoded and
+schema-checked on its entry's first hit, and a snapshot copies the bytes of
+every entry it restored without decoding them.  Entries are validated
+against each dataset's committed manifest version on restore, so a snapshot
+can never resurrect summaries for stale data.  Nothing in the file is
+executable: a damaged index means a cold start, a damaged body one miss.
+The ``summaries.pkl`` earlier builds wrote is never read, and the next
+snapshot deletes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
+import json
 from pathlib import Path
 
-from repro.core import CauSumXConfig
+from repro.core import CauSumXConfig, EncodedSummary, SummaryCodecError
 from repro.dataframe import Table
 from repro.graph import CausalDAG
 from repro.mining.treatments import TreatmentMinerConfig
@@ -35,6 +45,7 @@ from repro.storage.format import (
     StorageError,
     atomic_write_bytes,
     atomic_write_json,
+    json_line,
     read_json,
 )
 
@@ -42,7 +53,8 @@ _STORE_MARKER = "STORE.json"
 _DATASETS = "datasets"
 _ENGINE = "engine"
 _REGISTRY = "registry.json"
-_SUMMARIES = "summaries.pkl"
+_SUMMARIES = "summaries.jsonl"
+_LEGACY_SUMMARIES = "summaries.pkl"
 
 
 class DatasetStore:
@@ -176,16 +188,21 @@ class DatasetStore:
                        treatment_attributes=None) -> None:
         """Record (or replace) one dataset's engine registration."""
         registry = self.registry()
-        registry[name] = {
-            "dag": dag.to_dict() if dag is not None else None,
-            "config": config_to_dict(config) if config is not None else None,
-            "grouping_attributes": list(grouping_attributes)
-            if grouping_attributes is not None else None,
-            "treatment_attributes": list(treatment_attributes)
-            if treatment_attributes is not None else None,
-        }
-        (self.root / _ENGINE).mkdir(parents=True, exist_ok=True)
-        atomic_write_json(self.root / _ENGINE / _REGISTRY, registry)
+        registry[name] = _registration(dag, config, grouping_attributes,
+                                       treatment_attributes)
+        self._write_registry(registry)
+
+    def _write_registry(self, registry: dict) -> None:
+        """Commit ``registry.json`` unless the file already holds these bytes."""
+        path = self.root / _ENGINE / _REGISTRY
+        payload = json_line(registry)
+        try:
+            if path.read_bytes() == payload:
+                return
+        except OSError:
+            pass
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(path, payload)
 
     # ------------------------------------------------------------------ warm restarts
 
@@ -193,55 +210,75 @@ class DatasetStore:
         """Persist the engine's restorable state into the store.
 
         Refreshes ``registry.json`` from the engine's live registrations and
-        pickles the summary-cache entries of every store-backed dataset.
-        Returns ``{"datasets": ..., "summaries": ...}`` counts.  Summaries
-        are keyed ``(dataset, version, fingerprint)``; on restore only the
-        entries matching each dataset's committed manifest version are
-        accepted, so snapshots taken moments before a crash can never serve
-        stale explanations.
+        writes the summary-cache entries of every store-backed dataset to
+        ``summaries.jsonl``: entries restored from the previous snapshot
+        contribute their stored bytes, only entries computed since are
+        encoded.  Returns ``{"datasets": ..., "summaries": ...}`` counts.
+        Summaries are keyed ``(dataset, version, fingerprint)``; on restore
+        only the entries matching each dataset's committed manifest version
+        are accepted, so snapshots taken moments before a crash can never
+        serve stale explanations.
         """
         names = set(self.dataset_names())
+        registry = self.registry()
         registered = 0
         for name in engine.datasets():
             if name not in names:
                 continue
             state = engine.dataset_state(name)
-            self.register_entry(
-                name, dag=state.dag, config=state.config,
-                grouping_attributes=state.grouping_attributes,
-                treatment_attributes=state.treatment_attributes)
+            registry[name] = _registration(
+                state.dag, state.config, state.grouping_attributes,
+                state.treatment_attributes)
             registered += 1
-        entries = [(key, summary)
-                   for key, summary in engine.summary_cache_items()
-                   if key[0] in names]
-        payload = pickle.dumps({"format_version": FORMAT_VERSION,
-                                "entries": entries},
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        (self.root / _ENGINE).mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(self.root / _ENGINE / _SUMMARIES, payload)
-        return {"datasets": registered, "summaries": len(entries)}
+        self._write_registry(registry)
+        index, bodies, offset = [], [], 0
+        for key, entry in engine.summary_cache_items():
+            if key[0] not in names:
+                continue
+            try:
+                blob = entry.blob()
+            except SummaryCodecError:  # only a cache: leave the entry out
+                continue
+            index.append([*key, offset, len(blob)])
+            bodies.append(blob)
+            offset += len(blob) + 1
+        head = json_line({"format_version": FORMAT_VERSION, "index": index})
+        directory = self.root / _ENGINE
+        directory.mkdir(parents=True, exist_ok=True)
+        atomic_write_bytes(directory / _SUMMARIES,
+                           head + b"\n".join([*bodies, b""]))
+        (directory / _LEGACY_SUMMARIES).unlink(missing_ok=True)
+        return {"datasets": registered, "summaries": len(index)}
 
     def load_summaries(self) -> list[tuple]:
-        """The pickled summary-cache entries, or ``[]`` when there are none.
+        """``(key, EncodedSummary)`` per snapshot entry, or ``[]``.
 
-        The snapshot is only a cache: a missing, unreadable, truncated or
-        wrong-shaped file means a cold start, never a failed one.
+        Parses the index line only; each body stays undecoded bytes until
+        its entry's first hit.  The snapshot is only a cache: a missing,
+        unreadable, truncated or wrong-shaped index means a cold start,
+        never a failed one.
         """
-        path = self.root / _ENGINE / _SUMMARIES
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except Exception:  # noqa: BLE001 — damaged bytes raise an open set of types
+            payload = (self.root / _ENGINE / _SUMMARIES).read_bytes()
+            end = payload.index(b"\n")
+            spec = json.loads(payload[:end])
+        except (OSError, ValueError):
             return []
-        if not isinstance(payload, dict) or \
-                payload.get("format_version") != FORMAT_VERSION:
+        if not isinstance(spec, dict) \
+                or spec.get("format_version") != FORMAT_VERSION \
+                or not isinstance(spec.get("index"), list):
             return []
-        entries = payload.get("entries")
-        if not isinstance(entries, list) or not all(
-                isinstance(entry, tuple) and len(entry) == 2
-                and isinstance(entry[0], tuple) and len(entry[0]) == 3
-                for entry in entries):
-            return []
+        base = end + 1
+        entries = []
+        for item in spec["index"]:
+            if not _index_item_ok(item, len(payload) - base):
+                return []
+            name, version, fingerprint, offset, length = item
+            # A copy per entry: each owns exactly the bytes a memory budget
+            # weighs it by, and evicting it frees them.
+            start = base + offset
+            entries.append(((name, version, fingerprint), EncodedSummary(
+                blob=payload[start:start + length])))
         return entries
 
     # ------------------------------------------------------------------ stats
@@ -252,6 +289,28 @@ class DatasetStore:
 
 
 # ---------------------------------------------------------------------- config codec
+
+
+def _registration(dag, config, grouping_attributes,
+                  treatment_attributes) -> dict:
+    """One dataset's ``registry.json`` entry."""
+    return {
+        "dag": dag.to_dict() if dag is not None else None,
+        "config": config_to_dict(config) if config is not None else None,
+        "grouping_attributes": list(grouping_attributes)
+        if grouping_attributes is not None else None,
+        "treatment_attributes": list(treatment_attributes)
+        if treatment_attributes is not None else None,
+    }
+
+
+def _index_item_ok(item, size: int) -> bool:
+    """``[dataset, version, fingerprint, offset, length]`` inside ``size``."""
+    if not isinstance(item, list) or \
+            [type(field) for field in item] != [str, int, str, int, int]:
+        return False
+    offset, length = item[3], item[4]
+    return 0 <= offset and 0 <= length and offset + length <= size
 
 
 def config_to_dict(config: CauSumXConfig) -> dict:

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.analysis` — the lint engine, all six rules, the
+"""Tests for :mod:`repro.analysis` — the lint engine, all seven rules, the
 CLI exit-code contract, and the runtime lockwatch."""
 
 import ast
@@ -110,9 +110,9 @@ class TestEngine:
         assert payload["summary"]["by_rule"] == {"RL003": 1}
         assert payload["exit_code"] == 1
 
-    def test_rule_registry_covers_all_six(self):
+    def test_rule_registry_covers_all_seven(self):
         assert [cls.id for cls in all_rules()] == [
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006"]
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"]
 
 
 class TestSuppressions:
@@ -533,6 +533,39 @@ def save(path, payload):
         json.dump(payload, fh)
 """)
         assert lint(tmp_path, select=["RL005"]).findings == []
+
+
+# ---------------------------------------------------------------------- RL007
+
+
+class TestTrustBoundary:
+    @pytest.mark.parametrize("source", [
+        "import pickle\n",
+        "import marshal, json\n",
+        "from pickle import loads\n",
+        "import shelve as store\n",
+        "import dill\n",
+        "import cPickle\n",
+        "from _pickle import Unpickler\n",
+    ])
+    def test_code_executing_loader_fires_anywhere(self, tmp_path, source):
+        write_module(tmp_path, "core/codec.py", source)
+        report = lint(tmp_path, select=["RL007"])
+        assert [f.rule for f in report.findings] == ["RL007"]
+        assert "imported" in report.findings[0].message
+
+    def test_json_and_numpy_without_pickle_are_clean(self, tmp_path):
+        write_module(tmp_path, "storage/reader.py", """\
+import json
+
+import numpy as np
+
+
+def read(path):
+    with np.load(path, allow_pickle=False) as archive:
+        return json.dumps(archive.files)
+""")
+        assert lint(tmp_path, select=["RL007"]).findings == []
 
 
 # ---------------------------------------------------------------------- RL006

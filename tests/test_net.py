@@ -477,6 +477,28 @@ class TestHTTPServer:
         restarted = ExplanationEngine.from_store(store)
         assert restarted.stats()["restored_summaries"] >= 1
 
+    def test_restored_hit_body_equals_live_hit(self, so_net, tmp_path):
+        """A hit on a summary restored from the store's snapshot (decoded
+        on that first hit) sends the live hit's body bytes."""
+        store = DatasetStore.init(tmp_path / "store")
+        store.import_bundle(so_net, config=net_config())
+        body = {"op": "explain", "query": BASE_QUERY, "id": 1}
+        with live_server(TenantRegistry.from_store(store)) as server:
+            for _ in range(2):  # a miss, then the live hit
+                status, live = http_request(server, "POST", "/v1/explain",
+                                            body=body)
+                assert status == 200
+        # Shutting down snapshotted the default tenant; a budget makes the
+        # restored entries weighed by their codec bytes.
+        registry = TenantRegistry.from_store(store,
+                                             tenant_budget_bytes=16 << 20)
+        with live_server(registry) as server:
+            status, restored = http_request(server, "POST", "/v1/explain",
+                                            body=body)
+        assert status == 200
+        assert json.loads(live)["cached"] and json.loads(restored)["cached"]
+        assert strip_volatile_tail(restored) == strip_volatile_tail(live)
+
     def test_concurrent_mixed_load_is_correct_and_acyclic(self, so_net):
         watch = lockwatch.enable()
         watch.reset()

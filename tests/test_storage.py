@@ -10,9 +10,15 @@ and the cross-engine memory budget.
 from __future__ import annotations
 
 import base64
+import datetime
 import json
+import mmap
 import os
 import pickle
+import re
+import sys
+import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -33,6 +39,7 @@ from repro.storage import (
     open_shard,
     write_shard,
 )
+from repro.storage import store as store_module
 from repro.storage.format import TMP_MARKER, load_manifest
 
 
@@ -54,6 +61,20 @@ def store(tmp_path):
     return DatasetStore.init(tmp_path / "store")
 
 
+def assert_mapped(array: np.ndarray, path) -> None:
+    """``array`` is a read-only, zero-copy view whose base chain ends in an
+    ``mmap.mmap`` of the shard file at ``path``."""
+    assert not array.flags.writeable
+    assert not array.flags.owndata
+    base = array
+    while isinstance(base, np.ndarray) and base.base is not None:
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    assert isinstance(base, mmap.mmap)
+    assert base[:] == path.read_bytes()
+
+
 class TestShardFiles:
     def test_write_and_mmap_read(self, tmp_path):
         arrays = {"a": np.arange(10, dtype=np.float64),
@@ -61,7 +82,8 @@ class TestShardFiles:
         path = tmp_path / "s.npz"
         write_shard(path, arrays)
         loaded = open_shard(path)
-        assert isinstance(loaded["a"], np.memmap)  # genuinely memory-mapped
+        for name in arrays:
+            assert_mapped(loaded[name], path)  # genuinely memory-mapped
         assert np.array_equal(loaded["a"], arrays["a"])
         assert np.array_equal(loaded["b"], arrays["b"])
         assert loaded["b"].dtype == np.int32
@@ -70,6 +92,105 @@ class TestShardFiles:
         with pytest.raises(StorageError):
             write_shard(tmp_path / "bad.npz",
                         {"x": np.array(["a", None], dtype=object)})
+
+
+def _member_offsets(path, column: str) -> tuple[int, int]:
+    """``(local header offset, npy data offset)`` of one shard member."""
+    with zipfile.ZipFile(path) as archive:
+        header = archive.getinfo(column + ".npy").header_offset
+    raw = path.read_bytes()
+    name_len = int.from_bytes(raw[header + 26:header + 28], "little")
+    extra_len = int.from_bytes(raw[header + 28:header + 30], "little")
+    return header, header + 30 + name_len + extra_len
+
+
+def _patch(path, offset: int, data: bytes) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + len(data)] = data
+    path.write_bytes(bytes(raw))
+
+
+def _rewrite(path, savez=np.savez, **changes) -> None:
+    """Re-write a shard's members through ``savez``, some replaced."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays.update(changes)
+    with path.open("wb") as handle:
+        savez(handle, **arrays)
+
+
+def _overrun_shape(path) -> None:
+    _, data = _member_offsets(path, "Salary")
+    header = path.read_bytes()[data:data + 128]
+    assert b"(100,)" in header
+    _patch(path, data, header.replace(b"(100,)", b"(150,)"))
+
+
+def _short_columns(path) -> None:
+    with np.load(path) as archive:
+        short = {name: archive[name][:90] for name in archive.files}
+    _rewrite(path, **short)
+
+
+#: damage id -> (damage applied to a 100-row shard, expected reason).
+SHARD_DAMAGE = {
+    "not-a-zip": (lambda p: p.write_bytes(b"no zip here " * 40),
+                  "not a zip archive, or truncated"),
+    "truncated": (lambda p: p.write_bytes(p.read_bytes()[:p.stat().st_size
+                                                          // 2]),
+                  "not a zip archive, or truncated"),
+    "zero-tailed": (lambda p: _patch(p, p.stat().st_size - 64, bytes(64)),
+                    "not a zip archive, or truncated"),
+    "compressed": (lambda p: _rewrite(p, savez=np.savez_compressed),
+                   "is compressed"),
+    "bad-local-header": (
+        lambda p: _patch(p, _member_offsets(p, "Role")[0], b"XXXX"),
+        "bad local header"),
+    "bad-npy-magic": (
+        lambda p: _patch(p, _member_offsets(p, "Role")[1], b"\x00BADPY"),
+        "bad npy magic"),
+    "bad-npy-version": (
+        lambda p: _patch(p, _member_offsets(p, "Role")[1] + 6, b"\x09"),
+        "unsupported npy version"),
+    "object-dtype": (
+        lambda p: _rewrite(p, Role=np.array(["x"] * 100, dtype=object)),
+        "object dtype"),
+    "shape-overrun": (_overrun_shape, r"shape \(150,\) overruns"),
+    "row-count": (_short_columns, "the manifest says 100 rows"),
+}
+
+
+class TestDamagedShards:
+    """A damaged shard is a :class:`StorageError` naming the shard and the
+    reason, raised before any of its arrays is exposed."""
+
+    @pytest.mark.parametrize("damage", sorted(SHARD_DAMAGE))
+    def test_damaged_shard_is_a_typed_refusal(self, store, damage):
+        table = _table()
+        dataset = store.import_table("people", table, shard_rows=100)
+        path = dataset.directory / dataset.manifest.shards[1].file
+        apply, reason = SHARD_DAMAGE[damage]
+        apply(path)
+        loaded = StoredDataset(dataset.directory).load_table()
+        with pytest.raises(StorageError,
+                           match=re.escape(path.name) + ".*" + reason):
+            for column in loaded.columns():
+                column.values if column.numeric else column.codes
+
+    def test_zip64_archive_maps(self, tmp_path, monkeypatch):
+        """Shards past 4 GiB carry zip64 records; a lowered limit makes a
+        small one, so the zip64 path of the directory reader is exercised."""
+        arrays = {"a": np.arange(50, dtype=np.float64),
+                  "b": np.arange(50, dtype=np.int32)}
+        path = tmp_path / "s.npz"
+        with monkeypatch.context() as patched:
+            patched.setattr(zipfile, "ZIP64_LIMIT", 16)
+            write_shard(path, arrays)
+        assert b"PK\x06\x06" in path.read_bytes()  # zip64 end record
+        loaded = open_shard(path)
+        for name, array in arrays.items():
+            assert np.array_equal(loaded[name], array)
+            assert_mapped(loaded[name], path)
 
 
 class TestRoundTrip:
@@ -93,8 +214,10 @@ class TestRoundTrip:
 
     def test_single_shard_numeric_is_memmap(self, store):
         table = _table(50)
-        loaded = store.import_table("p", table).load_table()
-        assert isinstance(loaded.column("Salary").values, np.memmap)
+        dataset = store.import_table("p", table)
+        loaded = dataset.load_table()
+        path = dataset.directory / dataset.manifest.shards[0].file
+        assert_mapped(loaded.column("Salary").values, path)
 
     def test_manifest_versioning_per_append(self, store):
         table = _table(100)
@@ -339,6 +462,24 @@ def _payload(summary) -> str:
     return json.dumps(as_dict, sort_keys=True, default=str)
 
 
+def _snapshot_parts(path) -> tuple[dict, list[bytes]]:
+    """The index and the entry bodies of a ``summaries.jsonl`` snapshot."""
+    head, _, bodies = path.read_bytes().partition(b"\n")
+    spec = json.loads(head)
+    return spec, [bodies[offset:offset + length]
+                  for *_, offset, length in spec["index"]]
+
+
+def _write_snapshot(path, spec: dict, bodies: list[bytes]) -> None:
+    """Re-emit a snapshot, its index offsets recomputed for ``bodies``."""
+    offset = 0
+    for item, body in zip(spec["index"], bodies):
+        item[3:] = [offset, len(body)]
+        offset += len(body) + 1
+    path.write_bytes(b"\n".join([json.dumps(spec).encode(), *bodies])
+                     + b"\n")
+
+
 class TestWarmRestart:
     QUERY = "SELECT Country, AVG(Salary) FROM SO GROUP BY Country"
 
@@ -369,6 +510,7 @@ class TestWarmRestart:
         restarted = ExplanationEngine.from_store(store)
         summary, info = restarted.explain_with_info("stackoverflow", self.QUERY)
         assert info["cached"]  # warm: no recomputation
+        assert summary == post_append  # indistinguishable once restored
         assert _payload(summary) == _payload(post_append)
         # And the warm summary equals a fresh in-memory run on the full data.
         combined = bundle.table.concat(
@@ -393,29 +535,170 @@ class TestWarmRestart:
         _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
         assert not info["cached"]
 
-    @pytest.mark.parametrize("damage", ["truncated", "wrong-shape",
-                                        "wrong-entries"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated",
+                                        "wrong-shape", "wrong-entries"])
     def test_damaged_snapshot_means_cold_start(self, tmp_path, bundle, damage):
-        """``engine/summaries.pkl`` is only a cache: damage never bricks
-        a restart."""
+        """``engine/summaries.jsonl`` is only a cache: a damaged index
+        never bricks a restart."""
         store = DatasetStore.init(tmp_path / "store")
         bundle.to_store(store, config=_config())
         engine = ExplanationEngine.from_store(store)
         engine.explain("stackoverflow", self.QUERY)
         assert engine.snapshot()["summaries"] == 1
-        path = store.root / "engine" / "summaries.pkl"
-        if damage == "truncated":
+        path = store.root / "engine" / "summaries.jsonl"
+        if damage == "missing":
+            path.unlink()
+        elif damage == "truncated":
             path.write_bytes(path.read_bytes()[:-20])
         elif damage == "wrong-shape":
-            path.write_bytes(pickle.dumps([("stackoverflow", 0, "fp")]))
+            path.write_bytes(b'[["stackoverflow", 0, "fp"]]\n')
         else:
-            payload = pickle.loads(path.read_bytes())
-            payload["entries"] = ["stackoverflow"]
-            path.write_bytes(pickle.dumps(payload))
+            spec, bodies = _snapshot_parts(path)
+            spec["index"] = ["stackoverflow"]
+            path.write_bytes(b"\n".join([json.dumps(spec).encode(),
+                                         *bodies]) + b"\n")
         restarted = ExplanationEngine.from_store(store)
         assert restarted.stats()["restored_summaries"] == 0
         _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
         assert not info["cached"]
+
+    @pytest.mark.parametrize("damage", ["unparseable", "schema"])
+    def test_damaged_body_is_one_counted_miss(self, tmp_path, bundle,
+                                              damage):
+        """A body that fails to parse or schema-check is dropped on its
+        first hit and counted; the request is served as a miss."""
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config())
+        engine = ExplanationEngine.from_store(store)
+        live = engine.explain("stackoverflow", self.QUERY)
+        engine.snapshot()
+        path = store.root / "engine" / "summaries.jsonl"
+        spec, (body,) = _snapshot_parts(path)
+        if damage == "unparseable":
+            body = body[:len(body) // 2]
+        else:
+            assert b'"k":3,' in body
+            body = body.replace(b'"k":3,', b'"k":"3",')
+        _write_snapshot(path, spec, [body])
+        restarted = ExplanationEngine.from_store(store)
+        assert restarted.stats()["restored_summaries"] == 1  # index is fine
+        summary, info = restarted.explain_with_info("stackoverflow",
+                                                    self.QUERY)
+        assert not info["cached"]
+        assert _payload(summary) == _payload(live)
+        stats = restarted.stats()
+        assert stats["summaries_rejected"] == 1
+        assert stats["metrics"]["repro_store_summaries_rejected_total"] == 1
+        _, info = restarted.explain_with_info("stackoverflow", self.QUERY)
+        assert info["cached"]  # the recomputed summary took its place
+
+    def test_legacy_pickle_snapshot_is_never_read(self, tmp_path, bundle,
+                                                  monkeypatch):
+        """A store holding only an earlier build's ``summaries.pkl`` opens
+        cold, never unpickles it, and loses it at the next snapshot."""
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config())
+        engine = ExplanationEngine.from_store(store)
+        summary = engine.explain("stackoverflow", self.QUERY)
+        ((key, _),) = engine.summary_cache_items()
+        legacy = store.root / "engine" / "summaries.pkl"
+        legacy.write_bytes(pickle.dumps(
+            {"format_version": 1, "entries": [(key, summary)]},
+            protocol=pickle.HIGHEST_PROTOCOL))
+        assert not (store.root / "engine" / "summaries.jsonl").exists()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a store file was unpickled")
+
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        restarted = ExplanationEngine.from_store(DatasetStore(store.root))
+        assert restarted.stats()["restored_summaries"] == 0
+        served, info = restarted.explain_with_info("stackoverflow",
+                                                   self.QUERY)
+        assert not info["cached"]
+        reference = CauSumX(bundle.table, bundle.dag, _config()).explain(
+            self.QUERY, grouping_attributes=bundle.grouping_attributes,
+            treatment_attributes=bundle.treatment_attributes)
+        assert _payload(served) == _payload(reference)
+        restarted.snapshot()
+        assert not legacy.exists()
+        assert (store.root / "engine" / "summaries.jsonl").exists()
+
+    def test_snapshot_copies_restored_bytes_without_decoding(
+            self, tmp_path, bundle, monkeypatch):
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config())
+        engine = ExplanationEngine.from_store(store)
+        engine.explain("stackoverflow", self.QUERY)
+        engine.explain("stackoverflow", self.QUERY.replace("Country", "Role"))
+        engine.snapshot()
+        path = store.root / "engine" / "summaries.jsonl"
+        written = path.read_bytes()
+        # Each restored entry owns its body (no view pinning the whole
+        # file), so a memory budget frees what it weighs on eviction.
+        _, bodies = _snapshot_parts(path)
+        assert [entry.blob() for _, entry in store.load_summaries()] == bodies
+        assert all(type(entry.blob()) is bytes
+                   for _, entry in store.load_summaries())
+
+        def refuse(blob):
+            raise AssertionError("a restored body was decoded")
+
+        monkeypatch.setattr("repro.core.export.decode_summary", refuse)
+        restarted = ExplanationEngine.from_store(store)
+        assert restarted.snapshot()["summaries"] == 2
+        assert path.read_bytes() == written
+
+    def test_concurrent_first_hits_decode_equal_summaries(self, tmp_path,
+                                                          bundle):
+        """Threads racing on one undecoded entry may each decode it (a
+        benign race, no lock); every one gets an equal summary."""
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config())
+        engine = ExplanationEngine.from_store(store)
+        live = engine.explain("stackoverflow", self.QUERY)
+        engine.snapshot()
+        restarted = ExplanationEngine.from_store(store)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def hit():
+            barrier.wait(timeout=30)
+            results.append(restarted.explain_with_info("stackoverflow",
+                                                       self.QUERY))
+
+        threads = [threading.Thread(target=hit) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [info["cached"] for _, info in results] == [True] * 8
+        assert all(summary == live for summary, _ in results)
+
+    def test_unchanged_registry_is_not_rewritten(self, tmp_path, bundle,
+                                                 monkeypatch):
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config())
+        engine = ExplanationEngine.from_store(store)
+        engine.explain("stackoverflow", self.QUERY)
+        written = []
+        original = store_module.atomic_write_bytes
+
+        def recording(path, payload):
+            written.append(path.name)
+            original(path, payload)
+
+        monkeypatch.setattr(store_module, "atomic_write_bytes", recording)
+        engine.snapshot()
+        engine.snapshot()
+        assert written == ["summaries.jsonl", "summaries.jsonl"]
 
     def test_snapshot_requires_store(self):
         engine = ExplanationEngine()
@@ -535,6 +818,33 @@ class TestMemoryBudget:
         # Correctness unaffected: the query just recomputes.
         engine.explain("so", "SELECT Country, AVG(Salary) FROM SO "
                              "GROUP BY Country")
+
+    def test_unencodable_summary_is_served_uncached(self):
+        # A categorical column keeps any hashable, here dates; the summary
+        # codec has no JSON form for them, so a budgeted cache cannot weigh
+        # the summary and the request serves it uncached instead of failing.
+        bundle = load_dataset("stackoverflow", n=200, seed=0)
+        columns = {name: list(bundle.table.column(name).values)
+                   for name in bundle.table.attributes}
+        days = {country: datetime.date(2020, 1, i + 1) for i, country in
+                enumerate(sorted(set(columns["Country"]), key=str))}
+        columns["Country"] = [days[c] for c in columns["Country"]]
+        table = Table.from_columns(columns)
+        engine = ExplanationEngine(
+            memory_budget=MemoryBudget(capacity_bytes=1 << 20))
+        engine.register_dataset("so", table, dag=bundle.dag, config=_config(),
+                                grouping_attributes=bundle.grouping_attributes,
+                                treatment_attributes=bundle.treatment_attributes)
+        query = "SELECT Country, AVG(Salary) FROM SO GROUP BY Country"
+        expected = CauSumX(table, bundle.dag, _config()).explain(
+            query, grouping_attributes=bundle.grouping_attributes,
+            treatment_attributes=bundle.treatment_attributes)
+        assert any(isinstance(value, datetime.date)
+                   for key in expected.all_groups for value in key)
+        for _ in range(2):
+            summary = engine.explain("so", query)
+            assert _payload(summary) == _payload(expected)
+        assert engine.stats()["summary_cache"]["entries"] == 0
 
     def test_unbudgeted_cache_reports_zero_bytes(self):
         cache = LRUCache(4)
