@@ -84,6 +84,9 @@ class MaskCache:
         #: only grow, and appends retire this cache object wholesale (the
         #: engine keys caches by data version), so entries never go stale.
         self._store_codes: dict[tuple, object] = {}  # guarded-by: _lock
+        #: Masks over a *prefix* of the table, inherited from the cache of
+        #: an earlier version (:meth:`extended`); completed on first lookup.
+        self._inherited: dict[tuple, np.ndarray] = {}  # guarded-by: _lock
 
     # ------------------------------------------------------------------ masks
 
@@ -95,15 +98,34 @@ class MaskCache:
             if mask is not None:
                 self._hits += 1
                 return mask
-        with trace.trace_span("maskcache.miss", predicate=repr(predicate)) \
-                if trace.enabled() else trace.NOOP:
-            mask = predicate.evaluate(self.table)
-        mask.setflags(write=False)
+            prefix = self._inherited.get(key)
+        if prefix is not None:
+            mask = self._extend(prefix, predicate)
+        else:
+            with trace.trace_span("maskcache.miss", predicate=repr(predicate)) \
+                    if trace.enabled() else trace.NOOP:
+                mask = predicate.evaluate(self.table)
+            mask.setflags(write=False)
         with self._lock:
-            self._misses += 1
+            if prefix is not None:  # the hit it was before the append
+                self._hits += 1
+                self._inherited.pop(key, None)
+            else:
+                self._misses += 1
             # Another thread may have computed the same mask concurrently;
             # keep the first one so callers can rely on identity.
             return self._masks.setdefault(key, mask)
+
+    def _extend(self, prefix: np.ndarray, predicate: Predicate) -> np.ndarray:
+        """An inherited prefix mask completed over the rows past it."""
+        n_rows = self.table.n_rows
+        if prefix.size == n_rows:  # no appended row reached this table
+            return prefix
+        suffix = predicate.evaluate_at(self.table,
+                                       np.arange(prefix.size, n_rows))
+        mask = np.concatenate([prefix, suffix])
+        mask.setflags(write=False)
+        return mask
 
     def resolved_store_code(self, attribute: str, value,
                             resolver) -> tuple[object, bool]:
@@ -153,53 +175,48 @@ class MaskCache:
         for predicate in predicates:
             self.predicate_mask(predicate)
 
-    def extended(self, new_table, appended_table) -> "MaskCache":
-        """Revalidate all cached masks onto ``new_table`` after a row append.
+    def extended(self, new_table) -> "MaskCache":
+        """A cache over ``new_table`` that inherits every mask of this one.
 
-        ``new_table`` must be this cache's table plus the rows of
-        ``appended_table`` (in that order) — the situation produced by
-        ``Table.concat`` during an incremental data arrival.  A predicate's
-        mask over the old prefix cannot change (it depends only on row
-        *values*, which an append preserves even when vocabularies merge), so
-        every cached mask is revalidated by evaluating the predicate on the
-        appended rows only and concatenating — O(appended) per entry instead
-        of O(total).
-
-        Returns a fresh cache over ``new_table`` with zeroed hit/miss
-        accounting.
+        ``new_table`` must be this cache's table followed by appended rows
+        (in that order), as ``Table.concat`` and a WHERE filter of it make.
+        A predicate's mask over the old prefix cannot change (it depends only
+        on row *values*, which an append preserves even when vocabularies
+        merge), so nothing is evaluated here: an inherited mask resolves on
+        its first lookup by evaluating the predicate on the rows past its
+        prefix, O(appended), and copying prefix and suffix into one mask,
+        O(total).  The store-code memo is not inherited (a literal the old
+        vocabulary lacked may exist now), and the accounting starts at zero.
         """
-        if self.table.n_rows + appended_table.n_rows != new_table.n_rows:
-            raise ValueError("new_table must be the old table plus appended_table")
+        if new_table.n_rows < self.table.n_rows:
+            raise ValueError("new_table must extend this cache's table")
         extended = MaskCache(new_table)
         with self._lock:
-            entries = list(self._masks.items())
-        for key, mask in entries:
-            attribute, op, value = key
-            suffix = Predicate(attribute, op, value).evaluate(appended_table)
-            new_mask = np.concatenate([mask, suffix])
-            new_mask.setflags(write=False)
-            extended._masks[key] = new_mask
+            extended._inherited = {**self._inherited, **self._masks}
         return extended
 
     # ------------------------------------------------------------------ stats
 
     def stats(self) -> CacheStats:
+        """Accounting; inherited masks not yet looked up count as entries."""
         with self._lock:
-            nbytes = sum(m.nbytes for m in self._masks.values())
+            masks = [*self._masks.values(), *self._inherited.values()]
             return CacheStats(hits=self._hits, misses=self._misses,
-                              entries=len(self._masks), bytes=nbytes)
+                              entries=len(masks),
+                              bytes=sum(m.nbytes for m in masks))
 
     def clear(self) -> None:
         """Drop all cached masks (and code memos) and reset the accounting."""
         with self._lock:
             self._masks.clear()
+            self._inherited.clear()
             self._store_codes.clear()
             self._hits = 0
             self._misses = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._masks)
+            return len(self._masks) + len(self._inherited)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"MaskCache(table={self.table.name!r}, {self.stats()!r})"

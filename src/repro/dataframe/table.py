@@ -227,12 +227,13 @@ class Table:
         """Vertically concatenate two tables with identical schemas.
 
         Categorical columns merge their vocabularies (:meth:`Column.concat`)
-        instead of re-factorizing the combined raw values, so appending a
-        small batch to a large table costs O(batch + vocab), and whenever one
-        side's vocabulary subsumes the other's, that side's codes are
-        preserved verbatim.  The result is indistinguishable from building
-        the table from the combined rows from scratch (same vocabularies,
-        same codes).
+        instead of re-factorizing the combined raw values — no hashing or
+        sorting of the existing rows — and whenever one side's vocabulary
+        subsumes the other's, that side's codes are preserved verbatim.
+        Every column is still copied into a new array, so appending a small
+        batch to a large table costs O(total rows), not O(batch).  The result
+        is indistinguishable from building the table from the combined rows
+        from scratch (same vocabularies, same codes).
         """
         if self.attributes != other.attributes:
             raise ValueError("schemas differ")

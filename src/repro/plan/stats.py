@@ -165,6 +165,13 @@ class NumericColumnStats:
 # ---------------------------------------------------------------------- categorical
 
 
+def code_counts(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(counts, missing rows)`` of a code array, ``counts[c]`` the rows
+    carrying code ``c``: one ``bincount`` (the sentinel in a slot of its own)."""
+    counts = np.bincount(np.asarray(codes) + 1)
+    return counts[1:], int(counts[0]) if counts.size else 0
+
+
 @dataclass(frozen=True)
 class CategoricalColumnStats:
     """Top-k code frequencies + remainder mass of one categorical column."""
@@ -191,21 +198,27 @@ class CategoricalColumnStats:
     @classmethod
     def from_codes(cls, codes: np.ndarray,
                    top_k: int | None = None) -> "CategoricalColumnStats":
-        codes = np.asarray(codes)
-        present = codes[codes != MISSING_CODE]
-        n = int(codes.size)
-        if present.size == 0:
+        return cls.from_counts(*code_counts(codes), top_k=top_k)
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray, n_missing: int,
+                    top_k: int | None = None) -> "CategoricalColumnStats":
+        """Stats of a column whose ``counts[c]`` rows carry code ``c``."""
+        values = np.flatnonzero(counts)
+        freqs = counts[values]
+        present = int(freqs.sum())
+        n = present + n_missing
+        if present == 0:
             return cls(n=n, n_missing=n, n_distinct=0, counts={}, other=0)
-        values, freqs = np.unique(present, return_counts=True)
         distinct = int(values.size)
         if top_k is not None and distinct > top_k:
             keep = np.argsort(-freqs, kind="stable")[:top_k]
             kept = {int(values[i]): int(freqs[i]) for i in sorted(keep)}
-            other = int(present.size) - sum(kept.values())
+            other = present - sum(kept.values())
         else:
-            kept = {int(v): int(f) for v, f in zip(values, freqs)}
+            kept = dict(zip(values.tolist(), freqs.tolist()))
             other = 0
-        return cls(n=n, n_missing=n - int(present.size), n_distinct=distinct,
+        return cls(n=n, n_missing=n_missing, n_distinct=distinct,
                    counts=kept, other=other)
 
     # ------------------------------------------------------------------ estimates

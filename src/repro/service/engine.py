@@ -23,9 +23,10 @@ within a batch.
 
 Data is versioned: :meth:`append_rows` concatenates new rows onto a
 registered table (merging dictionary vocabularies, see ``Table.concat``),
-bumps the dataset's monotonic data version, and invalidates exactly the
-cache entries tied to older versions.  Cached predicate masks are carried
-forward cheaply by evaluating only the appended rows
+bumps the dataset's monotonic data version, and invalidates the summaries
+tied to older versions.  Cached populations and WHERE masks outlive the
+append: the first request on the new version extends them from the rows it
+already filtered, each predicate mask evaluated on the appended rows only
 (:meth:`~repro.dataframe.MaskCache.extended`).
 
 Results are *byte-identical* to fresh one-shot runs on the same canonical
@@ -105,10 +106,12 @@ class DatasetState:
 
 @dataclass
 class _Population:
-    """A cached filtered population: its WHERE pattern and shared estimator."""
+    """A cached filtered population: its WHERE pattern and shared estimator,
+    built over the dataset at data version ``version``."""
 
     where: Pattern
     estimator: CATEEstimator
+    version: int
 
 
 @dataclass
@@ -508,25 +511,28 @@ class ExplanationEngine:
         """Append rows to a registered dataset and bump its data version.
 
         The new table is built with ``Table.concat`` (vocabulary merge, no
-        re-factorization of the existing rows).  Every cache entry tied to
-        the old data version is invalidated; cached populations are carried
-        forward with their predicate masks *extended* — each mask is
-        revalidated by evaluating its predicate on the appended rows only.
+        re-factorization of the existing rows).  The summaries of the old
+        data version are invalidated; cached populations and WHERE masks
+        stay and are *extended* by the first request on the new version
+        (``masks_carried`` counts the masks they hold), so nothing here
+        scans the table.  A batch of zero rows — ``[]`` or an empty
+        :class:`Table` — changes nothing.
 
         Appends are serialised against each other, but readers keep serving
-        the old data version during the heavy construction work; only the
-        final snapshot swap + cache invalidation takes the registry lock.
+        the old data version during the construction work; only the final
+        swap + summary invalidation takes the registry lock.
         """
         with self._mutation_lock:
             state = self.dataset_state(name)
+            unchanged = {"dataset": name, "version": state.version,
+                         "appended_rows": 0, "n_rows": state.table.n_rows,
+                         "invalidated": 0, "masks_carried": 0}
             if isinstance(rows, Table):
                 appended = rows
             else:
                 rows = list(rows)
                 if not rows:
-                    return {"dataset": name, "version": state.version,
-                            "appended_rows": 0, "n_rows": state.table.n_rows,
-                            "invalidated": 0, "masks_carried": 0}
+                    return unchanged
                 unknown = set()
                 for row in rows:
                     unknown.update(set(row) - set(state.table.attributes))
@@ -549,6 +555,8 @@ class ExplanationEngine:
                     raise ValueError(
                         f"appended values for {attribute!r} do not match the "
                         f"dataset's {kind} column kind")
+            if appended.n_rows == 0:
+                return unchanged
             new_table = state.table.concat(appended)
             new_state = replace(state, table=new_table, version=state.version + 1)
 
@@ -562,45 +570,13 @@ class ExplanationEngine:
                     np.arange(state.table.n_rows, new_table.n_rows))
                 state.store.append(batch, expected_version=state.version)
 
-            # Carry cached populations to the new version with extended masks.
-            # Populations cached after this snapshot simply are not carried —
-            # they get invalidated with the rest and rebuilt cold on demand.
-            carried = []
-            masks_carried = 0
-            for key, population in self._population_cache.items():
-                key_name, key_version, where_key, average = key
-                if key_name != name or key_version != state.version:
-                    continue
-                where = population.where
-                empty = where.is_empty()
-                appended_part = appended if empty else appended.select(where)
-                new_filtered = new_table if empty else new_table.select(where)
-                estimator = self._make_estimator(new_state, new_filtered, average)
-                old_cache = population.estimator.mask_cache
-                if old_cache is not None and estimator.mask_cache is not None:
-                    estimator.mask_cache = old_cache.extended(
-                        new_filtered, appended_part)
-                    masks_carried += len(estimator.mask_cache)
-                carried.append(((name, new_state.version, where_key, average),
-                                _Population(where, estimator)))
-
-            # The WHERE mask cache extends the same way: cached conjunct
-            # masks are revalidated by evaluating the appended rows only, so
-            # selectivity-planned scans on the new version start warm.
+            masks_carried = sum(
+                len(p.estimator.mask_cache)
+                for key, p in self._population_cache.items()
+                if key[0] == name and p.estimator.mask_cache is not None)
             with self._datasets_lock:
-                where_entry = self._where_masks.get(name)
-            carried_where = None
-            if where_entry is not None and where_entry[0] == state.version \
-                    and len(where_entry[1]) <= WHERE_MASK_CACHE_LIMIT:
-                carried_where = (new_state.version,
-                                 where_entry[1].extended(new_table, appended))
-
-            with self._datasets_lock:
-                invalidated = self._invalidate(name)
-                for key, population in carried:
-                    self._population_cache.put(key, population)
-                if carried_where is not None:
-                    self._where_masks[name] = carried_where
+                invalidated = self._summary_cache.purge(
+                    lambda key: key[0] == name)
                 self._datasets[name] = new_state
             return {"dataset": name, "version": new_state.version,
                     "appended_rows": appended.n_rows,
@@ -792,25 +768,48 @@ class ExplanationEngine:
                         cache.clear()
                     return cache
                 if version > state.version:
-                    # A reader still mid-flight on the previous data version
-                    # (append_rows already installed the extended cache for
-                    # the new one): serve it a private throwaway cache
-                    # instead of clobbering the warm entry.
+                    # A reader still mid-flight on an older data version (a
+                    # newer reader already extended the cache): serve it a
+                    # private throwaway cache instead of clobbering the warm
+                    # entry.
                     return MaskCache(state.table)
-            cache = MaskCache(state.table)
+                # Rows were appended since: inherit the older masks.
+                cache = cache.extended(state.table) \
+                    if len(cache) <= WHERE_MASK_CACHE_LIMIT \
+                    else MaskCache(state.table)
+            else:
+                cache = MaskCache(state.table)
             self._where_masks[state.name] = (state.version, cache)
             return cache
 
     def _population(self, state: DatasetState, plan, view: AggregateView,
                     outcomes: dict | None = None) -> _Population:
-        key = (state.name, state.version, plan.where_key, plan.average)
-        population = self._population_cache.get(key)
+        """The request's population, extending one cached at an older version.
+
+        Between versions only appends happen (re-registration purges), so
+        ``view.table`` is the cached population's table followed by the
+        appended rows that pass the WHERE clause: the new estimator inherits
+        the old masks.  A reader on an older version than the cached entry
+        builds a private population and never replaces the newer one.
+        """
+        key = (state.name, plan.where_key, plan.average)
+        cached = self._population_cache.get(key)
+        if cached is not None and cached.version == state.version:
+            if outcomes is not None:
+                outcomes["population"] = "hit"
+            return cached
+        carried = cached is not None and cached.version < state.version
         if outcomes is not None:
-            outcomes["population"] = "miss" if population is None else "hit"
-        if population is None:
-            estimator = self._make_estimator(state, view.table, plan.average)
-            population = _Population(plan.filter, estimator)
-            self._population_cache.put(key, population)
+            outcomes["population"] = "hit" if carried else "miss"
+        estimator = self._make_estimator(state, view.table, plan.average)
+        old_masks = cached.estimator.mask_cache if carried else None
+        if old_masks is not None and estimator.mask_cache is not None:
+            estimator.mask_cache = old_masks.extended(view.table)
+        population = _Population(plan.filter, estimator, state.version)
+        if cached is None or carried:
+            self._population_cache.put(
+                key, population,
+                keep=lambda current: current.version >= state.version)
         return population
 
     @staticmethod
@@ -819,7 +818,8 @@ class ExplanationEngine:
         return CauSumX.build_estimator(table, average, state.dag, state.config)
 
     def _invalidate(self, name: str) -> int:  # guarded-by: _datasets_lock
-        """Drop every cache entry belonging to dataset ``name`` (any version)."""
+        """Drop every cache entry belonging to dataset ``name`` (any version):
+        a re-registered table need not extend the old one."""
         invalidated = 0
         for cache in (self._summary_cache, self._population_cache):
             invalidated += cache.purge(lambda key: key[0] == name)

@@ -50,6 +50,7 @@ from repro.plan.stats import (
     UNRESOLVED,
     CategoricalColumnStats,
     NumericColumnStats,
+    code_counts,
     merge_column_stats,
     remap_categorical_codes,
     resolve_store_code,
@@ -69,7 +70,8 @@ from repro.storage.format import (
     commit_manifest,
     fingerprint_file,
     is_temp_file,
-    load_manifest,
+    parse_manifest,
+    read_manifest_bytes,
     sweep_temp_files,
 )
 from repro.storage.shard import open_shard, write_shard
@@ -109,7 +111,9 @@ class StoredDataset:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self._lock = named_lock("StoredDataset._lock")
-        self.manifest = load_manifest(self.directory)
+        # The bytes of the manifest this handle last parsed or committed.
+        self._manifest_bytes = read_manifest_bytes(self.directory)  # guarded-by: _lock
+        self.manifest = parse_manifest(self._manifest_bytes, self.directory)
 
     # ------------------------------------------------------------------ write path
 
@@ -136,7 +140,6 @@ class StoredDataset:
         dataset = cls.__new__(cls)
         dataset.directory = directory
         dataset._lock = named_lock("StoredDataset._lock")
-        dataset.manifest = manifest
         rows_per_shard = shard_rows or table.n_rows
         start = 0
         while start < table.n_rows:
@@ -144,7 +147,8 @@ class StoredDataset:
             batch = table.take(np.arange(start, stop))
             manifest.shards.append(dataset._write_shard(manifest, batch))
             start = stop
-        commit_manifest(directory, manifest)
+        dataset._manifest_bytes = commit_manifest(directory, manifest)
+        dataset.manifest = manifest
         sweep_temp_files(directory)
         return dataset
 
@@ -160,29 +164,31 @@ class StoredDataset:
 
         Appends are serialised against *other handles and processes* via an
         advisory ``flock`` on the dataset directory (POSIX; best-effort
-        elsewhere): the manifest is re-read under the lock, so concurrent
-        appenders chain cleanly instead of overwriting each other's shard
-        files, and a stale ``expected_version`` fails fast.
+        elsewhere): the manifest is re-read under the lock (and re-parsed
+        only when its bytes changed), so concurrent appenders chain cleanly
+        instead of overwriting each other's shard files, and a stale
+        ``expected_version`` fails fast.  A zero-row batch is refused: it
+        would commit an empty shard and a new version for nothing.
         """
+        if batch.n_rows == 0:
+            raise StorageError("cannot append a zero-row batch")
         with self._lock, _append_lock(self.directory):
-            manifest = load_manifest(self.directory)  # fresh committed state
+            manifest = self._committed_manifest()
             if expected_version is not None and \
                     manifest.version != expected_version:
                 raise StorageError(
                     f"append expected version {expected_version}, "
                     f"store is at {manifest.version}")
             self._validate_batch(manifest, batch)
-            shard = self._write_shard(manifest, batch)
-            # Commit on a fresh Manifest object: live readers snapshot
-            # ``self.manifest`` outside the writer lock, so the object a
-            # reader holds must never mutate — it is published only after
-            # (and exactly as) it was committed.
-            committed = Manifest(
-                name=manifest.name, schema=manifest.schema,
-                vocabs=manifest.vocabs,
-                shards=[*manifest.shards, shard],
-                version=manifest.version + 1)
-            commit_manifest(self.directory, committed)
+            # Stage the commit on a fresh Manifest object: live readers
+            # snapshot ``self.manifest`` outside the writer lock, so the
+            # object a reader holds must never mutate — the staged one is
+            # published only after (and exactly as) it was committed, and a
+            # vocabulary the batch extends is copied before it grows.
+            committed = _staged(manifest)
+            shard = self._write_shard(committed, batch)
+            committed.shards.append(shard)
+            self._manifest_bytes = commit_manifest(self.directory, committed)
             sweep_temp_files(self.directory)
             self.manifest = committed
             return shard
@@ -233,12 +239,10 @@ class StoredDataset:
                 column_stats[attribute] = stats_to_dict(
                     NumericColumnStats.from_values(values))
             else:
-                codes = _as_store_codes(column, manifest.vocabs[attribute])
+                codes = _as_store_codes(column, manifest.vocabs, attribute)
                 arrays[attribute] = codes
-                zone_maps[attribute] = categorical_zone_map(codes)
-                column_stats[attribute] = stats_to_dict(
-                    CategoricalColumnStats.from_codes(codes,
-                                                      top_k=DEFAULT_TOP_K))
+                zone_maps[attribute], column_stats[attribute] = \
+                    _categorical_summaries(codes)
         if shard_seq is None:
             shard_seq = _next_shard_seq(manifest)
         shard_id = f"shard-{shard_seq:06d}"
@@ -292,8 +296,10 @@ class StoredDataset:
         that loses the race retries on the fresh manifest.
         """
         with self._lock, _append_lock(self.directory):
-            manifest = load_manifest(self.directory)
-            self.manifest = manifest
+            manifest = self._committed_manifest()
+            # Shards are written against the staged copy, so the published
+            # manifest never mutates (see ``append``).
+            committed = _staged(manifest)
             before = len(manifest.shards)
             if cluster_by is not None and \
                     cluster_by not in manifest.attributes:
@@ -329,7 +335,7 @@ class StoredDataset:
                     stop = min(start + target, batch.n_rows)
                     part = batch.take(np.arange(start, stop))
                     new_shards.append(self._write_shard(
-                        manifest, part, shard_seq=seq,
+                        committed, part, shard_seq=seq,
                         partials_by=partials_by))
                     seq += 1
                     start = stop
@@ -373,16 +379,10 @@ class StoredDataset:
                         "shards_before": before, "shards_after": before,
                         "rewritten": 0, "cluster_by": cluster_by,
                         "partial_groups": 0}
-            # Commit on a fresh Manifest object — live readers snapshot
-            # ``self.manifest`` outside the writer lock, so the object a
-            # reader holds must never mutate underneath it (its version is
-            # also what the reader's lost-race retry in ``load_table``
-            # compares against).
-            committed = Manifest(
-                name=manifest.name, schema=manifest.schema,
-                vocabs=manifest.vocabs, shards=new_shards,
-                version=manifest.version + 1)
-            commit_manifest(self.directory, committed)
+            # The staged manifest's version is also what a live reader's
+            # lost-race retry in ``load_table`` compares against.
+            committed.shards = new_shards
+            self._manifest_bytes = commit_manifest(self.directory, committed)
             sweep_temp_files(self.directory)
             self.manifest = committed
             kept = {s.file for s in new_shards}
@@ -436,8 +436,20 @@ class StoredDataset:
     def reload(self) -> Manifest:
         """Re-read the committed manifest (picks up appends by other handles)."""
         with self._lock:
-            self.manifest = load_manifest(self.directory)
-            return self.manifest
+            return self._committed_manifest()
+
+    def _committed_manifest(self) -> Manifest:  # guarded-by: _lock
+        """The committed manifest, published on ``self.manifest``.
+
+        Parsed only when MANIFEST.json's bytes differ from the ones this
+        handle last parsed or committed: a handle's own commits never cost
+        it a parse, another writer's commit costs one.
+        """
+        raw = read_manifest_bytes(self.directory)
+        if raw != self._manifest_bytes:
+            self.manifest = parse_manifest(raw, self.directory)
+            self._manifest_bytes = raw
+        return self.manifest
 
     def load_table(self, prune: bool = True) -> "ShardedTable":
         """The dataset as a lazily-loaded, zone-map-pruned table.
@@ -965,20 +977,32 @@ def _as_float64(column: Column) -> np.ndarray:
                        "store expects numeric")
 
 
-def _as_store_codes(column: Column, store_vocab: list) -> np.ndarray:
+def _staged(manifest: Manifest) -> Manifest:
+    """The next version of ``manifest``, sharing its shard entries and
+    vocabulary lists — the dicts and lists that hold them are copies."""
+    return Manifest(name=manifest.name, schema=manifest.schema,
+                    vocabs=dict(manifest.vocabs), shards=list(manifest.shards),
+                    version=manifest.version + 1)
+
+
+def _as_store_codes(column: Column, vocabs: dict[str, list],
+                    attribute: str) -> np.ndarray:
     """Encode a column against the dataset's append-only store vocabulary.
 
-    New values are appended to ``store_vocab`` in first-seen order (the list
-    is mutated in place and committed with the manifest), so codes already
-    written in previous shards stay valid forever.
+    New values are appended to ``vocabs[attribute]`` in first-seen order,
+    so codes already written in previous shards stay valid forever.  The
+    list is copied before its first new value (copy-on-write), so a list a
+    published manifest holds never mutates.
     """
     if column.numeric:
         if column.n_missing() == len(column):
             return np.full(len(column), MISSING_CODE, dtype=np.int32)
         raise StorageError(f"column {column.name!r} is numeric, "
                            "store expects categorical")
+    store_vocab = vocabs[attribute]
     index = {value: code for code, value in enumerate(store_vocab)}
     remap = np.empty(len(column.vocab) + 1, dtype=np.int32)
+    grown = None
     for local_code, value in enumerate(column.vocab):
         store_code = index.get(value)
         if store_code is None:
@@ -986,12 +1010,24 @@ def _as_store_codes(column: Column, store_vocab: list) -> np.ndarray:
                 raise StorageError(
                     f"column {column.name!r}: value {value!r} of type "
                     f"{type(value).__name__} cannot live in a JSON vocabulary")
-            store_code = len(store_vocab)
-            store_vocab.append(value)
+            if grown is None:
+                grown = vocabs[attribute] = list(store_vocab)
+            store_code = len(grown)
+            grown.append(value)
             index[value] = store_code
         remap[local_code] = store_code
     remap[len(column.vocab)] = MISSING_CODE  # sentinel -1 wraps to last slot
     return remap[column.codes]
+
+
+def _categorical_summaries(codes: np.ndarray, top_k: int = DEFAULT_TOP_K
+                           ) -> tuple[dict, dict]:
+    """A shard column's ``(zone map, column statistics)`` manifest entries,
+    both from one count pass over its store codes."""
+    counts, n_missing = code_counts(codes)
+    return (categorical_zone_map(counts, n_missing),
+            stats_to_dict(CategoricalColumnStats.from_counts(
+                counts, n_missing, top_k=top_k)))
 
 
 def _sorted_remap(store_vocab) -> tuple[tuple, np.ndarray | None]:

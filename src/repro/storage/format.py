@@ -85,14 +85,17 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
     fsync_directory(path.parent)
 
 
+def _compact_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def json_line(payload) -> bytes:
     """``payload`` as one line of compact, key-sorted JSON.
 
     No ``indent``: that would route a 40-shard manifest through the
     pure-Python encoder (12 ms against 2 ms) on every append.
     """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return (text + "\n").encode()
+    return (_compact_json(payload) + "\n").encode()
 
 
 def atomic_write_json(path: Path, payload: dict) -> None:
@@ -160,6 +163,15 @@ class ShardInfo:
     #: --cluster-by`` over a categorical key; ``None`` everywhere else
     #: (and omitted from the serialized manifest).
     group_partials: dict | None = None
+    #: ``to_dict()`` as compact JSON, encoded at the first commit that needs
+    #: it (a benign race: concurrent encodes store identical text).
+    _json: str | None = field(default=None, init=False, repr=False,
+                              compare=False)
+
+    def to_json(self) -> str:
+        if self._json is None:
+            self._json = _compact_json(self.to_dict())
+        return self._json
 
     def to_dict(self) -> dict:
         spec = {"id": self.shard_id, "file": self.file, "n_rows": self.n_rows,
@@ -229,23 +241,52 @@ class Manifest:
             format_version=int(spec["format_version"]),
         )
 
+    def to_json_line(self) -> bytes:
+        """``json_line(self.to_dict())``, splicing each shard's cached entry.
+
+        Sorted keys put every other top-level field before ``"shards"`` or
+        after it, so an append re-encodes those fields, not every shard.
+        """
+        document = self.to_dict()
+        del document["shards"]
+        head = _compact_json({k: v for k, v in document.items()
+                              if k < "shards"})
+        tail = _compact_json({k: v for k, v in document.items()
+                              if k > "shards"})
+        shards = ",".join(shard.to_json() for shard in self.shards)
+        return f'{head[:-1]},"shards":[{shards}],{tail[1:]}\n'.encode()
+
+
+def read_manifest_bytes(dataset_dir: Path) -> bytes:
+    """The committed manifest's raw bytes (see :func:`parse_manifest`)."""
+    path = Path(dataset_dir) / MANIFEST_NAME
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise StorageError(f"no {MANIFEST_NAME} in {dataset_dir}") from None
+
+
+def parse_manifest(raw: bytes, dataset_dir: Path) -> Manifest:
+    try:
+        return Manifest.from_dict(json.loads(raw.decode()))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise StorageError(f"malformed manifest "
+                           f"{Path(dataset_dir) / MANIFEST_NAME}: {exc}") from exc
+
 
 def load_manifest(dataset_dir: Path) -> Manifest:
-    path = Path(dataset_dir) / MANIFEST_NAME
-    if not path.exists():
-        raise StorageError(f"no {MANIFEST_NAME} in {dataset_dir}")
-    try:
-        return Manifest.from_dict(read_json(path))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise StorageError(f"malformed manifest {path}: {exc}") from exc
+    return parse_manifest(read_manifest_bytes(dataset_dir), dataset_dir)
 
 
-def commit_manifest(dataset_dir: Path, manifest: Manifest) -> None:
+def commit_manifest(dataset_dir: Path, manifest: Manifest) -> bytes:
     """Atomically replace the dataset's manifest (the commit point).
 
     The shards it names were renamed into ``shards/`` by the caller; those
     renames are flushed first, so the manifest cannot outlive them.
+    Returns the committed bytes.
     """
     dataset_dir = Path(dataset_dir)
     fsync_directory(dataset_dir / SHARD_DIR)
-    atomic_write_json(dataset_dir / MANIFEST_NAME, manifest.to_dict())
+    payload = manifest.to_json_line()
+    atomic_write_bytes(dataset_dir / MANIFEST_NAME, payload)
+    return payload

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataframe import MISSING_CODE, Pattern, Predicate
+from repro.dataframe import Pattern, Predicate
 from repro.dataframe.predicates import Op
 
 NUMERIC = "numeric"
@@ -43,13 +43,13 @@ def numeric_zone_map(values: np.ndarray) -> dict:
     }
 
 
-def categorical_zone_map(store_codes: np.ndarray) -> dict:
-    store_codes = np.asarray(store_codes)
-    present = np.unique(store_codes)
+def categorical_zone_map(counts: np.ndarray, n_missing: int) -> dict:
+    """The zone map of a shard whose ``counts[c]`` rows carry store code
+    ``c`` (see :func:`repro.plan.stats.code_counts`)."""
     return {
         "kind": CATEGORICAL,
-        "codes": [int(c) for c in present if c != MISSING_CODE],
-        "n_missing": int((store_codes == MISSING_CODE).sum()),
+        "codes": np.flatnonzero(counts).tolist(),
+        "n_missing": n_missing,
     }
 
 

@@ -39,8 +39,17 @@ from repro.storage import (
     open_shard,
     write_shard,
 )
+from repro.dataframe import MISSING_CODE
+from repro.plan.stats import CategoricalColumnStats, stats_to_dict
+from repro.storage import dataset as dataset_module
 from repro.storage import store as store_module
-from repro.storage.format import TMP_MARKER, load_manifest
+from repro.storage.format import (
+    TMP_MARKER,
+    Manifest,
+    ShardInfo,
+    json_line,
+    load_manifest,
+)
 
 
 def _table(n: int = 400, seed: int = 0) -> Table:
@@ -880,3 +889,178 @@ class TestWriterSafety:
         assert list(remap[:-1]) == [1, 2, 0] and remap[-1] == -1
         vocab, remap = sorted_code_remap(["a", "b"])
         assert vocab == ("a", "b") and remap is None
+
+
+# ---------------------------------------------------------------------- commit path
+
+_json_scalars = st.one_of(st.text(max_size=6), st.integers(-10**6, 10**6),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.booleans())
+
+
+@st.composite
+def _manifests(draw) -> Manifest:
+    """Manifests with random schemas, vocabularies (any unicode), shard
+    statistics, and group partials present on some shards only."""
+    names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1,
+                          max_size=3, unique=True))
+    schema = [{"name": name,
+               "kind": draw(st.sampled_from(["numeric", "categorical"]))}
+              for name in names]
+    vocabs = {entry["name"]: draw(st.lists(_json_scalars, max_size=5))
+              for entry in schema if entry["kind"] == "categorical"}
+    counts = st.integers(0, 500)
+    partials = st.fixed_dictionaries({
+        "by": st.sampled_from(names),
+        "keys": st.lists(_json_scalars, max_size=3),
+        "sizes": st.lists(counts, max_size=3),
+        "outcomes": st.dictionaries(
+            st.text(max_size=4),
+            st.fixed_dictionaries({"valid": st.lists(counts, max_size=3),
+                                   "sum": st.lists(st.floats(
+                                       allow_nan=False, allow_infinity=False),
+                                       max_size=3)}),
+            max_size=2)})
+    shards = []
+    for seq in range(draw(st.integers(0, 4))):
+        shards.append(ShardInfo(
+            shard_id=f"shard-{seq:06d}", file=f"shards/shard-{seq:06d}.npz",
+            n_rows=draw(counts), fingerprint=draw(st.text(max_size=8)),
+            zone_maps={name: {"kind": "categorical",
+                              "codes": draw(st.lists(counts, max_size=3)),
+                              "n_missing": draw(counts)} for name in names},
+            column_stats={name: {"n": draw(counts), "top": draw(
+                st.dictionaries(st.text(max_size=3), counts, max_size=2))}
+                for name in names},
+            group_partials=draw(st.none() | partials)))
+    return Manifest(name=draw(st.text(max_size=6)), schema=schema,
+                    vocabs=vocabs, shards=shards,
+                    version=draw(st.integers(0, 10**6)))
+
+
+def _old_categorical_zone_map(store_codes: np.ndarray) -> dict:
+    """The zone-map builder as it was before the one-bincount rewrite."""
+    present = np.unique(store_codes)
+    return {"kind": "categorical",
+            "codes": [int(c) for c in present if c != MISSING_CODE],
+            "n_missing": int((store_codes == MISSING_CODE).sum())}
+
+
+def _old_categorical_stats(codes: np.ndarray, top_k: int) -> dict:
+    """``CategoricalColumnStats.from_codes`` as it was, via ``np.unique``."""
+    present = codes[codes != MISSING_CODE]
+    n = int(codes.size)
+    if present.size == 0:
+        stats = CategoricalColumnStats(n=n, n_missing=n, n_distinct=0,
+                                       counts={}, other=0)
+        return stats_to_dict(stats)
+    values, freqs = np.unique(present, return_counts=True)
+    distinct = int(values.size)
+    if distinct > top_k:
+        keep = np.argsort(-freqs, kind="stable")[:top_k]
+        kept = {int(values[i]): int(freqs[i]) for i in sorted(keep)}
+        other = int(present.size) - sum(kept.values())
+    else:
+        kept = {int(v): int(f) for v, f in zip(values, freqs)}
+        other = 0
+    return stats_to_dict(CategoricalColumnStats(
+        n=n, n_missing=n - int(present.size), n_distinct=distinct,
+        counts=kept, other=other))
+
+
+class TestManifestCommitPath:
+    @settings(max_examples=60, deadline=None)
+    @given(manifest=_manifests(), extra=_manifests())
+    def test_spliced_bytes_equal_json_line(self, manifest, extra):
+        expected = json_line(manifest.to_dict())
+        assert manifest.to_json_line() == expected
+        assert manifest.to_json_line() == expected  # cached shard entries
+        # A later commit splices the cached entries next to new ones.
+        manifest.shards.extend(extra.shards)
+        manifest.version += 1
+        assert manifest.to_json_line() == json_line(manifest.to_dict())
+
+    def test_committed_bytes_are_json_line_of_the_document(self, store):
+        """Non-ASCII values, with and without clustered group partials."""
+        table = Table.from_columns({
+            "City": ["Zürich", "東京", "São Paulo", "Zürich"] * 5,
+            "Fare": np.arange(20.0)})
+        dataset = store.import_table("fares", table, shard_rows=6)
+        path = dataset.directory / "MANIFEST.json"
+
+        def assert_canonical():
+            raw = path.read_bytes()
+            assert raw == json_line(json.loads(raw))
+
+        dataset.append(Table.from_columns({"City": ["Ürümqi", "東京"],
+                                           "Fare": [1.5, 2.5]}))
+        assert_canonical()
+        dataset.compact(cluster_by="City", shard_rows=8)
+        assert all(s.group_partials is not None
+                   for s in dataset.manifest.shards)
+        assert_canonical()
+        dataset.append(Table.from_columns({"City": ["Đà Nẵng"],
+                                           "Fare": [3.0]}))
+        assert_canonical()
+        assert StoredDataset(dataset.directory).load_table().n_rows == 23
+
+    def test_appends_through_one_handle_parse_the_manifest_once(
+            self, store, monkeypatch):
+        dataset = store.import_table("people", _table(40), shard_rows=20)
+        parses = []
+        parse = Manifest.from_dict.__func__
+
+        def counting(cls, spec):
+            parses.append(spec["version"])
+            return parse(cls, spec)
+
+        monkeypatch.setattr(Manifest, "from_dict", classmethod(counting))
+        handle = StoredDataset(dataset.directory)
+        for seed in range(5):
+            handle.append(_table(5, seed=seed))
+        handle.compact(shard_rows=100)
+        assert parses == [0]  # the open; never again under the flock
+        # Another writer's commit changes the bytes: one re-parse, then none.
+        StoredDataset(dataset.directory).append(_table(3, seed=9))
+        handle.append(_table(2, seed=10), expected_version=7)
+        handle.append(_table(2, seed=11), expected_version=8)
+        assert parses == [0, 6, 7]
+        assert StoredDataset(dataset.directory).load_table().n_rows == 72
+
+    def test_failed_append_leaves_vocabularies_untouched(self, store):
+        table = Table.from_columns({"a": ["x", "y"], "b": [1.0, 2.0],
+                                    "c": ["p", "q"]})
+        dataset = store.import_table("t", table)
+        published = dataset.manifest
+        bad = Table.from_columns({
+            "a": ["x", "new"], "b": [3.0, 4.0],
+            "c": [datetime.date(2020, 1, 1), datetime.date(2020, 1, 2)]})
+        with pytest.raises(StorageError, match="JSON vocabulary"):
+            dataset.append(bad)
+        assert dataset.manifest is published
+        assert dataset.manifest.vocabs == {"a": ["x", "y"], "c": ["p", "q"]}
+        dataset.append(Table.from_columns({"a": ["y"], "b": [5.0],
+                                           "c": ["r"]}))
+        assert load_manifest(dataset.directory).vocabs == \
+            {"a": ["x", "y"], "c": ["p", "q", "r"]}
+        assert published.vocabs == {"a": ["x", "y"], "c": ["p", "q"]}
+
+    def test_zero_row_batch_is_refused(self, store):
+        dataset = store.import_table("people", _table(40), shard_rows=20)
+        with pytest.raises(StorageError, match="zero-row"):
+            dataset.append(_table(10).take(np.arange(0)))
+        assert dataset.manifest.version == 0
+        assert len(load_manifest(dataset.directory).shards) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(codes=st.lists(st.integers(-1, 12), max_size=80),
+           top_k=st.integers(1, 6))
+    def test_one_bincount_matches_the_unique_sorts(self, codes, top_k):
+        """Shard summaries from one count pass serialize byte-identically to
+        the two ``np.unique`` builders they replace — missing values, top-k
+        truncation and frequency ties included."""
+        codes = np.asarray(codes, dtype=np.int32)
+        zone_map, stats = dataset_module._categorical_summaries(codes, top_k)
+        assert json_line([zone_map, stats]) == json_line(
+            [_old_categorical_zone_map(codes),
+             _old_categorical_stats(codes, top_k)])
