@@ -144,8 +144,10 @@ class NumericColumnStats:
         return self.n_present / max(1, self.n_distinct)
 
     def selectivity(self, op: Op, target: float) -> float:
-        if self.n == 0 or self.n_present == 0 or math.isnan(target):
+        if self.n == 0 or self.n_present == 0:
             return 0.0
+        if math.isnan(target):  # NaN differs from every present value
+            return self.n_present / self.n if op is Op.NE else 0.0
         eq = self._equal_rows(target)
         if op is Op.EQ:
             rows = eq
@@ -546,7 +548,7 @@ def stats_may_match(stats: ColumnStats | None, predicate: Predicate,
         except (TypeError, ValueError):
             return True  # evaluation will raise the same error it always did
         if math.isnan(target):
-            return False
+            return predicate.op is Op.NE  # every present value differs
         return _numeric_boundary_possible(stats, predicate.op, target)
     if isinstance(stats, CategoricalColumnStats):
         if stats.n_present == 0:

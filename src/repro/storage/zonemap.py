@@ -93,7 +93,9 @@ def _numeric_may_match(zone_map: dict, predicate: Predicate) -> bool:
     except (TypeError, ValueError):
         return True  # evaluation will raise the same error it always did
     if np.isnan(target):
-        return False  # NaN compares False against everything
+        # NaN compares unequal to everything: only ``!=`` matches, and it
+        # matches every non-missing value.
+        return predicate.op is Op.NE
     op = predicate.op
     if op is Op.EQ:
         return lo <= target <= hi

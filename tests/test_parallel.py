@@ -124,6 +124,20 @@ class TestWorkerInvariance:
         assert planned == oracle
         assert oracle == table.select(pattern)
 
+    @pytest.mark.parametrize("op", list(Op))
+    def test_nan_literal_scan_matches_in_memory(self, op):
+        # `x != NaN` holds for every present value; zone maps and shard
+        # statistics must not prune it as unsatisfiable.
+        table = _random_table(np.random.default_rng(0), 9)
+        pattern = Pattern([Predicate("num", op, float("nan"))])
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = StoredDataset.create(f"{tmp}/d", "d", table,
+                                           shard_rows=3)
+            planned = dataset.load_table().select(pattern)
+            with oracle_mode():
+                oracle = dataset.load_table().select(pattern)
+        assert planned == oracle == table.select(pattern)
+
     @settings(max_examples=10, deadline=None)
     @given(st.data())
     def test_lazy_column_decode_identical_across_widths(self, data):

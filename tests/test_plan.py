@@ -136,6 +136,16 @@ class TestColumnStats:
         stats = NumericColumnStats.from_values(np.arange(10.0))
         assert stats.selectivity(Op.LE, float("nan")) == 0.0
 
+    def test_nan_target_ne_matches_every_present_value(self):
+        from repro.plan.stats import stats_may_match
+
+        stats = NumericColumnStats.from_values(
+            np.array([1.0, 2.0, np.nan, 3.0]))
+        nan_ne = Predicate("x", Op.NE, float("nan"))
+        assert stats.selectivity(Op.NE, float("nan")) == pytest.approx(0.75)
+        assert stats_may_match(stats, nan_ne)
+        assert not stats_may_match(stats, Predicate("x", Op.EQ, float("nan")))
+
     def test_categorical_full_counts_are_exact(self):
         codes = np.array([0, 0, 1, 2, 2, 2, -1], dtype=np.int32)
         stats = CategoricalColumnStats.from_codes(codes)
