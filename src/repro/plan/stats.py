@@ -167,11 +167,23 @@ class NumericColumnStats:
 # ---------------------------------------------------------------------- categorical
 
 
-def code_counts(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(counts, missing rows)`` of a code array, ``counts[c]`` the rows
-    carrying code ``c``: one ``bincount`` (the sentinel in a slot of its own)."""
-    counts = np.bincount(np.asarray(codes) + 1)
-    return counts[1:], int(counts[0]) if counts.size else 0
+def code_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(present codes ascending, their row counts, missing rows)``.
+
+    One ``bincount`` (the sentinel in a slot of its own) when the codes are
+    dense; a bincount allocates one slot per code up to the largest, so a
+    column whose codes run far past its length (a vocabulary much larger
+    than the shard) sorts with ``np.unique`` instead.
+    """
+    codes = np.asarray(codes)
+    if codes.size and codes.max() > 4 * codes.size:
+        values, counts = np.unique(codes, return_counts=True)
+        if values[0] == MISSING_CODE:
+            return values[1:], counts[1:], int(counts[0])
+        return values, counts, 0
+    counts = np.bincount(codes + 1)
+    values = np.flatnonzero(counts[1:])
+    return values, counts[1:][values], int(counts[0]) if counts.size else 0
 
 
 @dataclass(frozen=True)
@@ -203,11 +215,11 @@ class CategoricalColumnStats:
         return cls.from_counts(*code_counts(codes), top_k=top_k)
 
     @classmethod
-    def from_counts(cls, counts: np.ndarray, n_missing: int,
-                    top_k: int | None = None) -> "CategoricalColumnStats":
-        """Stats of a column whose ``counts[c]`` rows carry code ``c``."""
-        values = np.flatnonzero(counts)
-        freqs = counts[values]
+    def from_counts(cls, values: np.ndarray, freqs: np.ndarray,
+                    n_missing: int, top_k: int | None = None
+                    ) -> "CategoricalColumnStats":
+        """Stats of a column whose ``freqs[i]`` rows carry code ``values[i]``
+        (``values`` ascending, as :func:`code_counts` returns them)."""
         present = int(freqs.sum())
         n = present + n_missing
         if present == 0:

@@ -102,16 +102,31 @@ class DatasetState:
     #: Optional :class:`~repro.storage.StoredDataset` backing this dataset:
     #: appends are written through to disk before the in-memory swap.
     store: object | None = None
+    #: Which registration of ``name`` this is: ``register_dataset`` draws a
+    #: fresh, larger number, appends keep it.  Within one registration a
+    #: later version's table is an earlier one's plus appended rows.
+    registration: int = 0
+
+    @property
+    def epoch(self) -> tuple[int, int]:
+        """``(registration, version)``: orders every state of one name."""
+        return self.registration, self.version
+
+
+def _extends(cached: tuple[int, int], state: DatasetState) -> bool:
+    """Whether an entry built at ``cached`` (an epoch) covers a prefix of
+    ``state``'s table: same registration, older version."""
+    return cached[0] == state.registration and cached[1] < state.version
 
 
 @dataclass
 class _Population:
     """A cached filtered population: its WHERE pattern and shared estimator,
-    built over the dataset at data version ``version``."""
+    built over the dataset at ``epoch`` (see :attr:`DatasetState.epoch`)."""
 
     where: Pattern
     estimator: CATEEstimator
-    version: int
+    epoch: tuple[int, int]
 
 
 @dataclass
@@ -157,9 +172,10 @@ class ExplanationEngine:
         # Values are EncodedSummary entries: restored ones decode on first hit.
         self._flights_lock = named_lock("ExplanationEngine._flights_lock")
         self._flights: dict[tuple, _Flight] = {}  # guarded-by: _flights_lock
-        #: name -> (data version, MaskCache over the registered table): the
-        #: shared cache planned WHERE scans route repeated conjuncts through.
-        self._where_masks: dict[str, tuple[int, MaskCache]] = {}  # guarded-by: _datasets_lock
+        #: name -> (epoch, MaskCache over the registered table): the shared
+        #: cache planned WHERE scans route repeated conjuncts through.
+        self._where_masks: dict[str, tuple[tuple[int, int], MaskCache]] = {}  # guarded-by: _datasets_lock
+        self._registrations = 0  # guarded-by: _mutation_lock
         self._computations = 0  # guarded-by: _flights_lock
         self._coalesced = 0  # guarded-by: _flights_lock
         self._batch_deduped = 0  # guarded-by: _flights_lock
@@ -195,6 +211,7 @@ class ExplanationEngine:
             previous = self._datasets.get(name)
             if version is None:
                 version = previous.version + 1 if previous is not None else 0
+            self._registrations += 1
             state = DatasetState(
                 name=name, table=table, dag=dag,
                 config=config or CauSumXConfig(),
@@ -204,6 +221,7 @@ class ExplanationEngine:
                 if treatment_attributes is not None else None,
                 version=version,
                 store=store,
+                registration=self._registrations,
             )
             self._datasets[name] = state
             if previous is not None:
@@ -760,56 +778,52 @@ class ExplanationEngine:
         masks are cheap to recompute and expensive to keep).
         """
         with self._datasets_lock:
-            entry = self._where_masks.get(state.name)
-            if entry is not None:
-                version, cache = entry
-                if version == state.version:
-                    if len(cache) > WHERE_MASK_CACHE_LIMIT:
-                        cache.clear()
-                    return cache
-                if version > state.version:
-                    # A reader still mid-flight on an older data version (a
-                    # newer reader already extended the cache): serve it a
-                    # private throwaway cache instead of clobbering the warm
-                    # entry.
-                    return MaskCache(state.table)
-                # Rows were appended since: inherit the older masks.
-                cache = cache.extended(state.table) \
-                    if len(cache) <= WHERE_MASK_CACHE_LIMIT \
-                    else MaskCache(state.table)
+            epoch, cache = self._where_masks.get(state.name, ((-1, -1), None))
+            if epoch == state.epoch:
+                if len(cache) > WHERE_MASK_CACHE_LIMIT:
+                    cache.clear()
+                return cache
+            if epoch > state.epoch:
+                # A reader still mid-flight on an older epoch (a newer reader
+                # already replaced or extended the cache): serve it a private
+                # throwaway cache instead of clobbering the warm entry.
+                return MaskCache(state.table)
+            if _extends(epoch, state) and len(cache) <= WHERE_MASK_CACHE_LIMIT:
+                cache = cache.extended(state.table)  # inherit the older masks
             else:
                 cache = MaskCache(state.table)
-            self._where_masks[state.name] = (state.version, cache)
+            self._where_masks[state.name] = (state.epoch, cache)
             return cache
 
     def _population(self, state: DatasetState, plan, view: AggregateView,
                     outcomes: dict | None = None) -> _Population:
         """The request's population, extending one cached at an older version.
 
-        Between versions only appends happen (re-registration purges), so
-        ``view.table`` is the cached population's table followed by the
-        appended rows that pass the WHERE clause: the new estimator inherits
-        the old masks.  A reader on an older version than the cached entry
-        builds a private population and never replaces the newer one.
+        Within one registration only appends happen, so ``view.table`` is
+        the cached population's table followed by the appended rows that
+        pass the WHERE clause: the new estimator inherits the old masks.  An
+        entry of another registration is a miss.  A reader on an older epoch
+        than the cached entry builds a private population and never replaces
+        the newer one.
         """
         key = (state.name, plan.where_key, plan.average)
         cached = self._population_cache.get(key)
-        if cached is not None and cached.version == state.version:
+        if cached is not None and cached.epoch == state.epoch:
             if outcomes is not None:
                 outcomes["population"] = "hit"
             return cached
-        carried = cached is not None and cached.version < state.version
+        carried = cached is not None and _extends(cached.epoch, state)
         if outcomes is not None:
             outcomes["population"] = "hit" if carried else "miss"
         estimator = self._make_estimator(state, view.table, plan.average)
         old_masks = cached.estimator.mask_cache if carried else None
         if old_masks is not None and estimator.mask_cache is not None:
             estimator.mask_cache = old_masks.extended(view.table)
-        population = _Population(plan.filter, estimator, state.version)
-        if cached is None or carried:
+        population = _Population(plan.filter, estimator, state.epoch)
+        if cached is None or cached.epoch < state.epoch:
             self._population_cache.put(
                 key, population,
-                keep=lambda current: current.version >= state.version)
+                keep=lambda current: current.epoch >= state.epoch)
         return population
 
     @staticmethod
@@ -818,8 +832,11 @@ class ExplanationEngine:
         return CauSumX.build_estimator(table, average, state.dag, state.config)
 
     def _invalidate(self, name: str) -> int:  # guarded-by: _datasets_lock
-        """Drop every cache entry belonging to dataset ``name`` (any version):
-        a re-registered table need not extend the old one."""
+        """Drop every cache entry belonging to dataset ``name`` (any version).
+
+        A re-registered table need not extend the old one; a reader still on
+        the old registration may put an entry back, but its older epoch
+        makes it a miss for the new registration (:func:`_extends`)."""
         invalidated = 0
         for cache in (self._summary_cache, self._population_cache):
             invalidated += cache.purge(lambda key: key[0] == name)

@@ -1024,10 +1024,10 @@ def _categorical_summaries(codes: np.ndarray, top_k: int = DEFAULT_TOP_K
                            ) -> tuple[dict, dict]:
     """A shard column's ``(zone map, column statistics)`` manifest entries,
     both from one count pass over its store codes."""
-    counts, n_missing = code_counts(codes)
-    return (categorical_zone_map(counts, n_missing),
+    values, freqs, n_missing = code_counts(codes)
+    return (categorical_zone_map(values, n_missing),
             stats_to_dict(CategoricalColumnStats.from_counts(
-                counts, n_missing, top_k=top_k)))
+                values, freqs, n_missing, top_k=top_k)))
 
 
 def _sorted_remap(store_vocab) -> tuple[tuple, np.ndarray | None]:

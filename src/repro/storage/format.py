@@ -244,17 +244,16 @@ class Manifest:
     def to_json_line(self) -> bytes:
         """``json_line(self.to_dict())``, splicing each shard's cached entry.
 
-        Sorted keys put every other top-level field before ``"shards"`` or
-        after it, so an append re-encodes those fields, not every shard.
+        Each top-level field is encoded on its own, in sorted key order, and
+        joined with the shards' cached entries: an append re-encodes those
+        fields, not every shard.
         """
         document = self.to_dict()
-        del document["shards"]
-        head = _compact_json({k: v for k, v in document.items()
-                              if k < "shards"})
-        tail = _compact_json({k: v for k, v in document.items()
-                              if k > "shards"})
         shards = ",".join(shard.to_json() for shard in self.shards)
-        return f'{head[:-1]},"shards":[{shards}],{tail[1:]}\n'.encode()
+        parts = [f'"shards":[{shards}]' if key == "shards"
+                 else _compact_json({key: document[key]})[1:-1]
+                 for key in sorted(document)]
+        return ("{" + ",".join(parts) + "}\n").encode()
 
 
 def read_manifest_bytes(dataset_dir: Path) -> bytes:
@@ -272,10 +271,6 @@ def parse_manifest(raw: bytes, dataset_dir: Path) -> Manifest:
     except (KeyError, ValueError, TypeError) as exc:
         raise StorageError(f"malformed manifest "
                            f"{Path(dataset_dir) / MANIFEST_NAME}: {exc}") from exc
-
-
-def load_manifest(dataset_dir: Path) -> Manifest:
-    return parse_manifest(read_manifest_bytes(dataset_dir), dataset_dir)
 
 
 def commit_manifest(dataset_dir: Path, manifest: Manifest) -> bytes:

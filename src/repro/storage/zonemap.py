@@ -43,12 +43,12 @@ def numeric_zone_map(values: np.ndarray) -> dict:
     }
 
 
-def categorical_zone_map(counts: np.ndarray, n_missing: int) -> dict:
-    """The zone map of a shard whose ``counts[c]`` rows carry store code
-    ``c`` (see :func:`repro.plan.stats.code_counts`)."""
+def categorical_zone_map(codes: np.ndarray, n_missing: int) -> dict:
+    """The zone map of a shard whose present store codes are ``codes``
+    (ascending, see :func:`repro.plan.stats.code_counts`)."""
     return {
         "kind": CATEGORICAL,
-        "codes": np.flatnonzero(counts).tolist(),
+        "codes": codes.tolist(),
         "n_missing": n_missing,
     }
 

@@ -492,13 +492,41 @@ class TestAppendPath:
         key = (self.NAME, plan.where_key, plan.average)
         extended = engine._population_cache.get(key)
         where_cache = engine._where_masks[self.NAME]
-        assert extended.version == 1 and where_cache[0] == 1
+        assert extended.epoch == where_cache[0] == stale.epoch[:1] + (1,)
         # A request that still holds version 0 computes on its own...
         summary, _ = engine._compute(stale, canonical, plan)
         assert _summary_payload(summary) == _summary_payload(before)
         # ...and leaves the version-1 entries in place.
         assert engine._population_cache.get(key) is extended
         assert engine._where_masks[self.NAME] is where_cache
+
+    @pytest.mark.parametrize("order", [np.s_[::-1], np.s_[:40:-1]],
+                             ids=["same_size", "shorter"])
+    def test_reader_of_a_replaced_registration_is_never_extended(
+            self, engine, so_small, order):
+        """A request still computing on the old table after
+        ``register_dataset`` replaced it leaves entries behind; the new
+        registration treats them as misses instead of extending them."""
+        from repro.plan import lower_query
+
+        engine.explain(self.NAME, self.WHERE_QUERY)
+        stale = engine.dataset_state(self.NAME)
+        table = so_small.table.take(np.arange(so_small.table.n_rows)[order])
+        engine.register_dataset(
+            self.NAME, table, dag=so_small.dag, config=small_config(),
+            grouping_attributes=so_small.grouping_attributes,
+            treatment_attributes=so_small.treatment_attributes)
+        canonical = engine._canonical(self.WHERE_QUERY)
+        engine._compute(stale, canonical, lower_query(canonical))
+        for query in self.QUERIES:
+            assert _summary_payload(engine.explain(self.NAME, query)) == \
+                _summary_payload(self._fresh(so_small, table, query))
+        rows = self._batch(so_small, 1)
+        engine.append_rows(self.NAME, rows)
+        table = table.concat(Table.from_rows(rows, schema=list(table.attributes)))
+        for query in self.QUERIES:
+            assert _summary_payload(engine.explain(self.NAME, query)) == \
+                _summary_payload(self._fresh(so_small, table, query))
 
     def test_zero_row_table_is_a_no_op(self, tmp_path, so_small):
         store = DatasetStore.init(tmp_path / "store")

@@ -48,7 +48,6 @@ from repro.storage.format import (
     Manifest,
     ShardInfo,
     json_line,
-    load_manifest,
 )
 
 
@@ -253,7 +252,7 @@ class TestRoundTrip:
         dataset.append(Table.from_columns({"c": ["a", "b"], "x": [3.0, 4.0]}))
         after = (dataset.directory / first_shard.file).read_bytes()
         assert before == after  # committed shards are immutable
-        manifest = load_manifest(dataset.directory)
+        manifest = StoredDataset(dataset.directory).manifest
         assert manifest.vocabs["c"] == ["b", "d", "a"]  # append-only interning
         loaded = dataset.load_table()
         combined = table.concat(Table.from_columns({"c": ["a", "b"],
@@ -1041,7 +1040,7 @@ class TestManifestCommitPath:
         assert dataset.manifest.vocabs == {"a": ["x", "y"], "c": ["p", "q"]}
         dataset.append(Table.from_columns({"a": ["y"], "b": [5.0],
                                            "c": ["r"]}))
-        assert load_manifest(dataset.directory).vocabs == \
+        assert StoredDataset(dataset.directory).manifest.vocabs == \
             {"a": ["x", "y"], "c": ["p", "q", "r"]}
         assert published.vocabs == {"a": ["x", "y"], "c": ["p", "q"]}
 
@@ -1050,15 +1049,17 @@ class TestManifestCommitPath:
         with pytest.raises(StorageError, match="zero-row"):
             dataset.append(_table(10).take(np.arange(0)))
         assert dataset.manifest.version == 0
-        assert len(load_manifest(dataset.directory).shards) == 2
+        assert len(StoredDataset(dataset.directory).manifest.shards) == 2
 
     @settings(max_examples=200, deadline=None)
-    @given(codes=st.lists(st.integers(-1, 12), max_size=80),
+    @given(codes=st.lists(st.integers(-1, 12), max_size=80)
+           | st.lists(st.integers(-1, 10**6), max_size=8),
            top_k=st.integers(1, 6))
     def test_one_bincount_matches_the_unique_sorts(self, codes, top_k):
         """Shard summaries from one count pass serialize byte-identically to
         the two ``np.unique`` builders they replace — missing values, top-k
-        truncation and frequency ties included."""
+        truncation and frequency ties included, and codes far sparser than
+        the shard (counted by a sort, not a bincount over the vocabulary)."""
         codes = np.asarray(codes, dtype=np.int32)
         zone_map, stats = dataset_module._categorical_summaries(codes, top_k)
         assert json_line([zone_map, stats]) == json_line(
