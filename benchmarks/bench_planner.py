@@ -5,14 +5,14 @@ One gate for the ``repro.plan`` subsystem:
 * **Planned scan ≥ ``MIN_SPEEDUP`` (2×)** on a *skewed-selectivity*
   conjunctive workload: every query carries one highly selective cheap
   equality predicate that canonical (attribute-sorted) order places **last**,
-  behind three broad predicates — the worst case for the oracle's
-  left-to-right full-mask evaluation.  The planner must rank it first from
+  behind three broad predicates — the worst case for plain
+  ``Table.select``'s left-to-right full-mask evaluation.  The planner must rank it first from
   column statistics alone and short-circuit the rest over the surviving
   candidates.  The planned timing includes the one-time statistics build
   (it amortises over the workload, exactly as it does in the engine).
 
 Every query's planned result is asserted **equal row-for-row** to the
-unplanned oracle result, so the speedup can never come from answering a
+unplanned ``table.select`` result, so the speedup can never come from answering a
 different question.
 
 Usable both as a pytest-benchmark test and as a standalone script for CI
@@ -36,7 +36,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.dataframe import Pattern, Table  # noqa: E402
-from repro.plan import oracle_mode, plan_scan, planned_select, table_stats  # noqa: E402
+from repro.plan import plan_scan, planned_select, table_stats  # noqa: E402
 
 MIN_SPEEDUP = 2.0
 N_QUERIES = 60
@@ -76,10 +76,9 @@ def run_comparison(n: int = 150_000, n_queries: int = N_QUERIES) -> dict:
     table = _dataset(n)
     queries = _workload(n_queries)
 
-    # --- unplanned oracle: canonical order, full mask per conjunct ----------
+    # --- unplanned table.select: canonical order, full mask per conjunct ---
     start = time.perf_counter()
-    with oracle_mode():
-        oracle_results = [table.select(pattern) for pattern in queries]
+    oracle_results = [table.select(pattern) for pattern in queries]
     unplanned_seconds = time.perf_counter() - start
 
     # --- planned: stats build + reorder + short-circuit ---------------------
@@ -110,7 +109,8 @@ def run_comparison(n: int = 150_000, n_queries: int = N_QUERIES) -> dict:
 def _check(row: dict) -> list[str]:
     failures = []
     if not row["results_equal"]:
-        failures.append("planned scan returned different rows than the oracle")
+        failures.append("planned scan returned different rows than "
+                        "table.select")
     if not row["reordered"]:
         failures.append("planner did not reorder the skewed conjunction")
     if not row["selective_first"]:

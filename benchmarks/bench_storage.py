@@ -99,13 +99,14 @@ def run_comparison(n: int = 50_000) -> dict:
         scans_equal = True
         stats = {}
         for _ in range(SCAN_REPEATS):
-            pruned_table = dataset.load_table(prune=True)
+            pruned_table = dataset.load_table()
             seconds, pruned_result = _time(lambda: pruned_table.select(pattern))
             pruned_seconds += seconds
             stats = pruned_table.scan_stats()
-            unpruned_table = dataset.load_table(prune=False)
+            # The base-class full-mask path: every shard decoded, no skip.
+            unpruned_table = dataset.load_table()
             seconds, unpruned_result = _time(
-                lambda: unpruned_table.select(pattern))
+                lambda: Table.select(unpruned_table, pattern))
             unpruned_seconds += seconds
             scans_equal = scans_equal and pruned_result == reference \
                 and unpruned_result == reference

@@ -444,11 +444,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
             return 2
         clustered = f"  clustered by {result['cluster_by']}" \
             if result["cluster_by"] else ""
-        partials = f"  partial_groups={result['partial_groups']}" \
-            if result.get("partial_groups") else ""
         print(f"compacted {args.name!r}: shards "
               f"{result['shards_before']} -> {result['shards_after']} "
-              f"({result['rewritten']} rewritten){clustered}{partials}  "
+              f"({result['rewritten']} rewritten){clustered}  "
               f"version={result['version']}")
         return 0
     # import
@@ -528,11 +526,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return 2
     print(report["logical_plan"])
     print(f"\ndataset {report['dataset']!r} v{report['version']}  "
-          f"fingerprint {report['fingerprint']}  "
-          f"planner {'on' if report['planner_enabled'] else 'off (oracle)'}")
+          f"fingerprint {report['fingerprint']}")
     scan = report["scan"]
     if scan is None:
-        print("scan: no WHERE clause (or planner disabled) — full scan")
+        print("scan: no WHERE clause — full scan")
     else:
         order = "planner-reordered" if scan["reordered"] else "canonical order"
         print(f"scan ({order}):")

@@ -94,20 +94,16 @@ class PatternLattice:
     ) -> list[Predicate]:
         """Drop atoms whose full-table support is below ``min_support``.
 
-        With planning enabled, the supports computed *during enumeration*
-        (value counts for equality atoms, one sorted pass for threshold
-        atoms) decide directly: low-support atoms are deferred — pruned
-        without ever evaluating their boolean masks — and surviving atoms'
-        masks are left to be computed (and cached) on first real use.  The
-        surviving atom list is identical to the oracle's, which evaluates
-        every atom's mask through the shared cache to take its support.
+        The supports computed *during enumeration* (value counts for
+        equality atoms, one sorted pass for threshold atoms) decide
+        directly: low-support atoms are deferred — pruned without ever
+        evaluating their boolean masks — and surviving atoms' masks are left
+        to be computed (and cached) on first real use.  The surviving atom
+        list is exactly the atoms whose mask support reaches
+        ``min_support``.
         """
-        from repro.plan.config import planner_enabled
         from repro.plan.planner import GLOBAL_PLANNER_STATS
 
-        if not planner_enabled():
-            return [p for p, _ in candidates
-                    if self.mask_cache.support(p) >= self.min_support]
         survivors = []
         deferred = 0
         for predicate, support in candidates:

@@ -2,7 +2,7 @@
 
 A request runs on the thread that received it: there is no intra-request
 thread pool.  :func:`map_morsels` is the one per-shard loop the storage layer
-uses (lazy column decodes, runtime group-by partials) and counts its batches
+uses (lazy column decodes) and counts its batches
 so per-explain shard work shows in ``stats()["parallel"]``.
 """
 
@@ -45,7 +45,6 @@ class ParallelStats:
 
     batches: int = 0  # guarded-by: _lock
     morsels: int = 0  # guarded-by: _lock
-    partials_served: int = 0  # guarded-by: _lock
     _lock: threading.Lock = field(
         default_factory=lambda: named_lock("ParallelStats._lock"), repr=False)
 
@@ -54,18 +53,13 @@ class ParallelStats:
             self.batches += 1
             self.morsels += morsels
 
-    def record_partials_served(self, count: int = 1) -> None:
-        with self._lock:
-            self.partials_served += count
-
     def snapshot(self) -> dict:
         with self._lock:
-            return {"batches": self.batches, "morsels": self.morsels,
-                    "partials_served": self.partials_served}
+            return {"batches": self.batches, "morsels": self.morsels}
 
     def reset(self) -> None:
         with self._lock:
-            self.batches = self.morsels = self.partials_served = 0
+            self.batches = self.morsels = 0
 
 
 #: One process-wide collector — engines report it under ``stats()["parallel"]``

@@ -15,12 +15,13 @@ all compile into:
 * :mod:`repro.plan.planner` — the cost-based conjunct ordering
   (estimated selectivity × kernel cost) and the process-wide counters;
 * :mod:`repro.plan.execute` — short-circuit AND execution, with optional
-  :class:`~repro.dataframe.MaskCache` routing for repeated subexpressions;
-* :mod:`repro.plan.config` — the oracle switch: the unplanned paths stay
-  one flag away, and planned results are asserted byte-identical to them.
+  :class:`~repro.dataframe.MaskCache` routing for repeated subexpressions.
+
+Planning is the only scan path: there is no switch back to an unplanned
+one.  Tests assert planned results byte-identical to the plain in-memory
+``Table.select``.
 """
 
-from repro.plan.config import oracle_mode, planner_enabled, set_planner_enabled
 from repro.plan.execute import planned_select, planned_select_with_plan, scan_indices
 from repro.plan.ir import (
     ExplainNode,
@@ -69,16 +70,13 @@ __all__ = [
     "column_stats",
     "lower_query",
     "merge_column_stats",
-    "oracle_mode",
     "plan_scan",
     "planned_select",
     "planned_select_with_plan",
-    "planner_enabled",
     "predicate_cost",
     "remap_categorical_codes",
     "resolve_store_code",
     "scan_indices",
-    "set_planner_enabled",
     "shard_stats_may_match",
     "stats_from_dict",
     "stats_may_match",

@@ -23,6 +23,11 @@ skipping already does for rows in skipped shards.
 Actual per-conjunct selectivities (satisfied fraction of the candidates each
 conjunct received) are written back into the plan, which is how
 ``explain_plan`` reports estimated-vs-actual.
+
+Planning has no off switch: every pattern scan of an aggregate view, and
+every ``ShardedTable.select``, runs through here.  The plain in-memory
+``Table.select`` (left-to-right full masks) is the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import numpy as np
 
 from repro.dataframe.predicates import Pattern, Predicate
 from repro.obs import trace
-from repro.plan.config import planner_enabled
 from repro.plan.planner import ScanPlan, plan_scan
 from repro.plan.stats import TableStats
 
@@ -93,17 +97,16 @@ def planned_select_with_plan(table, condition, mask_cache=None,
                              stats: TableStats | None = None):
     """``(filtered table, executed ScanPlan | None)`` for one selection.
 
-    Falls back to the oracle ``table.select`` (returning ``None`` for the
-    plan) when planning is disabled or the condition is not a conjunctive
-    pattern.  Storage-backed tables that implement ``plan_shard_select``
+    Falls back to ``table.select`` (returning ``None`` for the plan) when
+    the condition is not a conjunctive pattern.  Storage-backed tables that
+    implement ``plan_shard_select``
     (:class:`~repro.storage.dataset.ShardedTable`) delegate to it so shard
     skipping and conjunct ordering compose; that path uses the mask cache
     only as a store-code memo (repeated hot predicates skip the store-vocab
     lookup) — full-table *masks* would force-decode the very shards the zone
     maps and statistics are there to skip.
     """
-    if not planner_enabled() or not isinstance(condition,
-                                               (Pattern, Predicate)):
+    if not isinstance(condition, (Pattern, Predicate)):
         return table.select(condition), None
     shard_select = getattr(table, "plan_shard_select", None)
     if shard_select is not None:

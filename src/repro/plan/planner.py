@@ -16,8 +16,8 @@ predicate shapes correctly relative to each other:
 * anything unknown costs 2.
 
 Planning never changes results: it is pure ordering plus conservative
-skipping, and :mod:`repro.plan.config` keeps the unplanned oracle path one
-flag away for every consumer.
+skipping, so a planned scan returns exactly the rows of the plain in-memory
+``Table.select`` — the reference the tests compare against.
 """
 
 from __future__ import annotations

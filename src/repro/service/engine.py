@@ -67,12 +67,7 @@ from repro.obs import trace
 from repro.obs.registry import unified_engine_metrics
 from repro.obs.telemetry import telemetry_enabled
 from repro.parallel import GLOBAL_PARALLEL_STATS
-from repro.plan import (
-    GLOBAL_PLANNER_STATS,
-    ScanPlan,
-    lower_query,
-    planner_enabled,
-)
+from repro.plan import GLOBAL_PLANNER_STATS, ScanPlan, lower_query
 from repro.service.lru import LRUCache
 from repro.sql import (
     AggregateView,
@@ -238,8 +233,7 @@ class ExplanationEngine:
         )
 
     @classmethod
-    def from_store(cls, store, prune: bool = True, **engine_kwargs
-                   ) -> "ExplanationEngine":
+    def from_store(cls, store, **engine_kwargs) -> "ExplanationEngine":
         """Rebuild a fully registered engine from a store directory.
 
         Every stored dataset is loaded as a memory-mapped
@@ -268,7 +262,7 @@ class ExplanationEngine:
             config = config_from_dict(entry["config"]) \
                 if entry.get("config") else None
             engine.register_dataset(
-                name, stored.load_table(prune=prune), dag=dag, config=config,
+                name, stored.load_table(), dag=dag, config=config,
                 grouping_attributes=entry.get("grouping_attributes"),
                 treatment_attributes=entry.get("treatment_attributes"),
                 version=stored.manifest.version, store=stored)
@@ -514,7 +508,6 @@ class ExplanationEngine:
             "version": state.version,
             "fingerprint": plan.fingerprint,
             "sql": canonical.to_sql(),
-            "planner_enabled": planner_enabled(),
             "logical_plan": plan.render(),
             "scan": scan,
             "rows": {"table": state.table.n_rows,
@@ -655,7 +648,6 @@ class ExplanationEngine:
             where_masks = {name: entry[1].stats()
                            for name, entry in self._where_masks.items()}
         planner = {
-            "enabled": planner_enabled(),
             **GLOBAL_PLANNER_STATS.snapshot(),
             "where_mask_caches": {
                 name: {"hits": s.hits, "misses": s.misses,
@@ -665,8 +657,7 @@ class ExplanationEngine:
         result = {
             "datasets": datasets,
             "planner": planner,
-            # Per-shard loop batches and morsels run, and group-bys answered
-            # from committed manifest partials.
+            # Per-shard loop batches and morsels run.
             "parallel": GLOBAL_PARALLEL_STATS.snapshot(),
             "plan_cache": level(self._plan_cache),
             "population_cache": level(self._population_cache),

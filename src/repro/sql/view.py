@@ -1,4 +1,11 @@
-"""Materialised aggregate views ``Q(D)`` and group-level bookkeeping."""
+"""Materialised aggregate views ``Q(D)`` and group-level bookkeeping.
+
+A view filters its base table through the query planner (for a stored
+table, the planned shard scan) and then builds its groups through one
+:class:`~repro.dataframe.GroupByIndex` over the filtered rows — the same
+computation whether the base table lives in memory or on disk, so every
+group average is bit-identical to the in-memory view's.
+"""
 
 from __future__ import annotations
 
@@ -51,57 +58,30 @@ class AggregateView:
         # (the serving engine's per-dataset WHERE cache) amortises repeated
         # predicates across queries.  The executed ScanPlan — estimated vs
         # actual per-conjunct selectivities, shard-skip counts — is kept on
-        # ``scan_plan`` for ``explain_plan`` introspection.  With planning
-        # disabled (oracle mode) this is exactly ``table.select(where)``.
+        # ``scan_plan`` for ``explain_plan`` introspection.  The filtered
+        # rows are exactly ``table.select(where)``'s.
         self.scan_plan = None
         if query.where.is_empty():
             self.table = table
         else:
             self.table, self.scan_plan = planned_select_with_plan(
                 table, query.where, mask_cache=mask_cache)
-        # The factorized group index backs membership lists and the
-        # covered-groups test; it is built lazily because the answer tuples
-        # themselves may come from **group-by partials** instead: a no-WHERE
-        # view over a sharded base merges per-shard (size, valid count,
-        # outcome sum) triples — committed manifest partials when a
-        # clustered compaction wrote them (zero rows touched), otherwise
-        # computed shard by shard.
-        self._lazy_index = None
+        #: The factorized :class:`~repro.dataframe.GroupByIndex` behind the
+        #: view.  It also backs membership lists and the covered-groups test,
+        #: and downstream layers (e.g. the optimizer's group-weighted
+        #: coverage scoring) reuse its dense group ids and sizes instead of
+        #: rebuilding them from the answer tuples.
+        self.index = index = self.table.group_index(list(query.group_by))
         self._lazy_group_rows = None
-        #: True when the answer tuples were merged from per-shard partials
-        #: (committed or runtime) instead of a whole-table group scan.
-        self.served_from_partials = False
-        groups: list[GroupResult] | None = None
-        if query.where.is_empty():
-            partial_source = getattr(self.table, "shard_groupby_partials",
-                                     None)
-            if partial_source is not None:
-                partials = partial_source(tuple(query.group_by),
-                                          query.average)
-                if partials is not None:
-                    # Stable repr-sort over first-occurrence order — exactly
-                    # GroupByIndex.sorted_by_repr's ordering.
-                    groups = [
-                        GroupResult(key=key,
-                                    average=total / valid if valid
-                                    else float("nan"),
-                                    size=size)
-                        for key, size, valid, total in
-                        sorted(partials, key=lambda entry: repr(entry[0]))
-                    ]
-                    self.served_from_partials = True
-        if groups is None:
-            index = self._index
-            outcome_column = self.table.column(query.average)
-            outcome = outcome_column.values.astype(np.float64) \
-                if outcome_column.numeric else outcome_column.as_float()
-            averages, _ = index.averages(outcome)
-            groups = [
-                GroupResult(key=index.keys[g], average=float(averages[g]),
-                            size=int(index.sizes[g]))
-                for g in index.sorted_by_repr()
-            ]
-        self.groups: list[GroupResult] = groups
+        outcome_column = self.table.column(query.average)
+        outcome = outcome_column.values.astype(np.float64) \
+            if outcome_column.numeric else outcome_column.as_float()
+        averages, _ = index.averages(outcome)
+        self.groups: list[GroupResult] = [
+            GroupResult(key=index.keys[g], average=float(averages[g]),
+                        size=int(index.sizes[g]))
+            for g in index.sorted_by_repr()
+        ]
         self._group_index = {g.key: i for i, g in enumerate(self.groups)}
 
     # ------------------------------------------------------------------ accessors
@@ -118,35 +98,10 @@ class AggregateView:
         return len(self.groups)
 
     @property
-    def _index(self):
-        """The group index, built on first touch.
-
-        Benign race under concurrent first touches: both threads build
-        identical indexes over the same immutable table and the last
-        assignment wins.
-        """
-        if self._lazy_index is None:
-            self._lazy_index = self.table.group_index(
-                list(self.query.group_by))
-        return self._lazy_index
-
-    @property
     def _group_rows(self):
         if self._lazy_group_rows is None:
-            self._lazy_group_rows = self._index.indices_by_key()
+            self._lazy_group_rows = self.index.indices_by_key()
         return self._lazy_group_rows
-
-    @property
-    def index(self):
-        """The factorized :class:`~repro.dataframe.GroupByIndex` behind the view.
-
-        Exposed so downstream layers (e.g. the optimizer's group-weighted
-        coverage scoring) can reuse the dense group ids and sizes instead of
-        rebuilding them from the answer tuples.  Touching it on a
-        partials-served view triggers the full group scan the partials
-        avoided.
-        """
-        return self._index
 
     def group_keys(self) -> list[tuple]:
         return [g.key for g in self.groups]
@@ -154,9 +109,7 @@ class AggregateView:
     def group_weights(self) -> dict[tuple, float]:
         """Per-group tuple counts (``{group key: size}``).
 
-        Reads the answer tuples rather than the index so a partials-served
-        view keeps its zero-rows-touched property (consumers treat this as
-        a mapping; they bring their own group order).
+        Consumers treat this as a mapping; they bring their own group order.
         """
         return {g.key: float(g.size) for g in self.groups}
 
@@ -185,8 +138,8 @@ class AggregateView:
         if grouping_pattern.is_empty():
             return frozenset(self.group_keys())
         mask = grouping_pattern.evaluate(self.table)
-        fully_covered = self._index.all_true(mask)
-        return frozenset(self._index.keys[g]
+        fully_covered = self.index.all_true(mask)
+        return frozenset(self.index.keys[g]
                          for g in np.flatnonzero(fully_covered))
 
     def coverage_fraction(self, covered: Iterable[tuple]) -> float:

@@ -4,7 +4,7 @@
 live on disk as sharded, dictionary-encoded columnar files with a JSON
 manifest (schema, shared interned vocabularies, zone maps, monotonic
 version), loads are memory-mapped and lazy, scans prune whole shards through
-per-shard zone maps, appends are crash-safe atomic commits, and the
+per-shard zone maps and column statistics, appends are crash-safe atomic commits, and the
 explanation engine can snapshot/restore its registrations and summary cache
 for warm restarts (``repro serve --store``).
 
@@ -13,7 +13,7 @@ Entry points:
 * :class:`DatasetStore` — a store root holding many datasets + engine state;
 * :class:`StoredDataset` — one dataset directory (manifest + shards);
 * :class:`ShardedTable` — the lazily-loaded, zone-map-pruned ``Table`` view;
-* :func:`~repro.storage.zonemap.pattern_may_match` — the pushdown predicate.
+* :func:`~repro.storage.zonemap.shard_may_match` — the per-predicate pushdown.
 """
 
 from repro.storage.dataset import ShardedTable, StoredDataset
@@ -28,7 +28,6 @@ from repro.storage.store import DatasetStore, config_from_dict, config_to_dict
 from repro.storage.zonemap import (
     categorical_zone_map,
     numeric_zone_map,
-    pattern_may_match,
     shard_may_match,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "config_to_dict",
     "numeric_zone_map",
     "open_shard",
-    "pattern_may_match",
     "shard_may_match",
     "write_shard",
 ]

@@ -8,8 +8,12 @@ The read path returns a :class:`ShardedTable` — a drop-in
 :class:`~repro.dataframe.Table` whose columns are
 :class:`~repro.dataframe.LazyColumn` views over memory-mapped shard arrays:
 nothing is decoded until a column's rows are actually touched, and
-``select`` with a pattern condition consults the per-shard zone maps first,
-decoding only the shards that could contain matching rows.
+``select`` with a pattern condition runs the planned shard scan
+(:meth:`ShardedTable.plan_shard_select`): per-shard zone maps and column
+statistics skip the shards that cannot contain matching rows, and only the
+rest are decoded.  That is the one scan path over stored data; a group-by
+over a loaded table builds its groups from the rows exactly as it would in
+memory.
 
 Vocabularies are *interned per dataset*: every shard's categorical codes
 point into one shared append-only store vocabulary, so shards written years
@@ -41,8 +45,7 @@ from repro.dataframe.predicates import Op
 from repro.obs import trace
 # map_morsels is a module attribute here because benchmarks/e2e/spans.py
 # (_MAP_MORSELS_CONSUMERS) rebinds it.
-from repro.parallel import GLOBAL_PARALLEL_STATS, map_morsels
-from repro.plan.config import planner_enabled
+from repro.parallel import map_morsels
 from repro.plan.execute import scan_indices
 from repro.plan.planner import GLOBAL_PLANNER_STATS, plan_scan
 from repro.plan.stats import (
@@ -78,7 +81,6 @@ from repro.storage.shard import open_shard, write_shard
 from repro.storage.zonemap import (
     categorical_zone_map,
     numeric_zone_map,
-    pattern_may_match,
     shard_may_match,
 )
 
@@ -210,8 +212,7 @@ class StoredDataset:
                     f"{'numeric' if stored_numeric else 'categorical'} column")
 
     def _write_shard(self, manifest: Manifest, batch: Table,
-                     shard_seq: int | None = None,
-                     partials_by: str | None = None) -> ShardInfo:
+                     shard_seq: int | None = None) -> ShardInfo:
         """Encode, write, fingerprint, and rename one shard (no commit).
 
         Besides the zone maps, every column's **statistics** are collected
@@ -219,13 +220,6 @@ class StoredDataset:
         frequencies in store-code space — and travel in the manifest, so
         selectivity estimates refresh with every committed shard and are
         never derived by re-scanning committed data.
-
-        ``partials_by`` (a categorical attribute; set by cluster-by
-        compaction) additionally records the shard's **group-by partials**:
-        per group key, the row count plus every numeric column's valid
-        count and outcome sum — exactly the per-shard quantities the
-        runtime partial aggregation computes, so a clustered no-WHERE
-        group-by can later answer from the manifest without touching rows.
         """
         arrays: dict[str, np.ndarray] = {}
         zone_maps: dict[str, dict] = {}
@@ -252,12 +246,9 @@ class StoredDataset:
         write_shard(tmp, arrays)
         fingerprint = fingerprint_file(tmp)
         os.replace(tmp, final)
-        group_partials = _group_partials(manifest, batch, partials_by) \
-            if partials_by is not None else None
         return ShardInfo(shard_id=shard_id, file=relative, n_rows=batch.n_rows,
                          fingerprint=fingerprint, zone_maps=zone_maps,
-                         column_stats=column_stats,
-                         group_partials=group_partials)
+                         column_stats=column_stats)
 
     # ------------------------------------------------------------------ maintenance
 
@@ -281,20 +272,22 @@ class StoredDataset:
           is stably sorted by the attribute (missing values last) and
           rewritten into shards of ``shard_rows`` rows (default: the
           largest current shard), which is what makes zone maps selective
-          for predicates over that attribute.  A *categorical* cluster key
-          additionally commits per-shard **group-by partials** (group row
-          counts plus valid count and sum of every numeric column) into the
-          manifest, so subsequent no-WHERE group-bys over the key answer
-          from the partials without reading any shard row.  Numeric cluster
-          keys skip the partials: their ``NaN`` rows group as per-row
-          singletons, which no mergeable manifest artifact can represent.
+          for predicates over that attribute.
 
         Every rewritten shard gets fresh zone maps, column statistics, and
         content fingerprints.  ``version`` advances by one.  Live readers
         are unaffected: a loaded table pins every shard's descriptor (the
         unlinked inodes stay readable), and an in-flight ``load_table``
         that loses the race retries on the fresh manifest.
+
+        Invalid arguments raise :class:`StorageError` whether or not the
+        dataset holds any shard.
         """
+        if shard_rows is not None and shard_rows < 1:
+            raise StorageError(
+                f"shard_rows must be positive, got {shard_rows}")
+        if min_rows is not None and min_rows < 1:
+            raise StorageError(f"min_rows must be positive, got {min_rows}")
         with self._lock, _append_lock(self.directory):
             manifest = self._committed_manifest()
             # Shards are written against the staged copy, so the published
@@ -309,14 +302,7 @@ class StoredDataset:
             if before == 0:
                 return {"name": manifest.name, "version": manifest.version,
                         "shards_before": 0, "shards_after": 0,
-                        "rewritten": 0, "cluster_by": cluster_by,
-                        "partial_groups": 0}
-            if shard_rows is not None and shard_rows < 1:
-                raise StorageError(
-                    f"shard_rows must be positive, got {shard_rows}")
-            if min_rows is not None and min_rows < 1:
-                raise StorageError(
-                    f"min_rows must be positive, got {min_rows}")
+                        "rewritten": 0, "cluster_by": cluster_by}
             largest = max(s.n_rows for s in manifest.shards)
             if min_rows is None:
                 min_rows = shard_rows if shard_rows is not None else largest
@@ -325,8 +311,6 @@ class StoredDataset:
             seq = _next_shard_seq(manifest)
             new_shards: list[ShardInfo] = []
             replaced: list[ShardInfo] = []
-            partials_by = cluster_by if cluster_by is not None and \
-                manifest.kind(cluster_by) == CATEGORICAL else None
 
             def rewrite(batch: Table) -> None:
                 nonlocal seq
@@ -335,13 +319,12 @@ class StoredDataset:
                     stop = min(start + target, batch.n_rows)
                     part = batch.take(np.arange(start, stop))
                     new_shards.append(self._write_shard(
-                        committed, part, shard_seq=seq,
-                        partials_by=partials_by))
+                        committed, part, shard_seq=seq))
                     seq += 1
                     start = stop
 
             if cluster_by is not None:
-                table = self.load_table(prune=False)
+                table = self.load_table()
                 column = table.column(cluster_by)
                 keys = column.values if column.numeric else column.codes
                 if column.numeric:
@@ -377,8 +360,7 @@ class StoredDataset:
             if not replaced:  # nothing to rewrite: no version churn
                 return {"name": manifest.name, "version": manifest.version,
                         "shards_before": before, "shards_after": before,
-                        "rewritten": 0, "cluster_by": cluster_by,
-                        "partial_groups": 0}
+                        "rewritten": 0, "cluster_by": cluster_by}
             # The staged manifest's version is also what a live reader's
             # lost-race retry in ``load_table`` compares against.
             committed.shards = new_shards
@@ -395,10 +377,7 @@ class StoredDataset:
                     pass
             return {"name": committed.name, "version": committed.version,
                     "shards_before": before, "shards_after": len(new_shards),
-                    "rewritten": len(replaced), "cluster_by": cluster_by,
-                    "partial_groups": sum(
-                        len(s.group_partials["keys"]) for s in new_shards
-                        if s.group_partials is not None)}
+                    "rewritten": len(replaced), "cluster_by": cluster_by}
 
     def _decode_shards(self, manifest: Manifest,
                        shards: list[ShardInfo]) -> Table:
@@ -451,7 +430,7 @@ class StoredDataset:
             self._manifest_bytes = raw
         return self.manifest
 
-    def load_table(self, prune: bool = True) -> "ShardedTable":
+    def load_table(self) -> "ShardedTable":
         """The dataset as a lazily-loaded, zone-map-pruned table.
 
         Every shard's descriptor is opened here, eagerly, and handed to its
@@ -466,15 +445,14 @@ class StoredDataset:
         while True:
             manifest = self.manifest
             try:
-                return self._load_table_at(manifest, prune)
+                return self._load_table_at(manifest)
             except FileNotFoundError as exc:
                 if self.reload().version == manifest.version:
                     raise StorageError(
                         f"manifest references missing shard in "
                         f"{self.directory}: {exc}") from exc
 
-    def _load_table_at(self, manifest: Manifest,
-                       prune: bool) -> "ShardedTable":
+    def _load_table_at(self, manifest: Manifest) -> "ShardedTable":
         decoders: dict[str, np.ndarray | None] = {}
         sorted_vocabs: dict[str, tuple] = {}
         for attribute in manifest.attributes:
@@ -491,7 +469,7 @@ class StoredDataset:
                 continue
             handles.append(_ShardHandle(path, shard, decoders,
                                         file=path.open("rb")))
-        return ShardedTable(manifest, handles, sorted_vocabs, prune=prune)
+        return ShardedTable(manifest, handles, sorted_vocabs)
 
     def verify(self) -> None:
         """Check every committed shard's content fingerprint (integrity scan)."""
@@ -584,15 +562,14 @@ class ShardedTable(Table):
     arrays on first touch.  ``select`` with a pattern condition prunes whole
     shards via the manifest's zone maps before any mask is evaluated, so a
     selective scan only decodes the shards that can contain matches — and
-    returns exactly what the unpruned scan would.
+    returns exactly what the in-memory ``Table.select`` would.
     """
 
     def __init__(self, manifest: Manifest, handles: list[_ShardHandle],
-                 sorted_vocabs: dict[str, tuple], prune: bool = True):
+                 sorted_vocabs: dict[str, tuple]):
         self._manifest = manifest
         self._handles = handles
         self._sorted_vocabs = sorted_vocabs
-        self._prune = prune
         self._stats_lock = named_lock("ShardedTable._stats_lock")
         self._scans = 0  # guarded-by: _stats_lock
         self._shards_scanned = 0  # guarded-by: _stats_lock
@@ -600,7 +577,6 @@ class ShardedTable(Table):
         self._zone_map_skipped = 0  # guarded-by: _stats_lock
         self._stats_skipped = 0  # guarded-by: _stats_lock
         self._rows_skipped = 0  # guarded-by: _stats_lock
-        self._partials_served = 0  # guarded-by: _stats_lock
         columns = [self._lazy_column(attribute, handles)
                    for attribute in manifest.attributes]
         super().__init__(columns, name=manifest.name)
@@ -636,35 +612,7 @@ class ShardedTable(Table):
         """Pattern selections consult zone maps + statistics and skip shards."""
         if not isinstance(condition, (Pattern, Predicate)):
             return super().select(condition)
-        if planner_enabled():
-            return self.plan_shard_select(condition)[0]
-        # Oracle path: zone-map-only pruning, left-to-right full masks.
-        if not self._prune or len(self._handles) <= 1:
-            return self._filter_shards(self._handles, condition)
-        vocabs = self._manifest.vocabs
-        # One pass decides survival and tallies skipped rows directly — no
-        # post-hoc `h not in survivors` membership scan (quadratic in the
-        # shard count).
-        survivors = []
-        rows_skipped = 0
-        for handle in self._handles:
-            if pattern_may_match(handle.info.zone_maps, condition, vocabs):
-                survivors.append(handle)
-            else:
-                rows_skipped += handle.n_rows
-        with self._stats_lock:
-            self._scans += 1
-            self._shards_scanned += len(self._handles)
-            self._shards_skipped += len(self._handles) - len(survivors)
-            self._rows_skipped += rows_skipped
-        return self._filter_shards(survivors, condition)
-
-    def _filter_shards(self, handles: list[_ShardHandle], condition) -> Table:
-        """Full-mask (oracle) filter over ``handles``: left-to-right full
-        masks over the concatenated lazy columns."""
-        if len(handles) == len(self._handles):
-            return super().select(condition)
-        return self._subset(handles).select(condition)
+        return self.plan_shard_select(condition)[0]
 
     def plan_shard_select(self, condition, mask_cache=None):
         """Selectivity-aware scan: ``(filtered table, executed ScanPlan)``.
@@ -672,9 +620,9 @@ class ShardedTable(Table):
         Three-way decision per shard — zone-map skip, statistics-based skip
         (covers manifests whose zone maps are absent), or scan — followed by
         conjuncts ordered most-selective-cheapest-first with short-circuit
-        AND over the concatenated surviving shards.  Both skip
-        layers are conservative proofs, so the result equals the unplanned
-        scan row for row.
+        AND over the concatenated surviving shards.  Both skip layers are
+        conservative proofs, so the result equals the in-memory
+        ``Table.select`` row for row.  A single-shard table skips nothing.
 
         ``mask_cache`` (the engine's per-version :class:`MaskCache`) serves
         purely as a **store-code memo** here: repeated hot equality literals
@@ -718,7 +666,7 @@ class ShardedTable(Table):
             GLOBAL_PLANNER_STATS.record_store_codes(lookups, cached)
         survivors = []
         zone_skipped = stats_skipped = rows_skipped = 0
-        prune = self._prune and len(self._handles) > 1
+        prune = len(self._handles) > 1
         for handle in self._handles:
             if prune:
                 if not all(
@@ -740,7 +688,7 @@ class ShardedTable(Table):
         plan.shards_total = len(self._handles)
         plan.shards_zone_map_skipped = zone_skipped
         plan.shards_stats_skipped = stats_skipped
-        if prune:  # unpruned/single-shard handles keep their counters at zero
+        if prune:  # single-shard tables keep their counters at zero
             with self._stats_lock:
                 self._scans += 1
                 self._shards_scanned += len(self._handles)
@@ -754,77 +702,6 @@ class ShardedTable(Table):
             self._subset(survivors)
         indices = scan_indices(subset, plan)
         return subset.take(indices), plan
-
-    # ------------------------------------------------------------------ partials
-
-    def shard_groupby_partials(self, group_by, outcome: str):
-        """Per-group ``(key, size, valid, total)`` partials in global
-        first-occurrence order, or ``None`` when they do not apply.
-
-        Applies when every grouping attribute is stored categorical and the
-        outcome is stored numeric (numeric group keys form per-row ``NaN``
-        singletons no mergeable partial can represent).  Two sources, in
-        preference order:
-
-        * **committed partials** — every shard of a single-attribute
-          group-by carries manifest partials for the key (written by
-          ``compact --cluster-by``): the answer merges pure manifest
-          arithmetic and touches **zero** shard rows;
-        * **runtime partials** — each shard computes its own group sizes,
-          valid counts, and outcome sums.
-
-        Both sources compute the identical per-shard quantities and merge
-        in shard order, so the result is the same wherever it comes from.
-        """
-        manifest = self._manifest
-        if not group_by or outcome not in manifest.attributes or \
-                manifest.kind(outcome) != NUMERIC:
-            return None
-        if any(a not in manifest.attributes or
-               manifest.kind(a) != CATEGORICAL for a in group_by):
-            return None
-        if not self._handles:
-            return []
-        merged = self._manifest_partials(group_by, outcome)
-        if merged is not None:
-            with self._stats_lock:
-                self._partials_served += 1
-            GLOBAL_PARALLEL_STATS.record_partials_served()
-            return merged
-        attributes = list(group_by)
-        shard_tables = [self._subset([handle]) for handle in self._handles]
-
-        def shard_partials(shard: Table) -> list:
-            index = shard.group_index(attributes)
-            values = shard.column(outcome).values
-            entries = []
-            for key, rows in zip(index.keys, index.group_indices()):
-                grouped = values[rows]
-                valid = grouped[~np.isnan(grouped)]
-                entries.append((key, int(rows.size), int(valid.size),
-                                float(valid.sum()) if valid.size else 0.0))
-            return entries
-
-        return _merge_partials(map_morsels(shard_partials, shard_tables))
-
-    def _manifest_partials(self, group_by, outcome: str):
-        """Merged committed partials, or ``None`` when any shard lacks them."""
-        if len(group_by) != 1:
-            return None
-        by = group_by[0]
-        per_shard = []
-        for handle in self._handles:
-            partials = handle.info.group_partials
-            if partials is None or partials.get("by") != by or \
-                    outcome not in partials["outcomes"]:
-                return None
-            entry = partials["outcomes"][outcome]
-            per_shard.append(
-                [((key,), int(size), int(valid), float(total))
-                 for key, size, valid, total in zip(
-                     partials["keys"], partials["sizes"],
-                     entry["valid"], entry["sum"])])
-        return _merge_partials(per_shard)
 
     def plan_column_stats(self, attribute: str):
         """Merged manifest statistics of one column (sorted-code space).
@@ -870,10 +747,8 @@ class ShardedTable(Table):
         ``shards_skipped`` is the total; ``zone_map_skipped`` /
         ``stats_skipped`` attribute planned skips to the mechanism that
         proved them (zone maps win ties — they are consulted first).
-        ``partials_served`` counts group-bys answered from committed
-        manifest partials; ``shards_open`` says how many shard archives
-        have actually been opened — together they prove (or disprove) the
-        zero-rows-touched fast path.
+        ``shards_open`` says how many shard archives have actually been
+        opened.
         """
         shards_open = sum(1 for handle in self._handles if handle.is_open())
         with self._stats_lock:
@@ -883,65 +758,7 @@ class ShardedTable(Table):
                     "zone_map_skipped": self._zone_map_skipped,
                     "stats_skipped": self._stats_skipped,
                     "rows_skipped": self._rows_skipped,
-                    "partials_served": self._partials_served,
                     "shards_open": shards_open}
-
-
-# ---------------------------------------------------------------------- partials
-
-
-def _group_partials(manifest: Manifest, batch: Table,
-                    partials_by: str) -> dict:
-    """One shard's committed group-by partials (JSON-ready).
-
-    For every group of the (categorical) cluster key, in the shard's
-    first-occurrence order: the row count plus each numeric column's valid
-    count and outcome sum — exactly the per-shard quantities
-    :meth:`ShardedTable.shard_groupby_partials` computes at runtime, so a
-    manifest-served answer is indistinguishable from a computed one.
-    """
-    index = batch.group_index([partials_by])
-    group_rows = index.group_indices()
-    keys = [key[0] for key in index.keys]
-    sizes = [int(rows.size) for rows in group_rows]
-    outcomes: dict[str, dict] = {}
-    for attribute in manifest.attributes:
-        if manifest.kind(attribute) != NUMERIC:
-            continue
-        values = np.asarray(batch.column(attribute).values, dtype=np.float64)
-        valid_counts = []
-        sums = []
-        for rows in group_rows:
-            grouped = values[rows]
-            valid = grouped[~np.isnan(grouped)]
-            valid_counts.append(int(valid.size))
-            sums.append(float(valid.sum()) if valid.size else 0.0)
-        outcomes[attribute] = {"valid": valid_counts, "sum": sums}
-    return {"by": partials_by, "keys": keys, "sizes": sizes,
-            "outcomes": outcomes}
-
-
-def _merge_partials(per_shard: list[list]) -> list:
-    """Fold per-shard ``(key, size, valid, total)`` entries in shard order.
-
-    Appending keys as they are first seen reproduces the first-occurrence
-    group order of one whole-table ``GroupByIndex``; sizes, valid counts,
-    and sums are additive (each row lives in exactly one shard).
-    """
-    order: dict = {}
-    merged: list[list] = []
-    for entries in per_shard:
-        for key, size, valid, total in entries:
-            slot = order.get(key)
-            if slot is None:
-                order[key] = len(merged)
-                merged.append([key, size, valid, total])
-            else:
-                row = merged[slot]
-                row[1] += size
-                row[2] += valid
-                row[3] += total
-    return [tuple(row) for row in merged]
 
 
 # ---------------------------------------------------------------------- naming

@@ -156,13 +156,6 @@ class ShardInfo:
     #: manifests written before the planner landed (``{}`` — the planner
     #: then estimates conservatively).
     column_stats: dict = field(default_factory=dict)
-    #: Committed group-by partials keyed by the shard's cluster attribute —
-    #: ``{"by": attr, "keys": [...], "sizes": [...], "outcomes": {numeric
-    #: attr: {"valid": [...], "sum": [...]}}}`` in the shard's
-    #: first-occurrence group order.  Written only by ``compact
-    #: --cluster-by`` over a categorical key; ``None`` everywhere else
-    #: (and omitted from the serialized manifest).
-    group_partials: dict | None = None
     #: ``to_dict()`` as compact JSON, encoded at the first commit that needs
     #: it (a benign race: concurrent encodes store identical text).
     _json: str | None = field(default=None, init=False, repr=False,
@@ -174,20 +167,18 @@ class ShardInfo:
         return self._json
 
     def to_dict(self) -> dict:
-        spec = {"id": self.shard_id, "file": self.file, "n_rows": self.n_rows,
+        return {"id": self.shard_id, "file": self.file, "n_rows": self.n_rows,
                 "fingerprint": self.fingerprint, "zone_maps": self.zone_maps,
                 "column_stats": self.column_stats}
-        if self.group_partials is not None:
-            spec["group_partials"] = self.group_partials
-        return spec
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ShardInfo":
+        # Keys this version no longer writes (e.g. older manifests' per-shard
+        # group-by partials) are ignored and dropped at the next commit.
         return cls(shard_id=spec["id"], file=spec["file"],
                    n_rows=int(spec["n_rows"]), fingerprint=spec["fingerprint"],
                    zone_maps=dict(spec.get("zone_maps", {})),
-                   column_stats=dict(spec.get("column_stats", {})),
-                   group_partials=spec.get("group_partials"))
+                   column_stats=dict(spec.get("column_stats", {})))
 
 
 @dataclass

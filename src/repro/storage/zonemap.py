@@ -12,8 +12,10 @@ Pruning is *conservative*: :func:`shard_may_match` answers "could any row of
 this shard satisfy the predicate?" and only answers ``False`` when the zone
 map proves it.  Anything the map cannot decide (un-orderable mixed types,
 non-numeric literals against numeric columns, unknown attributes) keeps the
-shard, so a pruned scan always returns exactly the rows an unpruned scan
-would — the proof obligation the hypothesis tests in
+shard.  :meth:`~repro.storage.dataset.ShardedTable.plan_shard_select` — the
+one scan path over stored data — asks it once per conjunct and shard, so a
+stored scan always returns exactly the rows the in-memory
+``Table.select`` returns — the proof obligation the hypothesis tests in
 ``tests/test_storage.py`` discharge.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataframe import Pattern, Predicate
+from repro.dataframe import Predicate
 from repro.dataframe.predicates import Op
 
 NUMERIC = "numeric"
@@ -71,17 +73,6 @@ def shard_may_match(zone_map: dict | None, predicate: Predicate,
     if zone_map.get("kind") == CATEGORICAL:
         return _categorical_may_match(zone_map, predicate, store_vocab or [])
     return True
-
-
-def pattern_may_match(zone_maps: dict, pattern: Pattern | Predicate,
-                      vocabs: dict[str, list]) -> bool:
-    """Conjunction pushdown: every predicate must be satisfiable in the shard."""
-    predicates = [pattern] if isinstance(pattern, Predicate) else \
-        list(pattern.predicates)
-    return all(
-        shard_may_match(zone_maps.get(p.attribute), p, vocabs.get(p.attribute))
-        for p in predicates
-    )
 
 
 def _numeric_may_match(zone_map: dict, predicate: Predicate) -> bool:

@@ -2,14 +2,14 @@
 
 The load-bearing property is that a :class:`ShardedTable` — a sharded scan,
 a planned scan, a lazy column decode, an aggregate view, a whole
-explanation — answers exactly like the in-memory table it was written from.
-On top of that, clustered compaction commits per-shard group-by partials
-that answer no-WHERE group-bys from the manifest without opening a single
-shard archive, and concurrent select/append/compact stays lock-order safe.
+explanation — answers exactly like the in-memory table it was written from,
+bit for bit, with non-integer outcomes and after clustered compaction too.
+Concurrent select/append/compact stays lock-order safe.
 """
 
 from __future__ import annotations
 
+import json
 import tempfile
 import threading
 
@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import lockwatch
+from repro.core import CauSumX, summary_to_dict
 from repro.dataframe import MaskCache, Op, Pattern, Predicate, Table
+from repro.graph import CausalDAG
 from repro.parallel import GLOBAL_PARALLEL_STATS, map_morsels
-from repro.plan import GLOBAL_PLANNER_STATS, oracle_mode
+from repro.plan import GLOBAL_PLANNER_STATS
 from repro.service import ExplanationEngine
 from repro.sql import AggregateView, parse_query
 from repro.storage import DatasetStore, StoredDataset
@@ -36,12 +38,19 @@ def _people(n: int, seed: int = 0) -> Table:
         "Role": [roles[i] for i in rng.integers(0, len(roles), n)],
         "Age": np.where(rng.random(n) < 0.1, np.nan,
                         rng.integers(20, 70, n).astype(float)),
-        # Integer-valued outcome: partial sums are exact in float64, so
-        # partial-served averages can be compared with == against the
-        # legacy whole-table group scan.
-        "Salary": rng.integers(30, 200, n).astype(float),
+        # A non-integer outcome: float sums depend on the order they are
+        # taken in, so only a group-by that sums exactly as the in-memory
+        # view does compares equal bit for bit.
+        "Salary": rng.normal(100, 30, n),
         "allmiss": [None] * n,
     }, name="people")
+
+
+def _payload(summary) -> str:
+    """A summary as canonical JSON, its run-dependent timings dropped."""
+    result = summary_to_dict(summary)
+    result.pop("timings", None)
+    return json.dumps(result, sort_keys=True, default=str)
 
 
 # ------------------------------------------------------------- per-shard loop
@@ -118,11 +127,10 @@ class TestWorkerInvariance:
         with tempfile.TemporaryDirectory() as tmp:
             dataset = StoredDataset.create(f"{tmp}/d", "d", table,
                                            shard_rows=shard_rows)
-            planned = dataset.load_table().select(pattern)
-            with oracle_mode():
-                oracle = dataset.load_table().select(pattern)
-        assert planned == oracle
-        assert oracle == table.select(pattern)
+            loaded = dataset.load_table()
+            planned = loaded.select(pattern)
+            full_masks = Table.select(loaded, pattern)  # no shard skipped
+        assert planned == full_masks == table.select(pattern)
 
     @pytest.mark.parametrize("op", list(Op))
     def test_nan_literal_scan_matches_in_memory(self, op):
@@ -133,10 +141,10 @@ class TestWorkerInvariance:
         with tempfile.TemporaryDirectory() as tmp:
             dataset = StoredDataset.create(f"{tmp}/d", "d", table,
                                            shard_rows=3)
-            planned = dataset.load_table().select(pattern)
-            with oracle_mode():
-                oracle = dataset.load_table().select(pattern)
-        assert planned == oracle == table.select(pattern)
+            loaded = dataset.load_table()
+            planned = loaded.select(pattern)
+            full_masks = Table.select(loaded, pattern)  # no shard skipped
+        assert planned == full_masks == table.select(pattern)
 
     @settings(max_examples=10, deadline=None)
     @given(st.data())
@@ -157,8 +165,7 @@ class TestWorkerInvariance:
             dataset = StoredDataset.create(f"{tmp}/d", "d", table,
                                            shard_rows=37)
             view = AggregateView(dataset.load_table(), query)
-            assert view.served_from_partials
-            assert view.groups == in_memory.groups
+            assert _bits(view) == _bits(in_memory)
             assert view.group_weights() == in_memory.group_weights()
 
 
@@ -173,21 +180,14 @@ class TestMiningWidthInvariance:
 
     def test_explain_summary_identical_across_widths(self, so_bundle,
                                                      fast_config):
-        import json
-
-        from repro.core import CauSumX, summary_to_dict
-
         query = parse_query("SELECT Country, AVG(Salary) FROM SO "
                             "GROUP BY Country")
 
         def payload(table):
-            summary = CauSumX(table, so_bundle.dag, fast_config).explain(
+            return _payload(CauSumX(table, so_bundle.dag, fast_config).explain(
                 query,
                 grouping_attributes=so_bundle.grouping_attributes,
-                treatment_attributes=so_bundle.treatment_attributes)
-            result = summary_to_dict(summary)
-            result.pop("timings", None)
-            return json.dumps(result, sort_keys=True, default=str)
+                treatment_attributes=so_bundle.treatment_attributes))
 
         with tempfile.TemporaryDirectory() as tmp:
             sharded = payload(self._sharded(tmp, so_bundle))
@@ -195,7 +195,6 @@ class TestMiningWidthInvariance:
 
     def test_estimate_many_identical_across_widths(self, so_bundle):
         import dataclasses
-        import json
 
         from repro.causal import CATEEstimator
 
@@ -258,29 +257,108 @@ class TestStoreCodeMemo:
         assert after["store_code_cached"] == before["store_code_cached"]
 
 
-# ------------------------------------------------------------------- partials
+# ------------------------------------------------------------------- group-by
+
+
+def _bits(view: AggregateView) -> list:
+    """The view's answer tuples with each average as its exact bits."""
+    return [(g.key, g.average.hex(), g.size) for g in view.groups]
+
+
+def _legacy_partials(shard: Table) -> dict:
+    """A shard's ``group_partials`` manifest entry as older versions wrote
+    it for a Country-clustered shard: per group, the row count plus each
+    numeric column's valid count and sum."""
+    index = shard.group_index(["Country"])
+    rows_by_group = index.group_indices()
+    outcomes = {}
+    for attribute in ("Age", "Salary"):
+        values = shard.column(attribute).values
+        valid = [values[rows][~np.isnan(values[rows])] for rows in rows_by_group]
+        outcomes[attribute] = {"valid": [int(v.size) for v in valid],
+                               "sum": [float(v.sum()) for v in valid]}
+    return {"by": "Country", "keys": [key[0] for key in index.keys],
+            "sizes": [int(rows.size) for rows in rows_by_group],
+            "outcomes": outcomes}
 
 
 class TestGroupByPartials:
-    def test_clustered_compaction_serves_from_manifest(self):
-        table = _people(500)
-        query = parse_query("SELECT Country, AVG(Salary) FROM people "
-                            "GROUP BY Country")
-        in_memory = AggregateView(table, query)
+    """A no-WHERE group-by over a multi-shard store builds its groups from
+    the rows, exactly as in memory: no per-shard partial aggregates are
+    computed, committed, or read."""
+
+    QUERY = "SELECT Country, AVG(Salary) FROM people GROUP BY Country"
+
+    def test_unclustered_view_bit_identical_to_in_memory(self):
+        table = _people(5000)
+        in_memory = AggregateView(table, parse_query(self.QUERY))
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset = StoredDataset.create(f"{tmp}/d", "d", table,
+                                           shard_rows=37)
+            view = AggregateView(dataset.load_table(),
+                                 parse_query(self.QUERY))
+            assert _bits(view) == _bits(in_memory)
+
+    def test_clustered_view_bit_identical_to_in_memory(self):
+        table = _people(5000)
         with tempfile.TemporaryDirectory() as tmp:
             store = DatasetStore.init(f"{tmp}/store")
-            store.import_table("people", table, shard_rows=60)
+            store.import_table("people", table, shard_rows=37)
             result = store.compact("people", cluster_by="Country")
-            assert result["partial_groups"] > 0
+            assert "partial_groups" not in result
             loaded = store.dataset("people").load_table()
-            view = AggregateView(loaded, query)
-            assert view.served_from_partials
-            assert view.groups == in_memory.groups
-            scan = loaded.scan_stats()
-            # The whole answer came from manifest arithmetic: no shard
-            # archive was ever opened, no row was read.
-            assert scan["partials_served"] == 1
-            assert scan["shards_open"] == 0
+            view = AggregateView(loaded, parse_query(self.QUERY))
+            # Clustering reorders the rows; the reference is the in-memory
+            # view over the rows in their stored order.
+            in_memory = AggregateView(Table.select(loaded, Pattern()),
+                                      parse_query(self.QUERY))
+            assert _bits(view) == _bits(in_memory)
+
+    def test_manifest_with_legacy_partials_opens_and_drops_them(
+            self, fast_config):
+        table = _people(2000, seed=4)
+        with tempfile.TemporaryDirectory() as tmp:
+            store = DatasetStore.init(f"{tmp}/store")
+            store.import_table("people", table, shard_rows=37)
+            store.compact("people", cluster_by="Country")
+            # Rewrite the manifest as an older version committed it: every
+            # shard carries group-by partials for the cluster key.
+            stored = store.dataset("people")
+            loaded = stored.load_table()
+            path = stored.directory / "MANIFEST.json"
+            spec = json.loads(path.read_text())
+            start = 0
+            for shard in spec["shards"]:
+                stop = start + shard["n_rows"]
+                shard["group_partials"] = _legacy_partials(
+                    loaded.take(np.arange(start, stop)))
+                start = stop
+            path.write_text(json.dumps(spec))
+
+            reopened = StoredDataset(stored.directory)
+            rows = Table.select(reopened.load_table(), Pattern())
+            view = AggregateView(reopened.load_table(),
+                                 parse_query(self.QUERY))
+            assert _bits(view) == _bits(
+                AggregateView(rows, parse_query(self.QUERY)))
+
+            dag = CausalDAG(edges=[("Country", "Salary"), ("Role", "Salary"),
+                                   ("Age", "Salary")])
+            store.register_entry("people", dag=dag, config=fast_config,
+                                 grouping_attributes=["Country"],
+                                 treatment_attributes=["Role", "Age"])
+            engine = ExplanationEngine.from_store(DatasetStore(store.root))
+            served = engine.explain("people", self.QUERY)
+            reference = CauSumX(rows, dag, fast_config).explain(
+                self.QUERY, grouping_attributes=["Country"],
+                treatment_attributes=["Role", "Age"])
+            assert _payload(served) == _payload(reference)
+
+            # The next commit rewrites every shard entry without the key.
+            reopened.append(_people(10, seed=5))
+            committed = json.loads(path.read_text())
+            assert not any("group_partials" in shard
+                           for shard in committed["shards"])
 
     def test_numeric_cluster_key_commits_no_partials(self):
         table = _people(200)
@@ -288,33 +366,12 @@ class TestGroupByPartials:
             store = DatasetStore.init(f"{tmp}/store")
             store.import_table("people", table, shard_rows=50)
             result = store.compact("people", cluster_by="Salary")
-            assert result["partial_groups"] == 0
-            loaded = store.dataset("people").load_table()
-            assert loaded._manifest.shards[0].group_partials is None
-
-    def test_runtime_partials_match_manifest_partials(self):
-        table = _people(300, seed=3)
-        with tempfile.TemporaryDirectory() as tmp:
-            store = DatasetStore.init(f"{tmp}/store")
-            store.import_table("people", table, shard_rows=40)
-            runtime = store.dataset("people").load_table() \
-                .shard_groupby_partials(("Country",), "Salary")
-            store.compact("people", cluster_by="Country")
-            committed = store.dataset("people").load_table() \
-                .shard_groupby_partials(("Country",), "Salary")
-        # Clustering reorders rows, hence groups; the merged per-group
-        # quantities are identical.
-        assert sorted(runtime, key=repr) == sorted(committed, key=repr)
-
-    def test_partials_refuse_inapplicable_queries(self):
-        table = _people(100)
-        with tempfile.TemporaryDirectory() as tmp:
-            dataset = StoredDataset.create(f"{tmp}/d", "d", table,
-                                           shard_rows=30)
-            loaded = dataset.load_table()
-            assert loaded.shard_groupby_partials(("Age",), "Salary") is None
-            assert loaded.shard_groupby_partials(("Country",), "Role") is None
-            assert loaded.shard_groupby_partials((), "Salary") is None
+            assert "partial_groups" not in result
+            manifest = json.loads(
+                (store.dataset("people").directory / "MANIFEST.json")
+                .read_text())
+            assert not any("group_partials" in shard
+                           for shard in manifest["shards"])
 
     def test_where_clause_bypasses_partials(self):
         table = _people(200)
@@ -325,13 +382,11 @@ class TestGroupByPartials:
             dataset = StoredDataset.create(f"{tmp}/d", "d", table,
                                            shard_rows=30)
             view = AggregateView(dataset.load_table(), query)
-            assert not view.served_from_partials
-            assert view.groups == in_memory.groups
+            assert _bits(view) == _bits(in_memory)
 
     def test_engine_stats_surface_parallel_counters(self):
         stats = ExplanationEngine().stats()
-        assert set(stats["parallel"]) == {"batches", "morsels",
-                                          "partials_served"}
+        assert set(stats["parallel"]) == {"batches", "morsels"}
 
 
 # ------------------------------------------------------------------ lockwatch
@@ -363,7 +418,8 @@ class TestConcurrencyLockOrder:
                 for _ in range(5):
                     loaded = dataset.load_table()
                     loaded.select(pattern)
-                    loaded.shard_groupby_partials(("Country",), "Salary")
+                    AggregateView(loaded, parse_query(
+                        "SELECT Country, AVG(Salary) FROM d GROUP BY Country"))
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 

@@ -2,11 +2,13 @@
 
 The load-bearing property is *semantic transparency*: planned execution
 (conjunct reordering, short-circuit AND, statistics-based shard skips,
-stats-deferred lattice atoms) must return exactly what the pre-planner
-oracle paths return, on every table shape the paper's workload can produce —
+stats-deferred lattice atoms) must return exactly what the plain in-memory
+references return, on every table shape the paper's workload can produce —
 all-missing columns, single-value columns, NaN histogram boundaries, empty
-WHERE clauses included.  The oracle stays reachable through
-``repro.plan.oracle_mode``.
+WHERE clauses included.  The test oracles need no switch: scans compare
+against the in-memory ``Table.select`` (left-to-right full masks), views
+against one built from it, and lattice atoms against a support filter
+written here.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ from repro.plan import (
     NumericColumnStats,
     lower_query,
     merge_column_stats,
-    oracle_mode,
     plan_scan,
     planned_select,
     planned_select_with_plan,
-    planner_enabled,
     stats_from_dict,
     stats_to_dict,
     table_stats,
@@ -208,9 +208,7 @@ class TestColumnStats:
         assert stats.selectivity(pred) == 1.0      # conservative, and...
         assert not any(column.materialized         # ...no shard was decoded
                        for column in loaded.columns())
-        with oracle_mode():
-            expected = dataset.load_table().select(Pattern([pred]))
-        assert loaded.select(Pattern([pred])) == expected
+        assert loaded.select(Pattern([pred])) == table.select(Pattern([pred]))
 
     def test_exact_support_from_table_stats(self):
         table = Table.from_columns({"c": ["a"] * 7 + ["b"] * 3 + [None]})
@@ -310,9 +308,7 @@ class TestPlannedEqualsOracle:
         table = _random_table(rng, data.draw(st.integers(1, 80)))
         pattern = _random_pattern(data, rng, table)
         planned = planned_select(table, pattern)
-        with oracle_mode():
-            oracle = table.select(pattern)
-        assert planned == oracle
+        assert planned == table.select(pattern)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -323,8 +319,7 @@ class TestPlannedEqualsOracle:
         cache = MaskCache(table)
         first = planned_select(table, pattern, mask_cache=cache)
         second = planned_select(table, pattern, mask_cache=cache)  # warm
-        with oracle_mode():
-            oracle = table.select(pattern)
+        oracle = table.select(pattern)
         assert first == oracle and second == oracle
 
     @settings(max_examples=25, deadline=None)
@@ -340,9 +335,7 @@ class TestPlannedEqualsOracle:
                 f"{tmp}/d", "d", table,
                 shard_rows=data.draw(st.integers(3, 30)))
             planned = dataset.load_table().select(pattern)
-            with oracle_mode():
-                oracle = dataset.load_table().select(pattern)
-            assert planned == oracle
+            assert planned == table.select(pattern)
 
     def test_aggregate_view_equals_oracle_view(self):
         bundle = load_dataset("stackoverflow", n=800, seed=0)
@@ -350,10 +343,14 @@ class TestPlannedEqualsOracle:
             "SELECT Country, AVG(Salary) FROM SO "
             "WHERE Gender = 'Male' AND Continent != 'Asia' GROUP BY Country")
         planned = AggregateView(bundle.table, query)
-        with oracle_mode():
-            oracle = AggregateView(bundle.table, query)
+        # The reference view: the WHERE clause as full masks, grouped with
+        # no clause left to plan.
+        filtered = bundle.table.select(query.where)
+        oracle = AggregateView(
+            filtered, parse_query("SELECT Country, AVG(Salary) FROM SO "
+                                  "GROUP BY Country"))
         assert planned.groups == oracle.groups
-        assert planned.table == oracle.table
+        assert planned.table == oracle.table == filtered
         assert planned.scan_plan is not None and oracle.scan_plan is None
 
     def test_stackoverflow_summary_byte_identical_to_oracle(self):
@@ -370,9 +367,18 @@ class TestPlannedEqualsOracle:
                 query, grouping_attributes=bundle.grouping_attributes,
                 treatment_attributes=bundle.treatment_attributes)
 
+        def oracle_run():
+            # The reference: WHERE evaluated up front as full masks, the
+            # explain then runs over the filtered table with no clause left.
+            filtered = bundle.table.select(Pattern.of(
+                ("Continent", "!=", "Oceania")))
+            return CauSumX(filtered, bundle.dag, config).explain(
+                "SELECT Country, AVG(Salary) FROM SO GROUP BY Country",
+                grouping_attributes=bundle.grouping_attributes,
+                treatment_attributes=bundle.treatment_attributes)
+
         planned = summary_to_dict(run())
-        with oracle_mode():
-            oracle = summary_to_dict(run())
+        oracle = summary_to_dict(oracle_run())
         planned.pop("timings", None), oracle.pop("timings", None)
         assert planned == oracle
 
@@ -397,12 +403,15 @@ class TestLatticeStatsDeferral:
         planned = PatternLattice(table, ["t", "many"],
                                  mask_cache=MaskCache(table),
                                  **kwargs).atomic_predicates()
-        with oracle_mode():
-            oracle = PatternLattice(table, ["t", "many"],
+        # The reference: every atom enumerated without a support floor,
+        # kept when its evaluated mask reaches the floor.
+        kwargs["min_support"] = 0
+        everything = PatternLattice(table, ["t", "many"],
                                     mask_cache=MaskCache(table),
                                     **kwargs).atomic_predicates()
+        oracle = [p for p in everything if p.evaluate(table).sum() >= 15]
         assert planned == oracle
-        assert all(p.evaluate(table).sum() >= 15 for p in planned)
+        assert len(oracle) < len(everything)  # the floor dropped something
 
     def test_low_support_atoms_deferred_without_mask_evaluation(self):
         table = self._table()
@@ -462,10 +471,8 @@ class TestStatsFreshnessAfterAppend:
         reloaded = dataset.load_table()
         after = plan_scan(reloaded, pattern, stats=table_stats(reloaded))
         assert after.conjuncts[0].predicate.attribute == "b"
-        # And the planned scan still matches the oracle on the new data.
-        with oracle_mode():
-            oracle = dataset.load_table().select(pattern)
-        assert reloaded.select(pattern) == oracle
+        # And the planned scan still matches the in-memory scan.
+        assert reloaded.select(pattern) == Table.select(reloaded, pattern)
 
     def test_engine_append_refreshes_in_memory_estimates(self):
         engine = ExplanationEngine()
@@ -522,9 +529,7 @@ class TestCompaction:
         })
         dataset = store.import_table("c", table, shard_rows=250)
         pattern = Pattern.of(("tenant", "==", "t3"))
-        unclustered = dataset.load_table()
-        with oracle_mode():
-            expected = unclustered.select(pattern)
+        expected = table.select(pattern)
         result = dataset.compact(cluster_by="tenant", shard_rows=250)
         assert result["cluster_by"] == "tenant"
         dataset.reload()
@@ -551,6 +556,18 @@ class TestCompaction:
             dataset.compact(shard_rows=0)
         with pytest.raises(StorageError, match="min_rows"):
             dataset.compact(min_rows=-1)
+
+    def test_non_positive_sizes_rejected_on_empty_dataset(self, store):
+        empty = _skewed_table(n=50).take(np.arange(0))
+        dataset = store.import_table("c", empty)
+        assert dataset.manifest.shards == []
+        from repro.storage import StorageError
+
+        with pytest.raises(StorageError, match="shard_rows"):
+            dataset.compact(shard_rows=0)
+        with pytest.raises(StorageError, match="min_rows"):
+            dataset.compact(min_rows=-5)
+        assert dataset.compact()["shards_after"] == 0  # valid: still a no-op
 
     def test_append_after_compact_never_reuses_shard_names(self, store):
         table = _skewed_table(n=400, seed=5)
@@ -593,7 +610,7 @@ class TestEngineIntegration:
             "so", "SELECT Country, AVG(Salary) FROM SO "
                   "WHERE Gender = 'Male' AND Continent != 'Asia' "
                   "GROUP BY Country")
-        assert report["planner_enabled"] is planner_enabled()
+        assert "planner_enabled" not in report
         assert "Scan(" in report["logical_plan"]
         conjuncts = report["scan"]["conjuncts"]
         assert len(conjuncts) == 2
@@ -601,17 +618,6 @@ class TestEngineIntegration:
             assert 0.0 <= conjunct["estimated_selectivity"] <= 1.0
             assert conjunct["actual_selectivity"] is not None
         assert report["rows"]["filtered"] <= report["rows"]["table"]
-
-    def test_explain_plan_reexecutes_views_cached_under_oracle_mode(
-            self, engine):
-        sql = ("SELECT Country, AVG(Salary) FROM SO "
-               "WHERE Gender = 'Male' GROUP BY Country")
-        with oracle_mode():
-            engine.explain_plan("so", sql)  # caches a plan-less oracle view
-        report = engine.explain_plan("so", sql)
-        assert report["planner_enabled"] is True
-        assert report["scan"] is not None  # re-executed, not served stale
-        assert report["scan"]["conjuncts"][0]["actual_selectivity"] is not None
 
     def test_explain_plan_op_over_the_protocol(self, engine):
         response = handle_request(
@@ -626,7 +632,7 @@ class TestEngineIntegration:
             "so", "SELECT Country, AVG(Salary) FROM SO "
                   "WHERE Gender = 'Male' GROUP BY Country")
         planner = engine.stats()["planner"]
-        assert planner["enabled"] is True
+        assert "enabled" not in planner
         assert planner["plans"] >= 1
         assert "shards_zone_map_skipped" in planner
         assert "so" in planner["where_mask_caches"]

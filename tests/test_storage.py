@@ -412,8 +412,9 @@ class TestZoneMapPruning:
         stats = loaded.scan_stats()
         assert stats["scans"] == 1
         assert stats["shards_skipped"] >= 5  # most shards proved irrelevant
-        unpruned = dataset.load_table(prune=False)
-        assert unpruned.select(pattern) == result
+        # The base-class full-mask path over the same shards skips nothing.
+        unpruned = dataset.load_table()
+        assert Table.select(unpruned, pattern) == result
         assert unpruned.scan_stats()["scans"] == 0
 
     @settings(max_examples=40, deadline=None)
@@ -444,7 +445,8 @@ class TestZoneMapPruning:
                         "num", data.draw(st.sampled_from(list(Op))),
                         data.draw(st.integers(-7, 7))))
             pattern = Pattern(predicates)
-            assert loaded.select(pattern) == table.select(pattern)
+            assert loaded.select(pattern) == Table.select(loaded, pattern) \
+                == table.select(pattern)
 
     def test_empty_survivor_set_yields_empty_table(self, store):
         table = Table.from_columns({"x": [1.0, 2.0, 3.0, 4.0],
@@ -899,8 +901,8 @@ _json_scalars = st.one_of(st.text(max_size=6), st.integers(-10**6, 10**6),
 
 @st.composite
 def _manifests(draw) -> Manifest:
-    """Manifests with random schemas, vocabularies (any unicode), shard
-    statistics, and group partials present on some shards only."""
+    """Manifests with random schemas, vocabularies (any unicode), and shard
+    statistics."""
     names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1,
                           max_size=3, unique=True))
     schema = [{"name": name,
@@ -909,17 +911,6 @@ def _manifests(draw) -> Manifest:
     vocabs = {entry["name"]: draw(st.lists(_json_scalars, max_size=5))
               for entry in schema if entry["kind"] == "categorical"}
     counts = st.integers(0, 500)
-    partials = st.fixed_dictionaries({
-        "by": st.sampled_from(names),
-        "keys": st.lists(_json_scalars, max_size=3),
-        "sizes": st.lists(counts, max_size=3),
-        "outcomes": st.dictionaries(
-            st.text(max_size=4),
-            st.fixed_dictionaries({"valid": st.lists(counts, max_size=3),
-                                   "sum": st.lists(st.floats(
-                                       allow_nan=False, allow_infinity=False),
-                                       max_size=3)}),
-            max_size=2)})
     shards = []
     for seq in range(draw(st.integers(0, 4))):
         shards.append(ShardInfo(
@@ -930,8 +921,7 @@ def _manifests(draw) -> Manifest:
                               "n_missing": draw(counts)} for name in names},
             column_stats={name: {"n": draw(counts), "top": draw(
                 st.dictionaries(st.text(max_size=3), counts, max_size=2))}
-                for name in names},
-            group_partials=draw(st.none() | partials)))
+                for name in names}))
     return Manifest(name=draw(st.text(max_size=6)), schema=schema,
                     vocabs=vocabs, shards=shards,
                     version=draw(st.integers(0, 10**6)))
@@ -980,7 +970,7 @@ class TestManifestCommitPath:
         assert manifest.to_json_line() == json_line(manifest.to_dict())
 
     def test_committed_bytes_are_json_line_of_the_document(self, store):
-        """Non-ASCII values, with and without clustered group partials."""
+        """Non-ASCII values, before and after a clustered compaction."""
         table = Table.from_columns({
             "City": ["Zürich", "東京", "São Paulo", "Zürich"] * 5,
             "Fare": np.arange(20.0)})
@@ -995,8 +985,6 @@ class TestManifestCommitPath:
                                            "Fare": [1.5, 2.5]}))
         assert_canonical()
         dataset.compact(cluster_by="City", shard_rows=8)
-        assert all(s.group_partials is not None
-                   for s in dataset.manifest.shards)
         assert_canonical()
         dataset.append(Table.from_columns({"City": ["Đà Nẵng"],
                                            "Fare": [3.0]}))
