@@ -117,9 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output JSON file (default: stdout)")
 
     plan = sub.add_parser(
-        "plan", help="show how a query would execute (chosen conjunct order, "
-                     "estimated vs actual selectivities, shard skips) "
-                     "without mining any treatment")
+        "plan", help="show how a query would execute (logical plan, shard "
+                     "skips, rows in and out) without mining any treatment")
     _add_source_arguments(plan, "group-by-average SQL query "
                                 "(default: the dataset's representative query)",
                           required=False)
@@ -169,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_compact = store_sub.add_parser(
         "compact", help="merge undersized shards (and optionally re-cluster "
-                        "by a sort key), rebuilding zone maps, statistics, "
-                        "and fingerprints")
+                        "by a sort key), rebuilding zone maps and "
+                        "fingerprints")
     store_compact.add_argument("root", type=Path, help="store directory")
     store_compact.add_argument("name", help="dataset to compact")
     store_compact.add_argument("--shard-rows", type=int, default=None,
@@ -471,7 +470,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    """Print one query's chosen plan: estimated vs actual selectivities."""
+    """Print one query's logical plan and what its WHERE scan measured."""
     if args.store is not None:
         if args.dataset or args.csv:
             print("error: --store cannot be combined with --dataset/--csv",
@@ -531,21 +530,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if scan is None:
         print("scan: no WHERE clause — full scan")
     else:
-        order = "planner-reordered" if scan["reordered"] else "canonical order"
-        print(f"scan ({order}):")
-        for i, conjunct in enumerate(scan["conjuncts"], start=1):
-            actual = conjunct["actual_selectivity"]
-            print(f"  {i}. {conjunct['predicate']}  "
-                  f"est={conjunct['estimated_selectivity']:.4f}  "
-                  f"actual={'n/a' if actual is None else format(actual, '.4f')}  "
-                  f"cost={conjunct['cost']:g}  "
-                  f"candidates {conjunct['candidates_in']} -> "
-                  f"{conjunct['candidates_out']}")
+        print(f"scan: rows {scan['rows_in']} -> {scan['rows_out']}")
         shards = scan["shards"]
         if shards["total"]:
             print(f"shards: {shards['total']} total, "
                   f"{shards['zone_map_skipped']} zone-map skipped, "
-                  f"{shards['stats_skipped']} stats skipped, "
                   f"{shards['scanned']} scanned")
     rows = report["rows"]
     print(f"rows: {rows['table']} -> {rows['filtered']}  "

@@ -77,13 +77,6 @@ class MaskCache:
         self._masks: dict[tuple, np.ndarray] = {}  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
-        #: Memoized store-code resolutions for equality literals — filled by
-        #: the storage layer's planned scans (the lookup walks the
-        #: append-ordered store vocabulary, so hot predicates should pay it
-        #: once per cache lifetime, not once per scan).  Store vocabularies
-        #: only grow, and appends retire this cache object wholesale (the
-        #: engine keys caches by data version), so entries never go stale.
-        self._store_codes: dict[tuple, object] = {}  # guarded-by: _lock
         #: Masks over a *prefix* of the table, inherited from the cache of
         #: an earlier version (:meth:`extended`); completed on first lookup.
         self._inherited: dict[tuple, np.ndarray] = {}  # guarded-by: _lock
@@ -127,22 +120,6 @@ class MaskCache:
         mask.setflags(write=False)
         return mask
 
-    def resolved_store_code(self, attribute: str, value,
-                            resolver) -> tuple[object, bool]:
-        """``(store code, served from memo?)`` for one equality literal.
-
-        ``resolver`` runs outside the lock on a miss; the first concurrent
-        resolution wins (all compute the same code — the store vocabulary is
-        append-only and this cache dies before it can shrink or reorder).
-        """
-        key = (attribute, value)
-        with self._lock:
-            if key in self._store_codes:
-                return self._store_codes[key], True
-        code = resolver()
-        with self._lock:
-            return self._store_codes.setdefault(key, code), False
-
     def pattern_mask(self, pattern: Pattern) -> np.ndarray:
         """The mask of a conjunctive pattern: bitwise AND of cached predicate masks.
 
@@ -185,8 +162,7 @@ class MaskCache:
         merge), so nothing is evaluated here: an inherited mask resolves on
         its first lookup by evaluating the predicate on the rows past its
         prefix, O(appended), and copying prefix and suffix into one mask,
-        O(total).  The store-code memo is not inherited (a literal the old
-        vocabulary lacked may exist now), and the accounting starts at zero.
+        O(total).  The accounting starts at zero.
         """
         if new_table.n_rows < self.table.n_rows:
             raise ValueError("new_table must extend this cache's table")
@@ -206,11 +182,10 @@ class MaskCache:
                               bytes=sum(m.nbytes for m in masks))
 
     def clear(self) -> None:
-        """Drop all cached masks (and code memos) and reset the accounting."""
+        """Drop all cached masks and reset the accounting."""
         with self._lock:
             self._masks.clear()
             self._inherited.clear()
-            self._store_codes.clear()
             self._hits = 0
             self._misses = 0
 

@@ -75,12 +75,10 @@ class Predicate:
     def evaluate_at(self, table, indices: np.ndarray) -> np.ndarray:
         """Evaluate over a candidate subset: ``evaluate(table)[indices]``.
 
-        The short-circuit scan executor (:mod:`repro.plan.execute`) calls
-        this for every conjunct after the first, so a selective leading
-        predicate shrinks the kernel work of everything behind it.  The
-        kernels are the same as :meth:`evaluate`, applied to the fancy-indexed
-        storage — the result is exactly the full mask restricted to
-        ``indices``.
+        :meth:`~repro.dataframe.MaskCache.extended` calls this to complete
+        an inherited mask over appended rows.  The kernels are the same as
+        :meth:`evaluate`, applied to the fancy-indexed storage — the result
+        is exactly the full mask restricted to ``indices``.
         """
         column = table.column(self.attribute)
         if column.numeric:

@@ -11,10 +11,9 @@ Three pieces, designed to be free when off and cheap when on:
   (JSON + Prometheus text) and engine ``stats()``.
 * :mod:`repro.obs.telemetry` — a persisted, size-capped, rotating
   JSON-lines query log per store (``<store>/telemetry/``): one record per
-  explain/batch query with the chosen plan's estimated vs actual
-  per-conjunct selectivities, shard skip counts, cache outcomes, admission
-  queue wait, and span-tree timings.  ``repro obs summary|top|slow``
-  aggregates it.
+  explain/batch query with the executed scan's shard skip counts and rows,
+  cache outcomes, admission queue wait, and span-tree timings.
+  ``repro obs summary|top|slow`` aggregates it.
 """
 
 from repro.obs import trace

@@ -2,10 +2,8 @@
 
 Three views over ``<store>/telemetry/queries-*.jsonl``:
 
-* ``repro obs summary STORE`` — totals, cache-outcome rates, and the
-  planner's estimated-vs-actual selectivity error across every record;
-  ``--per-conjunct [N]`` appends the N worst-estimated served conjuncts
-  (ranked by mean |estimated − actual| selectivity error);
+* ``repro obs summary STORE`` — totals, cache-outcome rates, mean
+  duration and the largest admission queue wait across every record;
 * ``repro obs top STORE`` — the most frequent query fingerprints with
   request counts and mean latency;
 * ``repro obs slow STORE`` — the slowest individual requests, with where
@@ -30,7 +28,7 @@ from repro.obs.telemetry import TelemetryReader
 def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="obs_command", required=True)
     for name, help_text in (
-            ("summary", "aggregate totals, cache rates, selectivity error"),
+            ("summary", "aggregate totals, cache rates, durations"),
             ("top", "most frequent fingerprints by request count"),
             ("slow", "slowest individual requests")):
         cmd = sub.add_parser(name, help=help_text)
@@ -39,11 +37,6 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         if name in ("top", "slow"):
             cmd.add_argument("-n", "--limit", type=int, default=10,
                              help="rows to show (default 10)")
-        if name == "summary":
-            cmd.add_argument("--per-conjunct", type=int, nargs="?",
-                             const=10, default=None, metavar="N",
-                             help="also rank the N worst-estimated served "
-                                  "conjuncts (default 10)")
 
 
 def telemetry_directory(store: Path) -> Path:
@@ -72,8 +65,6 @@ def aggregate(records: list[dict]) -> dict:
     by_dataset: dict[str, int] = {}
     outcome_hits: dict[str, int] = {}
     outcome_totals: dict[str, int] = {}
-    errors: list[float] = []
-    conjuncts = 0
     durations: list[float] = []
     queue_waits: list[float] = []
     for record in records:
@@ -85,13 +76,6 @@ def aggregate(records: list[dict]) -> dict:
                 outcome_totals[level] = outcome_totals.get(level, 0) + 1
                 if outcome == "hit":
                     outcome_hits[level] = outcome_hits.get(level, 0) + 1
-        plan = record.get("plan") or {}
-        for conjunct in plan.get("conjuncts") or []:
-            estimated = conjunct.get("estimated_selectivity")
-            actual = conjunct.get("actual_selectivity")
-            if estimated is not None and actual is not None:
-                conjuncts += 1
-                errors.append(abs(estimated - actual))
         if isinstance(record.get("duration_ms"), (int, float)):
             durations.append(float(record["duration_ms"]))
         if isinstance(record.get("queue_wait_ms"), (int, float)):
@@ -102,10 +86,6 @@ def aggregate(records: list[dict]) -> dict:
         "records": total,
         "by_dataset": dict(sorted(by_dataset.items())),
         "cache_hit_rates": hit_rates,
-        "conjuncts_observed": conjuncts,
-        "selectivity_abs_error_mean":
-            sum(errors) / len(errors) if errors else None,
-        "selectivity_abs_error_max": max(errors) if errors else None,
         "duration_ms_mean":
             sum(durations) / len(durations) if durations else None,
         "queue_wait_ms_max": max(queue_waits) if queue_waits else None,
@@ -178,26 +158,11 @@ def run_obs(args: argparse.Namespace) -> int:
             print(f"  dataset {dataset}: {count} queries")
         for level, rate in summary["cache_hit_rates"].items():
             print(f"  cache {level}: {rate:.1%} hit rate")
-        if summary["conjuncts_observed"]:
-            print(f"  conjuncts: {summary['conjuncts_observed']} observed, "
-                  f"|est-actual| mean "
-                  f"{summary['selectivity_abs_error_mean']:.4f}, "
-                  f"max {summary['selectivity_abs_error_max']:.4f}")
         if summary["duration_ms_mean"] is not None:
             print(f"  duration: mean {summary['duration_ms_mean']:.2f}ms")
         if summary["queue_wait_ms_max"] is not None:
             print(f"  admission queue wait: max "
                   f"{summary['queue_wait_ms_max']:.2f}ms")
-        per_conjunct = getattr(args, "per_conjunct", None)
-        if per_conjunct:
-            print(f"worst-estimated conjuncts (top {per_conjunct}):")
-            for row in reader.conjunct_stats()[:per_conjunct]:
-                print(f"  {row['count']:>6}x  "
-                      f"|err| mean {row['mean_abs_error']:.4f} "
-                      f"max {row['max_abs_error']:.4f}  "
-                      f"est {row['mean_estimated']:.4f} "
-                      f"actual {row['mean_actual']:.4f}  "
-                      f"{row['dataset']}: {row['predicate']}")
         return 0
     if args.obs_command == "top":
         for row in _top(records, args.limit):

@@ -1,11 +1,11 @@
 """Persisted per-store query telemetry: size-capped, rotating JSON lines.
 
 One :class:`TelemetryLog` lives under ``<store>/telemetry/`` and receives
-one record per served explain/batch query: fingerprint, chosen plan with
-per-conjunct estimated vs actual selectivities, shard skip/scan counts,
-cache-level outcomes, admission queue wait, and the request's span-tree
-timings.  Every record carries the dataset name and data version, so the
-est/actual history can be filtered per dataset version.
+one record per served explain/batch query: fingerprint, the executed scan's
+shard skip/scan counts and rows in and out, cache-level outcomes, admission
+queue wait, and the request's span-tree timings.  Every record carries the
+dataset name and data version, so the history can be filtered per dataset
+version.
 
 Durability model: appends go to ``queries-<seq>.jsonl`` (``<seq>`` is the
 rotation sequence number) entirely **outside the manifest critical path** —
@@ -226,7 +226,7 @@ def read_records(directory: str | Path) -> tuple[list[dict], int]:
 
 
 class TelemetryReader:
-    """Version-filtered reading + per-conjunct aggregation of telemetry.
+    """Version-filtered reading of telemetry.
 
     The consumer-facing API over the raw JSONL files: ``repro obs`` goes
     through it instead of parsing lines itself.  When ``versions`` maps
@@ -268,54 +268,3 @@ class TelemetryReader:
             else:
                 stale += 1
         return records, corrupt, stale
-
-    def conjunct_stats(self) -> list[dict]:
-        """Per ``(dataset, conjunct)`` estimate-quality aggregation.
-
-        One row per distinct served conjunct carrying its serve count, mean
-        and max |estimated − actual| selectivity error, and the mean
-        estimated/actual values — ranked worst mean error first (ties:
-        most-served, then predicate text), which is exactly the ``repro obs
-        summary --per-conjunct`` ordering.  Conjuncts that never executed
-        (``actual_selectivity`` null) count serves but contribute no error.
-        """
-        rows: dict[tuple[str, str], dict] = {}
-        for record in self.read()[0]:
-            plan = record.get("plan") or {}
-            for conjunct in plan.get("conjuncts", []):
-                predicate = conjunct.get("predicate")
-                if not isinstance(predicate, str):
-                    continue
-                key = (str(record.get("dataset")), predicate)
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = {
-                        "dataset": key[0], "predicate": predicate,
-                        "count": 0, "errors": 0, "error_sum": 0.0,
-                        "max_abs_error": 0.0, "estimated_sum": 0.0,
-                        "actual_sum": 0.0}
-                row["count"] += 1
-                estimated = conjunct.get("estimated_selectivity")
-                actual = conjunct.get("actual_selectivity")
-                if isinstance(estimated, (int, float)) and \
-                        isinstance(actual, (int, float)):
-                    error = abs(float(estimated) - float(actual))
-                    row["errors"] += 1
-                    row["error_sum"] += error
-                    row["max_abs_error"] = max(row["max_abs_error"], error)
-                    row["estimated_sum"] += float(estimated)
-                    row["actual_sum"] += float(actual)
-        out = []
-        for row in rows.values():
-            executed = max(1, row["errors"])
-            out.append({
-                "dataset": row["dataset"], "predicate": row["predicate"],
-                "count": row["count"], "executed": row["errors"],
-                "mean_abs_error": row["error_sum"] / executed,
-                "max_abs_error": row["max_abs_error"],
-                "mean_estimated": row["estimated_sum"] / executed,
-                "mean_actual": row["actual_sum"] / executed,
-            })
-        out.sort(key=lambda r: (-r["mean_abs_error"], -r["count"],
-                                r["dataset"], r["predicate"]))
-        return out

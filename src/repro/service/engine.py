@@ -168,7 +168,7 @@ class ExplanationEngine:
         self._flights_lock = named_lock("ExplanationEngine._flights_lock")
         self._flights: dict[tuple, _Flight] = {}  # guarded-by: _flights_lock
         #: name -> (epoch, MaskCache over the registered table): the shared
-        #: cache planned WHERE scans route repeated conjuncts through.
+        #: cache in-memory WHERE scans route repeated conjuncts through.
         self._where_masks: dict[str, tuple[tuple[int, int], MaskCache]] = {}  # guarded-by: _datasets_lock
         self._registrations = 0  # guarded-by: _mutation_lock
         self._computations = 0  # guarded-by: _flights_lock
@@ -312,9 +312,9 @@ class ExplanationEngine:
     def attach_telemetry(self, log) -> None:
         """Attach a :class:`~repro.obs.TelemetryLog` query-telemetry sink.
 
-        One record per served :meth:`explain` — fingerprint, plan with
-        estimated vs actual per-conjunct selectivities, cache outcomes,
-        span timings — is appended whenever telemetry is enabled
+        One record per served :meth:`explain` — fingerprint, the executed
+        scan's shard and row counts, cache outcomes, span timings — is
+        appended whenever telemetry is enabled
         (:func:`~repro.obs.telemetry_enabled`); attaching alone changes
         nothing.  :meth:`from_store` attaches the store's own log
         automatically.  Attach before serving begins — the reference is
@@ -493,10 +493,9 @@ class ExplanationEngine:
     def explain_plan(self, name: str, query: GroupByAvgQuery | str) -> dict:
         """Describe how one query would execute, without mining treatments.
 
-        Returns the lowered logical plan, the physical conjunct schedule with
-        **estimated vs. actual** per-conjunct selectivities, and the shard
-        zone-map/statistics skip counts.  The scan really runs — that is
-        where the actuals come from.
+        Returns the lowered logical plan and what the WHERE scan measured:
+        shards skipped by zone map and scanned, rows in and out.  The scan
+        really runs — that is where the counts come from.
         """
         state = self.dataset_state(name)
         canonical = self._canonical(query)
@@ -757,10 +756,11 @@ class ExplanationEngine:
         """The per-dataset-version mask cache WHERE conjuncts route through.
 
         Different queries over one dataset repeat the same WHERE predicates;
-        routing the planned scan through a shared
-        :class:`~repro.dataframe.MaskCache` makes a repeated subexpression
-        one cached AND instead of a kernel pass.  (Storage-backed tables
-        skip it inside ``planned_select`` — shard pruning wins there.)
+        routing the scan through a shared
+        :class:`~repro.dataframe.MaskCache` makes a repeated predicate one
+        cached AND instead of a kernel pass.  (Storage-backed tables skip it
+        in ``plan_shard_select``: full-table masks would decode the shards
+        their zone maps skip.)
 
         The cache is bounded: each entry is one ``n_rows``-byte mask, so
         once a workload of ever-distinct predicates pushes past

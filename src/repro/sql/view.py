@@ -1,7 +1,8 @@
 """Materialised aggregate views ``Q(D)`` and group-level bookkeeping.
 
-A view filters its base table through the query planner (for a stored
-table, the planned shard scan) and then builds its groups through one
+A view filters its base table with one mask AND over its WHERE conjuncts
+(a stored table first skips the shards its zone maps prove empty) and then
+builds its groups through one
 :class:`~repro.dataframe.GroupByIndex` over the filtered rows — the same
 computation whether the base table lives in memory or on disk, so every
 group average is bit-identical to the in-memory view's.
@@ -51,15 +52,13 @@ class AggregateView:
         query.validate(table)
         self.query = query
         self.base_table = table
-        # The WHERE clause executes through the query planner: conjuncts run
-        # in estimated-selectivity × cost order with short-circuit AND, a
-        # storage-backed ShardedTable additionally skips whole shards via
-        # zone maps and column statistics, and a caller-supplied MaskCache
-        # (the serving engine's per-dataset WHERE cache) amortises repeated
-        # predicates across queries.  The executed ScanPlan — estimated vs
-        # actual per-conjunct selectivities, shard-skip counts — is kept on
-        # ``scan_plan`` for ``explain_plan`` introspection.  The filtered
-        # rows are exactly ``table.select(where)``'s.
+        # The WHERE clause is one mask AND over its conjuncts; a
+        # storage-backed ShardedTable first skips whole shards via zone
+        # maps, and a caller-supplied MaskCache (the serving engine's
+        # per-dataset WHERE cache) amortises repeated predicates across
+        # queries.  The executed ScanPlan — shard-skip counts, rows in and
+        # out — is kept on ``scan_plan`` for ``explain_plan`` and telemetry.
+        # The filtered rows are exactly ``table.select(where)``'s.
         self.scan_plan = None
         if query.where.is_empty():
             self.table = table

@@ -4,7 +4,7 @@
 live on disk as sharded, dictionary-encoded columnar files with a JSON
 manifest (schema, shared interned vocabularies, zone maps, monotonic
 version), loads are memory-mapped and lazy, scans prune whole shards through
-per-shard zone maps and column statistics, appends are crash-safe atomic commits, and the
+per-shard zone maps, appends are crash-safe atomic commits, and the
 explanation engine can snapshot/restore its registrations and summary cache
 for warm restarts (``repro serve --store``).
 

@@ -8,10 +8,10 @@ The read path returns a :class:`ShardedTable` — a drop-in
 :class:`~repro.dataframe.Table` whose columns are
 :class:`~repro.dataframe.LazyColumn` views over memory-mapped shard arrays:
 nothing is decoded until a column's rows are actually touched, and
-``select`` with a pattern condition runs the planned shard scan
-(:meth:`ShardedTable.plan_shard_select`): per-shard zone maps and column
-statistics skip the shards that cannot contain matching rows, and only the
-rest are decoded.  That is the one scan path over stored data; a group-by
+``select`` with a pattern condition runs the shard scan
+(:meth:`ShardedTable.plan_shard_select`): per-shard zone maps skip the
+shards that cannot contain matching rows, and one mask AND over the rest
+selects the rows.  That is the one scan path over stored data; a group-by
 over a loaded table builds its groups from the rows exactly as it would in
 memory.
 
@@ -41,27 +41,12 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.analysis.lockwatch import named_lock
 from repro.dataframe import MISSING_CODE, Column, LazyColumn, Pattern, Predicate, Table
 from repro.dataframe.column import sorted_code_remap
-from repro.dataframe.predicates import Op
 from repro.obs import trace
 # map_morsels is a module attribute here because benchmarks/e2e/spans.py
 # (_MAP_MORSELS_CONSUMERS) rebinds it.
 from repro.parallel import map_morsels
 from repro.plan.execute import scan_indices
-from repro.plan.planner import GLOBAL_PLANNER_STATS, plan_scan
-from repro.plan.stats import (
-    DEFAULT_TOP_K,
-    UNRESOLVED,
-    CategoricalColumnStats,
-    NumericColumnStats,
-    code_counts,
-    merge_column_stats,
-    remap_categorical_codes,
-    resolve_store_code,
-    stats_from_dict,
-    stats_may_match,
-    stats_to_dict,
-    table_stats,
-)
+from repro.plan.planner import GLOBAL_PLANNER_STATS, ScanPlan
 from repro.storage.format import (
     CATEGORICAL,
     NUMERIC,
@@ -82,6 +67,7 @@ from repro.storage.zonemap import (
     categorical_zone_map,
     numeric_zone_map,
     shard_may_match,
+    store_code,
 )
 
 _JSON_SAFE = (str, int, float, bool)
@@ -213,30 +199,19 @@ class StoredDataset:
 
     def _write_shard(self, manifest: Manifest, batch: Table,
                      shard_seq: int | None = None) -> ShardInfo:
-        """Encode, write, fingerprint, and rename one shard (no commit).
-
-        Besides the zone maps, every column's **statistics** are collected
-        here — equi-depth numeric histograms and categorical top-k code
-        frequencies in store-code space — and travel in the manifest, so
-        selectivity estimates refresh with every committed shard and are
-        never derived by re-scanning committed data.
-        """
+        """Encode, write, fingerprint, and rename one shard (no commit)."""
         arrays: dict[str, np.ndarray] = {}
         zone_maps: dict[str, dict] = {}
-        column_stats: dict[str, dict] = {}
         for attribute in manifest.attributes:
             column = batch.column(attribute)
             if manifest.kind(attribute) == NUMERIC:
                 values = _as_float64(column)
                 arrays[attribute] = values
                 zone_maps[attribute] = numeric_zone_map(values)
-                column_stats[attribute] = stats_to_dict(
-                    NumericColumnStats.from_values(values))
             else:
                 codes = _as_store_codes(column, manifest.vocabs, attribute)
                 arrays[attribute] = codes
-                zone_maps[attribute], column_stats[attribute] = \
-                    _categorical_summaries(codes)
+                zone_maps[attribute] = categorical_zone_map(codes)
         if shard_seq is None:
             shard_seq = _next_shard_seq(manifest)
         shard_id = f"shard-{shard_seq:06d}"
@@ -247,8 +222,7 @@ class StoredDataset:
         fingerprint = fingerprint_file(tmp)
         os.replace(tmp, final)
         return ShardInfo(shard_id=shard_id, file=relative, n_rows=batch.n_rows,
-                         fingerprint=fingerprint, zone_maps=zone_maps,
-                         column_stats=column_stats)
+                         fingerprint=fingerprint, zone_maps=zone_maps)
 
     # ------------------------------------------------------------------ maintenance
 
@@ -267,16 +241,16 @@ class StoredDataset:
           ``min_rows`` (default: the largest current shard) are rewritten
           into shards of up to ``shard_rows`` rows (default: ``min_rows``),
           preserving row order.  Right-sized shards are left untouched —
-          their bytes, fingerprints, and statistics are not rewritten.
+          their bytes, fingerprints, and zone maps are not rewritten.
         * **re-cluster** (``cluster_by=<attribute>``): the *whole* dataset
           is stably sorted by the attribute (missing values last) and
           rewritten into shards of ``shard_rows`` rows (default: the
           largest current shard), which is what makes zone maps selective
           for predicates over that attribute.
 
-        Every rewritten shard gets fresh zone maps, column statistics, and
-        content fingerprints.  ``version`` advances by one.  Live readers
-        are unaffected: a loaded table pins every shard's descriptor (the
+        Every rewritten shard gets fresh zone maps and content
+        fingerprints.  ``version`` advances by one.  Live readers are
+        unaffected: a loaded table pins every shard's descriptor (the
         unlinked inodes stay readable), and an in-flight ``load_table``
         that loses the race retries on the fresh manifest.
 
@@ -507,9 +481,6 @@ class _ShardHandle:
         self._file = file
         self._lock = named_lock("_ShardHandle._lock")
         self._arrays: dict[str, np.ndarray] | None = None  # guarded-by: _lock
-        # _parsed_stats is racy on purpose: committed manifests are
-        # immutable, so concurrent first parses store identical values.
-        self._parsed_stats: dict[str, object] = {}
 
     @property
     def n_rows(self) -> int:
@@ -542,18 +513,6 @@ class _ShardHandle:
             return raw  # numeric, or store vocab already sorted: zero-copy
         return remap[raw]  # store codes -> sorted codes; sentinel wraps
 
-    def column_stats(self, attribute: str):
-        """The shard's parsed column statistics (store-code space), cached.
-
-        The manifest dict is immutable once committed, so parsing it once
-        per handle is safe; the benign first-touch race stores identical
-        values.  ``None`` when the shard predates column statistics.
-        """
-        if attribute not in self._parsed_stats:
-            self._parsed_stats[attribute] = stats_from_dict(
-                self.info.column_stats.get(attribute))
-        return self._parsed_stats[attribute]
-
 
 class ShardedTable(Table):
     """A :class:`Table` over committed shards with zone-map pruned scans.
@@ -573,9 +532,7 @@ class ShardedTable(Table):
         self._stats_lock = named_lock("ShardedTable._stats_lock")
         self._scans = 0  # guarded-by: _stats_lock
         self._shards_scanned = 0  # guarded-by: _stats_lock
-        self._shards_skipped = 0  # guarded-by: _stats_lock
         self._zone_map_skipped = 0  # guarded-by: _stats_lock
-        self._stats_skipped = 0  # guarded-by: _stats_lock
         self._rows_skipped = 0  # guarded-by: _stats_lock
         columns = [self._lazy_column(attribute, handles)
                    for attribute in manifest.attributes]
@@ -609,121 +566,66 @@ class ShardedTable(Table):
     # ------------------------------------------------------------------ pruned scans
 
     def select(self, condition) -> Table:
-        """Pattern selections consult zone maps + statistics and skip shards."""
+        """Pattern selections skip shards by zone map, then AND one mask."""
         if not isinstance(condition, (Pattern, Predicate)):
             return super().select(condition)
         return self.plan_shard_select(condition)[0]
 
-    def plan_shard_select(self, condition, mask_cache=None):
-        """Selectivity-aware scan: ``(filtered table, executed ScanPlan)``.
+    def plan_shard_select(self, condition):
+        """Zone-map pruned scan: ``(filtered table, ScanPlan)``.
 
-        Three-way decision per shard — zone-map skip, statistics-based skip
-        (covers manifests whose zone maps are absent), or scan — followed by
-        conjuncts ordered most-selective-cheapest-first with short-circuit
-        AND over the concatenated surviving shards.  Both skip layers are
-        conservative proofs, so the result equals the in-memory
-        ``Table.select`` row for row.  A single-shard table skips nothing.
-
-        ``mask_cache`` (the engine's per-version :class:`MaskCache`) serves
-        purely as a **store-code memo** here: repeated hot equality literals
-        skip the append-ordered store-vocabulary lookup entirely.
+        Every shard whose zone maps prove that some conjunct matches none of
+        its rows is skipped; one mask AND (:func:`scan_indices`) over the
+        surviving shards selects the rows.  The skip is a conservative
+        proof, so the result equals the in-memory ``Table.select`` row for
+        row.  A single-shard table skips nothing.
         """
         if not trace.enabled():
-            return self._plan_shard_select(condition, mask_cache=mask_cache)
+            return self._plan_shard_select(condition)
         with trace.trace_span("storage.shard_scan",
                               dataset=self.name) as span:
-            filtered, plan = self._plan_shard_select(condition,
-                                                     mask_cache=mask_cache)
+            filtered, plan = self._plan_shard_select(condition)
             span.set(shards_total=plan.shards_total,
                      zone_map_skipped=plan.shards_zone_map_skipped,
-                     stats_skipped=plan.shards_stats_skipped,
                      rows_out=plan.rows_out)
         return filtered, plan
 
-    def _plan_shard_select(self, condition, mask_cache=None):
+    def _plan_shard_select(self, condition):
         predicates = [condition] if isinstance(condition, Predicate) else \
             list(condition.predicates)
-        plan = plan_scan(self, condition, stats=table_stats(self))
         vocabs = self._manifest.vocabs
-        # Resolve each equality literal's store code once, not once per
-        # shard — the lookup scans the append-ordered store vocabulary.
-        resolved: list[tuple[Predicate, object]] = []
-        lookups = cached = 0
-        for p in predicates:
-            code = UNRESOLVED
-            if p.op in (Op.EQ, Op.NE) and p.attribute in vocabs:
-                lookups += 1
-                if mask_cache is not None:
-                    code, hit = mask_cache.resolved_store_code(
-                        p.attribute, p.value,
-                        lambda p=p: resolve_store_code(p.value,
-                                                       vocabs[p.attribute]))
-                    cached += hit
-                else:
-                    code = resolve_store_code(p.value, vocabs[p.attribute])
-            resolved.append((p, code))
-        if lookups:
-            GLOBAL_PLANNER_STATS.record_store_codes(lookups, cached)
+        # Each equality literal's store code is resolved once per scan, not
+        # once per shard: the lookup walks the append-ordered vocabulary.
+        conjuncts = [(p, vocabs.get(p.attribute),
+                      store_code(p.value, vocabs.get(p.attribute)))
+                     for p in predicates]
         survivors = []
-        zone_skipped = stats_skipped = rows_skipped = 0
+        zone_skipped = rows_skipped = 0
         prune = len(self._handles) > 1
         for handle in self._handles:
-            if prune:
-                if not all(
-                        shard_may_match(
-                            handle.info.zone_maps.get(p.attribute), p,
-                            vocabs.get(p.attribute))
-                        for p in predicates):
-                    zone_skipped += 1
-                    rows_skipped += handle.n_rows
-                    continue
-                if not all(
-                        stats_may_match(handle.column_stats(p.attribute), p,
-                                        vocabs.get(p.attribute), eq_code=code)
-                        for p, code in resolved):
-                    stats_skipped += 1
-                    rows_skipped += handle.n_rows
-                    continue
+            if prune and not all(
+                    shard_may_match(handle.info.zone_maps.get(p.attribute),
+                                    p, vocab, code)
+                    for p, vocab, code in conjuncts):
+                zone_skipped += 1
+                rows_skipped += handle.n_rows
+                continue
             survivors.append(handle)
-        plan.shards_total = len(self._handles)
-        plan.shards_zone_map_skipped = zone_skipped
-        plan.shards_stats_skipped = stats_skipped
         if prune:  # single-shard tables keep their counters at zero
             with self._stats_lock:
                 self._scans += 1
                 self._shards_scanned += len(self._handles)
-                self._shards_skipped += zone_skipped + stats_skipped
                 self._zone_map_skipped += zone_skipped
-                self._stats_skipped += stats_skipped
                 self._rows_skipped += rows_skipped
-            GLOBAL_PLANNER_STATS.record_shards(zone_skipped, stats_skipped,
-                                               len(survivors))
+            GLOBAL_PLANNER_STATS.record_shards(zone_skipped, len(survivors))
         subset = self if len(survivors) == len(self._handles) else \
             self._subset(survivors)
-        indices = scan_indices(subset, plan)
+        indices = scan_indices(subset, condition)
+        plan = ScanPlan(shards_total=len(self._handles),
+                        shards_zone_map_skipped=zone_skipped,
+                        shards_scanned=len(survivors),
+                        rows_in=subset.n_rows, rows_out=int(indices.size))
         return subset.take(indices), plan
-
-    def plan_column_stats(self, attribute: str):
-        """Merged manifest statistics of one column (sorted-code space).
-
-        The provider :func:`repro.plan.stats.table_stats` discovers on this
-        table: per-shard entries are summed (:func:`merge_column_stats`)
-        with categorical frequencies translated from store codes to the
-        sorted in-memory codes — no shard is decoded.  ``None`` (estimate
-        conservatively) when any shard predates column statistics.
-        """
-        parts = []
-        for handle in self._handles:
-            part = handle.column_stats(attribute)
-            if part is None:  # pre-planner shard: no provable statistics
-                return None
-            parts.append(part)
-        if not parts:
-            return None
-        if self._manifest.kind(attribute) != NUMERIC:
-            _, remap = _sorted_remap(self._manifest.vocabs[attribute])
-            parts = [remap_categorical_codes(part, remap) for part in parts]
-        return merge_column_stats(parts)
 
     def _subset(self, handles: list[_ShardHandle]) -> Table:
         """A plain lazy table over a subset of shards (same encodings)."""
@@ -744,19 +646,16 @@ class ShardedTable(Table):
     def scan_stats(self) -> dict:
         """Cumulative pruning counters for this table handle.
 
-        ``shards_skipped`` is the total; ``zone_map_skipped`` /
-        ``stats_skipped`` attribute planned skips to the mechanism that
-        proved them (zone maps win ties — they are consulted first).
-        ``shards_open`` says how many shard archives have actually been
-        opened.
+        ``shards_skipped`` counts the shards zone maps skipped (also
+        reported as ``zone_map_skipped``); ``shards_open`` says how many
+        shard archives have actually been opened.
         """
         shards_open = sum(1 for handle in self._handles if handle.is_open())
         with self._stats_lock:
             return {"scans": self._scans,
                     "shards_scanned": self._shards_scanned,
-                    "shards_skipped": self._shards_skipped,
+                    "shards_skipped": self._zone_map_skipped,
                     "zone_map_skipped": self._zone_map_skipped,
-                    "stats_skipped": self._stats_skipped,
                     "rows_skipped": self._rows_skipped,
                     "shards_open": shards_open}
 
@@ -835,16 +734,6 @@ def _as_store_codes(column: Column, vocabs: dict[str, list],
         remap[local_code] = store_code
     remap[len(column.vocab)] = MISSING_CODE  # sentinel -1 wraps to last slot
     return remap[column.codes]
-
-
-def _categorical_summaries(codes: np.ndarray, top_k: int = DEFAULT_TOP_K
-                           ) -> tuple[dict, dict]:
-    """A shard column's ``(zone map, column statistics)`` manifest entries,
-    both from one count pass over its store codes."""
-    values, freqs, n_missing = code_counts(codes)
-    return (categorical_zone_map(values, n_missing),
-            stats_to_dict(CategoricalColumnStats.from_counts(
-                values, freqs, n_missing, top_k=top_k)))
 
 
 def _sorted_remap(store_vocab) -> tuple[tuple, np.ndarray | None]:

@@ -41,6 +41,8 @@ import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.storage.zonemap import zone_map_error
+
 FORMAT_VERSION = 1
 MANIFEST_NAME = "MANIFEST.json"
 SHARD_DIR = "shards"
@@ -142,7 +144,7 @@ def fingerprint_file(path: Path) -> str:
 
 @dataclass
 class ShardInfo:
-    """One committed shard: file, row count, fingerprint, zone maps, stats."""
+    """One committed shard: file, row count, fingerprint, zone maps."""
 
     shard_id: str
     file: str
@@ -150,12 +152,6 @@ class ShardInfo:
     fingerprint: str
     #: ``{attribute: zone-map dict}`` — see :mod:`repro.storage.zonemap`.
     zone_maps: dict = field(default_factory=dict)
-    #: ``{attribute: column-statistics dict}`` in *store-code* space —
-    #: equi-depth numeric histograms / categorical top-k code frequencies,
-    #: collected at shard commit (see :mod:`repro.plan.stats`).  Absent in
-    #: manifests written before the planner landed (``{}`` — the planner
-    #: then estimates conservatively).
-    column_stats: dict = field(default_factory=dict)
     #: ``to_dict()`` as compact JSON, encoded at the first commit that needs
     #: it (a benign race: concurrent encodes store identical text).
     _json: str | None = field(default=None, init=False, repr=False,
@@ -168,17 +164,33 @@ class ShardInfo:
 
     def to_dict(self) -> dict:
         return {"id": self.shard_id, "file": self.file, "n_rows": self.n_rows,
-                "fingerprint": self.fingerprint, "zone_maps": self.zone_maps,
-                "column_stats": self.column_stats}
+                "fingerprint": self.fingerprint, "zone_maps": self.zone_maps}
 
     @classmethod
-    def from_dict(cls, spec: dict) -> "ShardInfo":
-        # Keys this version no longer writes (e.g. older manifests' per-shard
-        # group-by partials) are ignored and dropped at the next commit.
+    def from_dict(cls, spec: dict, kinds: dict[str, str]) -> "ShardInfo":
+        """Parse one shard entry; ``kinds`` maps each schema column to its kind.
+
+        Keys this version no longer writes (older manifests' per-shard
+        group-by partials and column statistics) are ignored and dropped at
+        the next commit.  A zone map that is not one of its column's kind
+        raises :class:`StorageError`: scans trust zone maps to skip shards.
+        """
+        zone_maps = spec.get("zone_maps", {})
+        if not isinstance(zone_maps, dict):
+            raise StorageError(f"shard {spec['id']!r}: zone_maps is not an "
+                               f"object")
+        for attribute, zone_map in zone_maps.items():
+            if attribute not in kinds:
+                raise StorageError(f"shard {spec['id']!r}: zone map of "
+                                   f"{attribute!r}, which is not a stored "
+                                   f"column")
+            error = zone_map_error(zone_map, kinds[attribute])
+            if error is not None:
+                raise StorageError(f"shard {spec['id']!r}: zone map of "
+                                   f"{attribute!r} {error}")
         return cls(shard_id=spec["id"], file=spec["file"],
                    n_rows=int(spec["n_rows"]), fingerprint=spec["fingerprint"],
-                   zone_maps=dict(spec.get("zone_maps", {})),
-                   column_stats=dict(spec.get("column_stats", {})))
+                   zone_maps=dict(zone_maps))
 
 
 @dataclass
@@ -223,11 +235,14 @@ class Manifest:
             raise StorageError(
                 f"unsupported format_version {spec.get('format_version')!r} "
                 f"(this build reads {FORMAT_VERSION})")
+        schema = list(spec["schema"])
+        kinds = {entry["name"]: entry["kind"] for entry in schema}
         return cls(
             name=spec["name"],
-            schema=list(spec["schema"]),
+            schema=schema,
             vocabs={k: list(v) for k, v in spec.get("vocabs", {}).items()},
-            shards=[ShardInfo.from_dict(s) for s in spec.get("shards", [])],
+            shards=[ShardInfo.from_dict(s, kinds)
+                    for s in spec.get("shards", [])],
             version=int(spec["version"]),
             format_version=int(spec["format_version"]),
         )

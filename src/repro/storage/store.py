@@ -97,7 +97,7 @@ class DatasetStore:
         whose recorded data version falls outside the dataset's committed
         window — leftovers of a deleted-and-recreated store at the same
         path would otherwise pollute every aggregate that joins telemetry
-        against current statistics (``repro obs summary``).
+        against the current store (``repro obs summary``).
         """
         from repro.obs.telemetry import TelemetryReader
 

@@ -765,4 +765,4 @@ class TestHTTPObservability:
             assert status == 200
             text = raw.decode("utf-8")
             assert "# TYPE repro_http_requests_total counter" in text
-            assert "repro_planner_plans" in text
+            assert "repro_planner_shards_scanned" in text

@@ -324,46 +324,6 @@ class TestTelemetryReader:
         unfiltered = TelemetryReader(tmp_path)
         assert len(unfiltered.read()[0]) == 5
 
-    def test_conjunct_stats_ranking_and_executed(self, tmp_path):
-        log = TelemetryLog(tmp_path)
-        for actual in (0.5, 0.7):
-            log.record({"dataset": "d", "version": 0,
-                        "plan": {"conjuncts": [
-                            {"predicate": "a == 1",
-                             "estimated_selectivity": 0.1,
-                             "actual_selectivity": actual}]}})
-        log.record({"dataset": "d", "version": 0,
-                    "plan": {"conjuncts": [
-                        {"predicate": "b == 2",
-                         "estimated_selectivity": 0.2,
-                         "actual_selectivity": None}]}})
-        log.close()
-        rows = TelemetryReader(tmp_path, versions={"d": 0}).conjunct_stats()
-        assert [r["predicate"] for r in rows] == ["a == 1", "b == 2"]
-        worst = rows[0]
-        assert worst["count"] == 2 and worst["executed"] == 2
-        assert worst["mean_abs_error"] == pytest.approx(0.5)
-        assert worst["max_abs_error"] == pytest.approx(0.6)
-        assert worst["mean_actual"] == pytest.approx(0.6)
-        never = rows[1]
-        assert never["count"] == 1 and never["executed"] == 0
-        assert never["mean_abs_error"] == 0.0
-
-    def test_obs_summary_per_conjunct(self, tmp_path, capsys):
-        log = TelemetryLog(tmp_path / "telemetry")
-        log.record({"dataset": "d", "version": 0, "duration_ms": 1.0,
-                    "plan": {"conjuncts": [
-                        {"predicate": "a == 1",
-                         "estimated_selectivity": 0.1,
-                         "actual_selectivity": 0.9}]}})
-        log.close()
-        args = argparse.Namespace(obs_command="summary",
-                                  store=tmp_path, per_conjunct=5)
-        assert run_obs(args) == 0
-        out = capsys.readouterr().out
-        assert "worst-estimated conjuncts" in out
-        assert "a == 1" in out
-
 
 # ------------------------------------------------------------------ CLI
 
@@ -374,24 +334,50 @@ class TestObsCli:
         records = [
             {"dataset": "so", "duration_ms": 10.0, "queue_wait_ms": 1.5,
              "cache_outcomes": {"summary": "miss", "plan": "miss"},
-             "plan": {"conjuncts": [
-                 {"estimated_selectivity": 0.5,
-                  "actual_selectivity": 0.4}]}},
+             "plan": {"shards": {"total": 4, "zone_map_skipped": 3,
+                                 "scanned": 1},
+                      "rows_in": 100, "rows_out": 40}},
             {"dataset": "so", "duration_ms": 2.0,
-             "cache_outcomes": {"summary": "hit"},
-             "plan": {"conjuncts": [
-                 {"estimated_selectivity": 0.2,
-                  "actual_selectivity": 0.5}]}},
+             "cache_outcomes": {"summary": "hit"}, "plan": None},
         ]
         summary = aggregate(records)
         assert summary["records"] == 2
         assert summary["by_dataset"] == {"so": 2}
         assert summary["cache_hit_rates"]["summary"] == 0.5
-        assert summary["conjuncts_observed"] == 2
-        assert summary["selectivity_abs_error_mean"] == pytest.approx(0.2)
-        assert summary["selectivity_abs_error_max"] == pytest.approx(0.3)
         assert summary["duration_ms_mean"] == pytest.approx(6.0)
         assert summary["queue_wait_ms_max"] == pytest.approx(1.5)
+
+    def test_records_with_legacy_conjuncts_still_read(self, tmp_path,
+                                                            capsys):
+        """Logs written before scan plans lost their per-conjunct
+        estimates read through every view, the old keys ignored."""
+        log = TelemetryLog(tmp_path / "telemetry")
+        log.record({"kind": "explain", "dataset": "d", "version": 0,
+                    "fingerprint": "f1", "sql": "SELECT ...",
+                    "cached": False, "duration_ms": 3.0,
+                    "cache_outcomes": {"summary": "miss"},
+                    "plan": {"conjuncts": [
+                        {"predicate": "a == 1",
+                         "estimated_selectivity": 0.1,
+                         "cost": 1.0, "canonical_position": 0,
+                         "actual_selectivity": 0.9,
+                         "candidates_in": 10, "candidates_out": 9}],
+                        "reordered": False,
+                        "shards": {"total": 2, "zone_map_skipped": 1,
+                                   "stats_skipped": 0, "scanned": 1},
+                        "rows_in": 10, "rows_out": 9},
+                    "spans": {"name": "engine.explain", "duration_ms": 3.0,
+                              "children": []}})
+        log.close()
+        for command in ("summary", "top", "slow"):
+            args = argparse.Namespace(obs_command=command, store=tmp_path,
+                                      limit=5)
+            assert run_obs(args) == 0
+        out = capsys.readouterr().out
+        assert "1 records" in out and "f1" in out
+        assert "conjunct" not in out
+        assert "conjuncts_observed" not in aggregate(
+            read_records(tmp_path / "telemetry")[0])
 
     def test_summary_without_records_exits_nonzero(self, tmp_path, capsys):
         args = argparse.Namespace(obs_command="summary", store=tmp_path)
@@ -439,16 +425,15 @@ class TestStoreTelemetryEndToEnd:
         assert records[0]["cache_outcomes"]["summary"] == "miss"
         assert records[1]["cache_outcomes"]["summary"] == "hit"
 
-    def test_where_record_carries_est_vs_actual(self, telemetered_store):
+    def test_where_record_carries_scan_counts(self, telemetered_store):
         store, _, _ = telemetered_store
         records, _ = read_records(store.root / "telemetry")
         plans = [r["plan"] for r in records if r.get("plan")]
-        conjuncts = [c for plan in plans
-                     for c in plan.get("conjuncts") or []]
-        assert conjuncts, "the WHERE query must persist its scan plan"
-        assert any(c.get("estimated_selectivity") is not None
-                   and c.get("actual_selectivity") is not None
-                   for c in conjuncts)
+        assert plans, "the WHERE query must persist its scan plan"
+        for plan in plans:
+            assert set(plan) == {"shards", "rows_in", "rows_out"}
+            assert plan["shards"]["total"] >= 1
+            assert plan["rows_out"] <= plan["rows_in"]
 
     def test_aggregate_and_cli_summary(self, telemetered_store, capsys):
         store, _, name = telemetered_store
@@ -457,8 +442,6 @@ class TestStoreTelemetryEndToEnd:
         assert summary["records"] == 3
         assert summary["by_dataset"] == {name: 3}
         assert 0 < summary["cache_hit_rates"]["summary"] < 1
-        assert summary["conjuncts_observed"] >= 1
-        assert summary["selectivity_abs_error_mean"] is not None
         for command in ("summary", "top", "slow"):
             args = argparse.Namespace(obs_command=command, store=store.root,
                                       limit=5)
@@ -488,9 +471,13 @@ class TestStoreTelemetryEndToEnd:
             engine.explain(name, query)  # summary-cache hit: no scan
         miss, hit = read_records(store.root / "telemetry")[0]
         assert [miss["cached"], hit["cached"]] == [False, True]
-        (conjunct,) = miss["plan"]["conjuncts"]
-        assert 0 < conjunct["estimated_selectivity"] < 1
-        assert 0 < conjunct["actual_selectivity"] < 1
+        plan = miss["plan"]
+        assert "conjuncts" not in plan
+        shards = plan["shards"]
+        assert shards["total"] >= 1
+        assert shards["zone_map_skipped"] + shards["scanned"] == \
+            shards["total"]
+        assert 0 < plan["rows_out"] < plan["rows_in"]
         assert hit["plan"] is None
 
     def test_tracing_off_records_nothing(self, so_bundle, tmp_path):

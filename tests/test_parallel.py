@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 
 from repro.analysis import lockwatch
 from repro.core import CauSumX, summary_to_dict
-from repro.dataframe import MaskCache, Op, Pattern, Predicate, Table
+from repro.dataframe import Op, Pattern, Predicate, Table
 from repro.graph import CausalDAG
 from repro.parallel import GLOBAL_PARALLEL_STATS, map_morsels
-from repro.plan import GLOBAL_PLANNER_STATS
 from repro.service import ExplanationEngine
 from repro.sql import AggregateView, parse_query
 from repro.storage import DatasetStore, StoredDataset
@@ -98,7 +97,7 @@ def _random_pattern(data) -> Pattern:
         kind = data.draw(st.sampled_from(["cat", "num", "allmiss", "nomatch"]))
         if kind == "cat":
             predicates.append(Predicate(
-                "cat", data.draw(st.sampled_from([Op.EQ, Op.NE])),
+                "cat", data.draw(st.sampled_from(list(Op))),
                 data.draw(st.sampled_from(["a", "b", "zz"]))))
         elif kind == "allmiss":
             predicates.append(Predicate(
@@ -134,8 +133,8 @@ class TestWorkerInvariance:
 
     @pytest.mark.parametrize("op", list(Op))
     def test_nan_literal_scan_matches_in_memory(self, op):
-        # `x != NaN` holds for every present value; zone maps and shard
-        # statistics must not prune it as unsatisfiable.
+        # `x != NaN` holds for every present value; zone maps must not
+        # prune it as unsatisfiable.
         table = _random_table(np.random.default_rng(0), 9)
         pattern = Pattern([Predicate("num", op, float("nan"))])
         with tempfile.TemporaryDirectory() as tmp:
@@ -145,6 +144,24 @@ class TestWorkerInvariance:
             planned = loaded.select(pattern)
             full_masks = Table.select(loaded, pattern)  # no shard skipped
         assert planned == full_masks == table.select(pattern)
+
+    def test_store_codes_resolved_once_per_scan(self, monkeypatch):
+        from repro.storage import dataset as dataset_module
+
+        lookups = []
+        real = dataset_module.store_code
+        monkeypatch.setattr(dataset_module, "store_code",
+                            lambda value, vocab: lookups.append(value)
+                            or real(value, vocab))
+        table = _people(300)
+        pattern = Pattern.of(("Country", "==", "US"), ("Role", "!=", "mgr"))
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = StoredDataset.create(f"{tmp}/d", "d", table,
+                                          shard_rows=50).load_table()
+            selected, plan = loaded.plan_shard_select(pattern)
+        assert sorted(lookups) == ["US", "mgr"]  # not once per shard
+        assert plan.shards_total == 6
+        assert selected == table.select(pattern)
 
     @settings(max_examples=10, deadline=None)
     @given(st.data())
@@ -215,46 +232,6 @@ class TestMiningWidthInvariance:
         with tempfile.TemporaryDirectory() as tmp:
             sharded = canon(self._sharded(tmp, so_bundle))
         assert sharded == canon(table)
-
-
-# ------------------------------------------------------------- store-code memo
-
-
-class TestStoreCodeMemo:
-    def test_repeated_predicates_hit_the_memo(self):
-        table = _people(300)
-        pattern = Pattern.of(("Country", "==", "US"), ("Role", "!=", "mgr"))
-        with tempfile.TemporaryDirectory() as tmp:
-            dataset = StoredDataset.create(f"{tmp}/d", "d", table,
-                                           shard_rows=50)
-            loaded = dataset.load_table()
-            cache = MaskCache(loaded)
-            before = GLOBAL_PLANNER_STATS.snapshot()
-            cold, _ = loaded.plan_shard_select(pattern, mask_cache=cache)
-            mid = GLOBAL_PLANNER_STATS.snapshot()
-            warm, _ = loaded.plan_shard_select(pattern, mask_cache=cache)
-            after = GLOBAL_PLANNER_STATS.snapshot()
-        assert cold == warm
-        cold_lookups = mid["store_code_lookups"] - before["store_code_lookups"]
-        cold_cached = mid["store_code_cached"] - before["store_code_cached"]
-        warm_lookups = after["store_code_lookups"] - mid["store_code_lookups"]
-        warm_cached = after["store_code_cached"] - mid["store_code_cached"]
-        assert cold_lookups == 2 and cold_cached == 0
-        assert warm_lookups == 2 and warm_cached == 2
-
-    def test_memo_disabled_without_cache(self):
-        table = _people(100)
-        with tempfile.TemporaryDirectory() as tmp:
-            dataset = StoredDataset.create(f"{tmp}/d", "d", table,
-                                           shard_rows=30)
-            loaded = dataset.load_table()
-            before = GLOBAL_PLANNER_STATS.snapshot()
-            loaded.plan_shard_select(Predicate("Country", Op.EQ, "US"))
-            loaded.plan_shard_select(Predicate("Country", Op.EQ, "US"))
-            after = GLOBAL_PLANNER_STATS.snapshot()
-        assert after["store_code_lookups"] - \
-            before["store_code_lookups"] == 2
-        assert after["store_code_cached"] == before["store_code_cached"]
 
 
 # ------------------------------------------------------------------- group-by

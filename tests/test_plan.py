@@ -1,13 +1,12 @@
 """Tests for the unified query-plan IR (``repro.plan``) — ISSUE 5.
 
-The load-bearing property is *semantic transparency*: planned execution
-(conjunct reordering, short-circuit AND, statistics-based shard skips,
-stats-deferred lattice atoms) must return exactly what the plain in-memory
-references return, on every table shape the paper's workload can produce —
-all-missing columns, single-value columns, NaN histogram boundaries, empty
-WHERE clauses included.  The test oracles need no switch: scans compare
-against the in-memory ``Table.select`` (left-to-right full masks), views
-against one built from it, and lattice atoms against a support filter
+The load-bearing property is *semantic transparency*: a WHERE scan (zone-map
+shard skips, one mask AND, mask-cache routing) and the lattice's deferred
+atoms must return exactly what the plain in-memory references return, on
+every table shape the paper's workload can produce — all-missing columns,
+single-value columns, NaN literals, ordered comparisons, empty WHERE clauses
+included.  Scans compare against the in-memory ``Table.select``, views
+against one built from its rows, and lattice atoms against a support filter
 written here.
 """
 
@@ -23,18 +22,7 @@ from repro.dataframe import MaskCache, Op, Pattern, Predicate, Table
 from repro.datasets import load_dataset
 from repro.mining.lattice import PatternLattice
 from repro.mining.treatments import TreatmentMinerConfig
-from repro.plan import (
-    CategoricalColumnStats,
-    NumericColumnStats,
-    lower_query,
-    merge_column_stats,
-    plan_scan,
-    planned_select,
-    planned_select_with_plan,
-    stats_from_dict,
-    stats_to_dict,
-    table_stats,
-)
+from repro.plan import lower_query, planned_select_with_plan
 from repro.service import ExplanationEngine
 from repro.service.server import handle_request
 from repro.sql import AggregateView, parse_query, query_fingerprint
@@ -100,156 +88,20 @@ class TestLogicalPlan:
             one.where_key != other.where_key
 
 
-# ---------------------------------------------------------------------- statistics
-
-
-class TestColumnStats:
-    def test_numeric_histogram_excludes_missing(self):
-        stats = NumericColumnStats.from_values(
-            np.array([1.0, 2.0, np.nan, 3.0, np.nan]))
-        assert stats.n == 5 and stats.n_missing == 2
-        assert stats.minimum == 1.0 and stats.maximum == 3.0
-        assert sum(stats.counts) == 3
-
-    def test_all_missing_numeric(self):
-        stats = NumericColumnStats.from_values(np.array([np.nan, np.nan]))
-        assert stats.minimum is None
-        assert stats.selectivity(Op.LE, 10.0) == 0.0
-
-    def test_single_value_column_estimates_high(self):
-        stats = NumericColumnStats.from_values(np.full(100, 7.0))
-        assert stats.selectivity(Op.EQ, 7.0) == pytest.approx(1.0)
-        assert stats.selectivity(Op.EQ, 8.0) == 0.0
-        assert stats.selectivity(Op.GE, 7.0) == pytest.approx(1.0)
-
-    def test_selectivity_monotone_and_bounded(self):
-        rng = np.random.default_rng(3)
-        stats = NumericColumnStats.from_values(rng.normal(0, 1, 5000))
-        previous = 0.0
-        for x in np.linspace(-4, 4, 30):
-            sel = stats.selectivity(Op.LE, float(x))
-            assert 0.0 <= sel <= 1.0
-            assert sel >= previous - 1e-12
-            previous = sel
-
-    def test_nan_target_matches_nothing(self):
-        stats = NumericColumnStats.from_values(np.arange(10.0))
-        assert stats.selectivity(Op.LE, float("nan")) == 0.0
-
-    def test_nan_target_ne_matches_every_present_value(self):
-        from repro.plan.stats import stats_may_match
-
-        stats = NumericColumnStats.from_values(
-            np.array([1.0, 2.0, np.nan, 3.0]))
-        nan_ne = Predicate("x", Op.NE, float("nan"))
-        assert stats.selectivity(Op.NE, float("nan")) == pytest.approx(0.75)
-        assert stats_may_match(stats, nan_ne)
-        assert not stats_may_match(stats, Predicate("x", Op.EQ, float("nan")))
-
-    def test_categorical_full_counts_are_exact(self):
-        codes = np.array([0, 0, 1, 2, 2, 2, -1], dtype=np.int32)
-        stats = CategoricalColumnStats.from_codes(codes)
-        assert stats.exact and stats.n_missing == 1
-        assert stats.exact_rows_for_code(2) == 3
-        assert stats.exact_rows_for_code(5) == 0   # absent code: provably zero
-
-    def test_categorical_top_k_keeps_other_mass(self):
-        codes = np.repeat(np.arange(10, dtype=np.int32), 5)
-        stats = CategoricalColumnStats.from_codes(codes, top_k=3)
-        assert not stats.exact
-        assert len(stats.counts) == 3 and stats.other == 35
-        assert stats.exact_rows_for_code(9) is None  # not provable any more
-
-    def test_manifest_codec_round_trip(self):
-        numeric = NumericColumnStats.from_values(np.array([1.0, 4.0, 9.0]))
-        cat = CategoricalColumnStats.from_codes(
-            np.array([0, 1, 1, -1], dtype=np.int32))
-        for stats in (numeric, cat):
-            assert stats_from_dict(stats_to_dict(stats)) == stats
-        assert stats_from_dict(None) is None
-        assert stats_from_dict({}) is None
-
-    def test_merge_matches_combined_build(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.normal(0, 1, 400), rng.normal(3, 1, 300)
-        merged = merge_column_stats([NumericColumnStats.from_values(a),
-                                     NumericColumnStats.from_values(b)])
-        combined = NumericColumnStats.from_values(np.concatenate([a, b]))
-        assert merged.n == combined.n and merged.minimum == combined.minimum
-        for x in (-1.0, 0.5, 2.0, 3.5):
-            assert merged.selectivity(Op.LE, x) == pytest.approx(
-                combined.selectivity(Op.LE, x), abs=0.05)
-
-    def test_shard_stats_may_match_is_conservative(self):
-        codes = np.array([0, 0, 1, -1], dtype=np.int32)
-        spec = stats_to_dict(CategoricalColumnStats.from_codes(codes))
-        from repro.plan import shard_stats_may_match
-
-        vocab = ["x", "y", "z"]
-        assert shard_stats_may_match(spec, Predicate("c", Op.EQ, "x"), vocab)
-        assert not shard_stats_may_match(spec, Predicate("c", Op.EQ, "z"),
-                                         vocab)  # count provably zero
-        assert not shard_stats_may_match(spec, Predicate("c", Op.EQ, "nope"),
-                                         vocab)  # absent from the vocabulary
-        assert shard_stats_may_match(None, Predicate("c", Op.EQ, "z"), vocab)
-        assert shard_stats_may_match({}, Predicate("c", Op.EQ, "z"), vocab)
-
-    def test_legacy_manifest_estimates_conservatively_without_decoding(
-            self, store):
-        table = _skewed_table(n=400, seed=9)
-        dataset = store.import_table("legacy", table, shard_rows=100)
-        # Simulate a pre-planner manifest: strip the committed statistics.
-        for shard in dataset.manifest.shards:
-            shard.column_stats = {}
-        loaded = dataset.load_table()
-        stats = table_stats(loaded)
-        pred = Predicate("narrow", Op.EQ, "v7")
-        assert stats.column("narrow") is None
-        assert stats.selectivity(pred) == 1.0      # conservative, and...
-        assert not any(column.materialized         # ...no shard was decoded
-                       for column in loaded.columns())
-        assert loaded.select(Pattern([pred])) == table.select(Pattern([pred]))
-
-    def test_exact_support_from_table_stats(self):
-        table = Table.from_columns({"c": ["a"] * 7 + ["b"] * 3 + [None]})
-        stats = table_stats(table)
-        assert stats.exact_support(Predicate("c", Op.EQ, "a")) == 7
-        assert stats.exact_support(Predicate("c", Op.NE, "a")) == 3
-        assert stats.exact_support(Predicate("c", Op.EQ, "zz")) == 0
-        # Missing rows satisfy neither EQ nor NE.
-        assert stats.exact_support(Predicate("c", Op.NE, "zz")) == 10
-
-
 # ---------------------------------------------------------------------- planner
 
 
 class TestPlanner:
-    def test_most_selective_cheap_predicate_first(self):
-        table = _skewed_table()
-        pattern = Pattern.of(("broad", "==", "x"), ("narrow", "==", "v7"),
-                             ("num", "<=", 25.0))
-        plan = plan_scan(table, pattern)
-        assert plan.reordered
-        assert plan.conjuncts[0].predicate.attribute == "narrow"
-        ranks = [c.rank for c in plan.conjuncts]
-        assert ranks == sorted(ranks)
-
-    def test_planning_is_deterministic(self):
-        table = _skewed_table()
-        pattern = Pattern.of(("broad", "==", "x"), ("num", ">", 0.0))
-        first = [repr(c.predicate) for c in plan_scan(table, pattern).conjuncts]
-        second = [repr(c.predicate) for c in plan_scan(table, pattern).conjuncts]
-        assert first == second
-
     def test_executor_records_actuals(self):
         table = _skewed_table()
         pattern = Pattern.of(("broad", "==", "x"), ("narrow", "==", "v7"))
-        _, plan = planned_select_with_plan(table, pattern)
-        for conjunct in plan.conjuncts:
-            assert conjunct.actual_selectivity is not None
-            assert 0.0 <= conjunct.actual_selectivity <= 1.0
+        filtered, plan = planned_select_with_plan(table, pattern)
+        assert filtered == table.select(pattern)
         assert plan.rows_in == table.n_rows
         assert plan.rows_out == int(pattern.evaluate(table).sum())
+        assert plan.to_dict() == {
+            "shards": {"total": 0, "zone_map_skipped": 0, "scanned": 0},
+            "rows_in": table.n_rows, "rows_out": plan.rows_out}
 
 
 # ---------------------------------------------------------------------- planned == oracle
@@ -270,11 +122,14 @@ def _random_pattern(data, rng, table) -> Pattern:
     predicates = []
     for _ in range(data.draw(st.integers(0, 3), label="n_predicates")):
         kind = data.draw(st.sampled_from(
-            ["cat", "num", "single", "allmiss", "num_boundary"]))
+            ["cat", "num", "single", "allmiss", "num_boundary", "nomatch"]))
         if kind == "cat":
             predicates.append(Predicate(
-                "cat", data.draw(st.sampled_from([Op.EQ, Op.NE])),
+                "cat", data.draw(st.sampled_from(list(Op))),
                 data.draw(st.sampled_from(["a", "b", "c", "zz"]))))
+        elif kind == "nomatch":
+            # Every shard's zone map proves this conjunct empty.
+            predicates.append(Predicate("cat", Op.EQ, "absent-everywhere"))
         elif kind == "single":
             predicates.append(Predicate(
                 "single", data.draw(st.sampled_from([Op.EQ, Op.NE])),
@@ -289,7 +144,7 @@ def _random_pattern(data, rng, table) -> Pattern:
             values = column.values if column.numeric else np.array([])
             present = values[~np.isnan(values)] if values.size else values
             if kind == "num_boundary" and present.size:
-                # Exact data values: histogram bucket edges, min, and max.
+                # Exact data values, zone-map minima and maxima among them.
                 target = float(data.draw(st.sampled_from(
                     sorted({float(v) for v in present}))))
             else:
@@ -307,8 +162,9 @@ class TestPlannedEqualsOracle:
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         table = _random_table(rng, data.draw(st.integers(1, 80)))
         pattern = _random_pattern(data, rng, table)
-        planned = planned_select(table, pattern)
+        planned, plan = planned_select_with_plan(table, pattern)
         assert planned == table.select(pattern)
+        assert plan.rows_out == planned.n_rows
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -317,8 +173,9 @@ class TestPlannedEqualsOracle:
         table = _random_table(rng, data.draw(st.integers(1, 60)))
         pattern = _random_pattern(data, rng, table)
         cache = MaskCache(table)
-        first = planned_select(table, pattern, mask_cache=cache)
-        second = planned_select(table, pattern, mask_cache=cache)  # warm
+        first, _ = planned_select_with_plan(table, pattern, mask_cache=cache)
+        second, _ = planned_select_with_plan(table, pattern,
+                                             mask_cache=cache)  # warm
         oracle = table.select(pattern)
         assert first == oracle and second == oracle
 
@@ -330,15 +187,23 @@ class TestPlannedEqualsOracle:
         rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
         table = _random_table(rng, data.draw(st.integers(5, 80)))
         pattern = _random_pattern(data, rng, table)
+        # shard_rows >= n gives the single-shard case.
         with tempfile.TemporaryDirectory() as tmp:
             dataset = StoredDataset.create(
                 f"{tmp}/d", "d", table,
-                shard_rows=data.draw(st.integers(3, 30)))
-            planned = dataset.load_table().select(pattern)
+                shard_rows=data.draw(st.integers(3, 100)))
+            loaded = dataset.load_table()
+            planned, plan = planned_select_with_plan(loaded, pattern)
             assert planned == table.select(pattern)
+            assert plan.shards_total == loaded.n_shards
+            assert plan.shards_zone_map_skipped + plan.shards_scanned == \
+                loaded.n_shards
+            assert plan.rows_out == planned.n_rows
 
     def test_aggregate_view_equals_oracle_view(self):
         bundle = load_dataset("stackoverflow", n=800, seed=0)
+        salary = bundle.table.column("Salary").values
+        assert np.any(salary != np.round(salary))  # a float outcome
         query = parse_query(
             "SELECT Country, AVG(Salary) FROM SO "
             "WHERE Gender = 'Male' AND Continent != 'Asia' GROUP BY Country")
@@ -349,7 +214,8 @@ class TestPlannedEqualsOracle:
         oracle = AggregateView(
             filtered, parse_query("SELECT Country, AVG(Salary) FROM SO "
                                   "GROUP BY Country"))
-        assert planned.groups == oracle.groups
+        assert [(g.key, g.average.hex(), g.size) for g in planned.groups] == \
+            [(g.key, g.average.hex(), g.size) for g in oracle.groups]
         assert planned.table == oracle.table == filtered
         assert planned.scan_plan is not None and oracle.scan_plan is None
 
@@ -427,6 +293,8 @@ class TestLatticeStatsDeferral:
 
 class TestStatsFreshnessAfterAppend:
     def test_appended_shard_carries_fresh_statistics(self, store):
+        """An appended shard commits its own zone maps, and a scan skips
+        by them."""
         table = Table.from_columns({
             "a": ["hot"] * 90 + ["cold"] * 10,
             "b": [f"u{i % 4}" for i in range(100)],
@@ -440,58 +308,16 @@ class TestStatsFreshnessAfterAppend:
         })
         dataset.append(appended)
         shard = dataset.manifest.shards[-1]
-        assert set(shard.column_stats) == {"a", "b", "y"}
-        merged = dataset.load_table().plan_column_stats("a")
-        # Merged estimates include the appended distribution: 'cold' went
-        # from 10/100 rows to 210/300.
+        assert set(shard.zone_maps) == {"a", "b", "y"}
+        vocab = dataset.manifest.vocabs["b"]
+        assert shard.zone_maps["b"]["codes"] == [vocab.index("u9")]
+        assert shard.zone_maps["y"]["min"] == shard.zone_maps["y"]["max"] == 0
         loaded = dataset.load_table()
-        code = loaded.column("a").vocab_code("cold")
-        assert merged.counts[code] == 210
-
-    def test_plan_order_adapts_to_distribution_shift(self, store):
-        # Initially: a='rare' is highly selective, b='common' is not.
-        table = Table.from_columns({
-            "a": ["rare"] * 5 + ["base"] * 495,
-            "b": ["common"] * 400 + ["other"] * 100,
-            "y": [float(i) for i in range(500)],
-        })
-        dataset = store.import_table("shift", table, shard_rows=100)
-        pattern = Pattern.of(("a", "==", "rare"), ("b", "==", "common"))
-        loaded = dataset.load_table()
-        before = plan_scan(loaded, pattern, stats=table_stats(loaded))
-        assert before.conjuncts[0].predicate.attribute == "a"
-
-        # Distribution shift: 'rare' floods in, 'common' disappears.
-        dataset.append(Table.from_columns({
-            "a": ["rare"] * 2000,
-            "b": ["other"] * 2000,
-            "y": [0.0] * 2000,
-        }))
-        dataset.reload()
-        reloaded = dataset.load_table()
-        after = plan_scan(reloaded, pattern, stats=table_stats(reloaded))
-        assert after.conjuncts[0].predicate.attribute == "b"
-        # And the planned scan still matches the in-memory scan.
-        assert reloaded.select(pattern) == Table.select(reloaded, pattern)
-
-    def test_engine_append_refreshes_in_memory_estimates(self):
-        engine = ExplanationEngine()
-        table = Table.from_columns({
-            "g": [f"g{i % 3}" for i in range(300)],
-            "a": ["rare"] * 3 + ["base"] * 297,
-            "y": [float(i % 7) for i in range(300)],
-        })
-        engine.register_dataset("d", table)
-        sql = "SELECT g, AVG(y) FROM d WHERE a = 'rare' GROUP BY g"
-        first = engine.explain_plan("d", sql)
-        est_before = first["scan"]["conjuncts"][0]["estimated_selectivity"]
-        engine.append_rows("d", Table.from_columns({
-            "g": ["g0"] * 700, "a": ["rare"] * 700, "y": [1.0] * 700}))
-        second = engine.explain_plan("d", sql)
-        est_after = second["scan"]["conjuncts"][0]["estimated_selectivity"]
-        assert second["version"] == first["version"] + 1
-        assert est_after > est_before  # estimates rebuilt on the new version
-
+        pattern = Pattern.of(("b", "==", "u9"))
+        selected, plan = planned_select_with_plan(loaded, pattern)
+        assert selected == Table.select(loaded, pattern)
+        assert selected.n_rows == 200
+        assert (plan.shards_zone_map_skipped, plan.shards_scanned) == (2, 1)
 
 # ---------------------------------------------------------------------- compaction
 
@@ -509,7 +335,7 @@ class TestCompaction:
         assert reloaded.n_rows == table.n_rows
         assert reloaded.select(Pattern()) == table.select(Pattern())
         for shard in dataset.manifest.shards:
-            assert shard.zone_maps and shard.column_stats
+            assert set(shard.zone_maps) == set(table.attributes)
 
     def test_right_sized_shards_left_untouched(self, store):
         table = _skewed_table(n=600, seed=3)
@@ -605,19 +431,20 @@ class TestEngineIntegration:
                                 treatment_attributes=bundle.treatment_attributes)
         return engine
 
-    def test_explain_plan_reports_estimates_and_actuals(self, engine):
+    def test_explain_plan_reports_shards_and_rows(self, engine):
         report = engine.explain_plan(
             "so", "SELECT Country, AVG(Salary) FROM SO "
                   "WHERE Gender = 'Male' AND Continent != 'Asia' "
                   "GROUP BY Country")
         assert "planner_enabled" not in report
         assert "Scan(" in report["logical_plan"]
-        conjuncts = report["scan"]["conjuncts"]
-        assert len(conjuncts) == 2
-        for conjunct in conjuncts:
-            assert 0.0 <= conjunct["estimated_selectivity"] <= 1.0
-            assert conjunct["actual_selectivity"] is not None
-        assert report["rows"]["filtered"] <= report["rows"]["table"]
+        scan = report["scan"]
+        assert set(scan) == {"shards", "rows_in", "rows_out"}  # no conjuncts
+        assert scan["shards"] == {"total": 0, "zone_map_skipped": 0,
+                                  "scanned": 0}
+        assert scan["rows_in"] == report["rows"]["table"]
+        assert scan["rows_out"] == report["rows"]["filtered"]
+        assert report["rows"]["filtered"] < report["rows"]["table"]
 
     def test_explain_plan_op_over_the_protocol(self, engine):
         response = handle_request(
@@ -625,16 +452,17 @@ class TestEngineIntegration:
             '{"op": "explain_plan", "query": "SELECT Country, AVG(Salary) '
             "FROM SO WHERE Gender = 'Male' GROUP BY Country\", \"id\": 4}")
         assert response["ok"] and response["id"] == 4
-        assert response["result"]["scan"]["conjuncts"]
+        assert response["result"]["scan"]["rows_out"] > 0
 
     def test_stats_surface_planner_section(self, engine):
         engine.explain_plan(
             "so", "SELECT Country, AVG(Salary) FROM SO "
                   "WHERE Gender = 'Male' GROUP BY Country")
         planner = engine.stats()["planner"]
-        assert "enabled" not in planner
-        assert planner["plans"] >= 1
-        assert "shards_zone_map_skipped" in planner
+        assert "enabled" not in planner and "plans" not in planner
+        assert {"shards_zone_map_skipped", "shards_stats_skipped",
+                "shards_scanned"} <= set(planner)
+        assert planner["shards_stats_skipped"] == 0
         assert "so" in planner["where_mask_caches"]
 
     def test_where_mask_cache_shared_across_queries(self, engine):
@@ -669,7 +497,7 @@ class TestPlanCLI:
                      "GROUP BY Country"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Explain" in out and "scan (" in out and "est=" in out
+        assert "Explain" in out and "scan: rows" in out and "est=" not in out
 
     def test_plan_command_against_store(self, store, capsys):
         from repro.cli import main
@@ -679,4 +507,5 @@ class TestPlanCLI:
                      "--query", "SELECT broad, AVG(num) FROM t "
                                 "WHERE narrow = 'v7' GROUP BY broad"])
         assert code == 0
-        assert "shards:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "shards: 4 total" in out and "scan: rows" in out

@@ -40,8 +40,6 @@ from repro.storage import (
     write_shard,
 )
 from repro.dataframe import MISSING_CODE
-from repro.plan.stats import CategoricalColumnStats, stats_to_dict
-from repro.storage import dataset as dataset_module
 from repro.storage import store as store_module
 from repro.storage.format import (
     TMP_MARKER,
@@ -49,6 +47,7 @@ from repro.storage.format import (
     ShardInfo,
     json_line,
 )
+from repro.storage.zonemap import categorical_zone_map
 
 
 def _table(n: int = 400, seed: int = 0) -> Table:
@@ -391,6 +390,90 @@ class TestAtomicity:
             {"format_version": 999, "name": "x", "version": 0, "schema": []}))
         with pytest.raises(StorageError):
             StoredDataset(directory)
+
+    @pytest.mark.parametrize("column, zone_map, message", [
+        # A numeric column mapped as categorical: before the check, the
+        # scan read `Age = <present value>` as unsatisfiable and returned
+        # no rows.
+        pytest.param(
+            "Age", {"kind": "categorical", "codes": [], "n_missing": 0},
+            "has kind 'categorical', the schema says 'numeric'",
+            id="numeric-as-categorical"),
+        pytest.param(
+            "Country", {"kind": "categorical", "codes": "abc",
+                        "n_missing": 0},
+            "has codes 'abc'", id="codes-not-a-list"),
+        pytest.param(
+            "Country", ["kind", "categorical"], "is a list, not an object",
+            id="map-is-a-list"),
+        pytest.param(
+            "Country", {"kind": "categorical", "codes": [0, -1],
+                        "n_missing": 0},
+            "not a list of non-negative integers", id="negative-code"),
+        pytest.param(
+            "Country", {"kind": "categorical", "codes": [0]},
+            "has no integer n_missing", id="no-n-missing"),
+        pytest.param(
+            "Age", {"kind": "numeric", "min": 5.0, "max": None,
+                    "n_missing": 0},
+            "has min 5.0 and max None", id="half-null-bounds"),
+        pytest.param(
+            "Age", {"kind": "numeric", "min": "18", "max": 70.0,
+                    "n_missing": 0},
+            "has min '18'", id="string-bound"),
+        pytest.param(
+            "Age", {"kind": "numeric", "max": 70.0, "n_missing": 0},
+            "has no min or no max", id="no-min"),
+        pytest.param(
+            "Age", {"kind": "numeric", "min": 70.0, "max": 18.0,
+                    "n_missing": 0},
+            "has min 70.0 and max 18.0", id="min-above-max"),
+        pytest.param(
+            "Salary", {"kind": "numeric", "min": 1.0, "max": 2.0,
+                       "n_missing": True},
+            "has no integer n_missing", id="bool-n-missing"),
+        pytest.param(
+            "Nope", {"kind": "numeric", "min": None, "max": None,
+                     "n_missing": 0},
+            "which is not a stored column", id="unknown-column"),
+    ])
+    def test_malformed_zone_map_is_a_typed_refusal(self, store, column,
+                                                   zone_map, message):
+        """A zone map that does not fit its column's schema kind refuses to
+        open, naming the shard and the column, instead of pruning shards
+        that hold matching rows."""
+        dataset = store.import_table("people", _table(60), shard_rows=20)
+        path = dataset.directory / "MANIFEST.json"
+        spec = json.loads(path.read_text())
+        spec["shards"][1]["zone_maps"][column] = zone_map
+        path.write_text(json.dumps(spec))
+        with pytest.raises(StorageError) as refusal:
+            StoredDataset(dataset.directory)
+        assert str(refusal.value).startswith(
+            f"shard 'shard-000001': zone map of {column!r}")
+        assert message in str(refusal.value)
+
+    def test_zone_maps_not_an_object_is_a_typed_refusal(self, store):
+        dataset = store.import_table("people", _table(60), shard_rows=20)
+        path = dataset.directory / "MANIFEST.json"
+        spec = json.loads(path.read_text())
+        spec["shards"][2]["zone_maps"] = [["Age", None]]
+        path.write_text(json.dumps(spec))
+        with pytest.raises(StorageError, match="shard 'shard-000002': "
+                                               "zone_maps is not an object"):
+            StoredDataset(dataset.directory)
+
+    def test_zone_map_without_present_values_opens(self, store):
+        table = Table.from_columns({"x": [np.nan, np.nan, 1.0, 2.0],
+                                    "c": [None, None, "a", "b"]})
+        dataset = store.import_table("t", table, shard_rows=2)
+        assert dataset.manifest.shards[0].zone_maps == {
+            "x": {"kind": "numeric", "min": None, "max": None,
+                  "n_missing": 2},
+            "c": {"kind": "categorical", "codes": [], "n_missing": 2}}
+        loaded = StoredDataset(dataset.directory).load_table()
+        pattern = Pattern.of(("x", ">=", 1.0))
+        assert loaded.select(pattern) == table.select(pattern)
 
 
 class TestZoneMapPruning:
@@ -767,6 +850,102 @@ class TestManifestCompatibility:
         store.dataset("stackoverflow").verify()
 
 
+def _legacy_column_stats(shard: Table, vocabs: dict) -> dict:
+    """A shard's ``column_stats`` manifest entry as earlier versions wrote
+    it: an equi-depth histogram per numeric column, store-code frequencies
+    per categorical one."""
+    entries = {}
+    for column in shard.columns():
+        n = len(column)
+        if column.numeric:
+            present = np.sort(column.values[~np.isnan(column.values)])
+            edges = np.quantile(present, np.linspace(0, 1, 5)).tolist() \
+                if present.size else []
+            counts = np.diff(np.searchsorted(present, edges[1:],
+                                             side="right"),
+                             prepend=0).tolist() if present.size else []
+            entries[column.name] = {
+                "kind": "numeric", "n": n, "n_missing": n - present.size,
+                "min": float(present[0]) if present.size else None,
+                "max": float(present[-1]) if present.size else None,
+                "n_distinct": int(np.unique(present).size),
+                "edges": edges, "counts": counts}
+        else:
+            values = [v for v in column.values if v is not None]
+            codes, counts = np.unique([vocabs[column.name].index(v)
+                                       for v in values], return_counts=True)
+            entries[column.name] = {
+                "kind": "categorical", "n": n, "n_missing": n - len(values),
+                "n_distinct": int(codes.size), "codes": codes.tolist(),
+                "counts": counts.tolist(), "other": 0}
+    return entries
+
+
+class TestColumnStatsCompatibility:
+    """Manifests that carry the retired per-shard ``column_stats`` key
+    still open, scan and explain like the in-memory table, and shed it when
+    next committed."""
+
+    QUERY = ("SELECT Country, AVG(Salary) FROM SO "
+             "WHERE Gender = 'Male' AND Continent != 'Asia' "
+             "GROUP BY Country")
+
+    @pytest.fixture
+    def stats_store(self, tmp_path):
+        bundle = load_dataset("stackoverflow", n=300, seed=0)
+        store = DatasetStore.init(tmp_path / "store")
+        bundle.to_store(store, config=_config(), shard_rows=100)
+        dataset = store.dataset("stackoverflow")
+        loaded = dataset.load_table()
+        path = dataset.directory / "MANIFEST.json"
+        manifest = json.loads(path.read_text())
+        start = 0
+        for shard in manifest["shards"]:
+            stop = start + shard["n_rows"]
+            shard["column_stats"] = _legacy_column_stats(
+                loaded.take(np.arange(start, stop)), manifest["vocabs"])
+            start = stop
+        path.write_text(json.dumps(manifest))
+        return DatasetStore(store.root), bundle, path
+
+    def test_opens_and_scans_like_in_memory(self, stats_store):
+        store, bundle, _ = stats_store
+        loaded = store.dataset("stackoverflow").load_table()
+        salary = bundle.table.column("Salary").values
+        for pattern in (Pattern.of(("Gender", "==", "Male")),
+                        Pattern.of(("Gender", "==", "Male"),
+                                   ("Continent", "!=", "Asia")),
+                        Pattern.of(("Country", ">", "India"),
+                                   ("Salary", "<=", float(salary[7]))),
+                        Pattern.of(("Salary", "!=", float("nan"))),
+                        Pattern.of(("Country", "==", "Atlantis"))):
+            assert loaded.select(pattern) == bundle.table.select(pattern)
+
+    def test_explain_byte_identical_to_in_memory(self, stats_store):
+        store, bundle, _ = stats_store
+        salary = bundle.table.column("Salary").values
+        assert np.any(salary != np.round(salary))  # a float outcome
+        reference = CauSumX(bundle.table, bundle.dag, _config()).explain(
+            self.QUERY, grouping_attributes=bundle.grouping_attributes,
+            treatment_attributes=bundle.treatment_attributes)
+        engine = ExplanationEngine.from_store(store)
+        served = engine.explain("stackoverflow", self.QUERY)
+        assert _payload(served) == _payload(reference)
+
+    @pytest.mark.parametrize("commit", ["append", "compact"])
+    def test_next_commit_sheds_the_key(self, stats_store, commit):
+        store, bundle, path = stats_store
+        assert "column_stats" in path.read_text()
+        if commit == "append":
+            store.dataset("stackoverflow").append(Table.from_rows(
+                [bundle.table.row(0)], schema=list(bundle.table.attributes)))
+        else:
+            assert store.compact("stackoverflow",
+                                 cluster_by="Country")["rewritten"] == 3
+        assert "column_stats" not in path.read_text()
+        store.dataset("stackoverflow").verify()
+
+
 class TestRegistryCompatibility:
     """Registries whose configs carry the retired ``n_jobs`` field (every
     registry written before it was removed) still open, answer like the
@@ -899,10 +1078,27 @@ _json_scalars = st.one_of(st.text(max_size=6), st.integers(-10**6, 10**6),
                           st.booleans())
 
 
+_zone_map_numbers = st.floats(allow_nan=False)
+
+
+@st.composite
+def _zone_maps(draw, kind: str) -> dict:
+    """A well-formed zone map of a ``kind`` column."""
+    n_missing = draw(st.integers(0, 500))
+    if kind == "categorical":
+        return {"kind": kind, "n_missing": n_missing,
+                "codes": sorted(draw(st.sets(st.integers(0, 500),
+                                             max_size=3)))}
+    bounds = draw(st.none() | st.lists(_zone_map_numbers, min_size=2,
+                                       max_size=2))
+    lo, hi = sorted(bounds) if bounds else (None, None)
+    return {"kind": kind, "min": lo, "max": hi, "n_missing": n_missing}
+
+
 @st.composite
 def _manifests(draw) -> Manifest:
     """Manifests with random schemas, vocabularies (any unicode), and shard
-    statistics."""
+    zone maps of each column's kind."""
     names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1,
                           max_size=3, unique=True))
     schema = [{"name": name,
@@ -916,12 +1112,8 @@ def _manifests(draw) -> Manifest:
         shards.append(ShardInfo(
             shard_id=f"shard-{seq:06d}", file=f"shards/shard-{seq:06d}.npz",
             n_rows=draw(counts), fingerprint=draw(st.text(max_size=8)),
-            zone_maps={name: {"kind": "categorical",
-                              "codes": draw(st.lists(counts, max_size=3)),
-                              "n_missing": draw(counts)} for name in names},
-            column_stats={name: {"n": draw(counts), "top": draw(
-                st.dictionaries(st.text(max_size=3), counts, max_size=2))}
-                for name in names}))
+            zone_maps={entry["name"]: draw(_zone_maps(entry["kind"]))
+                       for entry in schema}))
     return Manifest(name=draw(st.text(max_size=6)), schema=schema,
                     vocabs=vocabs, shards=shards,
                     version=draw(st.integers(0, 10**6)))
@@ -935,28 +1127,6 @@ def _old_categorical_zone_map(store_codes: np.ndarray) -> dict:
             "n_missing": int((store_codes == MISSING_CODE).sum())}
 
 
-def _old_categorical_stats(codes: np.ndarray, top_k: int) -> dict:
-    """``CategoricalColumnStats.from_codes`` as it was, via ``np.unique``."""
-    present = codes[codes != MISSING_CODE]
-    n = int(codes.size)
-    if present.size == 0:
-        stats = CategoricalColumnStats(n=n, n_missing=n, n_distinct=0,
-                                       counts={}, other=0)
-        return stats_to_dict(stats)
-    values, freqs = np.unique(present, return_counts=True)
-    distinct = int(values.size)
-    if distinct > top_k:
-        keep = np.argsort(-freqs, kind="stable")[:top_k]
-        kept = {int(values[i]): int(freqs[i]) for i in sorted(keep)}
-        other = int(present.size) - sum(kept.values())
-    else:
-        kept = {int(v): int(f) for v, f in zip(values, freqs)}
-        other = 0
-    return stats_to_dict(CategoricalColumnStats(
-        n=n, n_missing=n - int(present.size), n_distinct=distinct,
-        counts=kept, other=other))
-
-
 class TestManifestCommitPath:
     @settings(max_examples=60, deadline=None)
     @given(manifest=_manifests(), extra=_manifests())
@@ -964,6 +1134,8 @@ class TestManifestCommitPath:
         expected = json_line(manifest.to_dict())
         assert manifest.to_json_line() == expected
         assert manifest.to_json_line() == expected  # cached shard entries
+        # Every drawn zone map fits its column, so the bytes parse back.
+        assert Manifest.from_dict(json.loads(expected)) == manifest
         # A later commit splices the cached entries next to new ones.
         manifest.shards.extend(extra.shards)
         manifest.version += 1
@@ -1041,15 +1213,12 @@ class TestManifestCommitPath:
 
     @settings(max_examples=200, deadline=None)
     @given(codes=st.lists(st.integers(-1, 12), max_size=80)
-           | st.lists(st.integers(-1, 10**6), max_size=8),
-           top_k=st.integers(1, 6))
-    def test_one_bincount_matches_the_unique_sorts(self, codes, top_k):
-        """Shard summaries from one count pass serialize byte-identically to
-        the two ``np.unique`` builders they replace — missing values, top-k
-        truncation and frequency ties included, and codes far sparser than
-        the shard (counted by a sort, not a bincount over the vocabulary)."""
+           | st.lists(st.integers(-1, 10**6), max_size=8))
+    def test_one_bincount_matches_the_unique_sorts(self, codes):
+        """A categorical zone map from one count pass serializes
+        byte-identically to the ``np.unique`` builder it replaced — missing
+        values included, and codes far sparser than the shard (counted by a
+        sort, not a bincount over the vocabulary)."""
         codes = np.asarray(codes, dtype=np.int32)
-        zone_map, stats = dataset_module._categorical_summaries(codes, top_k)
-        assert json_line([zone_map, stats]) == json_line(
-            [_old_categorical_zone_map(codes),
-             _old_categorical_stats(codes, top_k)])
+        assert json_line(categorical_zone_map(codes)) == json_line(
+            _old_categorical_zone_map(codes))
