@@ -9,6 +9,7 @@ dataset sizes here do not need it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ class ExplanationTable:
         explained = np.zeros(table.n_rows, dtype=bool)
         for _ in range(self.n_patterns):
             best = None
-            best_gain = -1.0
+            best_gain = -math.inf
             for pattern in candidates:
                 if pattern in used:
                     continue

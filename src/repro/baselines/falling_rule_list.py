@@ -10,6 +10,7 @@ enforce monotonicity by truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,7 @@ class FallingRuleList:
         previous_probability = 1.0
         while len(rules) < self.max_rules:
             best = None
-            best_probability = -1.0
+            best_probability = -math.inf
             for pattern, mask in masks.items():
                 if any(pattern == r.pattern for r in rules):
                     continue

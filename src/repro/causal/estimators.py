@@ -12,16 +12,18 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.causal.assumptions import check_positivity
 from repro.causal.effects import EffectEstimate
 from repro.causal.ols import DegenerateFit, FactoredDesign
-from repro.dataframe import MaskCache, Pattern, Table, design_matrix
+from repro.dataframe import MaskCache, Pattern, Predicate, Table, design_matrix
 from repro.graph import CausalDAG, backdoor_adjustment_set, parents_adjustment_set
 from repro.obs.registry import REGISTRY
+
+if TYPE_CHECKING:
+    from repro.mining.lattice import AtomSet
 
 
 def naive_difference_in_means(outcome: np.ndarray, treated: np.ndarray) -> EffectEstimate:
@@ -176,9 +178,10 @@ class CATEEstimator:
         """
         return self.bind(subpopulation).estimate(treatment, extra_adjustment)
 
-    def estimate_many(self, treatments: Sequence[Pattern],
+    def estimate_many(self, treatments: Sequence["Pattern | AtomSet"],
                       subpopulation: Pattern | None = None) -> list[EffectEstimate]:
-        """Estimate CATE for a batch of candidate treatment patterns.
+        """Estimate CATE for a batch of candidate treatments (patterns or
+        lattice nodes, see :meth:`BoundSubpopulation.estimate`).
 
         The sub-population is bound once and every treatment of the batch
         goes through :meth:`BoundSubpopulation.estimate` in turn, on the
@@ -208,10 +211,12 @@ class BoundSubpopulation:
     search of one grouping pattern solve their common lattice nodes once.
 
     The bound table is a :meth:`Table.take` slice, so its categorical columns
-    share the parent vocabulary: treatment masks sliced from the full-table
+    share the parent vocabulary: predicate masks sliced from the full-table
     cache line up with the bound rows, and the confounder blocks are built by
     fancy-indexing the inherited dictionary codes (no re-encoding of the
-    sub-population).
+    sub-population).  Each lattice atom's mask is sliced once per binding, so
+    a candidate costs an AND of bound masks, one count that decides
+    positivity, and one ``flatnonzero`` into the solve.
 
     Bindings are shared across threads without a lock: factorisations and
     estimates are deterministic functions of the bound rows, so two threads
@@ -256,7 +261,9 @@ class BoundSubpopulation:
         self.indices = indices
         self.outcome_values = outcome_values
         self._identity = base is table  # binding covers the whole table unchanged
+        self._atom_masks: dict = {}  # per atom space, see AtomSet.masks
         self._domain_sizes: dict[str, int] = {}
+        self._adjustments: dict[tuple, tuple[str, ...]] = {}
         self._designs: dict[tuple[str, ...], FactoredDesign] = {}
         self._estimates: dict[tuple, EffectEstimate] = {}
 
@@ -268,13 +275,20 @@ class BoundSubpopulation:
     def n_rows(self) -> int:
         return self.base.n_rows
 
-    def treated_mask(self, treatment: Pattern) -> np.ndarray:
-        """Boolean treatment mask over the bound (filtered) rows."""
+    def _mask(self, predicate: Predicate) -> np.ndarray:
+        """Boolean mask of one predicate over the bound (filtered) rows."""
         cache = self.estimator.mask_cache
-        if cache is not None:
-            mask = cache.pattern_mask(treatment)
-            return mask if self._identity else mask[self.indices]
-        return treatment.evaluate(self.base)
+        if cache is None:
+            return predicate.evaluate(self.base)
+        mask = cache.predicate_mask(predicate)
+        return mask if self._identity else mask[self.indices]
+
+    def _masks(self, treatment: "Pattern | AtomSet") -> list[np.ndarray]:
+        """The bound masks of a treatment's predicates; a lattice node's are
+        kept for as long as the binding lives."""
+        if isinstance(treatment, Pattern):
+            return [self._mask(p) for p in treatment.predicates]
+        return treatment.masks(self._atom_masks, self._mask)
 
     def _domain_size(self, attribute: str) -> int:
         size = self._domain_sizes.get(attribute)
@@ -282,6 +296,24 @@ class BoundSubpopulation:
             size = len(self.base.domain(attribute))
             self._domain_sizes[attribute] = size
         return size
+
+    def _adjustment(self, attributes: tuple[str, ...],
+                    extra_adjustment: tuple[str, ...]) -> tuple[str, ...]:
+        """The confounder tuple of a treatment over ``attributes``, memoized."""
+        key = (attributes, extra_adjustment)
+        adjustment = self._adjustments.get(key)
+        if adjustment is None:
+            estimator = self.estimator
+            chosen = list(estimator.adjustment_set(attributes))
+            for attr in extra_adjustment:
+                if attr not in chosen and attr in self.base \
+                        and attr != estimator.outcome:
+                    chosen.append(attr)
+            # Attributes the sub-population pins to a single value carry no
+            # variance; keep them out of the confounder block.
+            adjustment = self._adjustments.setdefault(
+                key, tuple(a for a in chosen if self._domain_size(a) > 1))
+        return adjustment
 
     def _design(self, attributes: tuple[str, ...]) -> FactoredDesign:
         """The factored ``[1 | confounders]`` block of one adjustment tuple."""
@@ -293,39 +325,38 @@ class BoundSubpopulation:
                 attributes, FactoredDesign(block, self.outcome_values))
         return design
 
-    def estimate(self, treatment: Pattern,
+    def estimate(self, treatment: "Pattern | AtomSet",
                  extra_adjustment: Sequence[str] = ()) -> EffectEstimate:
-        """Estimate the CATE of one treatment within the bound sub-population."""
+        """Estimate the CATE of one treatment within the bound sub-population.
+
+        ``treatment`` is a :class:`~repro.dataframe.Pattern` or, from the
+        lattice miners, an :class:`~repro.mining.lattice.AtomSet`: the same
+        conjunction as sorted atom ids, whose bound masks the binding keeps.
+        """
         key = (treatment, tuple(extra_adjustment))
         estimate = self._estimates.get(key)
         if estimate is None:
-            estimate = self._estimates.setdefault(
-                key, self._solve(treatment, extra_adjustment))
+            estimate = self._estimates.setdefault(key, self._solve(*key))
         return estimate
 
-    def _solve(self, treatment: Pattern,
-               extra_adjustment: Sequence[str]) -> EffectEstimate:
-        if self.base.n_rows == 0:
+    def _solve(self, treatment: "Pattern | AtomSet",
+               extra_adjustment: tuple[str, ...]) -> EffectEstimate:
+        n_rows = self.base.n_rows
+        if n_rows == 0:
             return EffectEstimate.undefined()
-        estimator = self.estimator
-        treated = self.treated_mask(treatment)
-        n_treated = int(treated.sum())
-        n_control = int(self.base.n_rows - n_treated)
-        if not check_positivity(treated, estimator.min_group_size):
+        masks = self._masks(treatment)
+        treated = masks[0] if masks else np.ones(n_rows, dtype=bool)
+        for mask in masks[1:]:
+            treated = treated & mask
+        n_treated = int(np.count_nonzero(treated))
+        n_control = n_rows - n_treated
+        min_group_size = self.estimator.min_group_size
+        if n_treated < min_group_size or n_control < min_group_size:
             return EffectEstimate.undefined(n_treated, n_control)
 
-        adjustment_attrs = list(estimator.adjustment_set(treatment.attributes))
-        for attr in extra_adjustment:
-            if attr not in adjustment_attrs and attr in self.base \
-                    and attr != estimator.outcome:
-                adjustment_attrs.append(attr)
-        # Attributes the sub-population pins to a single value carry no
-        # variance; keep them out of the confounder block.
-        adjustment_attrs = [a for a in adjustment_attrs if self._domain_size(a) > 1]
-
+        adjustment = self._adjustment(treatment.attributes, extra_adjustment)
         try:
-            fit = self._design(tuple(adjustment_attrs)).solve(
-                np.flatnonzero(treated))
+            fit = self._design(adjustment).solve(np.flatnonzero(treated))
         except DegenerateFit as skipped:
             REGISTRY.counter("repro_causal_skipped_total",
                              reason=skipped.reason).inc()

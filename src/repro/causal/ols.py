@@ -104,11 +104,12 @@ class FactoredDesign:
         if self.df_resid < 1:
             raise DegenerateFit("no_residual_df")
         n_treated = len(treated_rows)
-        projected = self._basis[treated_rows].sum(axis=0)
+        # ``take`` gathers the same rows as fancy indexing, in less time.
+        projected = self._basis.take(treated_rows, axis=0).sum(axis=0)
         d = n_treated - float(projected @ projected)
         if d <= _COLLINEAR_TOL * n_treated:
             raise DegenerateFit("collinear_treatment")
-        s = float(self._residual[treated_rows].sum())
+        s = float(self._residual.take(treated_rows).sum())
         rss = self._rss - s * s / d
         if rss <= self._rss_floor:
             raise DegenerateFit("zero_residual_variance")

@@ -16,10 +16,10 @@ from repro.mining.grouping import (
     deduplicate_grouping_patterns,
     mine_grouping_patterns,
 )
-from repro.mining.lattice import PatternLattice
 from repro.mining.treatments import (
     TreatmentCandidate,
     mine_top_treatment,
+    treatment_atoms,
 )
 from repro.optimize import (
     CoverageILP,
@@ -226,37 +226,26 @@ class CauSumX:
                                ) -> tuple[TreatmentCandidate | None, TreatmentCandidate | None]:
         """Evaluate every lattice node up to the depth cap (Brute-Force variants)."""
         cfg = self.config
-        lattice = PatternLattice(
-            estimator.table, list(treatment_attrs),
-            max_values_per_attribute=cfg.treatment.max_values_per_attribute,
-            numeric_bins=cfg.treatment.numeric_bins,
-            mask_cache=estimator.mask_cache,
-            min_support=estimator.min_group_size,
-            atom_cache=estimator.atom_cache,
-        )
-        level = lattice.level_one()
+        atoms = treatment_atoms(estimator, treatment_attrs, cfg.treatment)
+        level = atoms.first_level if atoms is not None else []
         best_positive: TreatmentCandidate | None = None
         best_negative: TreatmentCandidate | None = None
         depth = 0
-        evaluated: set[Pattern] = set()
         while level and depth < cfg.treatment.max_levels:
-            valid_patterns = []
-            fresh = [p for p in level if p not in evaluated]
-            evaluated.update(fresh)
-            estimates = estimator.estimate_many(fresh, grouping.pattern)
-            for pattern, estimate in zip(fresh, estimates):
+            valid = []
+            estimates = estimator.estimate_many(level, grouping.pattern)
+            for node, estimate in zip(level, estimates):
                 if not estimate.is_valid():
                     continue
-                valid_patterns.append(pattern)
-                candidate = TreatmentCandidate(pattern, estimate)
+                valid.append(node)
                 if estimate.p_value <= cfg.treatment.significance_level:
                     if estimate.value > 0 and (best_positive is None
                                                or estimate.value > best_positive.cate):
-                        best_positive = candidate
+                        best_positive = TreatmentCandidate(node.pattern(), estimate)
                     if estimate.value < 0 and (best_negative is None
                                                or estimate.value < best_negative.cate):
-                        best_negative = candidate
-            level = lattice.next_level(valid_patterns)
+                        best_negative = TreatmentCandidate(node.pattern(), estimate)
+            level = atoms.join(valid)
             depth += 1
         positive = best_positive if "+" in cfg.directions else None
         negative = best_negative if "-" in cfg.directions else None

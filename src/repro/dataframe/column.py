@@ -202,13 +202,12 @@ class Column:
 
         For categorical columns this is the subset of the vocabulary whose
         codes occur in the column, in vocabulary (i.e. sorted) order — no row
-        rescan, just a ``np.unique`` over the codes.
+        rescan, just a ``bincount`` over the codes.
         """
         if self.numeric:
-            vals = self._data[~np.isnan(self._data)]
-            return [float(v) for v in np.unique(vals)]
-        present = np.unique(self._codes)
-        return [self._vocab[c] for c in present if c != MISSING_CODE]
+            return np.unique(self._data[~np.isnan(self._data)]).tolist()
+        present = np.flatnonzero(np.bincount(self._codes + 1)[1:])
+        return [self._vocab[c] for c in present]
 
     def n_missing(self) -> int:
         if self.numeric:

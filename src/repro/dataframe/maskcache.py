@@ -26,7 +26,6 @@ misses never serialize on the (potentially slow) predicate evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -137,20 +136,11 @@ class MaskCache:
             result &= self.predicate_mask(predicate)
         return result
 
-    def indices(self, pattern: Pattern) -> np.ndarray:
-        """Row indices of the tuples satisfying ``pattern``."""
-        return np.nonzero(self.pattern_mask(pattern))[0]
-
     def support(self, pattern: Pattern | Predicate) -> int:
         """Number of tuples satisfying a pattern or a single predicate."""
         if isinstance(pattern, Predicate):
             return int(self.predicate_mask(pattern).sum())
         return int(self.pattern_mask(pattern).sum())
-
-    def warm(self, predicates: Iterable[Predicate]) -> None:
-        """Pre-compute masks for a batch of predicates (e.g. a lattice level)."""
-        for predicate in predicates:
-            self.predicate_mask(predicate)
 
     def extended(self, new_table) -> "MaskCache":
         """A cache over ``new_table`` that inherits every mask of this one.

@@ -8,12 +8,101 @@ survived the previous level are materialised.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.dataframe import Op, Pattern, Predicate, Table
+
+
+class AtomSpace:
+    """The atoms of one lattice, numbered by the rank of their ``repr``.
+
+    A lattice node is an :class:`AtomSet`, and only nodes that leave a miner
+    become a :class:`~repro.dataframe.Pattern`.  ``first_level`` is level one
+    in enumeration order, repeats included: the arg-max breaks ties by it.
+    Id-tuple order is the patterns' ``repr`` order unless the canonical
+    predicate order disagrees with ``repr`` order or an atom's ``repr`` is
+    another's followed by a space or control character; :meth:`join` then
+    sorts by ``repr`` itself.
+    """
+
+    __slots__ = ("predicates", "first_level", "_attributes", "_repr_ordered")
+
+    def __init__(self, predicates: Iterable[Predicate]):
+        predicates = list(predicates)
+        ranked = sorted(dict.fromkeys(predicates), key=repr)
+        ids = {predicate: i for i, predicate in enumerate(ranked)}
+        self.predicates = tuple(ranked)
+        self.first_level = [AtomSet(self, (ids[p],)) for p in predicates]
+        self._attributes = tuple(p.attribute for p in ranked)
+        reprs = [repr(p) for p in ranked]
+        self._repr_ordered = sorted(ranked) == ranked and all(
+            a != b and not (b.startswith(a) and b[len(a)] <= " ")
+            for a, b in zip(reprs, reprs[1:]))
+
+    def join(self, level: Sequence[AtomSet]) -> list[AtomSet]:
+        """Nodes one atom longer whose parents are all in ``level``.
+
+        The F(k-1) x F(k-1) join of Agrawal & Srikant (VLDB 1994): sorted
+        k-tuples sharing their first k-1 ids, with last atoms on different
+        attributes, make a candidate, kept when every other k-subset is in
+        ``level`` too.  Nodes not as long as ``level[0]`` or naming an
+        attribute twice are no candidate's parent and are dropped first.
+        """
+        length = len(level[0].ids) if level else 0
+        if not length:
+            return []
+        attribute = self._attributes
+        survivors = sorted({node.ids for node in level if len(node.ids) == length
+                            and len({attribute[i] for i in node.ids}) == length})
+        known = set(survivors)
+        candidates = []
+        for prefix, group in groupby(survivors, key=lambda ids: ids[:-1]):
+            tails = [ids[-1] for ids in group]
+            for i, first in enumerate(tails):
+                for second in tails[i + 1:]:
+                    ids = prefix + (first, second)
+                    if attribute[first] != attribute[second] and all(
+                            ids[:j] + ids[j + 1:] in known
+                            for j in range(length - 1)):
+                        candidates.append(AtomSet(self, ids))
+        if not self._repr_ordered:
+            candidates.sort(key=lambda node: repr(node.pattern()))
+        return candidates
+
+
+class AtomSet(NamedTuple):
+    """A lattice node: the sorted ids of its atoms in one space."""
+
+    space: AtomSpace
+    ids: tuple[int, ...]
+
+    @property
+    def attributes(self) -> tuple[str, ...]:
+        """Sorted attributes of the node, as ``Pattern.attributes``."""
+        return tuple(sorted({self.space._attributes[i] for i in self.ids}))
+
+    def pattern(self) -> Pattern:
+        return Pattern(self.space.predicates[i] for i in self.ids)
+
+    def masks(self, memo: dict,
+              mask: Callable[[Predicate], np.ndarray]) -> list[np.ndarray]:
+        """``mask`` of each atom of the node, memoized in ``memo``.
+
+        ``memo`` holds one list per space, indexed by atom id, so a caller
+        that keeps it (a bound sub-population) computes each atom's mask once
+        without hashing a predicate per lookup.
+        """
+        predicates = self.space.predicates
+        masks = memo.get(self.space)
+        if masks is None:
+            masks = memo.setdefault(self.space, [None] * len(predicates))
+        for i in self.ids:
+            if masks[i] is None:
+                masks[i] = mask(predicates[i])
+        return [masks[i] for i in self.ids]
 
 
 class PatternLattice:
@@ -48,13 +137,19 @@ class PatternLattice:
         frequent values.  Numeric attributes with many distinct values produce
         threshold predicates (``<=`` / ``>``) at quantile cut points, mirroring
         the binned treatments used in the paper's experiments.
+        """
+        atoms = self.atoms()
+        return [atoms.predicates[i] for _, (i,) in atoms.first_level]
+
+    def atoms(self) -> AtomSpace:
+        """The :meth:`atomic_predicates`, numbered.
 
         With an ``atom_cache`` (a plain dict shared by the caller, typically
-        via :class:`~repro.causal.CATEEstimator`), the enumerated atoms are
-        memoized per generation parameters, so repeated lattices over the same
-        table — one per (grouping pattern, direction) — enumerate them once.
-        The enumeration is deterministic, so concurrent miners that race on a
-        cold cache store identical values.
+        via :class:`~repro.causal.CATEEstimator`), the space is memoized per
+        generation parameters, so repeated lattices over the same table — one
+        per (grouping pattern, direction) — enumerate the atoms once and share
+        one space.  The enumeration is deterministic, so concurrent miners
+        that race on a cold cache build equal spaces and keep the first.
         """
         if self.atom_cache is not None:
             cache_key = (tuple(self.attributes), self.max_values_per_attribute,
@@ -62,7 +157,7 @@ class PatternLattice:
                          self.min_support if self.mask_cache is not None else None)
             cached = self.atom_cache.get(cache_key)
             if cached is not None:
-                return list(cached)
+                return cached
         candidates: list[tuple[Predicate, int | None]] = []
         for attribute in self.attributes:
             column = self.table.column(attribute)
@@ -82,12 +177,12 @@ class PatternLattice:
                 candidates.extend((Predicate(attribute, Op.EQ, v), counts[v])
                                   for v in values)
         if self.mask_cache is not None and self.min_support > 0:
-            predicates = self._prune_by_support(candidates)
+            atoms = AtomSpace(self._prune_by_support(candidates))
         else:
-            predicates = [p for p, _ in candidates]
+            atoms = AtomSpace(p for p, _ in candidates)
         if self.atom_cache is not None:
-            self.atom_cache[cache_key] = tuple(predicates)
-        return predicates
+            atoms = self.atom_cache.setdefault(cache_key, atoms)
+        return atoms
 
     def _prune_by_support(
             self, candidates: list[tuple[Predicate, int | None]]
@@ -151,28 +246,16 @@ class PatternLattice:
         ``survivors`` is the set of patterns of the current level that passed
         the CATE sign filter; a candidate of the next level is materialised only
         if *every* sub-pattern obtained by removing one predicate is a survivor
-        (the paper's "all parents have a positive CATE" condition).
+        (the paper's "all parents have a positive CATE" condition).  The
+        result is sorted by ``repr``.  The miners call :meth:`AtomSpace.join`
+        on their nodes directly; this is the same join over patterns.
         """
         survivors = list(survivors)
-        if not survivors:
-            return []
-        survivor_set = set(survivors)
-        length = len(survivors[0].predicates)
-        candidates: set[Pattern] = set()
-        for p1, p2 in combinations(survivors, 2):
-            union = set(p1.predicates) | set(p2.predicates)
-            if len(union) != length + 1:
-                continue
-            attributes = [p.attribute for p in union]
-            if len(set(attributes)) != len(attributes):
-                continue  # conflicting predicates on the same attribute
-            candidate = Pattern(union)
-            if candidate in candidates:
-                continue
-            if all(Pattern(candidate.predicates[:i] + candidate.predicates[i + 1:])
-                   in survivor_set for i in range(len(candidate.predicates))):
-                candidates.add(candidate)
-        return sorted(candidates, key=repr)
+        atoms = AtomSpace(p for pattern in survivors for p in pattern.predicates)
+        index = {p: i for i, p in enumerate(atoms.predicates)}
+        level = [AtomSet(atoms, tuple(sorted(index[p] for p in pattern)))
+                 for pattern in survivors]
+        return [node.pattern() for node in atoms.join(level)]
 
     @staticmethod
     def parents(pattern: Pattern) -> list[Pattern]:

@@ -8,7 +8,7 @@ from typing import Sequence
 from repro.causal import CATEEstimator, EffectEstimate
 from repro.dataframe import Pattern
 from repro.graph import CausalDAG
-from repro.mining.lattice import PatternLattice
+from repro.mining.lattice import AtomSet, AtomSpace, PatternLattice
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,33 @@ class TreatmentMinerConfig:
     min_group_size: int = 10
 
 
+def treatment_atoms(estimator: CATEEstimator, treatment_attributes: Sequence[str],
+                    config: TreatmentMinerConfig,
+                    dag: CausalDAG | None = None) -> AtomSpace | None:
+    """The lattice atoms of a miner, ``None`` when no treatment attribute is left.
+
+    With a ``dag`` and ``config.prune_attributes``, optimisation (a) first
+    drops the attributes with no causal path to the outcome (unless that
+    would drop them all).
+    """
+    attributes = list(treatment_attributes)
+    if config.prune_attributes and dag is not None:
+        relevant = dag.causally_relevant(estimator.outcome)
+        pruned = [a for a in attributes if a in relevant]
+        if pruned:
+            attributes = pruned
+    if not attributes:
+        return None
+    return PatternLattice(
+        estimator.table, attributes,
+        max_values_per_attribute=config.max_values_per_attribute,
+        numeric_bins=config.numeric_bins,
+        mask_cache=estimator.mask_cache,
+        min_support=estimator.min_group_size,
+        atom_cache=estimator.atom_cache,
+    ).atoms()
+
+
 def mine_top_treatment(estimator: CATEEstimator, grouping_pattern: Pattern,
                        treatment_attributes: Sequence[str], direction: str = "+",
                        dag: CausalDAG | None = None,
@@ -77,51 +104,31 @@ def mine_top_treatment(estimator: CATEEstimator, grouping_pattern: Pattern,
         raise ValueError("direction must be '+' or '-'")
     config = config or TreatmentMinerConfig()
     dag = dag if dag is not None else estimator.dag
-
-    attributes = list(treatment_attributes)
-    if config.prune_attributes and dag is not None:
-        relevant = dag.causally_relevant(estimator.outcome)
-        pruned = [a for a in attributes if a in relevant]
-        if pruned:
-            attributes = pruned
-    if not attributes:
+    atoms = treatment_atoms(estimator, treatment_attributes, config, dag)
+    if atoms is None:
         return None
-
-    lattice = PatternLattice(
-        estimator.table, attributes,
-        max_values_per_attribute=config.max_values_per_attribute,
-        numeric_bins=config.numeric_bins,
-        mask_cache=estimator.mask_cache,
-        min_support=estimator.min_group_size,
-        atom_cache=estimator.atom_cache,
-    )
     sign = 1.0 if direction == "+" else -1.0
 
-    def evaluate(patterns: Sequence[Pattern]) -> list[TreatmentCandidate]:
-        """ComputeCATEnFilter: estimate CATE and keep valid patterns with sign sigma.
+    def evaluate(level: list[AtomSet]) -> list[tuple[AtomSet, EffectEstimate]]:
+        """ComputeCATEnFilter: estimate CATE and keep valid nodes with sign sigma.
 
         Whole lattice levels are estimated through one ``estimate_many`` batch
         call so the grouping pattern's sub-population is bound only once.
         """
-        survivors = []
-        estimates = estimator.estimate_many(patterns, grouping_pattern)
-        for pattern, estimate in zip(patterns, estimates):
-            if not estimate.is_valid():
-                continue
-            if sign * estimate.value <= config.near_zero:
-                continue
-            survivors.append(TreatmentCandidate(pattern, estimate))
-        survivors.sort(key=lambda c: sign * c.cate, reverse=True)
+        estimates = estimator.estimate_many(level, grouping_pattern)
+        survivors = [(node, estimate) for node, estimate in zip(level, estimates)
+                     if estimate.is_valid()
+                     and sign * estimate.value > config.near_zero]
+        survivors.sort(key=lambda survivor: sign * survivor[1].value, reverse=True)
         return survivors
 
-    def truncate(candidates: list[TreatmentCandidate]) -> list[TreatmentCandidate]:
-        if not candidates or config.keep_fraction >= 1.0:
-            return candidates
-        keep = max(1, int(len(candidates) * config.keep_fraction))
-        return candidates[:keep]
+    def truncate(survivors: list) -> list[AtomSet]:
+        if survivors and config.keep_fraction < 1.0:
+            survivors = survivors[:max(1, int(len(survivors) * config.keep_fraction))]
+        return [node for node, _ in survivors]
 
     # Level 1.
-    level = evaluate(lattice.level_one())
+    level = evaluate(atoms.first_level)
     if not level:
         return None
     best = level[0]
@@ -129,23 +136,24 @@ def mine_top_treatment(estimator: CATEEstimator, grouping_pattern: Pattern,
 
     depth = 1
     while depth < config.max_levels:
-        next_patterns = lattice.next_level([c.pattern for c in survivors])
-        if not next_patterns:
+        next_level = atoms.join(survivors)
+        if not next_level:
             break
-        level = evaluate(next_patterns)
+        level = evaluate(next_level)
         if not level:
             break
         top = level[0]
-        if sign * top.cate > sign * best.cate:
+        if sign * top[1].value > sign * best[1].value:
             best = top
         else:
             break  # the running maximum is not in this level: terminate
         survivors = truncate(level)
         depth += 1
 
-    if best.estimate.p_value > config.significance_level:
+    node, estimate = best
+    if estimate.p_value > config.significance_level:
         return None
-    return best
+    return TreatmentCandidate(node.pattern(), estimate)
 
 
 def mine_top_treatments(estimator: CATEEstimator, grouping_pattern: Pattern,
@@ -180,43 +188,30 @@ def mine_top_k_treatments(estimator: CATEEstimator, grouping_pattern: Pattern,
         raise ValueError("direction must be '+' or '-'")
     config = config or TreatmentMinerConfig()
     dag = dag if dag is not None else estimator.dag
-    attributes = list(treatment_attributes)
-    if config.prune_attributes and dag is not None:
-        relevant = dag.causally_relevant(estimator.outcome)
-        pruned = [a for a in attributes if a in relevant]
-        if pruned:
-            attributes = pruned
-    if not attributes:
+    atoms = treatment_atoms(estimator, treatment_attributes, config, dag)
+    if atoms is None:
         return []
-
-    lattice = PatternLattice(
-        estimator.table, attributes,
-        max_values_per_attribute=config.max_values_per_attribute,
-        numeric_bins=config.numeric_bins,
-        mask_cache=estimator.mask_cache,
-        min_support=estimator.min_group_size,
-        atom_cache=estimator.atom_cache,
-    )
     sign = 1.0 if direction == "+" else -1.0
-    collected: dict[Pattern, TreatmentCandidate] = {}
+    collected: dict[AtomSet, EffectEstimate] = {}
 
-    level = lattice.level_one()
+    level = atoms.first_level
     depth = 0
     while level and depth < config.max_levels:
         survivors = []
         estimates = estimator.estimate_many(level, grouping_pattern)
-        for pattern, estimate in zip(level, estimates):
+        for node, estimate in zip(level, estimates):
             if not estimate.is_valid() or sign * estimate.value <= config.near_zero:
                 continue
-            candidate = TreatmentCandidate(pattern, estimate)
-            survivors.append(candidate)
+            survivors.append((node, estimate))
             if estimate.p_value <= config.significance_level:
-                collected[pattern] = candidate
-        survivors.sort(key=lambda c: sign * c.cate, reverse=True)
+                collected[node] = estimate
+        survivors.sort(key=lambda survivor: sign * survivor[1].value, reverse=True)
         if config.keep_fraction < 1.0 and survivors:
             survivors = survivors[:max(1, int(len(survivors) * config.keep_fraction))]
-        level = lattice.next_level([c.pattern for c in survivors])
+        level = atoms.join([node for node, _ in survivors])
         depth += 1
 
-    ranked = sorted(collected.values(), key=lambda c: sign * c.cate, reverse=True)
-    return ranked[:k]
+    ranked = sorted(collected.items(), key=lambda item: sign * item[1].value,
+                    reverse=True)
+    return [TreatmentCandidate(node.pattern(), estimate)
+            for node, estimate in ranked[:k]]

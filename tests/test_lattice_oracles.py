@@ -1,0 +1,260 @@
+"""Oracles for the code-space treatment miner.
+
+The miner joins lattice levels as sorted tuples of atom ids and estimates a
+node from atom masks bound once per sub-population.  The reference code below
+is how both were done before — an all-pairs join over ``Pattern`` objects
+sorted by ``repr``, and a full-table mask AND gathered onto the bound rows per
+candidate, solved with fancy-indexed gathers — kept here only, to check that
+the rework changed no output and no bit.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import special
+
+from repro import CauSumX, CauSumXConfig
+from repro.causal import CATEEstimator, EffectEstimate, check_positivity
+from repro.causal.estimators import BoundSubpopulation
+from repro.causal.ols import (
+    _COLLINEAR_TOL,
+    DegenerateFit,
+    FactoredDesign,
+    TreatmentFit,
+)
+from repro.core.export import summary_to_dict
+from repro.dataframe import Op, Pattern, Predicate
+from repro.datasets import load_dataset
+from repro.mining.lattice import AtomSet, AtomSpace, PatternLattice
+from repro.obs.registry import REGISTRY
+
+
+def reference_next_level(survivors) -> list[Pattern]:
+    """The all-pairs join: every pair of survivors whose union is one
+    predicate longer, on distinct attributes, with every parent surviving."""
+    survivors = list(survivors)
+    if not survivors:
+        return []
+    survivor_set = set(survivors)
+    length = len(survivors[0].predicates)
+    candidates: set[Pattern] = set()
+    for p1, p2 in combinations(survivors, 2):
+        union = set(p1.predicates) | set(p2.predicates)
+        if len(union) != length + 1:
+            continue
+        attributes = [p.attribute for p in union]
+        if len(set(attributes)) != len(attributes):
+            continue
+        candidate = Pattern(union)
+        if candidate in candidates:
+            continue
+        if all(Pattern(candidate.predicates[:i] + candidate.predicates[i + 1:])
+               in survivor_set for i in range(len(candidate.predicates))):
+            candidates.add(candidate)
+    return sorted(candidates, key=repr)
+
+
+def reference_fwl(design: FactoredDesign, treated_rows: np.ndarray
+                  ) -> TreatmentFit:
+    """:meth:`FactoredDesign.solve` with fancy-indexed row gathers."""
+    if not design._finite:
+        raise DegenerateFit("non_finite")
+    if design.df_resid < 1:
+        raise DegenerateFit("no_residual_df")
+    n_treated = len(treated_rows)
+    projected = design._basis[treated_rows].sum(axis=0)
+    d = n_treated - float(projected @ projected)
+    if d <= _COLLINEAR_TOL * n_treated:
+        raise DegenerateFit("collinear_treatment")
+    s = float(design._residual[treated_rows].sum())
+    rss = design._rss - s * s / d
+    if rss <= design._rss_floor:
+        raise DegenerateFit("zero_residual_variance")
+    coefficient = s / d
+    std_error = math.sqrt(rss / design.df_resid / d)
+    p_value = 2.0 * float(special.stdtr(design.df_resid,
+                                        -abs(coefficient) / std_error))
+    return TreatmentFit(coefficient, std_error, p_value)
+
+
+def reference_solve(bound: BoundSubpopulation, treatment,
+                    extra_adjustment=()) -> EffectEstimate:
+    """One estimate from the full-table mask of the whole conjunction,
+    gathered onto the bound rows, with every check the estimate makes."""
+    if isinstance(treatment, AtomSet):
+        treatment = treatment.pattern()
+    if bound.base.n_rows == 0:
+        return EffectEstimate.undefined()
+    estimator = bound.estimator
+    cache = estimator.mask_cache
+    if cache is not None:
+        mask = cache.pattern_mask(treatment)
+        treated = mask if bound.base is estimator.table else mask[bound.indices]
+    else:
+        treated = treatment.evaluate(bound.base)
+    n_treated = int(treated.sum())
+    n_control = int(bound.base.n_rows - n_treated)
+    if not check_positivity(treated, estimator.min_group_size):
+        return EffectEstimate.undefined(n_treated, n_control)
+    adjustment = list(estimator.adjustment_set(treatment.attributes))
+    for attr in extra_adjustment:
+        if attr not in adjustment and attr in bound.base \
+                and attr != estimator.outcome:
+            adjustment.append(attr)
+    adjustment = [a for a in adjustment if len(bound.base.domain(a)) > 1]
+    try:
+        fit = reference_fwl(bound._design(tuple(adjustment)),
+                            np.flatnonzero(treated))
+    except DegenerateFit as skipped:
+        REGISTRY.counter("repro_causal_skipped_total",
+                         reason=skipped.reason).inc()
+        return EffectEstimate.undefined(n_treated, n_control)
+    return EffectEstimate(fit.coefficient, fit.std_error, fit.p_value,
+                          n_treated, n_control, estimator="linear_regression")
+
+
+def reference_join(self: AtomSpace, level) -> list[AtomSet]:
+    """:meth:`AtomSpace.join` through :func:`reference_next_level`."""
+    index = {p: i for i, p in enumerate(self.predicates)}
+    children = reference_next_level(node.pattern() for node in level)
+    return [AtomSet(self, tuple(sorted(index[p] for p in child)))
+            for child in children]
+
+
+def _skipped() -> int:
+    return sum(REGISTRY.counter("repro_causal_skipped_total", reason=r).value
+               for r in ("non_finite", "no_residual_df", "collinear_treatment",
+                         "zero_residual_variance"))
+
+
+def _bits(estimate: EffectEstimate) -> str:
+    return repr(dataclasses.astuple(estimate))
+
+
+# "a 1" sorts before "a" by repr but after it by attribute, so lists holding
+# both take the join's fallback sort; the rest take the id-tuple order.
+_ATTRIBUTES = ("a", "b", "c", "a 1", "a_b")
+_predicates = st.one_of(
+    st.builds(Predicate, st.sampled_from(_ATTRIBUTES),
+              st.sampled_from([Op.EQ, Op.NE]), st.sampled_from(["x", "y", "z"])),
+    st.builds(Predicate, st.sampled_from(_ATTRIBUTES),
+              st.sampled_from([Op.LT, Op.LE, Op.GT, Op.GE]),
+              st.sampled_from([0.5, 1.5, 30.0, 2.25])),
+)
+_patterns = st.builds(Pattern, st.lists(_predicates, min_size=1, max_size=3))
+
+
+class TestNextLevelOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_patterns, max_size=14))
+    def test_prefix_join_equals_all_pairs_join(self, survivors):
+        survivors = survivors + survivors[:2]  # duplicates
+        expected = reference_next_level(survivors)
+        got = PatternLattice.next_level(survivors)
+        assert [repr(p) for p in got] == [repr(p) for p in expected]
+        assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.lists(st.builds(
+        Pattern, st.lists(_predicates, min_size=k, max_size=k,
+                          unique_by=lambda p: p.attribute)), max_size=20)))
+    def test_one_lattice_level(self, survivors):
+        """Conflict-free nodes of one length, as the miners pass them."""
+        assert PatternLattice.next_level(survivors) == \
+            reference_next_level(survivors)
+
+    def test_fallback_sort_is_taken_for_inconsistent_names(self):
+        atoms = AtomSpace([Predicate("a", Op.EQ, "x"),
+                           Predicate("a 1", Op.EQ, "x"),
+                           Predicate("b", Op.EQ, "x")])
+        assert not atoms._repr_ordered
+        survivors = [Pattern([p]) for p in atoms.predicates]
+        assert PatternLattice.next_level(survivors) == \
+            reference_next_level(survivors)
+
+
+class TestSolveOracle:
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("subpopulation", [
+        None, Pattern.equalities({"Continent": "Europe"})])
+    def test_bound_atom_masks_equal_the_full_table_mask_path(
+            self, so_bundle, use_cache, subpopulation):
+        """Every node of the first two levels: bit-identical estimates, the
+        same undefined ones, and the same skip-counter increments."""
+        def estimator():
+            return CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
+                                 use_cache=use_cache)
+
+        lattice = PatternLattice(so_bundle.table, so_bundle.treatment_attributes,
+                                 max_values_per_attribute=6,
+                                 mask_cache=estimator().mask_cache,
+                                 min_support=10)
+        atoms = lattice.atoms()
+        nodes = atoms.first_level + atoms.join(atoms.first_level)
+        assert len(nodes) > 50
+
+        # Each binding from its own estimator, which must outlive it.
+        estimators = [estimator() for _ in range(3)]
+        before = _skipped()
+        bound = estimators[0].bind(subpopulation)
+        expected = [_bits(reference_solve(bound, node.pattern()))
+                    for node in nodes]
+        reference_skips = _skipped() - before
+
+        before = _skipped()
+        bound = estimators[1].bind(subpopulation)
+        got = [_bits(bound.estimate(node)) for node in nodes]
+        assert _skipped() - before == reference_skips
+        assert got == expected
+        bound = estimators[2].bind(subpopulation)
+        assert [_bits(bound.estimate(node.pattern()))
+                for node in nodes] == expected
+        assert any("nan" not in bits for bits in got)
+        assert any("nan" in bits for bits in got)
+
+
+_GENERATORS = {"cps": 1500, "stackoverflow": 800, "german": 500,
+               "adult": 1000, "accidents": 1500}
+
+
+def _summaries(bundle) -> dict:
+    # German has no FD-derived grouping attributes: one group per pattern,
+    # as its case study runs it.
+    base = CauSumXConfig(include_singleton_groups=True, theta=0.5) \
+        if bundle.name == "german" else CauSumXConfig()
+    configs = {
+        "cache": base,
+        "no_cache": dataclasses.replace(base, use_mask_cache=False),
+        "exhaustive": dataclasses.replace(
+            base, treatment_mode="exhaustive",
+            treatment=dataclasses.replace(base.treatment, max_levels=2)),
+    }
+    out = {}
+    for name, config in configs.items():
+        summary = CauSumX(bundle.table, bundle.dag, config).explain(
+            bundle.query, grouping_attributes=bundle.grouping_attributes,
+            treatment_attributes=bundle.treatment_attributes)
+        body = summary_to_dict(summary)
+        body.pop("timings")
+        out[name] = body
+    return out
+
+
+class TestSummaryOracle:
+    @pytest.mark.parametrize("dataset", sorted(_GENERATORS))
+    def test_summaries_byte_identical_to_the_reference_miner(self, dataset,
+                                                             monkeypatch):
+        bundle = load_dataset(dataset, n=_GENERATORS[dataset], seed=3)
+        got = _summaries(bundle)
+        monkeypatch.setattr(AtomSpace, "join", reference_join)
+        monkeypatch.setattr(BoundSubpopulation, "_solve", reference_solve)
+        expected = _summaries(bundle)
+        assert all(body["patterns"] for body in got.values())
+        for mode in expected:
+            assert repr(got[mode]) == repr(expected[mode]), mode

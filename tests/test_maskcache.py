@@ -66,7 +66,7 @@ class TestMaskCache:
     def test_support_and_indices(self, simple_table, cache):
         pattern = Pattern.of(("Continent", "==", "Asia"))
         assert cache.support(pattern) == pattern.support(simple_table)
-        np.testing.assert_array_equal(cache.indices(pattern),
+        np.testing.assert_array_equal(np.flatnonzero(cache.pattern_mask(pattern)),
                                       np.nonzero(pattern.evaluate(simple_table))[0])
 
     def test_clear_resets_everything(self, cache):

@@ -1,5 +1,10 @@
 """Unit tests for the OLS engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,3 +176,39 @@ class TestFactoredDesign:
         with pytest.raises(DegenerateFit) as raised:
             FactoredDesign(block, outcome).solve(np.array(rows))
         assert raised.value.reason == reason
+
+
+# Numpy first, as a caller that imports the package late would: the pin at
+# ``import repro`` must reach the OpenBLAS numpy already loaded.
+_FACTOR_BLOCKS = """
+import hashlib
+import numpy as np
+import repro
+from repro.causal.ols import FactoredDesign
+for seed in range(6):
+    rng = np.random.default_rng(seed)
+    n = 20_001
+    block = np.column_stack([np.ones(n), rng.integers(0, 2, size=(n, 3))])
+    design = FactoredDesign(block.astype(float), rng.normal(size=n))
+    print(hashlib.sha256(design._residual.tobytes()).hexdigest(),
+          design._rss.hex())
+"""
+
+
+class TestBlasWidth:
+    def test_factorisation_bits_do_not_depend_on_blas_threads(self):
+        """OpenBLAS splits a dot product of more than 10 000 rows across its
+        threads; importing ``repro`` pins it to one, so residuals and their
+        sum of squares are the same bits whatever the thread setting."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def factor(threads: str) -> str:
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src}
+            return subprocess.run([sys.executable, "-c", _FACTOR_BLOCKS],
+                                  env=env, capture_output=True, text=True,
+                                  check=True, timeout=120).stdout
+
+        single = factor("1")
+        assert len(single.splitlines()) == 6
+        assert factor("4") == single
