@@ -248,21 +248,24 @@ def _check(condition: bool, what: str) -> None:
 
 class EncodedSummary:
     """A summary-cache entry: a summary and its codec bytes, each derived
-    from the other on first use.
+    from the other on first use, and its presentation body, derived once.
 
     Entries restored from a snapshot start as bytes and decode on first
     hit; computed entries start as a summary and encode only when weighed
-    by a memory budget or written by a snapshot, once.  Two threads may
-    race on a first use: both derive equal values and either may win, like
-    any memo of a pure function.
+    by a memory budget or written by a snapshot, once.  The body is what a
+    response carries as ``"result"``; it is encoded on the first response
+    and every later hit splices the same string.  Two threads may race on
+    a first use: both derive equal values and either may win, like any
+    memo of a pure function.
     """
 
-    __slots__ = ("_summary", "_blob")
+    __slots__ = ("_summary", "_blob", "_body")
 
     def __init__(self, summary: ExplanationSummary | None = None,
                  blob=None):
         self._summary = summary
         self._blob = blob
+        self._body: str | None = None
 
     def summary(self) -> ExplanationSummary:
         """The summary; raises :class:`SummaryCodecError` on a bad body."""
@@ -276,3 +279,11 @@ class EncodedSummary:
         if self._blob is None:
             self._blob = encode_summary(self._summary)
         return self._blob
+
+    def body(self) -> str:
+        """``json.dumps(summary_to_dict(summary), default=str)``, encoded
+        once; raises :class:`SummaryCodecError` on a bad restored body."""
+        if self._body is None:
+            self._body = json.dumps(summary_to_dict(self.summary()),
+                                    default=str)
+        return self._body

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.dataframe import Table
 
@@ -61,5 +60,7 @@ def fisher_z_independent(table: Table, x: str, y: str, given: Sequence[str] = ()
     r = partial_correlation(table, x, y, given)
     z = 0.5 * np.log((1 + r) / (1 - r))
     statistic = abs(z) * np.sqrt(n - k - 3)
+    from scipy import stats  # deferred: scipy.stats costs ~20 MB to import
+
     p_value = 2 * stats.norm.sf(statistic)
     return bool(p_value > alpha)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from scipy import stats
-
 
 def kendall_tau(reference_scores: dict, other_scores: dict) -> float:
     """Kendall's tau between two scorings of the same items.
@@ -18,6 +16,8 @@ def kendall_tau(reference_scores: dict, other_scores: dict) -> float:
         return 1.0
     a = [reference_scores[item] for item in shared]
     b = [other_scores[item] for item in shared]
+    from scipy import stats  # deferred: scipy.stats costs ~20 MB to import
+
     tau, _ = stats.kendalltau(a, b)
     if tau != tau:  # nan when one list is constant
         return 0.0

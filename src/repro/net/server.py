@@ -12,7 +12,11 @@ Byte-compatibility is a hard contract: a ``POST /v1/explain`` response body
 is exactly the line :func:`repro.service.serve_loop` would have written for
 the same request against the same engine — both fronts call the same
 :func:`~repro.service.server.dispatch_request` and serialize with the same
+:func:`~repro.service.server.encode_response`, whose line is
 ``json.dumps(response, default=str) + "\\n"``.
+
+The handler reads the request head itself, not through the ``email``
+package, under ``http.server``'s limits and RFC 9112 §5's rules.
 
 Request headers:
 
@@ -38,8 +42,10 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -50,8 +56,8 @@ from repro.net.registry import TenantRegistry
 from repro.obs import trace
 from repro.obs.registry import REGISTRY
 from repro.service.server import (OPS, ProtocolError, classify_error,
-                                  dispatch_request, error_envelope,
-                                  finalize_response)
+                                  dispatch_request, encode_response,
+                                  error_envelope, finalize_response)
 
 #: HTTP status for each structured error code.
 STATUS_BY_CODE = {
@@ -65,6 +71,11 @@ STATUS_BY_CODE = {
 }
 
 DEFAULT_TENANT = "default"
+
+#: ``http.server``'s head limits: bytes a line, lines a head (the blank
+#: line that ends the head counts, as in ``http.client``).
+MAX_LINE, MAX_HEAD_LINES = 65536, 100
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
 
 class ReproHTTPServer(ThreadingHTTPServer):
@@ -131,9 +142,87 @@ def serve_in_thread(server: ReproHTTPServer) -> threading.Thread:
     return thread
 
 
+class _Head(dict):
+    """Header fields by lower-cased name; :meth:`get` is case-insensitive."""
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: ReproHTTPServer  # narrowed from BaseServer for attribute access
+
+    # ------------------------------------------------------------------ head
+
+    def parse_request(self) -> bool:
+        """Read the request line and header fields; on a refusal, send the
+        error and return ``False`` (the ``http.server`` contract).
+
+        Header names match case-insensitively and a field's first
+        occurrence wins; an obs-fold line, a line without ``:`` and two
+        different ``Content-Length`` values are a 400.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline,
+                               "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            # Set first, so a refused version still gets a status line.
+            self.request_version = version = words[-1]
+            number = _VERSION.fullmatch(version)
+            if number is None:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad request version ({version!r})")
+                return False
+            if int(number[1]) >= 2:
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = (int(number[1]), int(number[2])) < (1, 1)
+        if not 2 <= len(words) <= 3 or len(words) == 2 and words[0] != "GET":
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request syntax ({self.requestline!r})")
+            return False
+        self.command, self.path = words[:2]
+        if self.path.startswith("//"):  # never an absolute URI (gh-87389)
+            self.path = "/" + self.path.lstrip("/")
+        self.headers = headers = _Head()
+        for _ in range(MAX_HEAD_LINES):
+            line = self.rfile.readline(MAX_LINE + 1)
+            if len(line) > MAX_LINE:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                                "Line too long")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            name, value = name.lower(), value.strip(" \t\r\n")
+            # An obs-fold line starts with whitespace; none may precede ":".
+            malformed = not colon or not name or name[0] in " \t" \
+                or name[-1] in " \t"
+            if malformed or (name == "content-length"
+                             and headers.get(name, value) != value):
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+                return False
+            headers.setdefault(name, value)
+        else:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Too many headers")
+            return False
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if headers.get("expect", "").lower() == "100-continue" and \
+                self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
 
     # ------------------------------------------------------------------ GET
 
@@ -229,7 +318,11 @@ class _Handler(BaseHTTPRequestHandler):
         """
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
+            if length < 0:
+                raise ValueError
         except ValueError:
+            # The body's framing is lost: answer, then close (RFC 9112 §6.3).
+            self.close_connection = True
             raise ProtocolError("bad_request",
                                 "invalid Content-Length header") from None
         raw = self.rfile.read(length).decode("utf-8") if length else ""
@@ -271,8 +364,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(self, status: int, payload: dict) -> None:
         # Exactly the bytes serve_loop writes for the same response dict —
         # the byte-compatibility contract between the two front ends.
-        body = (json.dumps(payload, default=str) + "\n").encode("utf-8")
-        self._send_bytes(status, body, "application/json")
+        self._send_bytes(status, encode_response(payload).encode("utf-8"),
+                         "application/json")
 
     def _send_text(self, status: int, text: str) -> None:
         self._send_bytes(status, text.encode("utf-8"),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from pathlib import Path
 from typing import Iterator
 
@@ -78,6 +79,7 @@ class TelemetryLog:
         self.max_files = max_files
         self._lock = named_lock("TelemetryLog._lock")
         self._handle = None  # guarded-by: _lock
+        self._closer = None  # guarded-by: _lock
         self._sequence = 0  # guarded-by: _lock
         self._size = 0  # guarded-by: _lock
         self._written = 0  # guarded-by: _lock
@@ -123,7 +125,7 @@ class TelemetryLog:
             self._sequence += 1
             self._size = 0
             path = self.directory / _file_name(self._sequence)
-        self._handle = path.open("ab")
+        self._append_to_locked(path)
         if self._size and not self._ends_with_newline(path):
             # Terminate a torn final line left by a crashed writer, so the
             # next record starts on its own line (readers skip the torn
@@ -140,11 +142,19 @@ class TelemetryLog:
             return probe.read(1) == b"\n"
 
     def _rotate_locked(self) -> None:  # guarded-by: _lock
-        self._handle.close()
         self._sequence += 1
         self._size = 0
-        self._handle = (self.directory / _file_name(self._sequence)).open("ab")
+        self._append_to_locked(self.directory / _file_name(self._sequence))
         self._prune_locked()
+
+    def _append_to_locked(self, path: Path) -> None:  # guarded-by: _lock
+        """Switch appends to ``path``; the file is closed on the next switch
+        or when this log is collected."""
+        if self._handle is not None:
+            self._handle.close()
+            self._closer.detach()
+        self._handle = path.open("ab")
+        self._closer = weakref.finalize(self, self._handle.close)
 
     def _prune_locked(self) -> None:  # guarded-by: _lock
         sequences = sorted(self._sequences())

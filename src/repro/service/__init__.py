@@ -12,10 +12,10 @@ from repro.service.engine import DatasetState, ExplanationEngine
 from repro.service.lru import LRUCache, LRUStats
 from repro.service.membudget import MemoryBudget
 from repro.service.server import (OPS, ProtocolError, classify_error,
-                                  dispatch_request, error_envelope,
-                                  finalize_response, handle_request,
-                                  parse_request, read_queries, run_batch,
-                                  serve_loop)
+                                  dispatch_request, encode_response,
+                                  error_envelope, finalize_response,
+                                  handle_request, parse_request,
+                                  read_queries, run_batch, serve_loop)
 
 __all__ = [
     "DatasetState",
@@ -27,6 +27,7 @@ __all__ = [
     "ProtocolError",
     "classify_error",
     "dispatch_request",
+    "encode_response",
     "error_envelope",
     "finalize_response",
     "handle_request",

@@ -7,7 +7,9 @@ is the long-lived alternative an interactive service needs: datasets are
 registered once, queries are canonicalised and fingerprinted, and results are
 served through a hierarchy of caches —
 
-1. **plan cache** — SQL text → parsed :class:`~repro.sql.GroupByAvgQuery`;
+1. **plan cache** — SQL text → canonical
+   :class:`~repro.sql.GroupByAvgQuery` and its lowered
+   :class:`~repro.plan.LogicalPlan`;
 2. **population cache** — (WHERE clause, outcome) → a
    :class:`~repro.causal.CATEEstimator` whose shared
    :class:`~repro.dataframe.MaskCache` and lattice-atom cache are reused by
@@ -67,7 +69,7 @@ from repro.obs import trace
 from repro.obs.registry import unified_engine_metrics
 from repro.obs.telemetry import telemetry_enabled
 from repro.parallel import GLOBAL_PARALLEL_STATS
-from repro.plan import GLOBAL_PLANNER_STATS, ScanPlan, lower_query
+from repro.plan import GLOBAL_PLANNER_STATS, LogicalPlan, ScanPlan, lower_query
 from repro.service.lru import LRUCache
 from repro.sql import (
     AggregateView,
@@ -129,7 +131,7 @@ class _Flight:
     """Bookkeeping for one in-flight summary computation (single-flight)."""
 
     done: threading.Event = field(default_factory=threading.Event)
-    summary: ExplanationSummary | None = None
+    entry: EncodedSummary | None = None
     error: BaseException | None = None
 
 
@@ -142,9 +144,9 @@ class ExplanationEngine:
         Capacities of the three cache levels.
     memory_budget:
         Optional shared :class:`~repro.service.MemoryBudget`: the summary
-        cache weighs its entries (codec bytes) against the budget's global
-        cap, and the budget may evict the globally least-recently-used
-        summaries across *every* engine attached to it.
+        cache weighs its entries (codec and body bytes) against the
+        budget's global cap, and the budget may evict the globally
+        least-recently-used summaries across *every* engine attached to it.
     max_workers:
         Ignored; accepted for benchmarks/e2e/workloads.py (ENGINE_KWARGS).
     """
@@ -242,9 +244,10 @@ class ExplanationEngine:
         partition recorded in the store's registry at the dataset's committed
         manifest version.  Persisted summary-cache entries whose
         ``(dataset, version)`` still matches are restored undecoded (each
-        body is decoded on its first hit), so repeated queries after a
-        restart are served from cache, byte-identical to the summaries
-        computed before the restart.
+        body is decoded on its first hit, or at restore when a memory
+        budget weighs it), so repeated queries after a restart are served
+        from cache, byte-identical to the summaries computed before the
+        restart.
         """
         from repro.graph import CausalDAG as _DAG  # local alias; already imported
         from repro.storage import DatasetStore, config_from_dict
@@ -266,16 +269,21 @@ class ExplanationEngine:
                 grouping_attributes=entry.get("grouping_attributes"),
                 treatment_attributes=entry.get("treatment_attributes"),
                 version=stored.manifest.version, store=stored)
-        restored = 0
+        restored = rejected = 0
         for key, entry in store.load_summaries():
             name, version = key[0], key[1]
             with engine._datasets_lock:
                 state = engine._datasets.get(name)
             if state is not None and state.version == version:
-                engine._summary_cache.put(key, entry)
+                try:
+                    engine._summary_cache.put(key, entry)
+                except SummaryCodecError:  # a budget decoded a bad body
+                    rejected += 1
+                    continue
                 restored += 1
         with engine._flights_lock:
             engine._restored_summaries = restored
+            engine._summaries_rejected = rejected
         return engine
 
     def snapshot(self) -> dict:
@@ -360,9 +368,11 @@ class ExplanationEngine:
         """Like :meth:`explain` but also return serving metadata.
 
         The info dictionary reports the query ``fingerprint``, the dataset
-        ``version`` served, wall-clock ``seconds``, and whether the summary
-        came from the cache (``cached``) or from another thread's concurrent
-        computation (``coalesced``).
+        ``version`` served, wall-clock ``seconds``, whether the summary came
+        from the cache (``cached``) or from another thread's concurrent
+        computation (``coalesced``), and the summary-cache ``entry``
+        (:class:`~repro.core.EncodedSummary`) whose presentation body the
+        serving fronts send, encoded once per entry.
         """
         start = time.perf_counter()
         # Observability rides along only when someone is listening: outcomes
@@ -370,16 +380,17 @@ class ExplanationEngine:
         telemetered = self._telemetry is not None and telemetry_enabled()
         outcomes = {} if (telemetered or trace.enabled()) else None
         with trace.trace_span("engine.explain", dataset=name) as span:
-            summary, info, canonical, scan_plan = self._explain_serve(
+            entry, info, canonical, scan_plan = self._explain_serve(
                 name, query, use_summary_cache, outcomes, start)
         if telemetered:
             self._record_telemetry(info, outcomes, span, canonical, scan_plan)
-        return summary, info
+        info["entry"] = entry
+        return entry.summary(), info
 
     def _explain_serve(self, name: str, query: GroupByAvgQuery | str,
                        use_summary_cache: bool, outcomes: dict | None,
                        start: float
-                       ) -> tuple[ExplanationSummary, dict, GroupByAvgQuery,
+                       ) -> tuple[EncodedSummary, dict, GroupByAvgQuery,
                                   ScanPlan | None]:
         """The serving core of :meth:`explain_with_info`.
 
@@ -390,23 +401,22 @@ class ExplanationEngine:
         follower, WHERE-less query).
         """
         state = self.dataset_state(name)
-        canonical = self._canonical(query, outcomes)
-        # The canonical query lowers to the plan IR; the plan's fingerprint
-        # is the cache key (two spellings of one question share a plan).
-        plan = lower_query(canonical)
+        # The plan's fingerprint is the cache key (two spellings of one
+        # question share a plan).
+        canonical, plan = self._lowered(query, outcomes)
         fingerprint = plan.fingerprint
         key = (name, state.version, fingerprint)
         info = {"dataset": name, "version": state.version,
                 "fingerprint": fingerprint, "cached": False, "coalesced": False}
 
         if use_summary_cache:
-            summary = self._cached_summary(key)
-            if summary is not None:
+            entry = self._cached_entry(key)
+            if entry is not None:
                 if outcomes is not None:
                     outcomes["summary"] = "hit"
                 info["cached"] = True
                 info["seconds"] = time.perf_counter() - start
-                return summary, info, canonical, None
+                return entry, info, canonical, None
         if outcomes is not None:
             outcomes["summary"] = "miss"
 
@@ -423,9 +433,10 @@ class ExplanationEngine:
                 try:
                     summary, scan_plan = self._compute(state, canonical, plan,
                                                        outcomes)
+                    entry = EncodedSummary(summary)
                     if use_summary_cache:
-                        self._cache_summary(key, summary)
-                    flight.summary = summary
+                        self._cache_entry(key, entry)
+                    flight.entry = entry
                 except BaseException as exc:
                     flight.error = exc
                     raise
@@ -434,16 +445,16 @@ class ExplanationEngine:
                         self._flights.pop(key, None)
                     flight.done.set()
                 info["seconds"] = time.perf_counter() - start
-                return summary, info, canonical, scan_plan
+                return entry, info, canonical, scan_plan
             flight.done.wait()
-            if flight.error is None and flight.summary is not None:
+            if flight.error is None and flight.entry is not None:
                 with self._flights_lock:
                     self._coalesced += 1
                 if outcomes is not None:
                     outcomes["flight"] = "coalesced"
                 info["coalesced"] = True
                 info["seconds"] = time.perf_counter() - start
-                return flight.summary, info, canonical, None
+                return flight.entry, info, canonical, None
             # The leader failed; retry (and possibly become the leader).
 
     def _record_telemetry(self, info: dict, outcomes: dict | None, span,
@@ -479,8 +490,9 @@ class ExplanationEngine:
         sharing the population-level caches.  Results are returned in input
         order, duplicates receiving the same summary object.
         """
-        canonicals = [self._canonical(q) for q in queries]
-        fingerprints = [lower_query(c).fingerprint for c in canonicals]
+        lowered = [self._lowered(q) for q in queries]
+        canonicals = [canonical for canonical, _ in lowered]
+        fingerprints = [plan.fingerprint for _, plan in lowered]
         first_index: dict[str, int] = {}
         for i, fp in enumerate(fingerprints):
             first_index.setdefault(fp, i)
@@ -498,8 +510,7 @@ class ExplanationEngine:
         really runs — that is where the counts come from.
         """
         state = self.dataset_state(name)
-        canonical = self._canonical(query)
-        plan = lower_query(canonical)
+        canonical, plan = self._lowered(query)
         view = self._view(state, canonical)
         scan = view.scan_plan.to_dict() if view.scan_plan is not None else None
         return {
@@ -690,8 +701,8 @@ class ExplanationEngine:
 
     # ------------------------------------------------------------------ internals
 
-    def _cached_summary(self, key: tuple) -> ExplanationSummary | None:
-        """The cached summary for ``key``, decoding a restored entry.
+    def _cached_entry(self, key: tuple) -> EncodedSummary | None:
+        """The cache entry for ``key``, its restored body decoded.
 
         A restored body that fails to decode or schema-check is dropped
         and counted; the request proceeds as a miss.
@@ -700,33 +711,40 @@ class ExplanationEngine:
         if entry is None:
             return None
         try:
-            return entry.summary()
+            entry.summary()
+            return entry
         except SummaryCodecError:
             self._summary_cache.purge(lambda k: k == key)
             with self._flights_lock:
                 self._summaries_rejected += 1
             return None
 
-    def _cache_summary(self, key: tuple, summary: ExplanationSummary) -> None:
-        """Cache a computed summary, unless a memory budget must weigh it
-        and the codec cannot encode it (a group or predicate value JSON
-        has no form for): then it is served uncached."""
+    def _cache_entry(self, key: tuple, entry: EncodedSummary) -> None:
+        """Cache a computed summary's entry, unless a memory budget must
+        weigh it and the codec cannot encode it (a group or predicate value
+        JSON has no form for): then it is served uncached."""
         try:
-            self._summary_cache.put(key, EncodedSummary(summary))
+            self._summary_cache.put(key, entry)
         except SummaryCodecError:
             pass
 
-    def _canonical(self, query: GroupByAvgQuery | str,
-                   outcomes: dict | None = None) -> GroupByAvgQuery:
-        if isinstance(query, str):
-            parsed = self._plan_cache.get(query)
-            if outcomes is not None:
-                outcomes["plan"] = "miss" if parsed is None else "hit"
-            if parsed is None:
-                parsed = parse_query(query)
-                self._plan_cache.put(query, parsed)
-            query = parsed
-        return normalize_query(query)
+    def _lowered(self, query: GroupByAvgQuery | str,
+                 outcomes: dict | None = None
+                 ) -> tuple[GroupByAvgQuery, LogicalPlan]:
+        """The canonical query and its lowered plan, memoised by SQL text:
+        a repeated text skips parsing, normalising, lowering and hashing."""
+        if not isinstance(query, str):
+            canonical = normalize_query(query)
+            return canonical, lower_query(canonical)
+        lowered = self._plan_cache.get(query)
+        if outcomes is not None:
+            outcomes["plan"] = "miss" if lowered is None else "hit"
+        if lowered is None:
+            canonical = normalize_query(parse_query(query))
+            plan = lower_query(canonical)
+            lowered = canonical, plan
+            self._plan_cache.put(query, lowered)
+        return lowered
 
     def _compute(self, state: DatasetState, canonical: GroupByAvgQuery,
                  plan, outcomes: dict | None = None
@@ -836,10 +854,12 @@ class ExplanationEngine:
 
 
 def _summary_nbytes(entry: EncodedSummary) -> int:
-    """Approximate retained bytes of a summary: its codec size.
+    """Approximate retained bytes of a summary: its codec size plus its
+    presentation body's.
 
     Deterministic, cheap relative to computing a summary, proportional to
     what the cache keeps alive, and computed once: a snapshot writes the
-    same bytes.
+    same codec bytes, a response the same body.  A restored entry is
+    therefore decoded when it is weighed, at restore.
     """
-    return len(entry.blob())
+    return len(entry.blob()) + len(entry.body())

@@ -25,8 +25,9 @@ Three entry points are wired into the CLI:
   summaries (``repro batch``).
 
 * The HTTP tier (:mod:`repro.net`) calls :func:`dispatch_request` /
-  :func:`error_envelope` directly, so an HTTP response body is byte-for-byte
-  the line the stdin loop would have written for the same request.
+  :func:`error_envelope` directly and writes with :func:`encode_response`,
+  so an HTTP response body is byte-for-byte the line the stdin loop would
+  have written for the same request.
 
 Errors are *structured*: every failure envelope carries ``"error_code"`` —
 ``bad_request`` (malformed JSON / SQL / arguments), ``unknown_op``,
@@ -42,7 +43,7 @@ import json
 import time
 from typing import IO, Iterable
 
-from repro.core import summary_to_dict
+from repro.core import EncodedSummary, summary_to_dict
 from repro.obs import trace
 from repro.service.engine import ExplanationEngine
 
@@ -132,6 +133,10 @@ def dispatch_request(engine: ExplanationEngine, dataset: str, request: dict,
     :class:`repro.net.Deadline`).  It is consulted at op boundaries — before
     the op starts and, for ``batch``, between queries — never mid-kernel, so
     a response that does come back is always a complete, correct one.
+
+    An ``explain`` envelope's ``"result"`` is the summary-cache entry
+    (:class:`~repro.core.EncodedSummary`): :func:`encode_response` splices
+    its body, encoded once per entry, where ``summary_to_dict`` would be.
     """
     op = request.get("op", "explain")
     target = request.get("dataset", dataset)
@@ -148,8 +153,8 @@ def dispatch_request(engine: ExplanationEngine, dataset: str, request: dict,
             raise ProtocolError("unknown_dataset", str(exc).strip('"\'')) \
                 from exc
     if op == "explain":
-        summary, info = engine.explain_with_info(target, _require(request, "query"))
-        return {"ok": True, "result": summary_to_dict(summary),
+        _, info = engine.explain_with_info(target, _require(request, "query"))
+        return {"ok": True, "result": info["entry"],
                 "cached": info["cached"], "coalesced": info["coalesced"],
                 "fingerprint": info["fingerprint"],
                 "version": info["version"]}
@@ -200,12 +205,40 @@ def finalize_response(response: dict, request_id=None, trace_id=None,
     return response
 
 
+def encode_response(response: dict) -> str:
+    """One response line: ``json.dumps(response, default=str) + "\\n"``.
+
+    An explain envelope's summary is not re-serialised: the entry's body,
+    encoded once, is spliced between the encodings of the keys before and
+    after ``"result"``, and JSON's nesting makes the line byte-identical.
+    """
+    result = response.get("result")
+    if not isinstance(result, EncodedSummary):
+        return json.dumps(response, default=str) + "\n"
+    keys = list(response)
+    at = keys.index("result")
+    head = json.dumps({k: response[k] for k in keys[:at]}, default=str)[:-1]
+    tail = json.dumps({k: response[k] for k in keys[at + 1:]},
+                      default=str)[1:]
+    return (head + (", " if at else "") + '"result": ' + result.body()
+            + (", " if tail != "}" else "") + tail + "\n")
+
+
 def handle_request(engine: ExplanationEngine, dataset: str, line: str) -> dict:
-    """Handle one request line and return the response dict.
+    """Handle one request line and return the JSON-compatible response dict.
 
     A ``quit`` request is acknowledged with ``{"ok": True, "quit": True}`` —
     the caller decides to stop on the ``"quit"`` marker.
     """
+    response = _respond(engine, dataset, line)
+    result = response.get("result")
+    if isinstance(result, EncodedSummary):
+        response["result"] = summary_to_dict(result.summary())
+    return response
+
+
+def _respond(engine: ExplanationEngine, dataset: str, line: str) -> dict:
+    """:func:`handle_request` with an explain result left as its entry."""
     request_id = None
     traced = trace.enabled()
     started = time.perf_counter() if traced else 0.0
@@ -231,9 +264,9 @@ def serve_loop(engine: ExplanationEngine, dataset: str,
     for line in lines:
         if not line.strip():
             continue
-        response = handle_request(engine, dataset, line)
+        response = _respond(engine, dataset, line)
         handled += 1
-        out.write(json.dumps(response, default=str) + "\n")
+        out.write(encode_response(response))
         out.flush()
         if response.get("quit"):
             break

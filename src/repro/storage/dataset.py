@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import uuid
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -477,8 +478,11 @@ class _ShardHandle:
         self._decoders = decoders
         # An already-open descriptor pins the inode, so a concurrent
         # compaction unlinking the path cannot break a later lazy open
-        # (None: open by path at first touch; writer-side use only).
+        # (None: open by path at first touch; writer-side use only).  It is
+        # closed once mapped, or when the handle goes unmapped.
         self._file = file
+        if file is not None:
+            weakref.finalize(self, file.close)
         self._lock = named_lock("_ShardHandle._lock")
         self._arrays: dict[str, np.ndarray] | None = None  # guarded-by: _lock
 
@@ -498,6 +502,8 @@ class _ShardHandle:
                             f"shape {array.shape}, the manifest says "
                             f"{self.n_rows} rows")
                 self._arrays = arrays
+                if self._file is not None:
+                    self._file.close()  # the mapping holds the inode now
             return self._arrays
 
     def is_open(self) -> bool:

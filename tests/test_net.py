@@ -1,5 +1,6 @@
 """Tests for the HTTP serving tier (``repro.net``)."""
 
+import io
 import json
 import socket
 import threading
@@ -9,7 +10,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.analysis import lockwatch
-from repro.core import CauSumXConfig
+from repro.core import CauSumXConfig, summary_to_dict
 from repro.obs import trace as obs_trace
 from repro.mining.treatments import TreatmentMinerConfig
 from repro.net import (
@@ -360,29 +361,6 @@ class TestHTTPServer:
             assert http_section["requests"]["explain"]["200"] == 1
             assert "default" in http_section["active_tenants"]
 
-    def test_http_response_bytes_match_stdin_loop(self, so_net):
-        registry = make_registry(so_net)
-        with live_server(registry) as server:
-            request = {"op": "explain", "query": BASE_QUERY, "id": 9}
-            status, first = http_request(server, "POST", "/v1/explain",
-                                         body=request)
-            assert status == 200
-            # Second serving is a cache hit: the response embeds the cached
-            # summary (timings included) so both fronts on the same engine
-            # must produce identical bytes.
-            _, via_http = http_request(server, "POST", "/v1/explain",
-                                       body=request)
-            engine = server.registry.engine_for("default")
-            out = __import__("io").StringIO()
-            serve_loop(engine, registry.default_dataset,
-                       [json.dumps(request)], out)
-            via_stdin = out.getvalue().encode("utf-8")
-            assert strip_volatile_tail(via_http) == \
-                strip_volatile_tail(via_stdin)
-            assert json.loads(via_http)["cached"] is True
-            assert strip_volatile_tail(via_http) != \
-                strip_volatile_tail(first)  # first compute: cached false
-
     def test_protocol_errors_map_to_statuses(self, so_net):
         registry = make_registry(so_net)
         with live_server(registry) as server:
@@ -477,28 +455,6 @@ class TestHTTPServer:
         restarted = ExplanationEngine.from_store(store)
         assert restarted.stats()["restored_summaries"] >= 1
 
-    def test_restored_hit_body_equals_live_hit(self, so_net, tmp_path):
-        """A hit on a summary restored from the store's snapshot (decoded
-        on that first hit) sends the live hit's body bytes."""
-        store = DatasetStore.init(tmp_path / "store")
-        store.import_bundle(so_net, config=net_config())
-        body = {"op": "explain", "query": BASE_QUERY, "id": 1}
-        with live_server(TenantRegistry.from_store(store)) as server:
-            for _ in range(2):  # a miss, then the live hit
-                status, live = http_request(server, "POST", "/v1/explain",
-                                            body=body)
-                assert status == 200
-        # Shutting down snapshotted the default tenant; a budget makes the
-        # restored entries weighed by their codec bytes.
-        registry = TenantRegistry.from_store(store,
-                                             tenant_budget_bytes=16 << 20)
-        with live_server(registry) as server:
-            status, restored = http_request(server, "POST", "/v1/explain",
-                                            body=body)
-        assert status == 200
-        assert json.loads(live)["cached"] and json.loads(restored)["cached"]
-        assert strip_volatile_tail(restored) == strip_volatile_tail(live)
-
     def test_concurrent_mixed_load_is_correct_and_acyclic(self, so_net):
         watch = lockwatch.enable()
         watch.reset()
@@ -556,6 +512,256 @@ class TestHTTPServer:
         finally:
             watch.reset()
             lockwatch.disable()
+
+
+# ------------------------------------------------------------------ response bytes
+
+
+def parent_line(engine, dataset, request, kind, raw) -> bytes:
+    """The line the JSON-lines loop wrote before cached bodies were
+    spliced: ``json.dumps(envelope, default=str) + "\\n"``, with the
+    summary the engine serves for ``request`` rendered by
+    ``summary_to_dict``.  The volatile trace tail is read from ``raw``."""
+    summary, info = engine.explain_with_info(dataset, request["query"])
+    envelope = {"ok": True, "result": summary_to_dict(summary),
+                "cached": kind in ("hit", "restored"),
+                "coalesced": kind == "coalesced",
+                "fingerprint": info["fingerprint"],
+                "version": info["version"]}
+    if "id" in request:
+        envelope["id"] = request["id"]
+    sent = json.loads(raw)
+    for field in ("trace_id", "duration_ms"):
+        if field in sent:
+            envelope[field] = sent[field]
+    return (json.dumps(envelope, default=str) + "\n").encode("utf-8")
+
+
+class TestResponseBytes:
+    """Both fronts send exactly the parent line, however the summary
+    reached the envelope: computed, cached, computed by another request,
+    or restored from a snapshot."""
+
+    @pytest.fixture(scope="class")
+    def snapshot_store(self, so_net, tmp_path_factory):
+        store = DatasetStore.init(tmp_path_factory.mktemp("bytes") / "store")
+        store.import_bundle(so_net, config=net_config())
+        engine = ExplanationEngine.from_store(store)
+        engine.explain(so_net.name, BASE_QUERY)
+        engine.snapshot()
+        return store
+
+    @staticmethod
+    def _coalesce_behind_a_leader(engine, dataset, monkeypatch):
+        """Start a leader computing BASE_QUERY that finishes only once a
+        second request waits on its flight."""
+        from repro.service import engine as engine_module
+
+        waiting, gate = threading.Semaphore(0), threading.Event()
+        flight_class = engine_module._Flight
+
+        class Counted(threading.Event):
+            def wait(self, timeout=None):
+                waiting.release()
+                return super().wait(timeout)
+
+        monkeypatch.setattr(engine_module, "_Flight",
+                            lambda: flight_class(done=Counted()))
+        compute = engine._compute
+        monkeypatch.setattr(
+            engine, "_compute",
+            lambda *args: gate.wait(60) and compute(*args))
+        leader = threading.Thread(target=engine.explain,
+                                  args=(dataset, BASE_QUERY))
+        leader.start()
+        deadline = time.monotonic() + 60
+        while not engine._flights and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+        def release():
+            waiting.acquire(timeout=60)
+            gate.set()
+
+        threading.Thread(target=release, daemon=True).start()
+        return leader
+
+    @pytest.mark.parametrize("variant", ["bare", "id", "traced"])
+    @pytest.mark.parametrize("kind", ["miss", "hit", "coalesced",
+                                      "restored"])
+    @pytest.mark.parametrize("front", ["http", "stdin"])
+    def test_body_is_the_parent_json_dumps_line(self, so_net, snapshot_store,
+                                                monkeypatch, front, kind,
+                                                variant):
+        request = {"op": "explain", "query": BASE_QUERY}
+        if variant != "bare":
+            request["id"] = 9
+        # A budget weighs each restored entry, decoding it at restore.
+        registry = TenantRegistry.from_store(
+            snapshot_store, tenant_budget_bytes=16 << 20) \
+            if kind == "restored" else make_registry(so_net)
+        engine = registry.engine_for("default")
+        dataset = registry.default_dataset
+        leader = None
+        if kind == "hit":
+            engine.explain(dataset, BASE_QUERY)
+        elif kind == "coalesced":
+            leader = self._coalesce_behind_a_leader(engine, dataset,
+                                                    monkeypatch)
+        with obs_trace.tracing(variant == "traced"):
+            if front == "http":
+                with live_server(registry) as server:
+                    status, raw = http_request(server, "POST", "/v1/explain",
+                                               body=request)
+                assert status == 200
+            else:
+                out = io.StringIO()
+                serve_loop(engine, dataset, [json.dumps(request)], out)
+                raw = out.getvalue().encode("utf-8")
+        if leader is not None:
+            leader.join(timeout=60)
+            assert not leader.is_alive()
+        assert ("trace_id" in json.loads(raw)) == (variant == "traced")
+        assert raw == parent_line(engine, dataset, request, kind, raw)
+
+    def test_hits_encode_nothing(self, so_net, monkeypatch):
+        """After one miss, a hit neither parses, normalises or lowers the
+        query text nor renders the summary: it sends the entry's body."""
+        import repro.core.export
+        import repro.service.engine
+        import repro.service.server
+
+        calls: list[str] = []
+        for module, name in [(repro.core.export, "summary_to_dict"),
+                             (repro.service.server, "summary_to_dict"),
+                             (repro.service.engine, "parse_query"),
+                             (repro.service.engine, "normalize_query"),
+                             (repro.service.engine, "lower_query")]:
+            def counted(*args, _original=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        registry = make_registry(so_net)
+        request = {"op": "explain", "query": BASE_QUERY, "id": 1}
+        with obs_trace.tracing(False), live_server(registry) as server:
+            status, miss = http_request(server, "POST", "/v1/explain",
+                                        body=request)
+            assert status == 200 and not json.loads(miss)["cached"]
+            assert sorted(set(calls)) == ["lower_query", "normalize_query",
+                                          "parse_query", "summary_to_dict"]
+            del calls[:]
+            for _ in range(25):
+                status, hit = http_request(server, "POST", "/v1/explain",
+                                           body=request)
+                assert status == 200 and json.loads(hit)["cached"]
+            out = io.StringIO()
+            engine = server.registry.engine_for("default")
+            serve_loop(engine, registry.default_dataset,
+                       [json.dumps(request)] * 25, out)
+        assert calls == []
+        assert out.getvalue().splitlines()[-1].encode() + b"\n" == hit
+
+
+# ------------------------------------------------------------------ request head
+
+
+def exchange(server, data: bytes, *, then: bytes = b"", timeout=10.0):
+    """Send raw bytes, read one response; ``then`` is sent after a
+    ``100 Continue``.  Returns ``(status, lower-cased head, body, closed)``
+    where ``closed`` says whether the server closed the connection."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=timeout) as conn:
+        conn.sendall(data)
+        stream = conn.makefile("rb")
+        status_line = stream.readline()
+        if b" 100 " in status_line:
+            assert stream.readline() == b"\r\n"
+            conn.sendall(then)
+            status_line = stream.readline()
+        head = []
+        while (line := stream.readline()) not in (b"\r\n", b""):
+            head.append(line.decode("latin-1").lower())
+        length = next(int(h.split(":", 1)[1]) for h in head
+                      if h.startswith("content-length:"))
+        body = stream.read(length)
+        conn.settimeout(0.5)  # a kept-alive connection stays silent
+        try:
+            closed = stream.read(1) == b""
+        except TimeoutError:
+            closed = False
+        stream.close()
+    return int(status_line.split()[1]), "".join(head), body, closed
+
+
+class TestRequestHead:
+    """The handler reads the head itself, under ``http.server``'s limits and
+    RFC 9112 §5's strictness; every refusal answers within the timeout and
+    leaves no admission slot taken."""
+
+    @pytest.fixture
+    def server(self, so_net):
+        with live_server(make_registry(so_net)) as server:
+            yield server
+            assert server.admission.stats()["inflight"] == 0
+
+    STATS = b"POST /v1/stats HTTP/1.1\r\nHost: x\r\n"
+
+    @pytest.mark.parametrize("head, status", [
+        (STATS + b"X-Long: " + b"a" * 65536 + b"\r\n", 431),
+        (STATS + b"".join(b"X-%d: 1\r\n" % i for i in range(101)), 431),
+        (b"POST /v1/stats HTTP/2.0\r\n", 505),
+        (b"POST /v1/stats HTTP/1.x\r\n", 400),
+        (b"POST /v1/stats HTTP/1.\xb2\r\n", 400),
+        (STATS + b"X-Fold: a\r\n  b\r\n", 400),
+        (STATS + b"no colon here\r\n", 400),
+        (STATS + b"X-Space : 1\r\n", 400),
+        (STATS + b"Content-Length: 0\r\nContent-Length: 2\r\n", 400),
+    ], ids=["long-line", "101-headers", "http2", "bad-version",
+            "non-ascii-digit", "obs-fold",
+            "no-colon", "space-before-colon", "two-content-lengths"])
+    def test_refused_heads(self, server, head, status):
+        got, _, body, closed = exchange(server, head + b"\r\n")
+        assert got == status, body
+        assert closed
+
+    def test_limits_admit_what_http_server_admits(self, server):
+        # 99 fields and the blank line: http.client's 100-line cap.
+        head = self.STATS + b"".join(b"X-%d: 1\r\n" % i for i in range(96))
+        head += b"X-Long: " + b"a" * 65000 + b"\r\n"
+        assert exchange(server, head + b"Connection: close\r\n\r\n")[0] == 200
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_invalid_content_length_is_a_400(self, server, length):
+        status, _, body, closed = exchange(
+            server, self.STATS + b"Content-Length: " + length + b"\r\n\r\n",
+            timeout=3.0)
+        assert status == 400
+        assert json.loads(body)["error_code"] == "bad_request"
+        assert closed  # the body's framing is lost
+
+    def test_names_are_case_insensitive_first_wins(self, server):
+        payload = json.dumps({"op": "stats", "id": 5}).encode()
+        head = (b"POST /v1/stats HTTP/1.1\r\ncOnTeNt-LeNgTh: %d\r\n"
+                b"x-rEpRo-tEnAnT: first\r\nX-Repro-Tenant: second\r\n"
+                b"CONNECTION: close\r\n\r\n" % len(payload))
+        status, _, body, closed = exchange(server, head + payload)
+        assert status == 200
+        assert json.loads(body)["id"] == 5  # the body was read
+        assert closed
+        assert server.registry.tenants() == ["first"]
+
+    def test_keep_alive_unless_connection_close(self, server):
+        assert not exchange(server, self.STATS + b"\r\n")[3]
+        assert exchange(server, self.STATS + b"Connection: close\r\n\r\n")[3]
+        assert exchange(server, b"POST /v1/stats HTTP/1.0\r\n\r\n")[3]
+
+    def test_expect_100_continue_is_answered(self, server):
+        payload = json.dumps({"op": "stats"}).encode()
+        head = self.STATS + b"Expect: 100-continue\r\nContent-Length: %d\r\n" \
+            b"Connection: close\r\n\r\n" % len(payload)
+        status, _, body, _ = exchange(server, head, then=payload)
+        assert status == 200
+        assert json.loads(body)["ok"] is True
 
 
 # ------------------------------------------------------------------ observability

@@ -69,6 +69,24 @@ class TestOLSFit:
         result = ols_fit(design, y)
         assert result.r_squared == pytest.approx(1.0)
 
+    def test_p_values_are_the_bits_of_t_sf(self):
+        """``special.stdtr(df, -|t|)`` is what ``stats.t.sf`` evaluates."""
+        from scipy import special, stats
+
+        rng = np.random.default_rng(0)
+        t = np.concatenate([rng.standard_normal(10_000) * 5,
+                            rng.standard_cauchy(9_996) * 100,
+                            [0.0, np.inf, -np.inf, np.nan]])
+        for df in (1, 2, 3, 7, 30, 999, 19_999):
+            np.testing.assert_array_equal(
+                special.stdtr(df, -np.abs(t)), stats.t.sf(np.abs(t), df))
+        design = np.column_stack([np.ones(50), rng.standard_normal((50, 3))])
+        outcome = design @ [1.0, 0.5, 0.0, -2.0] + rng.standard_normal(50)
+        result = ols_fit(design, outcome)
+        np.testing.assert_array_equal(
+            result.p_values,
+            2.0 * stats.t.sf(np.abs(result.t_values), result.df_resid))
+
 
 # --------------------------------------------------------------------------- FactoredDesign
 
@@ -212,3 +230,28 @@ class TestBlasWidth:
         single = factor("1")
         assert len(single.splitlines()) == 6
         assert factor("4") == single
+
+
+_SERVE_ONE_EXPLAIN = """
+import sys
+import repro, repro.cli, repro.net
+from repro.core import CauSumX
+from repro.datasets import load_dataset
+bundle = load_dataset("stackoverflow", n=300, seed=0)
+CauSumX(bundle.table, bundle.dag).explain(
+    "SELECT Country, AVG(Salary) FROM SO GROUP BY Country",
+    grouping_attributes=bundle.grouping_attributes,
+    treatment_attributes=bundle.treatment_attributes)
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_serving_code_never_imports_scipy_stats():
+    """``scipy.stats`` costs ~20 MB of RSS; only the paper's experiments
+    (Kendall's tau, CI tests for discovery) load it, on first use."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _SERVE_ONE_EXPLAIN],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == "False"

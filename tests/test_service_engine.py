@@ -481,14 +481,11 @@ class TestAppendPath:
 
     def test_stale_reader_never_replaces_an_extended_entry(self, engine,
                                                            so_small):
-        from repro.plan import lower_query
-
         before = engine.explain(self.NAME, self.WHERE_QUERY)
         stale = engine.dataset_state(self.NAME)
         engine.append_rows(self.NAME, self._batch(so_small, 1))
         engine.explain(self.NAME, self.WHERE_QUERY)  # extends both caches
-        canonical = engine._canonical(self.WHERE_QUERY)
-        plan = lower_query(canonical)
+        canonical, plan = engine._lowered(self.WHERE_QUERY)
         key = (self.NAME, plan.where_key, plan.average)
         extended = engine._population_cache.get(key)
         where_cache = engine._where_masks[self.NAME]
@@ -507,8 +504,6 @@ class TestAppendPath:
         """A request still computing on the old table after
         ``register_dataset`` replaced it leaves entries behind; the new
         registration treats them as misses instead of extending them."""
-        from repro.plan import lower_query
-
         engine.explain(self.NAME, self.WHERE_QUERY)
         stale = engine.dataset_state(self.NAME)
         table = so_small.table.take(np.arange(so_small.table.n_rows)[order])
@@ -516,8 +511,7 @@ class TestAppendPath:
             self.NAME, table, dag=so_small.dag, config=small_config(),
             grouping_attributes=so_small.grouping_attributes,
             treatment_attributes=so_small.treatment_attributes)
-        canonical = engine._canonical(self.WHERE_QUERY)
-        engine._compute(stale, canonical, lower_query(canonical))
+        engine._compute(stale, *engine._lowered(self.WHERE_QUERY))
         for query in self.QUERIES:
             assert _summary_payload(engine.explain(self.NAME, query)) == \
                 _summary_payload(self._fresh(so_small, table, query))
