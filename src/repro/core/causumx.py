@@ -71,7 +71,8 @@ class CauSumX:
         ``grouping_attributes`` / ``treatment_attributes`` override the
         automatic FD-based partition of Section 4.1 when provided (the paper's
         case studies restrict the treatment attributes this way, e.g. to
-        sensitive attributes only).
+        sensitive attributes only); the partition runs only when one is
+        ``None``.  An explicit list loses the query's outcome.
 
         ``view`` / ``estimator`` are reuse hooks for long-lived callers (the
         ``repro.service`` engine): a pre-materialised :class:`AggregateView`
@@ -86,13 +87,15 @@ class CauSumX:
             view = AggregateView(self.table, query)
         timings: dict[str, float] = {}
 
-        # --- attribute partition -------------------------------------------------
-        auto_grouping, auto_treatment = grouping_attribute_partition(
-            view.table, list(query.group_by), query.average)
-        grouping_attrs = list(grouping_attributes) if grouping_attributes is not None \
-            else auto_grouping
-        treatment_attrs = list(treatment_attributes) if treatment_attributes is not None \
-            else auto_treatment
+        # --- attribute partition (only for a list the caller left out) ---------
+        if grouping_attributes is None or treatment_attributes is None:
+            auto_grouping, auto_treatment = grouping_attribute_partition(
+                view.table, list(query.group_by), query.average)
+        outcome = query.average
+        grouping_attrs = [a for a in grouping_attributes if a != outcome] \
+            if grouping_attributes is not None else auto_grouping
+        treatment_attrs = [a for a in treatment_attributes if a != outcome] \
+            if treatment_attributes is not None else auto_treatment
 
         # --- step 1: grouping patterns (Section 5.1) -----------------------------
         start = time.perf_counter()

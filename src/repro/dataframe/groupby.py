@@ -4,7 +4,10 @@
 per-attribute dictionary codes of the grouping attributes (categorical columns
 contribute their cached codes directly; numeric columns are factorized once
 with ``np.unique``) and collapsing the composite codes with
-``np.unique(..., return_inverse=True)``.  All group-level operations —
+``np.unique(..., return_inverse=True)``.  Composite codes below 2**16 are
+sorted as ``uint16``, for which numpy's stable sort is a radix sort; the
+``int64`` comparison sort finds the same permutation, since a stable sort's
+output is unique.  All group-level operations —
 membership lists, sizes, averages, and the "every row of the group satisfies a
 mask" coverage test — then become ``np.bincount``/fancy-indexing kernels over
 the inverse array instead of per-row Python dictionary updates.
@@ -14,6 +17,8 @@ implementation:
 
 * group keys are tuples of the raw column values of the group's first row, so
   key types (``str``, ``np.float64``, ``None``) match row-at-a-time grouping;
+  categorical values are read through the vocabulary from the first rows'
+  codes, so no column decodes all its rows;
 * groups are ordered by first occurrence (dict insertion order of the old
   code), with :meth:`sorted_by_repr` providing the ``repr``-sorted order used
   by ``Table.groupby_avg``;
@@ -59,7 +64,7 @@ class GroupByIndex:
         n = table.n_rows
         code_arrays = [_attribute_codes(table.column(a)) for a in self.attributes]
         raw = _combine_codes(code_arrays, n)
-        _, first_row, inverse_first = np.unique(raw, return_index=True,
+        _, first_row, inverse_first = np.unique(_radix(raw), return_index=True,
                                                 return_inverse=True)
         inverse_first = inverse_first.reshape(-1).astype(np.int64, copy=False)
         first_row = first_row.astype(np.int64, copy=False)
@@ -73,10 +78,9 @@ class GroupByIndex:
         self.n_groups = n_groups
         self.first_row = first_row[order]
         self.sizes = np.bincount(self.inverse, minlength=n_groups)
-        self.keys: list[tuple] = [
-            tuple(table.column(a).values[row] for a in self.attributes)
-            for row in self.first_row
-        ]
+        self.keys: list[tuple] = list(zip(*(
+            _values_at(table.column(a), self.first_row)
+            for a in self.attributes))) if self.attributes else [()] * n_groups
         self._indices: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------ membership
@@ -87,7 +91,7 @@ class GroupByIndex:
             if self.n_groups == 0:
                 self._indices = []
             else:
-                order = np.argsort(self.inverse, kind="stable")
+                order = np.argsort(_radix(self.inverse), kind="stable")
                 boundaries = np.cumsum(self.sizes)[:-1]
                 self._indices = np.split(order, boundaries)
         return self._indices
@@ -135,6 +139,28 @@ class GroupByIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"GroupByIndex({list(self.attributes)!r}, "
                 f"groups={self.n_groups}, rows={len(self.inverse)})")
+
+
+def _radix(codes: np.ndarray) -> np.ndarray:
+    """``codes`` as ``uint16`` when every code fits, else unchanged.
+
+    numpy's stable sort is a radix sort for integers of at most 16 bits, and
+    a stable sort's output is unique, so the permutation is the same one the
+    ``int64`` comparison sort finds.
+    """
+    if len(codes) and int(codes.max()) < 1 << 16:
+        return codes.astype(np.uint16)
+    return codes
+
+
+def _values_at(column, rows: np.ndarray):
+    """The raw values at ``rows``: ``np.float64`` scalars of a numeric column,
+    vocabulary entries of a categorical one (``None`` for the missing code),
+    which is thus never decoded in full."""
+    if column.numeric:
+        return column.values[rows]
+    lookup = column.vocab + (None,)  # MISSING_CODE (-1) reads the last slot
+    return [lookup[code] for code in column.codes[rows].tolist()]
 
 
 def _attribute_codes(column) -> np.ndarray:

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import CauSumX, brute_force, brute_force_lp, greedy_last_step
-from repro.datasets import make_german, make_synthetic
+from repro.core import causumx
+from repro.dataframe import grouping_attribute_partition
+from repro.datasets import make_accidents, make_german, make_synthetic
 
 
 class TestCauSumXOnStackOverflow:
@@ -132,3 +134,45 @@ class TestAutomaticAttributePartition:
             # Grouping attributes must be functionally determined by Country.
             assert "Country" not in pattern.grouping_pattern.attributes
             assert "Salary" not in pattern.grouping_pattern.attributes
+
+    @pytest.mark.parametrize("given", [(True, True), (True, False),
+                                       (False, True), (False, False)])
+    def test_partition_runs_only_for_a_missing_list(self, so_bundle, fast_config,
+                                                     monkeypatch, given):
+        """Explicit lists overrule the partition, so it is not computed."""
+        calls = []
+
+        def partition(*args):
+            calls.append(args)
+            if all(given):
+                raise AssertionError("partition computed for explicit lists")
+            return grouping_attribute_partition(*args)
+
+        monkeypatch.setattr(causumx, "grouping_attribute_partition", partition)
+        give_grouping, give_treatment = given
+        CauSumX(so_bundle.table, so_bundle.dag,
+                fast_config.with_overrides(k=2, theta=0.5)).explain(
+            so_bundle.query,
+            grouping_attributes=so_bundle.grouping_attributes
+            if give_grouping else None,
+            treatment_attributes=so_bundle.treatment_attributes
+            if give_treatment else None)
+        assert len(calls) == (0 if all(given) else 1)
+
+
+class TestOutcomeIsNeverATreatment:
+    def test_explicit_lists_drop_the_outcome(self):
+        """Listing the averaged attribute must not mine ``Severity = v`` as a
+        treatment for mean Severity (a CATE of about ±1 by construction)."""
+        bundle = make_accidents(n=3000, seed=0)
+        sql = ("SELECT Weather, AVG(Severity) FROM accidents "
+               "GROUP BY Weather")
+        algorithm = CauSumX(bundle.table, bundle.dag)
+        summary = algorithm.explain(sql, ["Region", "Severity"], ["Severity"])
+        for pattern in summary:
+            assert "Severity" not in pattern.grouping_pattern.attributes
+            assert not pattern.has_treatment()
+        with_outcome = algorithm.explain(
+            sql, ["Region"], ["Severity", "RoadType", "Daylight"])
+        without = algorithm.explain(sql, ["Region"], ["RoadType", "Daylight"])
+        assert repr(with_outcome.patterns) == repr(without.patterns)

@@ -1,11 +1,14 @@
-"""Oracles for the code-space treatment miner.
+"""Oracles for the code-space treatment miner and the group-by index.
 
 The miner joins lattice levels as sorted tuples of atom ids and estimates a
 node from atom masks bound once per sub-population.  The reference code below
 is how both were done before — an all-pairs join over ``Pattern`` objects
 sorted by ``repr``, and a full-table mask AND gathered onto the bound rows per
 candidate, solved with fancy-indexed gathers — kept here only, to check that
-the rework changed no output and no bit.
+the rework changed no output and no bit.  Likewise for
+:class:`~repro.dataframe.GroupByIndex`, which sorts ``uint16`` codes when they
+fit and reads its keys through the vocabulary: the reference sorts ``int64``
+codes and reads keys from decoded ``Column.values``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from repro.causal.ols import (
     TreatmentFit,
 )
 from repro.core.export import summary_to_dict
-from repro.dataframe import Op, Pattern, Predicate
+from repro.dataframe import Column, GroupByIndex, Op, Pattern, Predicate, Table
+from repro.dataframe.groupby import _attribute_codes, _combine_codes
 from repro.datasets import load_dataset
 from repro.mining.lattice import AtomSet, AtomSpace, PatternLattice
 from repro.obs.registry import REGISTRY
@@ -127,6 +131,47 @@ def reference_join(self: AtomSpace, level) -> list[AtomSet]:
             for child in children]
 
 
+def reference_group_index_init(self: GroupByIndex, table, attributes) -> None:
+    """:class:`GroupByIndex` construction over ``int64`` codes, keys read
+    from each column's decoded ``values``."""
+    self.table = table
+    self.attributes = tuple(attributes)
+    n = table.n_rows
+    code_arrays = [_attribute_codes(table.column(a)) for a in self.attributes]
+    raw = _combine_codes(code_arrays, n).astype(np.int64)
+    _, first_row, inverse_first = np.unique(raw, return_index=True,
+                                            return_inverse=True)
+    inverse_first = inverse_first.reshape(-1).astype(np.int64, copy=False)
+    first_row = first_row.astype(np.int64, copy=False)
+    n_groups = len(first_row)
+    order = np.argsort(first_row, kind="stable")
+    renumber = np.empty(n_groups, dtype=np.int64)
+    renumber[order] = np.arange(n_groups, dtype=np.int64)
+    self.inverse = renumber[inverse_first] if n else inverse_first
+    self.n_groups = n_groups
+    self.first_row = first_row[order]
+    self.sizes = np.bincount(self.inverse, minlength=n_groups)
+    self.keys = [tuple(table.column(a).values[row] for a in self.attributes)
+                 for row in self.first_row]
+    self._indices = None
+
+
+def reference_group_indices(self: GroupByIndex) -> list[np.ndarray]:
+    """:meth:`GroupByIndex.group_indices` with an ``int64`` argsort."""
+    if self._indices is None:
+        if self.n_groups == 0:
+            self._indices = []
+        else:
+            order = np.argsort(self.inverse.astype(np.int64), kind="stable")
+            self._indices = np.split(order, np.cumsum(self.sizes)[:-1])
+    return self._indices
+
+
+class ReferenceGroupByIndex(GroupByIndex):
+    __init__ = reference_group_index_init
+    group_indices = reference_group_indices
+
+
 def _skipped() -> int:
     return sum(REGISTRY.counter("repro_causal_skipped_total", reason=r).value
                for r in ("non_finite", "no_residual_df", "collinear_treatment",
@@ -219,6 +264,107 @@ class TestSolveOracle:
         assert any("nan" in bits for bits in got)
 
 
+# Cells per kind of grouping column.  "coded" columns reuse one 400-value
+# vocabulary, so two of them span composite codes past 65 536; NaN rows are
+# singleton groups, so a numeric column spans up to one code per row.
+_WIDE_VOCAB = tuple(f"v{i:03d}" for i in range(400))
+_CELLS = {
+    "categorical": ["a", "b", "", None],
+    "coded": [-1, 0, 1, 398, 399],
+    "numeric": [0.0, -0.0, 1.5, -2.0, math.nan, 1e300],
+}
+
+
+def _grouping_column(name: str, kind: str, cells: list) -> Column:
+    if kind == "coded":
+        return Column.from_codes(name, np.array(cells, dtype=np.int32),
+                                 _WIDE_VOCAB)
+    return Column(name, cells, numeric=kind == "numeric")
+
+
+@st.composite
+def _grouping_tables(draw) -> Table:
+    n = draw(st.integers(0, 300))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1,
+                          max_size=3))
+    columns = [_grouping_column(f"g{i}", kind, draw(st.lists(
+        st.sampled_from(_CELLS[kind]), min_size=n, max_size=n)))
+        for i, kind in enumerate(kinds)]
+    outcome = draw(st.lists(st.sampled_from([0.1, -0.0, 2.5, 1e-9, math.nan]),
+                            min_size=n, max_size=n))
+    return Table(columns + [Column("y", outcome, numeric=True)])
+
+
+def _two_wide_columns() -> Table:
+    """Composite codes past 65 536: the int64 sort path.  The first two
+    rows' composite codes differ by exactly 2**16, so a 16-bit copy of them
+    would merge two groups."""
+    g0 = np.array([0, 163, 0, *range(297)], dtype=np.int32)
+    g1 = np.array([0, 173, 399, *range(296, -1, -1)], dtype=np.int32)
+    return Table([Column.from_codes("g0", g0, _WIDE_VOCAB),
+                  Column.from_codes("g1", g1, _WIDE_VOCAB),
+                  Column("y", np.linspace(-1.0, 1.0, 300), numeric=True)])
+
+
+def _hashed_key_space() -> Table:
+    """Three attributes of 2**21 + 1 codes each: past 2**62, so composite
+    codes fall back to hashing row tuples."""
+    vocab = ["~"] * (1 << 21)
+    vocab[:3] = ["a", "b", "c"]
+    vocab = tuple(vocab)
+    top = (1 << 21) - 1
+    codes = np.array([top, 0, -1, top, 1, 2, 0, top], dtype=np.int32)
+    return Table([Column.from_codes(f"g{i}", np.roll(codes, i), vocab)
+                  for i in range(3)] +
+                 [Column("y", np.arange(8, dtype=np.float64), numeric=True)])
+
+
+def _key_bits(index: GroupByIndex) -> list:
+    return [[(type(v), repr(v)) for v in key] for key in index.keys]
+
+
+def _assert_same_index(table: Table) -> None:
+    attributes = [a for a in table.attributes if a != "y"]
+    expected = ReferenceGroupByIndex(table, attributes)
+    got = GroupByIndex(table, attributes)
+    for name in ("inverse", "first_row", "sizes"):
+        assert getattr(got, name).dtype == np.int64, name
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert got.n_groups == expected.n_groups
+    assert len(got.group_indices()) == len(expected.group_indices())
+    for rows, reference in zip(got.group_indices(), expected.group_indices()):
+        assert np.array_equal(rows, reference)
+    assert _key_bits(got) == _key_bits(expected)
+    assert {type(v) for key in got.keys for v in key} <= \
+        {str, np.float64, type(None)}
+    values = table.column("y").values
+    (got_avg, got_n), (ref_avg, ref_n) = (got.averages(values),
+                                          expected.averages(values))
+    assert [float(a).hex() for a in got_avg] == \
+        [float(a).hex() for a in ref_avg]
+    assert np.array_equal(got_n, ref_n)
+
+
+class TestGroupIndexOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_grouping_tables())
+    def test_radix_index_equals_the_int64_index(self, table):
+        _assert_same_index(table)
+
+    def test_codes_past_16_bits_keep_the_int64_sort(self):
+        table = _two_wide_columns()
+        codes = [_attribute_codes(table.column(a)) for a in ("g0", "g1")]
+        composite = _combine_codes(codes, table.n_rows)
+        assert composite[1] - composite[0] == 1 << 16
+        _assert_same_index(table)
+
+    def test_key_space_past_2_to_the_62_is_hashed(self):
+        table = _hashed_key_space()
+        assert np.prod([float(table.column(f"g{i}").codes.max()) + 2
+                        for i in range(3)]) > 2.0 ** 62
+        _assert_same_index(table)
+
+
 _GENERATORS = {"cps": 1500, "stackoverflow": 800, "german": 500,
                "adult": 1000, "accidents": 1500}
 
@@ -235,11 +381,15 @@ def _summaries(bundle) -> dict:
             base, treatment_mode="exhaustive",
             treatment=dataclasses.replace(base.treatment, max_levels=2)),
     }
+    lists = {"grouping_attributes": bundle.grouping_attributes,
+             "treatment_attributes": bundle.treatment_attributes}
+    runs = {name: (config, lists) for name, config in configs.items()}
+    runs["partition"] = (base, {})
+    runs["partition_no_cache"] = (configs["no_cache"], {})
     out = {}
-    for name, config in configs.items():
+    for name, (config, attribute_lists) in runs.items():
         summary = CauSumX(bundle.table, bundle.dag, config).explain(
-            bundle.query, grouping_attributes=bundle.grouping_attributes,
-            treatment_attributes=bundle.treatment_attributes)
+            bundle.query, **attribute_lists)
         body = summary_to_dict(summary)
         body.pop("timings")
         out[name] = body
@@ -254,7 +404,11 @@ class TestSummaryOracle:
         got = _summaries(bundle)
         monkeypatch.setattr(AtomSpace, "join", reference_join)
         monkeypatch.setattr(BoundSubpopulation, "_solve", reference_solve)
-        expected = _summaries(bundle)
+        monkeypatch.setattr(GroupByIndex, "__init__", reference_group_index_init)
+        monkeypatch.setattr(GroupByIndex, "group_indices",
+                            reference_group_indices)
+        expected = _summaries(load_dataset(dataset, n=_GENERATORS[dataset],
+                                           seed=3))
         assert all(body["patterns"] for body in got.values())
         for mode in expected:
             assert repr(got[mode]) == repr(expected[mode]), mode
