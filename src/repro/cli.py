@@ -327,8 +327,16 @@ def _serve_http(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from repro.net import create_server
+    from repro.net import Deadline, create_server
 
+    deadline_ms = args.http_deadline_ms
+    if deadline_ms is not None:
+        try:
+            Deadline(deadline_ms / 1000.0)
+        except ValueError:
+            print(f"error: --http-deadline-ms must be a finite positive "
+                  f"number, got {deadline_ms!r}", file=sys.stderr)
+            return 2
     host, _, port_text = args.http.rpartition(":")
     host = host or "127.0.0.1"
     try:
@@ -340,13 +348,13 @@ def _serve_http(args: argparse.Namespace) -> int:
     registry = _http_registry(args)
     if registry is None:
         return 2
-    deadline_ms = args.http_deadline_ms
     server = create_server(
         registry, host, port,
         max_inflight=args.http_max_inflight,
         max_queue=args.http_max_queue,
         tenant_inflight=args.http_tenant_inflight,
-        default_deadline=deadline_ms / 1000.0 if deadline_ms else None)
+        default_deadline=deadline_ms / 1000.0
+        if deadline_ms is not None else None)
 
     def request_stop(signum, frame):
         threading.Thread(target=server.shutdown, daemon=True).start()

@@ -58,9 +58,13 @@ class Deadline:
     __slots__ = ("seconds", "expires_at")
 
     def __init__(self, seconds: float):
-        if seconds <= 0:
-            raise ValueError("deadline must be a positive number of seconds")
-        self.seconds = float(seconds)
+        seconds = float(seconds)
+        # NaN fails both comparisons; past TIMEOUT_MAX a queued wait would
+        # raise OverflowError instead of timing out.
+        if not 0.0 < seconds <= threading.TIMEOUT_MAX:
+            raise ValueError(f"deadline must be a finite positive number of "
+                             f"seconds, at most {threading.TIMEOUT_MAX:g}")
+        self.seconds = seconds
         self.expires_at = time.monotonic() + self.seconds
 
     def remaining(self) -> float:
@@ -83,8 +87,10 @@ class AdmissionController:
     Parameters
     ----------
     max_inflight:
-        Requests allowed to execute concurrently (the real parallelism of
-        the engines behind the server).
+        Requests allowed to execute concurrently.  This bounds concurrent
+        *requests*, not concurrent mining: however many are admitted,
+        each tenant's engine computes one summary at a time (hits, appends
+        and stats run beside it; see :mod:`repro.service.engine`).
     max_queue:
         Requests allowed to wait for an execution slot; arrivals beyond
         ``max_inflight + max_queue`` are shed immediately with

@@ -24,8 +24,9 @@ Request headers:
     Tenant name (default ``"default"``); each tenant gets an isolated engine
     via the :class:`~repro.net.registry.TenantRegistry`.
 ``X-Repro-Deadline-Ms``
-    Per-request deadline in milliseconds, overriding the server default.
-    Expiry while queued or between ops returns 504.
+    Per-request deadline in milliseconds, overriding the server default;
+    anything but a finite positive number is a 400.  Expiry while queued
+    or between ops returns 504.
 ``X-Repro-Trace-Id``
     With tracing enabled (``REPRO_TRACE=1``), the trace id to use for this
     request (one is generated when absent).  The id in effect is echoed in
@@ -351,15 +352,12 @@ class _Handler(BaseHTTPRequestHandler):
                 return None
             return Deadline(self.server.default_deadline)
         try:
-            millis = float(header)
-            if millis <= 0:
-                raise ValueError
+            return Deadline(float(header) / 1000.0)
         except ValueError:
             raise ProtocolError(
                 "bad_request",
-                f"X-Repro-Deadline-Ms must be a positive number, "
+                f"X-Repro-Deadline-Ms must be a finite positive number, "
                 f"got {header!r}") from None
-        return Deadline(millis / 1000.0)
 
     def _send_json(self, status: int, payload: dict) -> None:
         # Exactly the bytes serve_loop writes for the same response dict —

@@ -23,6 +23,17 @@ the same fingerprint block on one computation and all receive the identical
 summary object.  ``explain_many`` additionally deduplicates fingerprints
 within a batch.
 
+Distinct misses of one engine run one at a time: a flight leader computes
+(view, population, mining) under the engine's compute gate.  Mining is a
+Python loop over short numpy calls that each release the interpreter lock;
+two interleaved misses hand it back and forth and both finish later than
+the same two run back to back (the new-GIL convoy, CPython bpo-7946).  The
+gate is per engine, so one tenant's long miss never queues another
+tenant's.  Hits, coalesced followers, :meth:`~ExplanationEngine.append_rows`,
+:meth:`~ExplanationEngine.explain_plan`, stats and snapshots never take it.
+It is taken with no engine lock held, so it is the outermost edge of the
+lock order.
+
 Data is versioned: :meth:`append_rows` concatenates new rows onto a
 registered table (merging dictionary vocabularies, see ``Table.concat``),
 bumps the dataset's monotonic data version, and invalidates the summaries
@@ -49,6 +60,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -66,7 +78,7 @@ from repro.core import (
 from repro.dataframe import MaskCache, Pattern, Table
 from repro.graph import CausalDAG
 from repro.obs import trace
-from repro.obs.registry import unified_engine_metrics
+from repro.obs.registry import REGISTRY, unified_engine_metrics
 from repro.obs.telemetry import telemetry_enabled
 from repro.parallel import GLOBAL_PARALLEL_STATS
 from repro.plan import GLOBAL_PLANNER_STATS, LogicalPlan, ScanPlan, lower_query
@@ -83,6 +95,26 @@ from repro.sql import (
 #: it is flushed (each mask costs ``n_rows`` bytes; recomputing is one
 #: vectorized kernel pass, so flushing beats unbounded growth).
 WHERE_MASK_CACHE_LIMIT = 128
+
+
+@contextmanager
+def _holding(gate):
+    """Hold an engine's compute gate; a contended wait is observed as
+    ``repro_engine_compute_wait_seconds`` and the root trace attribute
+    ``compute_wait_ms`` (an uncontended entry records nothing)."""
+    queued_at = None
+    if not gate.acquire(blocking=False):
+        queued_at = time.perf_counter()
+        gate.acquire()
+    try:
+        if queued_at is not None:
+            waited = time.perf_counter() - queued_at
+            REGISTRY.histogram(
+                "repro_engine_compute_wait_seconds").observe(waited)
+            trace.set_root_attr(compute_wait_ms=round(waited * 1000.0, 3))
+        yield
+    finally:
+        gate.release()
 
 
 @dataclass(frozen=True)
@@ -161,6 +193,8 @@ class ExplanationEngine:
         # heavy table/mask construction happens under this lock only, while
         # _datasets_lock is held just for the snapshot and the final swap.
         self._mutation_lock = named_lock("ExplanationEngine._mutation_lock")
+        # Serialises this engine's summary computations (module docstring).
+        self._compute_gate = named_lock("ExplanationEngine._compute_gate")
         self._plan_cache = LRUCache(plan_cache_size)
         self._population_cache = LRUCache(population_cache_size)
         self._summary_cache = LRUCache(
@@ -431,8 +465,9 @@ class ExplanationEngine:
                 if outcomes is not None:
                     outcomes["flight"] = "leader"
                 try:
-                    summary, scan_plan = self._compute(state, canonical, plan,
-                                                       outcomes)
+                    with _holding(self._compute_gate):
+                        summary, scan_plan = self._compute(
+                            state, canonical, plan, outcomes)
                     entry = EncodedSummary(summary)
                     if use_summary_cache:
                         self._cache_entry(key, entry)

@@ -104,6 +104,18 @@ class TestCommands:
         assert responses[1]["id"] == 9
         assert responses[2]["quit"] is True
 
+    @pytest.mark.parametrize("millis", ["nan", "inf", "0", "-5"])
+    def test_serve_http_refuses_unusable_deadline(self, capsys, monkeypatch,
+                                                  millis):
+        def no_server(*args, **kwargs):
+            raise AssertionError("the server must not be built")
+
+        monkeypatch.setattr("repro.net.create_server", no_server)
+        code = main(["serve", "--dataset", "synthetic", "--n", "300",
+                     "--http", "127.0.0.1:0", "--http-deadline-ms", millis])
+        assert code == 2
+        assert "--http-deadline-ms" in capsys.readouterr().err
+
     def test_case_study_command(self, capsys):
         code = main(["case-study", "figure18_german", "--n", "800"])
         out = capsys.readouterr().out

@@ -279,6 +279,13 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline(0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"),
+                                         float("-inf"), -1.0,
+                                         2 * threading.TIMEOUT_MAX])
+    def test_rejects_non_finite_budget(self, seconds):
+        with pytest.raises(ValueError, match="finite positive"):
+            Deadline(seconds)
+
 
 # ------------------------------------------------------------------ registry
 
@@ -420,6 +427,19 @@ class TestHTTPServer:
             assert status == 504
             assert response["error_code"] == "deadline_exceeded"
             assert server.admission.stats()["deadline_rejects"] == 1
+
+    @pytest.mark.parametrize("header", ["nan", "NaN", "inf", "-inf", "1e400",
+                                        "0", "-3", "1e-400", "soon"])
+    def test_non_finite_deadline_is_bad_request(self, so_net, header):
+        """A NaN deadline would make a queued request's admission wait
+        return at once, busy-spinning; inf would be no deadline at all."""
+        registry = make_registry(so_net)
+        with live_server(registry) as server:
+            status, response = post_json(
+                server, "/v1/stats", headers={"X-Repro-Deadline-Ms": header})
+            assert status == 400, response
+            assert response["error_code"] == "bad_request"
+            assert server.admission.stats()["admitted"] == 0
 
     def test_server_default_deadline_applies(self, so_net):
         registry = make_registry(so_net)

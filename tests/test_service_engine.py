@@ -3,6 +3,7 @@
 import gc
 import io
 import json
+import sys
 import threading
 import weakref
 
@@ -12,6 +13,9 @@ import pytest
 from repro.core import CauSumX, CauSumXConfig, summary_to_dict
 from repro.dataframe import Table
 from repro.mining.treatments import TreatmentMinerConfig
+from repro.obs import trace
+from repro.obs.registry import REGISTRY
+from repro.service import engine as engine_module
 from repro.service import (
     ExplanationEngine,
     LRUCache,
@@ -55,6 +59,7 @@ def engine(so_small):
 
 
 BASE_QUERY = "SELECT Country, AVG(Salary) FROM SO GROUP BY Country"
+OTHER_QUERY = "SELECT Role, AVG(Salary) FROM SO GROUP BY Role"
 
 
 class TestLRUCache:
@@ -193,11 +198,13 @@ class TestConcurrency:
         """Exercise the engine's full lock surface (explains, appends, stats
         snapshots) under an instrumented registry and assert the recorded
         acquisition-order graph has no cycle — the machine-checked form of
-        the engine's three-lock discipline."""
+        the engine's three-lock discipline, with the compute gate as its
+        outermost lock."""
         from repro.analysis import lockwatch
 
         registry = lockwatch.enable()
         registry.reset()
+        gate = "ExplanationEngine._compute_gate"
         try:
             # Built while enabled, so every named_lock is a WatchedLock.
             engine = ExplanationEngine(summary_cache_size=8)
@@ -229,9 +236,262 @@ class TestConcurrency:
             assert registry.edges()
             assert registry.violations == []
             registry.assert_acyclic()
+            # Taken with no engine lock held, and holding it the miss takes
+            # the engine's locks.
+            assert any(e.source == gate for e in registry.edges())
+            assert not any(e.target == gate for e in registry.edges())
         finally:
             registry.reset()
             lockwatch.disable()
+
+
+class _SignallingGate:
+    """Stands in for the compute gate; ``contended`` is set when a caller
+    has to block for it."""
+
+    def __init__(self):
+        self._inner = threading.Lock()
+        self.contended = threading.Event()
+
+    def acquire(self, blocking=True):
+        if blocking:
+            self.contended.set()
+        return self._inner.acquire(blocking)
+
+    def release(self):
+        self._inner.release()
+
+    def locked(self):
+        return self._inner.locked()
+
+
+def _run_threads(*targets):
+    """Run each target on its own thread; re-raise the first error."""
+    errors = []
+
+    def run(target):
+        try:
+            target()
+        except BaseException as exc:  # pragma: no cover - re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+
+
+class TestComputeGate:
+    @pytest.fixture()
+    def gate(self, engine, monkeypatch):
+        """The ``engine`` fixture's compute gate, as a signalling stand-in."""
+        gate = _SignallingGate()
+        monkeypatch.setattr(engine, "_compute_gate", gate)
+        return gate
+
+    def test_distinct_misses_never_overlap(self, engine, gate, monkeypatch):
+        """Two distinct misses of one engine compute one at a time; the one
+        that waited records one wait sample and a ``compute_wait_ms`` root
+        attribute."""
+        guard = threading.Lock()
+        counts = {"active": 0, "peak": 0, "entered": 0}
+
+        def probe(compute):
+            def probed(*args):
+                with guard:
+                    counts["active"] += 1
+                    counts["peak"] = max(counts["peak"], counts["active"])
+                    counts["entered"] += 1
+                    first = counts["entered"] == 1
+                if not first:  # no gate: let the first computation finish
+                    gate.contended.set()
+                try:
+                    if first:  # hold on until the other miss is at the gate
+                        assert gate.contended.wait(60)
+                    return compute(*args)
+                finally:
+                    with guard:
+                        counts["active"] -= 1
+            return probed
+
+        monkeypatch.setattr(engine, "_compute", probe(engine._compute))
+        waits = REGISTRY.histogram("repro_engine_compute_wait_seconds")
+        before = waits.count
+        roots = []
+
+        def request(query):
+            def target():
+                with trace.new_trace("request") as root:
+                    engine.explain("stackoverflow", query)
+                roots.append(root)
+            return target
+
+        with trace.tracing(True):
+            _run_threads(request(BASE_QUERY), request(OTHER_QUERY))
+        assert counts["peak"] == 1
+        assert engine.computations == 2
+        assert waits.count - before == 1
+        assert sorted("compute_wait_ms" in root.attrs for root in roots) \
+            == [False, True]
+
+    def test_engines_do_not_share_the_gate(self, engine, so_small,
+                                           monkeypatch):
+        """Another engine (another tenant's) computes while this one holds
+        its gate mid-computation, and records no wait."""
+        other = ExplanationEngine(summary_cache_size=8)
+        other.register_bundle(so_small, config=small_config())
+        inside, release = threading.Event(), threading.Event()
+        compute = engine._compute
+
+        def held(*args):
+            inside.set()
+            assert release.wait(60)
+            return compute(*args)
+
+        monkeypatch.setattr(engine, "_compute", held)
+        waits = REGISTRY.histogram("repro_engine_compute_wait_seconds")
+        before = waits.count
+        miss = threading.Thread(target=engine.explain,
+                                args=("stackoverflow", BASE_QUERY))
+        miss.start()
+        computed = threading.Event()
+
+        def other_miss():
+            other.explain("stackoverflow", BASE_QUERY)
+            computed.set()
+
+        beside = threading.Thread(target=other_miss)
+        try:
+            assert inside.wait(60)
+            beside.start()
+            assert computed.wait(30), "the other engine waited for this gate"
+            assert engine._compute_gate.locked()
+            assert other.computations == 1
+            assert waits.count == before
+        finally:
+            release.set()
+            miss.join(timeout=120)
+            beside.join(timeout=120)
+        assert not miss.is_alive() and not beside.is_alive()
+
+    def test_stress_more_threads_than_cores(self, engine, monkeypatch):
+        """Eight distinct misses from four threads under a short switch
+        interval: never two computations at once, none lost."""
+        queries = [f"SELECT {a}, AVG(Salary) FROM SO GROUP BY {a}"
+                   for a in ("Country", "Role", "Continent", "Education",
+                             "Major", "AgeBand", "Gender", "Ethnicity")]
+        guard = threading.Lock()
+        counts = {"active": 0, "peak": 0}
+        compute = engine._compute
+
+        def probed(*args):
+            with guard:
+                counts["active"] += 1
+                counts["peak"] = max(counts["peak"], counts["active"])
+            try:
+                return compute(*args)
+            finally:
+                with guard:
+                    counts["active"] -= 1
+
+        def client(mine):
+            return lambda: [engine.explain("stackoverflow", q) for q in mine]
+
+        monkeypatch.setattr(engine, "_compute", probed)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(*(client(queries[i::4]) for i in range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts["peak"] == 1
+        assert engine.computations == len(queries)
+
+    def test_uncontended_miss_records_no_wait(self, engine):
+        waits = REGISTRY.histogram("repro_engine_compute_wait_seconds")
+        before = waits.count
+        engine.explain("stackoverflow", BASE_QUERY)
+        assert engine.computations == 1
+        assert waits.count == before
+
+    def test_hit_stats_and_plan_do_not_wait_for_a_miss(self, engine, gate,
+                                                       monkeypatch):
+        engine.explain("stackoverflow", BASE_QUERY)
+        inside, release = threading.Event(), threading.Event()
+        compute = engine._compute
+
+        def held(*args):
+            inside.set()
+            assert release.wait(60)
+            return compute(*args)
+
+        monkeypatch.setattr(engine, "_compute", held)
+        miss = threading.Thread(target=engine.explain,
+                                args=("stackoverflow", OTHER_QUERY))
+        miss.start()
+        try:
+            assert inside.wait(60)
+            assert gate.locked()
+            _, info = engine.explain_with_info("stackoverflow", BASE_QUERY)
+            assert info["cached"]
+            assert engine.stats()["summary_cache"]["hits"] == 1
+            assert engine.explain_plan("stackoverflow", OTHER_QUERY)["groups"]
+            assert gate.locked() and not gate.contended.is_set()
+        finally:
+            release.set()
+            miss.join(timeout=120)
+        assert not miss.is_alive()
+
+    def test_failed_computation_releases_the_gate(self, engine, monkeypatch):
+        compute = engine._compute
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return compute(*args)
+
+        monkeypatch.setattr(engine, "_compute", flaky)
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.explain("stackoverflow", BASE_QUERY)
+        assert not engine._compute_gate.locked()
+        _run_threads(lambda: engine.explain("stackoverflow", OTHER_QUERY))
+        assert engine.computations == 1
+
+    def test_same_fingerprint_coalesces_without_the_gate(self, engine, gate,
+                                                         monkeypatch):
+        """The follower waits on the leader's flight, never at the gate."""
+        waiting = threading.Event()
+        flight_class = engine_module._Flight
+
+        class Signalling(threading.Event):
+            def wait(self, timeout=None):
+                waiting.set()
+                return super().wait(timeout)
+
+        monkeypatch.setattr(engine_module, "_Flight",
+                            lambda: flight_class(done=Signalling()))
+        compute = engine._compute
+        monkeypatch.setattr(
+            engine, "_compute",
+            lambda *args: waiting.wait(60) and compute(*args))
+        results = []
+
+        def request():
+            results.append(engine.explain_with_info("stackoverflow",
+                                                    BASE_QUERY))
+
+        _run_threads(request, request)
+        assert engine.computations == 1
+        assert results[0][0] is results[1][0]
+        assert sorted(info["coalesced"] for _, info in results) \
+            == [False, True]
+        assert not gate.contended.is_set()
 
 
 class TestAppendRows:
