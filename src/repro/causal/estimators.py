@@ -166,6 +166,16 @@ class CATEEstimator:
                 self._bound.popitem(last=False)
         return bound
 
+    def release_bindings(self) -> int:
+        """Drop every memoized binding — its rows' ``table.take`` slice,
+        atom masks, factorisations and estimates — and return how many
+        there were.  The mask cache stays; a later :meth:`bind` rebinds
+        deterministically, so estimates keep their bits."""
+        with self._bound_lock:
+            released = len(self._bound)
+            self._bound.clear()
+        return released
+
     # ------------------------------------------------------------------ estimation
 
     def estimate(self, treatment: Pattern, subpopulation: Pattern | None = None,

@@ -40,7 +40,8 @@ bumps the dataset's monotonic data version, and invalidates the summaries
 tied to older versions.  Cached populations and WHERE masks outlive the
 append: the first request on the new version extends them from the rows it
 already filtered, each predicate mask evaluated on the appended rows only
-(:meth:`~repro.dataframe.MaskCache.extended`).
+(:meth:`~repro.dataframe.MaskCache.extended`); their bindings go at the
+append, since the extended population gets a fresh estimator.
 
 Results are *byte-identical* to fresh one-shot runs on the same canonical
 query: every cache level only removes recomputation, never changes inputs
@@ -571,8 +572,9 @@ class ExplanationEngine:
         data version are invalidated; cached populations and WHERE masks
         stay and are *extended* by the first request on the new version
         (``masks_carried`` counts the masks they hold), so nothing here
-        scans the table.  A batch of zero rows — ``[]`` or an empty
-        :class:`Table` — changes nothing.
+        scans the table.  Their estimators' bindings, which no request on
+        the new version can reuse, are released.  A batch of zero rows —
+        ``[]`` or an empty :class:`Table` — changes nothing.
 
         Appends are serialised against each other, but readers keep serving
         the old data version during the construction work; only the final
@@ -626,14 +628,19 @@ class ExplanationEngine:
                     np.arange(state.table.n_rows, new_table.n_rows))
                 state.store.append(batch, expected_version=state.version)
 
-            masks_carried = sum(
-                len(p.estimator.mask_cache)
-                for key, p in self._population_cache.items()
-                if key[0] == name and p.estimator.mask_cache is not None)
+            populations = [p for key, p in self._population_cache.items()
+                           if key[0] == name]
+            masks_carried = sum(len(p.estimator.mask_cache)
+                                for p in populations
+                                if p.estimator.mask_cache is not None)
             with self._datasets_lock:
                 invalidated = self._summary_cache.purge(
                     lambda key: key[0] == name)
                 self._datasets[name] = new_state
+            # The next request builds a fresh estimator over the carried
+            # masks (_population), so no old binding is reachable from it.
+            REGISTRY.counter("repro_engine_bindings_released_total").inc(
+                sum(p.estimator.release_bindings() for p in populations))
             return {"dataset": name, "version": new_state.version,
                     "appended_rows": appended.n_rows,
                     "n_rows": new_table.n_rows,

@@ -11,7 +11,7 @@ A cache may additionally participate in a shared
 and ``weigher=`` it weighs every inserted value (bytes), stamps each
 hit/insert with the budget's global recency clock, and lets the budget evict
 globally-least-recent entries across *all* attached caches when the summed
-bytes exceed the cap (the cross-engine memory budget of ROADMAP item (e)).
+bytes exceed the cap (the engine attaches only its summary cache).
 """
 
 from __future__ import annotations

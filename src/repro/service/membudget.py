@@ -1,9 +1,11 @@
-"""A byte-capped memory budget shared across engines (ROADMAP item (e)).
+"""A byte-capped budget for summary caches, shared across engines.
 
 Each :class:`~repro.service.ExplanationEngine` bounds its summary cache by
 *entry count*, which says nothing about memory: a deployment serving many
 datasets from many engines can blow past RAM with every individual cache
-"under capacity".  :class:`MemoryBudget` closes that gap: caches attach to
+"under capacity".  :class:`MemoryBudget` closes that gap for summaries
+(populations, WHERE masks and tables are not weighed; README "What memory
+holds" says what bounds them): caches attach to
 one shared budget, every inserted value is weighed (bytes), and when the
 *global* total exceeds the cap the budget evicts the globally
 least-recently-used entry — whichever cache it lives in — until the total

@@ -239,15 +239,18 @@ class StoredDataset:
         unlinked only after the commit):
 
         * **merge** (default): runs of adjacent shards smaller than
-          ``min_rows`` (default: the largest current shard) are rewritten
-          into shards of up to ``shard_rows`` rows (default: ``min_rows``),
-          preserving row order.  Right-sized shards are left untouched —
-          their bytes, fingerprints, and zone maps are not rewritten.
+          ``min_rows`` (default: ``shard_rows``, else the largest current
+          shard) are rewritten into shards of up to ``shard_rows`` rows
+          (default: the larger of ``min_rows`` and the largest current
+          shard), preserving row order.  Right-sized shards are left
+          untouched — their bytes, fingerprints, and zone maps are not
+          rewritten.
         * **re-cluster** (``cluster_by=<attribute>``): the *whole* dataset
           is stably sorted by the attribute (missing values last) and
-          rewritten into shards of ``shard_rows`` rows (default: the
-          largest current shard), which is what makes zone maps selective
-          for predicates over that attribute.
+          rewritten into shards of ``shard_rows`` rows (default as for
+          merge), which is what makes zone maps selective for predicates
+          over that attribute.  Each shard is one gather from the loaded
+          table; the sorted table is never materialised whole.
 
         Every rewritten shard gets fresh zone maps and content
         fingerprints.  ``version`` advances by one.  Live readers are
@@ -287,16 +290,15 @@ class StoredDataset:
             new_shards: list[ShardInfo] = []
             replaced: list[ShardInfo] = []
 
-            def rewrite(batch: Table) -> None:
+            def rewrite(table: Table, order: np.ndarray) -> None:
+                """Write ``table``'s rows in ``order`` as shards of
+                ``target`` rows, each gathered by its own ``take``."""
                 nonlocal seq
-                start = 0
-                while start < batch.n_rows:
-                    stop = min(start + target, batch.n_rows)
-                    part = batch.take(np.arange(start, stop))
+                for start in range(0, len(order), target):
                     new_shards.append(self._write_shard(
-                        committed, part, shard_seq=seq))
+                        committed, table.take(order[start:start + target]),
+                        shard_seq=seq))
                     seq += 1
-                    start = stop
 
             if cluster_by is not None:
                 table = self.load_table()
@@ -312,14 +314,15 @@ class StoredDataset:
                     order = np.concatenate([order[n_missing:],
                                             order[:n_missing]])
                 replaced = list(manifest.shards)
-                rewrite(table.take(order))
+                rewrite(table, order)
             else:
                 run: list[ShardInfo] = []
 
                 def flush_run() -> None:
                     if len(run) >= 2:
                         replaced.extend(run)
-                        rewrite(self._decode_shards(manifest, run))
+                        merged = self._decode_shards(manifest, run)
+                        rewrite(merged, np.arange(merged.n_rows))
                     else:
                         new_shards.extend(run)
                     run.clear()

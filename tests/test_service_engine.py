@@ -793,3 +793,61 @@ class TestAppendPath:
         manifest = store.dataset(self.NAME).reload()
         assert (manifest.version, len(manifest.shards)) == (0, 4)
         assert engine.explain_with_info(self.NAME, BASE_QUERY)[1]["cached"]
+
+
+class TestAppendReleasesBindings:
+    """An append releases what the new version cannot reuse: the next
+    request builds a fresh estimator over a cached population's carried
+    masks, so its old bindings (row slices, atom masks, factorisations,
+    estimates) go, while the masks stay."""
+
+    NAME = "stackoverflow"
+    QUERIES = TestAppendPath.QUERIES
+
+    def test_bindings_released_masks_kept(self, engine, so_small):
+        for query in self.QUERIES:
+            engine.explain(self.NAME, query)
+        populations = [p for key, p in engine._population_cache.items()
+                       if key[0] == self.NAME]
+        caches = [p.estimator.mask_cache for p in populations]
+        masks = [cache.stats() for cache in caches]
+        held = sum(len(p.estimator._bound) for p in populations)
+        released = REGISTRY.counter("repro_engine_bindings_released_total")
+        released_before = released.value
+        rows = so_small.table.take(range(40)).to_rows()
+        report = engine.append_rows(self.NAME, rows)
+        assert [len(p.estimator._bound) for p in populations] == \
+            [0] * len(populations)
+        assert held > 0 and released.value - released_before == held
+        assert [p.estimator.mask_cache for p in populations] == caches
+        assert [cache.stats() for cache in caches] == masks
+        assert report["masks_carried"] == sum(m.entries for m in masks) > 0
+
+        table = so_small.table.concat(
+            Table.from_rows(rows, schema=list(so_small.table.attributes)))
+        fresh = ExplanationEngine()
+        fresh.register_dataset(
+            self.NAME, table, so_small.dag, config=small_config(),
+            grouping_attributes=so_small.grouping_attributes,
+            treatment_attributes=so_small.treatment_attributes)
+        assert table.column("Salary").values.dtype == np.float64
+        for query in self.QUERIES:
+            assert _summary_payload(engine.explain(self.NAME, query)) == \
+                _summary_payload(fresh.explain(self.NAME, query))
+
+    def test_rebinding_after_a_release_keeps_the_bits(self, so_small):
+        from repro.causal import CATEEstimator
+        from repro.dataframe import Pattern
+
+        estimator = CATEEstimator(so_small.table, "Salary", so_small.dag,
+                                  min_group_size=5)
+        subpopulation = Pattern.of(("Gender", "=", "Male"))
+        treatments = [Pattern.of((attribute, "=", value))
+                      for attribute in ("Role", "Education", "Student")
+                      for value in so_small.table.domain(attribute)[:3]]
+        first = estimator.estimate_many(treatments, subpopulation)
+        assert estimator.release_bindings() == 1
+        assert estimator.release_bindings() == 0
+        again = estimator.estimate_many(treatments, subpopulation)
+        assert any(e.n_treated >= 5 for e in first)
+        assert [repr(e) for e in again] == [repr(e) for e in first]
