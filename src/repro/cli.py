@@ -36,6 +36,14 @@ from repro.service import ExplanationEngine, read_queries, run_batch, serve_loop
 from repro.sql import parse_query
 
 
+def _row_count(text: str) -> int:
+    """argparse type of ``--n``: a generated table has at least one row."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_source_arguments(parser: argparse.ArgumentParser,
                           query_help: str, required: bool = True) -> None:
     """The table/DAG/query source options shared by explain, serve, and batch."""
@@ -47,7 +55,7 @@ def _add_source_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--dag", type=Path,
                         help="causal DAG as JSON ({child: [parents...]}); "
                              "default: the dataset's DAG, or PC discovery for CSV input")
-    parser.add_argument("--n", type=int, default=2000,
+    parser.add_argument("--n", type=_row_count, default=2000,
                         help="number of tuples to generate for built-in datasets")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--k", type=int, default=5,
@@ -141,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     case = sub.add_parser("case-study", help="run one of the paper's case studies")
     case.add_argument("name", choices=sorted(CASE_STUDIES),
                       help="case-study identifier (paper figure)")
-    case.add_argument("--n", type=int, default=None, help="dataset size override")
+    case.add_argument("--n", type=_row_count, default=None, help="dataset size override")
     case.add_argument("--seed", type=int, default=0)
 
     store = sub.add_parser(

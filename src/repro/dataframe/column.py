@@ -360,11 +360,8 @@ class LazyColumn(Column):
 
 
 def _is_missing(value) -> bool:
-    if value is None:
-        return True
-    if isinstance(value, float) and np.isnan(value):
-        return True
-    return False
+    return value is None or (isinstance(value, (float, np.floating))
+                             and bool(np.isnan(value)))
 
 
 def _to_float(value) -> float:
@@ -405,24 +402,27 @@ def sorted_code_remap(values: Sequence) -> tuple[tuple, np.ndarray | None]:
 def _factorize(values) -> tuple[np.ndarray, tuple]:
     """Dictionary-encode raw values into ``(int32 codes, sorted vocab)``.
 
-    Values are normalised first (numpy scalars unwrapped, ``None``/``NaN`` to
-    the sentinel); the vocabulary order comes from :func:`sorted_code_remap`,
+    A ``str`` array holds no missing value and is encoded in C by
+    ``np.unique``. Other input is normalised once per distinct raw value, in
+    first-seen order (numpy scalars unwrapped, ``None``/``NaN`` to the
+    sentinel). The vocabulary order comes from :func:`sorted_code_remap`,
     matching :meth:`Column.unique`.
     """
-    n = len(values)
+    if isinstance(values, np.ndarray) and values.dtype.kind == "U":
+        distinct, inverse = np.unique(values, return_inverse=True)
+        vocab, remap = sorted_code_remap(distinct.tolist())
+        return (inverse if remap is None else remap[inverse]).astype(np.int32), vocab
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        values = values.tolist()  # one object per row, so a NaN finds its key
     first_seen: dict = {}
-    tmp = np.empty(n, dtype=np.int32)
-    for i, v in enumerate(values):
-        if _is_missing(v):
-            tmp[i] = MISSING_CODE
+    codes = dict.fromkeys(values)
+    for raw in codes:
+        if _is_missing(raw):
+            codes[raw] = MISSING_CODE
             continue
-        if isinstance(v, np.generic):
-            v = v.item()  # unwrap numpy scalars for clean reprs
-        code = first_seen.get(v)
-        if code is None:
-            code = len(first_seen)
-            first_seen[v] = code
-        tmp[i] = code
+        value = raw.item() if isinstance(raw, np.generic) else raw  # clean reprs
+        codes[raw] = first_seen.setdefault(value, len(first_seen))
+    tmp = np.fromiter(map(codes.__getitem__, values), np.int32, count=len(values))
     vocab, remap = sorted_code_remap(first_seen)
     return tmp if remap is None else remap[tmp], vocab
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataframe import Column, Table
-from repro.datasets.registry import DatasetBundle, register
+from repro.datasets.registry import DatasetBundle, choice_by, register
 from repro.graph import CausalDAG
 from repro.sql import GroupByAvgQuery
 
@@ -33,6 +33,8 @@ REGION_WEATHER_P = {
     "South": [0.48, 0.30, 0.02, 0.14, 0.06],
     "West": [0.58, 0.16, 0.06, 0.14, 0.06],
 }
+REGION_TEMPERATURE_P = {"Northeast": [0.25, 0.50, 0.25], "Midwest": [0.45, 0.40, 0.15],
+                        "South": [0.10, 0.45, 0.45], "West": [0.25, 0.50, 0.25]}
 
 
 def make_accidents(n: int = 6000, seed: int = 0) -> DatasetBundle:
@@ -42,16 +44,11 @@ def make_accidents(n: int = 6000, seed: int = 0) -> DatasetBundle:
     cities = rng.choice(city_names, size=n)
     region = np.array([CITIES[c] for c in cities], dtype=object)
 
-    weather = np.empty(n, dtype=object)
-    temperature = np.empty(n, dtype=object)
-    for i in range(n):
-        weather[i] = rng.choice(WEATHER, p=REGION_WEATHER_P[region[i]])
-        if region[i] == "Midwest":
-            temperature[i] = rng.choice(["Cold", "Mild", "Hot"], p=[0.45, 0.40, 0.15])
-        elif region[i] == "South":
-            temperature[i] = rng.choice(["Cold", "Mild", "Hot"], p=[0.10, 0.45, 0.45])
-        else:
-            temperature[i] = rng.choice(["Cold", "Mild", "Hot"], p=[0.25, 0.50, 0.25])
+    # Each row draws its weather, then its temperature.
+    uniforms = rng.random((n, 2))
+    weather = choice_by(uniforms[:, 0], (region,), REGION_WEATHER_P.get, WEATHER)
+    temperature = choice_by(uniforms[:, 1], (region,), REGION_TEMPERATURE_P.get,
+                            ["Cold", "Mild", "Hot"])
 
     visibility = np.where(
         np.isin(weather, ["Fog", "Snow"]) & (rng.random(n) < 0.7), "Low",
@@ -87,7 +84,7 @@ def make_accidents(n: int = 6000, seed: int = 0) -> DatasetBundle:
         Column("RoadType", road_type, numeric=False),
         Column("RushHour", rush_hour, numeric=False),
         Column("Daylight", daylight, numeric=False),
-        Column("Severity", [float(s) for s in severity], numeric=True),
+        Column("Severity", severity, numeric=True),
     ], name="accidents")
 
     dag = CausalDAG.from_dict({

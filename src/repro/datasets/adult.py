@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataframe import Column, Table
-from repro.datasets.registry import DatasetBundle, register
+from repro.datasets.registry import DatasetBundle, choice_by, register
 from repro.graph import CausalDAG
 from repro.sql import GroupByAvgQuery
 
@@ -52,25 +52,22 @@ def make_adult(n: int = 4000, seed: int = 0) -> DatasetBundle:
 
     # Education depends on sex and age (Section 6.2: males tend to have higher
     # education levels in this data).
-    education = np.empty(n, dtype=object)
-    for i in range(n):
+    def education_p(male, young):
         probs = np.array([0.34, 0.28, 0.22, 0.12, 0.04])
-        if sex[i] == "Male":
+        if male:
             probs = probs * np.array([0.9, 0.95, 1.1, 1.2, 1.3])
-        if age[i] < 25:
+        if young:
             probs = probs * np.array([1.4, 1.3, 0.7, 0.3, 0.1])
-        education[i] = rng.choice(EDUCATIONS, p=probs / probs.sum())
+        return probs / probs.sum()
 
-    # Marital status depends on age.
-    marital = np.empty(n, dtype=object)
-    for i in range(n):
-        if age[i] < 28:
-            probs = [0.25, 0.68, 0.06, 0.01]
-        elif age[i] < 50:
-            probs = [0.62, 0.20, 0.16, 0.02]
-        else:
-            probs = [0.60, 0.08, 0.22, 0.10]
-        marital[i] = rng.choice(MARITAL, p=probs)
+    education = choice_by(rng.random(n), (sex == "Male", age < 25), education_p,
+                          EDUCATIONS)
+
+    # Marital status depends on age: under 28, under 50, 50 and over.
+    marital_p = [[0.25, 0.68, 0.06, 0.01], [0.62, 0.20, 0.16, 0.02],
+                 [0.60, 0.08, 0.22, 0.10]]
+    marital = choice_by(rng.random(n), (np.digitize(age, [28, 50]),),
+                        marital_p.__getitem__, MARITAL)
 
     education_rank = {e: i for i, e in enumerate(EDUCATIONS)}
     logits = -1.2 * np.ones(n)
@@ -88,14 +85,14 @@ def make_adult(n: int = 4000, seed: int = 0) -> DatasetBundle:
     table = Table([
         Column("Occupation", occupations, numeric=False),
         Column("OccupationCategory", category, numeric=False),
-        Column("Age", [int(a) for a in age], numeric=True),
+        Column("Age", age, numeric=True),
         Column("Sex", sex, numeric=False),
         Column("Race", race, numeric=False),
         Column("Education", education, numeric=False),
         Column("MaritalStatus", marital, numeric=False),
         Column("Workclass", workclass, numeric=False),
-        Column("HoursPerWeek", [float(h) for h in hours], numeric=True),
-        Column("Income", [float(v) for v in income], numeric=True),
+        Column("HoursPerWeek", hours, numeric=True),
+        Column("Income", income, numeric=True),
     ], name="adult")
 
     dag = CausalDAG.from_dict({

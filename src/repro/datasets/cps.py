@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataframe import Column, Table
-from repro.datasets.registry import DatasetBundle, register
+from repro.datasets.registry import DatasetBundle, choice_by, register
 from repro.graph import CausalDAG
 from repro.sql import GroupByAvgQuery
 
@@ -45,22 +45,25 @@ def make_cps(n: int = 8000, seed: int = 0) -> DatasetBundle:
                        rng.choice(["Married", "Single"], size=n, p=[0.25, 0.75]),
                        rng.choice(["Married", "Single"], size=n, p=[0.6, 0.4])).astype(object)
 
-    education = np.empty(n, dtype=object)
-    for i in range(n):
+    def education_p(young):
         probs = np.array([0.08, 0.28, 0.28, 0.24, 0.12])
-        if age[i] < 24:
+        if young:
             probs = probs * np.array([1.3, 1.4, 1.2, 0.5, 0.1])
-        education[i] = rng.choice(EDUCATIONS, p=probs / probs.sum())
+        return probs / probs.sum()
+
+    education = choice_by(rng.random(n), (age < 24,), education_p, EDUCATIONS)
 
     education_rank = {e: i for i, e in enumerate(EDUCATIONS)}
-    occupation = np.empty(n, dtype=object)
-    for i in range(n):
+
+    def occupation_p(education):
         probs = np.array([0.12, 0.20, 0.25, 0.20, 0.23])
-        rank = education_rank[education[i]]
+        rank = education_rank[education]
         probs = probs * np.array([0.6 + 0.3 * rank, 0.5 + 0.4 * rank, 1.6 - 0.25 * rank,
                                   1.0, 1.5 - 0.25 * rank])
         probs = np.clip(probs, 0.02, None)
-        occupation[i] = rng.choice(OCC_CATEGORIES, p=probs / probs.sum())
+        return probs / probs.sum()
+
+    occupation = choice_by(rng.random(n), (education,), occupation_p, OCC_CATEGORIES)
 
     hours = np.clip(rng.normal(39, 9, size=n).round(), 5, 80)
 
@@ -82,13 +85,13 @@ def make_cps(n: int = 8000, seed: int = 0) -> DatasetBundle:
         Column("State", states, numeric=False),
         Column("Region", region, numeric=False),
         Column("WageLevel", wage_level, numeric=False),
-        Column("Age", [int(a) for a in age], numeric=True),
+        Column("Age", age, numeric=True),
         Column("Sex", sex, numeric=False),
         Column("MaritalStatus", marital, numeric=False),
         Column("Education", education, numeric=False),
         Column("OccupationCategory", occupation, numeric=False),
-        Column("HoursPerWeek", [float(h) for h in hours], numeric=True),
-        Column("Income", [float(v) for v in income], numeric=True),
+        Column("HoursPerWeek", hours, numeric=True),
+        Column("Income", income, numeric=True),
     ], name="cps")
 
     dag = CausalDAG.from_dict({

@@ -58,20 +58,20 @@ def make_german(n: int = 1000, seed: int = 0) -> DatasetBundle:
     logits += np.array([housing_effect[h] for h in housing])
     logits += 0.008 * (age - 35)
     logits += np.where(employment == "unemployed", -0.35, 0.0)
-    logits -= 0.00002 * (amount - amount.mean())
+    logits -= 0.00002 * (amount - (amount.mean() if n else 0.0))
     risk = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
 
     table = Table([
         Column("Purpose", purpose, numeric=False),
-        Column("Age", [int(a) for a in age], numeric=True),
+        Column("Age", age, numeric=True),
         Column("Employment", employment, numeric=False),
         Column("Housing", housing, numeric=False),
         Column("CheckingAccount", checking, numeric=False),
         Column("SavingsAccount", savings, numeric=False),
         Column("CreditHistory", history, numeric=False),
         Column("Duration", duration_bucket, numeric=False),
-        Column("CreditAmount", [float(a) for a in amount], numeric=True),
-        Column("RiskScore", [float(r) for r in risk], numeric=True),
+        Column("CreditAmount", amount, numeric=True),
+        Column("RiskScore", risk, numeric=True),
     ], name="german")
 
     dag = CausalDAG.from_dict({

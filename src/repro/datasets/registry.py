@@ -1,9 +1,11 @@
-"""Common dataset bundle type and name-based registry."""
+"""Common dataset bundle type, name-based registry and shared conditional draw."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from repro.dataframe import Table
 from repro.graph import CausalDAG
@@ -71,6 +73,34 @@ class DatasetBundle:
 
 
 _REGISTRY: dict[str, Callable[..., DatasetBundle]] = {}
+_P_SUM_ATOL = np.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_by(uniforms: np.ndarray, keys: tuple, probabilities: Callable,
+              values) -> np.ndarray:
+    """Row ``i`` draws from ``values`` with ``p = probabilities(*key_i)``, where
+    ``key_i`` is row ``i`` of the ``keys`` arrays (one call per distinct key).
+
+    ``p`` is checked and made a cdf as ``Generator.choice(values, p=p)`` does,
+    and row ``i`` takes the cdf's ``searchsorted`` of ``uniforms[i]``: the
+    values a per-row ``choice`` loop draws from these uniforms, bit for bit.
+    """
+    code = np.zeros(len(uniforms), dtype=np.intp)
+    for column in keys:
+        levels, inverse = np.unique(column, return_inverse=True)
+        code = code * len(levels) + inverse
+    picks = np.empty(len(uniforms), dtype=np.intp)
+    for group, first in zip(*np.unique(code, return_index=True)):
+        p = np.asarray(probabilities(*(column[first] for column in keys)),
+                       dtype=np.float64)
+        if p.shape != (len(values),) or (p < 0).any() \
+                or not abs(p.sum() - 1.0) <= _P_SUM_ATOL:
+            raise ValueError(f"p must be {len(values)} non-negatives summing to 1: {p}")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        rows = code == group
+        picks[rows] = cdf.searchsorted(uniforms[rows], side="right")
+    return np.asarray(values)[picks]
 
 
 def register(name: str):
@@ -95,6 +125,9 @@ def load_dataset(name: str, **kwargs) -> DatasetBundle:
     _ensure_loaded()
     if name not in _REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; available: {list_datasets()}")
+    n = kwargs.get("n")
+    if n is not None and n < 0:
+        raise ValueError(f"dataset {name!r}: n must be >= 0, got {n}")
     return _REGISTRY[name](**kwargs)
 
 

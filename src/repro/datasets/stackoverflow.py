@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataframe import Column, Table
-from repro.datasets.registry import DatasetBundle, register
+from repro.datasets.registry import DatasetBundle, choice_by, register
 from repro.graph import CausalDAG
 from repro.sql import GroupByAvgQuery
 
@@ -85,52 +85,54 @@ def make_stackoverflow(n: int = 4000, seed: int = 0) -> DatasetBundle:
 
     # Education depends on age (older people have had more time for degrees)
     # and mildly on gender (matches the Adult-dataset discussion in the paper).
-    education = np.empty(n, dtype=object)
-    for i in range(n):
+    def education_p(band, male):
         base = np.array([0.18, 0.45, 0.27, 0.10])
-        if age_band[i] == "Under 25":
+        if band == "Under 25":
             base = np.array([0.35, 0.50, 0.13, 0.02])
-        elif age_band[i] in ("45-54", "55+"):
+        elif band in ("45-54", "55+"):
             base = np.array([0.15, 0.40, 0.30, 0.15])
-        if gender[i] == "Male":
+        if male:
             base = base * np.array([1.0, 1.0, 1.05, 1.1])
-        education[i] = rng.choice(EDUCATIONS, p=base / base.sum())
+        return base / base.sum()
+
+    education = choice_by(rng.random(n), (age_band, gender == "Male"), education_p,
+                          EDUCATIONS)
 
     major = rng.choice(MAJORS, size=n, p=[0.55, 0.12, 0.10, 0.13, 0.10])
     student = np.where((age_band == "Under 25") & (rng.random(n) < 0.55), "Yes",
                        np.where(rng.random(n) < 0.05, "Yes", "No")).astype(object)
 
-    years_coding = np.empty(n, dtype=object)
-    for i in range(n):
-        if age_band[i] == "Under 25":
-            years_coding[i] = rng.choice(["0-2", "3-5", "6-10"], p=[0.55, 0.35, 0.10])
-        elif age_band[i] == "25-34":
-            years_coding[i] = rng.choice(["0-2", "3-5", "6-10", "11-20"],
-                                         p=[0.10, 0.35, 0.40, 0.15])
-        elif age_band[i] == "35-44":
-            years_coding[i] = rng.choice(["3-5", "6-10", "11-20", "20+"],
-                                         p=[0.10, 0.30, 0.45, 0.15])
-        else:
-            years_coding[i] = rng.choice(["6-10", "11-20", "20+"], p=[0.15, 0.40, 0.45])
+    # Each band's bins, zero-padded to all five: a leading or trailing 0 leaves
+    # the cdf's searchsorted landing on the same bin.
+    years_p = {"Under 25": [0.55, 0.35, 0.10, 0, 0], "25-34": [0.10, 0.35, 0.40, 0.15, 0],
+               "35-44": [0, 0.10, 0.30, 0.45, 0.15]}
     years_effect = {"0-2": -10, "3-5": -2, "6-10": 6, "11-20": 10, "20+": 4}
+    years_coding = choice_by(rng.random(n), (age_band,),
+                             lambda band: years_p.get(band, [0, 0, 0.15, 0.40, 0.45]),
+                             list(years_effect))
 
     # Role depends on education, major, years coding, and age (Figure 3).
-    role = np.empty(n, dtype=object)
-    for i in range(n):
+    def role_p(advanced, senior, cs_major, is_student):
         probs = np.ones(len(ROLES))
-        if education[i] in ("Master's degree", "PhD"):
+        if advanced:
             probs[ROLES.index("Data Scientist")] += 2.0
             probs[ROLES.index("Machine learning specialist")] += 2.0
-        if years_coding[i] in ("11-20", "20+") and age_band[i] in ("35-44", "45-54", "55+"):
+        if senior:
             probs[ROLES.index("C-suite executive")] += 2.5
             probs[ROLES.index("Product manager")] += 1.5
-        if major[i] == "C.S":
+        if cs_major:
             probs[ROLES.index("Back-end developer")] += 1.0
             probs[ROLES.index("Full-stack developer")] += 1.0
-        if student[i] == "Yes":
+        if is_student:
             probs[ROLES.index("QA developer")] += 1.0
             probs[ROLES.index("C-suite executive")] = 0.05
-        role[i] = rng.choice(ROLES, p=probs / probs.sum())
+        return probs / probs.sum()
+
+    senior = (np.isin(years_coding, ["11-20", "20+"])
+              & np.isin(age_band, ["35-44", "45-54", "55+"]))
+    role = choice_by(rng.random(n), (np.isin(education, ["Master's degree", "PhD"]),
+                                     senior, major == "C.S", student == "Yes"),
+                     role_p, ROLES)
 
     dependents = rng.choice(["Yes", "No"], size=n, p=[0.35, 0.65])
     hobby = rng.choice(["Yes", "No"], size=n, p=[0.8, 0.2])
@@ -174,7 +176,7 @@ def make_stackoverflow(n: int = 4000, seed: int = 0) -> DatasetBundle:
         Column("SexualOrientation", sexual_orientation, numeric=False),
         Column("HoursComputer", hours_computer, numeric=False),
         Column("Exercise", exercise, numeric=False),
-        Column("Salary", [float(s) for s in salary], numeric=True),
+        Column("Salary", salary, numeric=True),
     ], name="stackoverflow")
 
     dag = CausalDAG.from_dict({

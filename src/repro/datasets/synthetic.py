@@ -33,7 +33,7 @@ def make_synthetic(n: int = 1000, n_grouping: int = 3, n_treatment: int = 4,
     rng = np.random.default_rng(seed)
 
     group_ids = np.arange(1, n + 1)
-    columns = [Column("G", [int(v) for v in group_ids], numeric=False)]
+    columns = [Column("G", group_ids, numeric=False)]
 
     grouping_names = []
     for g in range(1, n_grouping + 1):
@@ -50,7 +50,7 @@ def make_synthetic(n: int = 1000, n_grouping: int = 3, n_treatment: int = 4,
         treatment_names.append(name)
         values = rng.integers(1, 6, size=n)
         treatment_values.append(values)
-        columns.append(Column(name, [int(v) for v in values], numeric=False))
+        columns.append(Column(name, values, numeric=False))
 
     signs = np.array([(-1.0) ** t for t in range(n_treatment)])  # O = T1 - T2 + T3 - ...
     outcome = np.zeros(n)
@@ -60,7 +60,7 @@ def make_synthetic(n: int = 1000, n_grouping: int = 3, n_treatment: int = 4,
         true_effects[treatment_names[idx]] = float(signs[idx])
     if noise > 0:
         outcome = outcome + rng.normal(0.0, noise, size=n)
-    columns.append(Column("O", [float(v) for v in outcome], numeric=True))
+    columns.append(Column("O", outcome, numeric=True))
 
     table = Table(columns, name="synthetic")
 

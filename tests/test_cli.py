@@ -24,6 +24,18 @@ class TestParser:
                                        "--csv", str(tmp_path / "x.csv")])
 
 
+    @pytest.mark.parametrize("argv", [
+        ["explain", "--dataset", "accidents", "--n", "-1"],
+        ["store", "import", "s", "--dataset", "cps", "--n", "0"],
+        ["case-study", "figure7_accidents", "--n", "0"],
+    ])
+    def test_row_count_below_one_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_list_datasets(self, capsys):
         assert main(["list-datasets"]) == 0

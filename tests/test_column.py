@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataframe import Column
+from repro.dataframe.column import MISSING_CODE, _factorize, sorted_code_remap
 
 
 class TestConstruction:
@@ -53,6 +55,17 @@ class TestMissingValues:
     def test_nan_counts_as_missing_categorical(self):
         col = Column("x", ["a", float("nan"), "b"])
         assert col.n_missing() == 1
+
+    def test_numpy_floating_nan_is_missing(self):
+        col = Column("x", [np.float32("nan")] * 2 + ["a"], numeric=False)
+        assert col.vocab == ("a",)
+        assert col.codes.tolist() == [MISSING_CODE, MISSING_CODE, 0]
+        assert col.n_missing() == 2
+
+    def test_nan_in_a_float_array_is_missing(self):
+        col = Column("x", np.array([1.0, np.nan, 1.0, np.nan]), numeric=False)
+        assert col.vocab == (1.0,)
+        assert col.codes.tolist() == [0, MISSING_CODE, 0, MISSING_CODE]
 
 
 class TestOperations:
@@ -105,3 +118,62 @@ class TestOperations:
 
     def test_equality_with_nan(self):
         assert Column("x", [1.0, None]) == Column("x", [1.0, None])
+
+
+def _per_row_factorize(values):
+    """The encoder as one loop over rows: the reference for ``_factorize``."""
+    first_seen: dict = {}
+    codes = np.empty(len(values), dtype=np.int32)
+    for i, value in enumerate(values):
+        if value is None or (isinstance(value, (float, np.floating))
+                             and np.isnan(value)):
+            codes[i] = MISSING_CODE
+            continue
+        if isinstance(value, np.generic):
+            value = value.item()
+        codes[i] = first_seen.setdefault(value, len(first_seen))
+    vocab, remap = sorted_code_remap(first_seen)
+    return codes if remap is None else remap[codes], vocab
+
+
+_RAW_VALUE = st.one_of(
+    st.none(),
+    st.builds(lambda: float("nan")),  # a distinct NaN object per draw
+    st.just(np.float32("nan")),
+    st.sampled_from([1, True, 1.0, 0, False, 0.0, 2.5, -3]),
+    st.text(max_size=3),  # non-ASCII included
+    st.text(max_size=3).map(np.str_),
+    st.integers(-2, 2).map(np.int64),
+)
+
+
+def _assert_same_encoding(values):
+    codes, vocab = _factorize(values)
+    ref_codes, ref_vocab = _per_row_factorize(values)
+    assert codes.dtype == np.int32
+    assert codes.tolist() == ref_codes.tolist()
+    assert vocab == ref_vocab
+    assert [type(v) for v in vocab] == [type(v) for v in ref_vocab]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RAW_VALUE, max_size=40))
+def test_factorize_equals_the_per_row_loop(values):
+    _assert_same_encoding(values)
+    _assert_same_encoding(np.array(values, dtype=object))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=4), max_size=40))
+def test_factorize_of_a_str_array_equals_the_per_row_loop(strings):
+    values = np.array(strings, dtype=str)
+    assert values.dtype.kind == "U"
+    _assert_same_encoding(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=True, width=32),
+                          st.sampled_from([0.0, 1.0, -0.0])), max_size=40))
+def test_factorize_of_a_float_array_equals_the_per_row_loop(floats):
+    _assert_same_encoding(np.array(floats, dtype=np.float64))
+    _assert_same_encoding(np.array(floats, dtype=np.float32))

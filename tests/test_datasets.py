@@ -1,10 +1,15 @@
 """Unit tests for the dataset generators and registry."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataframe import fd_holds
 from repro.datasets import list_datasets, load_dataset
+from repro.datasets.registry import choice_by
 from repro.sql import AggregateView
 
 ALL_DATASETS = ["synthetic", "stackoverflow", "adult", "german", "accidents", "cps"]
@@ -148,3 +153,144 @@ class TestAccidentsSemantics:
         midwest_snow = midwest.value_counts("Weather").get("Snow", 0) / midwest.n_rows
         south_snow = south.value_counts("Weather").get("Snow", 0) / max(south.n_rows, 1)
         assert midwest_snow > south_snow
+
+
+# sha256 (first 16 hex digits) over every column's codes, vocabulary (values
+# and types) and float bytes, plus the generator's state after the last draw.
+# Recorded from the per-row ``rng.choice`` loops the generators used before
+# they drew with ``choice_by``; any byte that moves fails here.
+PINNED_DIGESTS = {
+    "synthetic/777/0": "4e442885167c6d86",
+    "synthetic/777/9": "d2527645f6c828a1",
+    "synthetic/5000/0": "0abb7ab4cccbc35a",
+    "synthetic/5000/9": "2a8d4f2abc2d01a7",
+    "stackoverflow/0/0": "d4be672f20b2eefc",
+    "stackoverflow/0/9": "1b4f4d15126e888f",
+    "stackoverflow/1/0": "8c9930245235d2cd",
+    "stackoverflow/1/9": "62c5f1e0b3645994",
+    "stackoverflow/777/0": "fba5ba56aefed831",
+    "stackoverflow/777/9": "0fcde0ee2ec96241",
+    "stackoverflow/5000/0": "c20a3551ff925c5c",
+    "stackoverflow/5000/9": "01e0c1a5fc98e528",
+    "adult/0/0": "748a30d136a82da3",
+    "adult/0/9": "36cc13acc062d988",
+    "adult/1/0": "f0dae2e1b8e77783",
+    "adult/1/9": "06177eb7724edf18",
+    "adult/777/0": "c7924357d0a3d442",
+    "adult/777/9": "8e150448928894fb",
+    "adult/5000/0": "d4e04ac0a48a321f",
+    "adult/5000/9": "6ffab6a4bf3270a6",
+    "german/0/0": "9c6b400aad42078a",
+    "german/0/9": "1edc65af1944f5c1",
+    "german/1/0": "351c62e36af0f46b",
+    "german/1/9": "54bf9fe8bd9cd4d5",
+    "german/777/0": "ec674083dbf7d154",
+    "german/777/9": "190b99033509ca91",
+    "german/5000/0": "a8c971496eb4d586",
+    "german/5000/9": "f1ed3eedf0a40577",
+    "accidents/0/0": "20b5b3e4d4fe383d",
+    "accidents/0/9": "bfc6788f9dc31f79",
+    "accidents/1/0": "3b317c25d2a783aa",
+    "accidents/1/9": "60bc6e5dea8e7008",
+    "accidents/777/0": "f0db8789e95501b0",
+    "accidents/777/9": "79e061071db9a012",
+    "accidents/5000/0": "1838d48a1fb1af31",
+    "accidents/5000/9": "16c266821907c85e",
+    "cps/0/0": "7ddd2b19ca747c11",
+    "cps/0/9": "16c805d4527e1e2b",
+    "cps/1/0": "48a65a9c578d60a0",
+    "cps/1/9": "fde529e3c0de1cc9",
+    "cps/777/0": "2a8a5588af72ea00",
+    "cps/777/9": "1743e92a18a94bcd",
+    "cps/5000/0": "bffa5beadf227245",
+    "cps/5000/9": "41db082f8f5ada18",
+}
+
+
+def _table_digest(table, rng) -> str:
+    digest = hashlib.sha256()
+    for column in table.columns():
+        digest.update(repr((column.name, column.numeric)).encode())
+        if column.numeric:
+            digest.update(column.values.dtype.str.encode() + column.values.tobytes())
+        else:
+            digest.update(column.codes.dtype.str.encode() + column.codes.tobytes())
+            digest.update(repr([(v, type(v).__name__) for v in column.vocab]).encode())
+    digest.update(repr(rng.bit_generator.state).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", ALL_DATASETS)
+@pytest.mark.parametrize("n", [0, 1, 777, 5000])
+def test_generated_bytes_are_pinned(name, n, monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: made.append(default_rng(*a, **k)) or made[-1])
+    kwargs = {"noise": 0.5} if name == "synthetic" else {}
+    for seed in (0, 9):
+        if name == "synthetic" and n < 2:
+            with pytest.raises(ValueError):
+                load_dataset(name, n=n, seed=seed, **kwargs)
+            continue
+        made.clear()
+        bundle = load_dataset(name, n=n, seed=seed, **kwargs)
+        assert _table_digest(bundle.table, made[0]) == \
+            PINNED_DIGESTS[f"{name}/{n}/{seed}"]
+
+
+def _probability_table(draw, k):
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 10.0)),
+                            min_size=k, max_size=k).filter(any))
+    return list(np.asarray(weights) / sum(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_choice_by_matches_a_per_row_choice_loop(data):
+    k = data.draw(st.integers(1, 6))
+    values = [f"v{i}" for i in range(k)]
+    tables = [_probability_table(data.draw, k)
+              for _ in range(data.draw(st.integers(1, 4)))]
+    keys = np.array(data.draw(st.lists(st.integers(0, len(tables) - 1), max_size=60)),
+                    dtype=np.int64)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    loop_rng, bulk_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = [loop_rng.choice(values, p=tables[key]) for key in keys]
+    got = choice_by(bulk_rng.random(len(keys)), (keys,), tables.__getitem__, values)
+    assert list(got) == expected
+    assert loop_rng.random() == bulk_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_choice_by_refuses_what_choice_refuses(data):
+    values = ["a", "b", "c"]
+    p = data.draw(st.one_of(
+        st.lists(st.floats(-1.0, 2.0), min_size=3, max_size=3),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+        st.lists(st.sampled_from([0.5, 0.25, float("nan"), float("inf")]),
+                 min_size=3, max_size=3),
+        st.just([[0.5, 0.5, 0.0]]),
+    ))
+    refusals = []
+    for draw in (lambda rng: rng.choice(values, p=p),
+                 lambda rng: choice_by(rng.random(2), (np.zeros(2),), lambda _: p,
+                                       values)):
+        try:
+            draw(np.random.default_rng(0))
+            refusals.append(False)
+        except ValueError:
+            refusals.append(True)
+    assert refusals[0] == refusals[1]
+
+
+class TestRowCount:
+    def test_negative_n_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"'accidents'.*-1"):
+            load_dataset("accidents", n=-1)
+
+    def test_empty_german_table_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_dataset("german", n=0).table.n_rows == 0
