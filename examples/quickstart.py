@@ -11,7 +11,6 @@ Run with:  python examples/quickstart.py
 """
 
 from repro import CauSumX, CauSumXConfig, AggregateView, load_dataset, render_summary
-from repro.viz import annotated_view_barchart
 
 
 def main() -> None:
@@ -28,8 +27,9 @@ def main() -> None:
         treatment_attributes=bundle.treatment_attributes,
     )
 
-    print("Aggregate view with insight markers (Figure 1 analogue):\n")
-    print(annotated_view_barchart(view, summary))
+    print("Aggregate view (Figure 1 analogue):\n")
+    for group in view.groups:
+        print(f"  {group.label():<20} {group.average:10.1f}")
 
     print("\nCauSumX explanation summary (Figure 2 analogue):\n")
     print(render_summary(summary, outcome="annual salary"))

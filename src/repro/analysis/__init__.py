@@ -1,6 +1,6 @@
 """Project-invariant static analysis and runtime lock-order detection.
 
-Static side: an AST lint engine (:mod:`repro.analysis.core`) with six
+Static side: an AST lint engine (:mod:`repro.analysis.core`) with eight
 project rules —
 
 ========  ===========================  ==============================================
@@ -10,6 +10,8 @@ RL003     dtype-discipline             explicit dtypes in kernel array construct
 RL004     encoding-immutability        no ``_codes``/``_vocab`` writes outside column.py
 RL005     atomic-commit                storage writes go through tmp + ``os.replace``
 RL006     fingerprint-determinism      no order/time/randomness in cache-key modules
+RL007     trust-boundary               no import of a code-executing deserializer
+RL008     unreached-module             every module reached from an entry point
 ========  ===========================  ==============================================
 
 — run via ``repro lint`` or ``python -m repro.analysis``.

@@ -225,7 +225,8 @@ def register(cls):
 
 def all_rules() -> list:
     """Registered rule classes, importing the bundled rule modules first."""
-    from . import rules_arrays, rules_determinism, rules_locks, rules_storage  # noqa: F401
+    from . import (rules_arrays, rules_determinism, rules_locks,  # noqa: F401
+                   rules_reach, rules_storage)
     return [RULE_REGISTRY[rule_id] for rule_id in sorted(RULE_REGISTRY)]
 
 

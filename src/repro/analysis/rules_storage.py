@@ -178,12 +178,14 @@ class AtomicCommitRule(Rule):
 _CODE_LOADERS = ("pickle", "cPickle", "_pickle", "marshal", "shelve", "dill")
 
 
-def _imported_modules(node: ast.AST) -> list[str]:
-    """Module names an import statement loads."""
+def _imported_modules(node: ast.AST, package: tuple | None = None) -> list[str]:
+    """Module names an import statement loads; a relative import resolves
+    against ``package`` (the importer's parts under ``repro``) or is skipped."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
-    if isinstance(node, ast.ImportFrom) and node.level == 0:
-        return [node.module or ""]
+    if isinstance(node, ast.ImportFrom) and (node.level == 0 or package is not None):
+        base = ["repro", *package[:len(package) + 1 - node.level]] if node.level else []
+        return [".".join(base + [node.module or ""]).strip(".")]
     return []
 
 

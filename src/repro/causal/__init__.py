@@ -9,15 +9,8 @@ from repro.causal.estimators import (
     estimate_ate,
     estimate_cate,
 )
-from repro.causal.propensity import ipw_ate, propensity_scores
-from repro.causal.matching import matching_ate
-from repro.causal.bootstrap import BootstrapInterval, bootstrap_cate
-from repro.causal.assumptions import overlap_holds, check_positivity
 
 __all__ = [
-    "matching_ate",
-    "BootstrapInterval",
-    "bootstrap_cate",
     "EffectEstimate",
     "OLSResult",
     "ols_fit",
@@ -26,8 +19,4 @@ __all__ = [
     "naive_difference_in_means",
     "estimate_ate",
     "estimate_cate",
-    "ipw_ate",
-    "propensity_scores",
-    "overlap_holds",
-    "check_positivity",
 ]

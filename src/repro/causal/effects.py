@@ -21,7 +21,7 @@ class EffectEstimate:
     n_treated / n_control:
         Number of treated and control units the estimate is based on.
     estimator:
-        Name of the estimation strategy ("linear_regression", "ipw", "naive").
+        Name of the estimation strategy ("linear_regression", "naive").
     """
 
     value: float

@@ -15,12 +15,8 @@ from repro.core.export import (
     pattern_to_dict,
     pattern_from_dict,
 )
-from repro.core.validation import ValidationIssue, ValidationReport, validate_inputs
 
 __all__ = [
-    "ValidationIssue",
-    "ValidationReport",
-    "validate_inputs",
     "EncodedSummary",
     "SummaryCodecError",
     "decode_summary",

@@ -20,14 +20,9 @@ from repro.dataframe.maskcache import CacheStats, MaskCache
 from repro.dataframe.table import Table
 from repro.dataframe.functional_deps import fd_holds, fd_closure, grouping_attribute_partition
 from repro.dataframe.encoding import design_matrix, one_hot
-from repro.dataframe.binning import bin_edges, bin_label, discretize, discretize_column
 from repro.dataframe.io import read_csv, write_csv
 
 __all__ = [
-    "bin_edges",
-    "bin_label",
-    "discretize",
-    "discretize_column",
     "CacheStats",
     "Column",
     "GroupByIndex",

@@ -1,6 +1,6 @@
 """Evaluation metrics: coverage, explainability, mining accuracy, rank agreement."""
 
-from repro.metrics.quality import summary_quality, coverage_of, total_explainability_of
+from repro.metrics.quality import summary_quality
 from repro.metrics.accuracy import (
     tuple_set_precision_recall,
     grouping_accuracy,
@@ -10,8 +10,6 @@ from repro.metrics.ranking import kendall_tau, top_k_overlap
 
 __all__ = [
     "summary_quality",
-    "coverage_of",
-    "total_explainability_of",
     "tuple_set_precision_recall",
     "grouping_accuracy",
     "treatment_accuracy",

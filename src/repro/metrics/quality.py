@@ -5,16 +5,6 @@ from __future__ import annotations
 from repro.core.patterns import ExplanationSummary
 
 
-def coverage_of(summary: ExplanationSummary) -> float:
-    """Fraction of the view's groups covered by the summary."""
-    return summary.coverage
-
-
-def total_explainability_of(summary: ExplanationSummary) -> float:
-    """The optimisation objective value achieved by the summary."""
-    return summary.total_explainability
-
-
 def summary_quality(summary: ExplanationSummary) -> dict:
     """A dictionary of the quality measures reported across the evaluation."""
     return {

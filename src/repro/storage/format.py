@@ -127,10 +127,6 @@ def sweep_temp_files(directory: Path) -> int:
     return removed
 
 
-def fingerprint_bytes(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()
-
-
 def fingerprint_file(path: Path) -> str:
     digest = hashlib.sha256()
     with Path(path).open("rb") as handle:

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.analysis` — the lint engine, all seven rules, the
+"""Tests for :mod:`repro.analysis` — the lint engine, all eight rules, the
 CLI exit-code contract, and the runtime lockwatch."""
 
 import ast
@@ -110,9 +110,10 @@ class TestEngine:
         assert payload["summary"]["by_rule"] == {"RL003": 1}
         assert payload["exit_code"] == 1
 
-    def test_rule_registry_covers_all_seven(self):
+    def test_rule_registry_covers_all_eight(self):
         assert [cls.id for cls in all_rules()] == [
-            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"]
+            "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
+            "RL008"]
 
 
 class TestSuppressions:
@@ -566,6 +567,63 @@ def read(path):
         return json.dumps(archive.files)
 """)
         assert lint(tmp_path, select=["RL007"]).findings == []
+
+
+# ---------------------------------------------------------------------- RL008
+
+
+def write_entry_point(tmp_path: Path) -> None:
+    """``repro/__main__.py`` reaches ``repro.cli`` and, by a name the
+    package ``__init__`` re-exports, ``repro.core.engine``."""
+    write_module(tmp_path, "__main__.py", "from repro.cli import main\n")
+    write_module(tmp_path, "cli.py", "from repro.core import Engine\n")
+    write_module(tmp_path, "core/__init__.py",
+                 "from repro.core.engine import Engine\n"
+                 "from repro.core.extra import helper\n")
+    write_module(tmp_path, "core/engine.py", "class Engine:\n    pass\n")
+    write_module(tmp_path, "core/extra.py", "def helper():\n    pass\n")
+
+
+def unreached(tmp_path: Path) -> list:
+    report = lint(tmp_path, select=["RL008"])
+    assert all(f.severity == "error" for f in report.findings)
+    return [f.path for f in report.findings]
+
+
+class TestUnreachedModule:
+    def test_module_a_root_reaches_is_not_reported(self, tmp_path):
+        write_entry_point(tmp_path)
+        write_module(tmp_path, "cli.py", "from repro.core import Engine\n"
+                                         "from repro.core.extra import helper\n")
+        write_module(tmp_path, "analysis/__main__.py", "from . import rules\n")
+        write_module(tmp_path, "analysis/rules.py", "")
+        assert unreached(tmp_path) == []
+
+    def test_orphan_module_is_reported(self, tmp_path):
+        write_entry_point(tmp_path)
+        write_module(tmp_path, "cli.py", "from repro.core import Engine, helper\n")
+        write_module(tmp_path, "orphan/chart.py", "import numpy as np\n")
+        assert unreached(tmp_path) == ["repro/orphan/chart.py"]
+        report = lint(tmp_path, select=["RL008"])
+        assert "`repro.orphan.chart`" in report.findings[0].message
+
+    def test_module_only_an_init_reexports_is_reported(self, tmp_path):
+        write_entry_point(tmp_path)
+        assert unreached(tmp_path) == ["repro/core/extra.py"]
+
+    def test_root_package_init_is_followed(self, tmp_path):
+        write_entry_point(tmp_path)
+        write_module(tmp_path, "experiments/__init__.py",
+                     "from repro.experiments.sweeps import sweep_k\n")
+        write_module(tmp_path, "experiments/sweeps.py",
+                     "from ..core.extra import helper\n")
+        assert unreached(tmp_path) == []
+
+    def test_silent_without_repro_main(self, tmp_path):
+        write_entry_point(tmp_path)
+        (tmp_path / "repro" / "__main__.py").unlink()
+        write_module(tmp_path, "orphan/chart.py", "")
+        assert unreached(tmp_path) == []
 
 
 # ---------------------------------------------------------------------- RL006

@@ -166,16 +166,6 @@ def test_ordered_predicate_on_slice_ignores_absent_unorderable_vocab():
         Predicate("m", Op.LT, "b").evaluate(table)
 
 
-def test_discretize_preserves_overflow_bin_for_large_magnitudes():
-    from repro.dataframe import discretize_column
-
-    table = Table.from_columns({"x": [1e20, 2e20, 3e20, 4e20, 5e20]})
-    column = discretize_column(table, "x", n_bins=2)
-    assert column.values[0] == "<= 3e+20"
-    assert column.values[3] == "> 3e+20"
-    assert column.values[4] == "> 3e+20"
-
-
 def test_bool_scalar_against_non_numeric_target_falls_back_to_equality():
     assert not Predicate("a", Op.EQ, "yes").evaluate_value(True)
     assert Predicate("a", Op.NE, "yes").evaluate_value(True)

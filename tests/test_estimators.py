@@ -11,10 +11,7 @@ from repro.causal import (
     EffectEstimate,
     estimate_ate,
     estimate_cate,
-    ipw_ate,
     naive_difference_in_means,
-    overlap_holds,
-    check_positivity,
 )
 from repro.causal.ols import FactoredDesign
 from repro.dataframe import Column, Pattern, Table
@@ -34,18 +31,6 @@ class TestEffectEstimate:
         bad = EffectEstimate.undefined(5, 0)
         assert not bad.is_valid()
         assert not bad.is_significant()
-
-
-class TestAssumptions:
-    def test_overlap(self):
-        assert overlap_holds(np.array([True, False]))
-        assert not overlap_holds(np.array([True, True]))
-        assert not overlap_holds(np.array([False, False]))
-
-    def test_positivity_min_size(self):
-        mask = np.array([True] * 3 + [False] * 20)
-        assert check_positivity(mask, min_group_size=3)
-        assert not check_positivity(mask, min_group_size=5)
 
 
 class TestNaive:
@@ -195,25 +180,6 @@ class TestAdjustment:
         assert len(results) == 2
         # Treating "T=0" flips the sign of the effect.
         assert results[0].value == pytest.approx(-results[1].value, rel=0.2)
-
-
-class TestIPW:
-    def test_ipw_close_to_regression(self, confounded_table):
-        effect = ipw_ate(confounded_table, Pattern.of(("T", "=", 1)), "Y",
-                         adjustment=["Z"])
-        assert effect.estimator == "ipw"
-        assert effect.value == pytest.approx(5.0, abs=0.6)
-
-    def test_ipw_without_adjustment_is_naive_like(self, confounded_table):
-        effect = ipw_ate(confounded_table, Pattern.of(("T", "=", 1)), "Y")
-        naive = naive_difference_in_means(
-            confounded_table.column("Y").values,
-            confounded_table.column("T").values == 1)
-        assert effect.value == pytest.approx(naive.value, abs=0.3)
-
-    def test_ipw_overlap_violation(self, confounded_table):
-        effect = ipw_ate(confounded_table, Pattern.of(("Y", ">", -1e12)), "Y")
-        assert not effect.is_valid()
 
 
 def _bits(estimate: EffectEstimate) -> tuple:

@@ -1,4 +1,4 @@
-"""Tests for summary export (JSON / Markdown) and ASCII visualisation."""
+"""Tests for summary export (JSON / Markdown)."""
 
 import json
 
@@ -17,8 +17,6 @@ from repro.core import (
 from repro.dataframe import Pattern
 from repro.mining.grouping import GroupingPattern
 from repro.mining.treatments import TreatmentCandidate
-from repro.sql import AggregateView, GroupByAvgQuery
-from repro.viz import annotated_view_barchart, view_barchart
 
 
 @pytest.fixture
@@ -75,28 +73,3 @@ class TestSummaryExport:
         summary = ExplanationSummary([pattern], tuple(small_view.group_keys()),
                                      k=1, theta=0.3)
         assert "| negative | — | — | — |" in summary_to_markdown(summary)
-
-
-class TestVisualisation:
-    def test_barchart_contains_every_group(self, small_view):
-        chart = view_barchart(small_view)
-        for group in small_view:
-            assert group.label() in chart
-
-    def test_barchart_orders_by_average(self, small_view):
-        lines = view_barchart(small_view).splitlines()
-        assert lines[0].startswith("US")  # highest average salary first
-
-    def test_annotated_barchart_markers_and_legend(self, small_view, summary):
-        chart = annotated_view_barchart(small_view, summary)
-        assert "legend:" in chart
-        assert "Continent == 'Asia'" in chart
-        # US is not covered by the single Asia pattern.
-        us_line = next(line for line in chart.splitlines() if line.startswith("US"))
-        assert "·" in us_line
-
-    def test_empty_view_handled(self, simple_table):
-        query = GroupByAvgQuery(group_by="Country", average="Salary",
-                                where=Pattern.of(("Age", ">", 200)))
-        view = AggregateView(simple_table, query)
-        assert view_barchart(view) == "(empty view)"

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from repro import CauSumX, CauSumXConfig
-from repro.causal import CATEEstimator, EffectEstimate, check_positivity
+from repro.causal import CATEEstimator, EffectEstimate
 from repro.causal.estimators import BoundSubpopulation
 from repro.causal.ols import (
     _COLLINEAR_TOL,
@@ -104,7 +104,7 @@ def reference_solve(bound: BoundSubpopulation, treatment,
         treated = treatment.evaluate(bound.base)
     n_treated = int(treated.sum())
     n_control = int(bound.base.n_rows - n_treated)
-    if not check_positivity(treated, estimator.min_group_size):
+    if min(n_treated, n_control) < estimator.min_group_size:
         return EffectEstimate.undefined(n_treated, n_control)
     adjustment = list(estimator.adjustment_set(treatment.attributes))
     for attr in extra_adjustment:
