@@ -265,8 +265,6 @@ class CauSumX:
             groups=view.group_keys(),
             k=cfg.k,
             theta=cfg.theta,
-            group_weights=view.group_weights()
-            if cfg.coverage_weighting == "group_size" else None,
         )
         if cfg.solver == "greedy":
             selection = greedy_selection(problem)

@@ -48,14 +48,6 @@ class CauSumXConfig:
         reused for all of its treatment candidates.  Explanation summaries are
         identical with the cache on or off — the cache only removes redundant
         recomputation (see ``benchmarks/bench_mask_cache.py``).  Default on.
-    coverage_weighting:
-        How the greedy selector scores marginal coverage: ``"uniform"``
-        (default — every group counts 1, the paper's semantics) or
-        ``"group_size"`` (groups weighted by their tuple count, taken from
-        the view's ``GroupByIndex``, so a pattern covering a few huge groups
-        can beat one covering many tiny ones).  Only the ``"greedy"`` solver
-        consults the weights; the LP/exact feasibility constraints always
-        count groups.
     seed:
         Seed for randomized rounding and sampling.
     """
@@ -74,7 +66,6 @@ class CauSumXConfig:
     min_group_size: int = 10
     treatment: TreatmentMinerConfig = field(default_factory=TreatmentMinerConfig)
     use_mask_cache: bool = True
-    coverage_weighting: str = "uniform"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,9 +81,6 @@ class CauSumXConfig:
             raise ValueError("theta must be in [0, 1]")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.coverage_weighting not in {"uniform", "group_size"}:
-            raise ValueError(
-                f"unknown coverage_weighting {self.coverage_weighting!r}")
 
     def with_overrides(self, **kwargs) -> "CauSumXConfig":
         """Return a copy of the configuration with the given fields replaced."""

@@ -109,12 +109,13 @@ class PatternLattice:
     """Level-wise generator of candidate treatment patterns.
 
     When a shared :class:`~repro.dataframe.MaskCache` is supplied, atomic
-    predicates are evaluated through it (warming the cache for the estimator
-    that shares it) and predicates whose full-table support is below
-    ``min_support`` are pruned: a treatment that covers fewer than
-    ``min_group_size`` tuples in the whole table can never satisfy the
-    positivity check inside any sub-population, so pruning it cannot change
-    any result.
+    predicates whose full-table support is below ``min_support`` are
+    pruned.  Enumeration knows every atom's support in closed form (value
+    counts, a sorted pass), so no mask is evaluated here; the estimator
+    that shares the cache computes the survivors' masks on first use.  A
+    treatment that covers fewer than ``min_group_size`` tuples in the whole
+    table can never satisfy the positivity check inside any sub-population,
+    so pruning it cannot change any result.
     """
 
     def __init__(self, table: Table, attributes: Sequence[str],
@@ -158,7 +159,7 @@ class PatternLattice:
             cached = self.atom_cache.get(cache_key)
             if cached is not None:
                 return cached
-        candidates: list[tuple[Predicate, int | None]] = []
+        candidates: list[tuple[Predicate, int]] = []
         for attribute in self.attributes:
             column = self.table.column(attribute)
             # Candidate values come straight from the dictionary-encoded
@@ -185,7 +186,7 @@ class PatternLattice:
         return atoms
 
     def _prune_by_support(
-            self, candidates: list[tuple[Predicate, int | None]]
+            self, candidates: list[tuple[Predicate, int]]
     ) -> list[Predicate]:
         """Drop atoms whose full-table support is below ``min_support``.
 
@@ -202,8 +203,6 @@ class PatternLattice:
         survivors = []
         deferred = 0
         for predicate, support in candidates:
-            if support is None:  # no closed form: fall back to the mask
-                support = self.mask_cache.support(predicate)
             if support >= self.min_support:
                 survivors.append(predicate)
             else:

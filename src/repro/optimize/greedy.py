@@ -8,9 +8,7 @@ The marginal-coverage computation is vectorized: pattern coverage is an
 ``(n_patterns, m)`` boolean incidence matrix over the view's group ids (the
 same dense ids the dataframe layer's :class:`~repro.dataframe.GroupByIndex`
 factorizes), and every round scores all candidates with one matrix-vector
-product instead of a per-group Python set difference.  When the problem
-carries ``group_weights`` (e.g. group sizes from the view's index), marginal
-coverage is weighted group mass; with uniform weights the scores — and
+product instead of a per-group Python set difference; the scores — and
 therefore the selection — are identical to the historical set-based loop.
 """
 
@@ -35,11 +33,7 @@ def greedy_selection(problem: CoverageILP, coverage_weight: float = 1.0) -> Sele
     max_weight = float(np.abs(weights).max()) if n else 1.0
     max_weight = max_weight or 1.0
     incidence = problem.coverage_matrix()
-    group_weights = problem.group_weight_array()
-    total_mass = float(group_weights.sum())
-    # With uniform weights this is max(m, 1), reproducing the historical
-    # ``marginal / m`` normalisation exactly.
-    denominator = total_mass if total_mass > 0 else 1.0
+    denominator = max(problem.m, 1)  # the historical ``marginal / m``
 
     chosen: list[int] = []
     eligible = np.ones(n, dtype=bool)
@@ -47,7 +41,8 @@ def greedy_selection(problem: CoverageILP, coverage_weight: float = 1.0) -> Sele
     taken_coverages: set[frozenset] = set()
 
     while len(chosen) < problem.k and eligible.any():
-        gains = incidence @ (group_weights * uncovered)
+        # In float64: ``bool @ bool`` would be a logical, not a count.
+        gains = incidence @ uncovered.astype(np.float64)
         scores = weights / max_weight + coverage_weight * gains / denominator
         scores[~eligible] = -np.inf
         best_j = int(np.argmax(scores))  # first maximum, like the old scan

@@ -12,7 +12,7 @@ Variables ``g_j`` select explanation patterns and ``t_i`` mark covered groups:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -47,19 +47,11 @@ class CoverageILP:
         Size constraint (maximum number of selected patterns).
     theta:
         Coverage constraint (fraction of groups that must be covered).
-    group_weights:
-        Optional per-group importance weights (``{group: weight}``), e.g. the
-        group sizes from the view's :class:`~repro.dataframe.GroupByIndex`.
-        Used by the greedy selector to score marginal coverage by weighted
-        group mass instead of group count; groups without an entry weigh 1.
-        The ILP/LP feasibility constraints are unchanged (they always count
-        groups, per Definition 4.5).
     """
 
     def __init__(self, weights: Sequence[float],
                  coverage: Sequence[frozenset],
-                 groups: Sequence[Hashable], k: int, theta: float,
-                 group_weights: Mapping[Hashable, float] | None = None):
+                 groups: Sequence[Hashable], k: int, theta: float):
         if len(weights) != len(coverage):
             raise ValueError("weights and coverage must have the same length")
         if not 0.0 <= theta <= 1.0:
@@ -72,8 +64,6 @@ class CoverageILP:
         self.coverage = [frozenset(c) & universe for c in coverage]
         self.k = int(k)
         self.theta = float(theta)
-        self.group_weights = None if group_weights is None else {
-            g: float(group_weights.get(g, 1.0)) for g in self.groups}
 
     # ------------------------------------------------------------------ derived quantities
 
@@ -84,13 +74,6 @@ class CoverageILP:
     @property
     def m(self) -> int:
         return len(self.groups)
-
-    def group_weight_array(self) -> np.ndarray:
-        """Per-group weights aligned with ``self.groups`` (ones when unweighted)."""
-        if self.group_weights is None:
-            return np.ones(self.m, dtype=np.float64)
-        return np.asarray([self.group_weights[g] for g in self.groups],
-                          dtype=np.float64)
 
     def coverage_matrix(self) -> np.ndarray:
         """Boolean ``(n_patterns, m)`` incidence matrix of pattern coverage."""

@@ -10,7 +10,10 @@ queries is evaluated once.
 A stored table (:class:`~repro.storage.dataset.ShardedTable`) first skips
 the shards its zone maps prove empty and then scans the rest the same way
 (``plan_shard_select``); it does not use the mask cache, whose full-table
-masks would decode the very shards the zone maps skip.
+masks would decode the very shards the zone maps skip.  An engine's table
+stays a ``ShardedTable`` only until its first append (``Table.concat``
+returns a plain ``Table``); from then until the store is reopened, its
+scans take the in-memory path, through the mask cache.
 """
 
 from __future__ import annotations

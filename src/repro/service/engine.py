@@ -10,7 +10,7 @@ served through a hierarchy of caches —
 1. **plan cache** — SQL text → canonical
    :class:`~repro.sql.GroupByAvgQuery` and its lowered
    :class:`~repro.plan.LogicalPlan`;
-2. **population cache** — (WHERE clause, outcome) → a
+2. **population cache** — (data version, WHERE clause, outcome) → a
    :class:`~repro.causal.CATEEstimator` whose shared
    :class:`~repro.dataframe.MaskCache` and lattice-atom cache are reused by
    *every* query over that filtered population, whatever it groups by;
@@ -37,11 +37,15 @@ lock order.
 Data is versioned: :meth:`append_rows` concatenates new rows onto a
 registered table (merging dictionary vocabularies, see ``Table.concat``),
 bumps the dataset's monotonic data version, and invalidates the summaries
-tied to older versions.  Cached populations and WHERE masks outlive the
-append: the first request on the new version extends them from the rows it
-already filtered, each predicate mask evaluated on the appended rows only
-(:meth:`~repro.dataframe.MaskCache.extended`); their bindings go at the
-append, since the extended population gets a fresh estimator.
+and populations tied to older versions.  It hands their masks to the new
+:class:`DatasetState`: the version's WHERE memo is extended onto the new
+table, and each cached population's masks are carried until the first miss
+on that population at the new version extends them over its filtered rows
+(:meth:`~repro.dataframe.MaskCache.extended`: a predicate mask is
+evaluated on the appended rows only, on first lookup).  Memos hang off the
+state they belong to, and population keys carry the state's epoch, so a
+request still computing on an older state never reads or replaces a newer
+one's, and a re-registration starts with none.
 
 Results are *byte-identical* to fresh one-shot runs on the same canonical
 query: every cache level only removes recomputation, never changes inputs
@@ -62,7 +66,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -76,7 +80,7 @@ from repro.core import (
     ExplanationSummary,
     SummaryCodecError,
 )
-from repro.dataframe import MaskCache, Pattern, Table
+from repro.dataframe import MaskCache, Table
 from repro.graph import CausalDAG
 from repro.obs import trace
 from repro.obs.registry import REGISTRY, unified_engine_metrics
@@ -96,6 +100,11 @@ from repro.sql import (
 #: it is flushed (each mask costs ``n_rows`` bytes; recomputing is one
 #: vectorized kernel pass, so flushing beats unbounded growth).
 WHERE_MASK_CACHE_LIMIT = 128
+#: Capacity of the population cache: estimators, one per (dataset version,
+#: WHERE clause, outcome).
+POPULATION_CACHE_SIZE = 32
+#: Capacity of the plan cache: SQL text -> canonical query and its plan.
+PLAN_CACHE_SIZE = 512
 
 
 @contextmanager
@@ -133,30 +142,21 @@ class DatasetState:
     #: appends are written through to disk before the in-memory swap.
     store: object | None = None
     #: Which registration of ``name`` this is: ``register_dataset`` draws a
-    #: fresh, larger number, appends keep it.  Within one registration a
-    #: later version's table is an earlier one's plus appended rows.
+    #: fresh, larger number, appends keep it.
     registration: int = 0
+    #: The WHERE memo this version's in-memory scans route repeated
+    #: conjuncts through (engine-set: built at registration, extended onto
+    #: the new table by each append).
+    where_masks: MaskCache | None = field(default=None, compare=False)
+    #: ``(where_key, average)`` -> the masks of a population cached at an
+    #: earlier version of this registration (engine-set by ``append_rows``);
+    #: the first miss on that population extends and takes them.
+    carried: dict = field(default_factory=dict, compare=False)
 
     @property
     def epoch(self) -> tuple[int, int]:
         """``(registration, version)``: orders every state of one name."""
         return self.registration, self.version
-
-
-def _extends(cached: tuple[int, int], state: DatasetState) -> bool:
-    """Whether an entry built at ``cached`` (an epoch) covers a prefix of
-    ``state``'s table: same registration, older version."""
-    return cached[0] == state.registration and cached[1] < state.version
-
-
-@dataclass
-class _Population:
-    """A cached filtered population: its WHERE pattern and shared estimator,
-    built over the dataset at ``epoch`` (see :attr:`DatasetState.epoch`)."""
-
-    where: Pattern
-    estimator: CATEEstimator
-    epoch: tuple[int, int]
 
 
 @dataclass
@@ -173,8 +173,9 @@ class ExplanationEngine:
 
     Parameters
     ----------
-    summary_cache_size / population_cache_size / plan_cache_size:
-        Capacities of the three cache levels.
+    summary_cache_size:
+        Capacity of the summary cache (the plan and population caches hold
+        ``PLAN_CACHE_SIZE`` and ``POPULATION_CACHE_SIZE`` entries).
     memory_budget:
         Optional shared :class:`~repro.service.MemoryBudget`: the summary
         cache weighs its entries (codec and body bytes) against the
@@ -184,9 +185,8 @@ class ExplanationEngine:
         Ignored; accepted for benchmarks/e2e/workloads.py (ENGINE_KWARGS).
     """
 
-    def __init__(self, summary_cache_size: int = 256,
-                 population_cache_size: int = 32, plan_cache_size: int = 512,
-                 memory_budget=None, max_workers: int | None = None):
+    def __init__(self, summary_cache_size: int = 256, memory_budget=None,
+                 max_workers: int | None = None):
         self.memory_budget = memory_budget
         self._datasets_lock = named_lock("ExplanationEngine._datasets_lock")
         self._datasets: dict[str, DatasetState] = {}  # guarded-by: _datasets_lock
@@ -196,17 +196,14 @@ class ExplanationEngine:
         self._mutation_lock = named_lock("ExplanationEngine._mutation_lock")
         # Serialises this engine's summary computations (module docstring).
         self._compute_gate = named_lock("ExplanationEngine._compute_gate")
-        self._plan_cache = LRUCache(plan_cache_size)
-        self._population_cache = LRUCache(population_cache_size)
+        self._plan_cache = LRUCache(PLAN_CACHE_SIZE)
+        self._population_cache = LRUCache(POPULATION_CACHE_SIZE)
         self._summary_cache = LRUCache(
             summary_cache_size, budget=memory_budget,
             weigher=_summary_nbytes if memory_budget is not None else None)
         # Values are EncodedSummary entries: restored ones decode on first hit.
         self._flights_lock = named_lock("ExplanationEngine._flights_lock")
         self._flights: dict[tuple, _Flight] = {}  # guarded-by: _flights_lock
-        #: name -> (epoch, MaskCache over the registered table): the shared
-        #: cache in-memory WHERE scans route repeated conjuncts through.
-        self._where_masks: dict[str, tuple[tuple[int, int], MaskCache]] = {}  # guarded-by: _datasets_lock
         self._registrations = 0  # guarded-by: _mutation_lock
         self._computations = 0  # guarded-by: _flights_lock
         self._coalesced = 0  # guarded-by: _flights_lock
@@ -254,6 +251,7 @@ class ExplanationEngine:
                 version=version,
                 store=store,
                 registration=self._registrations,
+                where_masks=MaskCache(table),
             )
             self._datasets[name] = state
             if previous is not None:
@@ -568,12 +566,13 @@ class ExplanationEngine:
         """Append rows to a registered dataset and bump its data version.
 
         The new table is built with ``Table.concat`` (vocabulary merge, no
-        re-factorization of the existing rows).  The summaries of the old
-        data version are invalidated; cached populations and WHERE masks
-        stay and are *extended* by the first request on the new version
-        (``masks_carried`` counts the masks they hold), so nothing here
-        scans the table.  Their estimators' bindings, which no request on
-        the new version can reuse, are released.  A batch of zero rows —
+        re-factorization of the existing rows).  The summaries and
+        populations of the old data version are invalidated; the new state
+        inherits the WHERE memo and the populations' masks, to be *extended*
+        on first use (``masks_carried`` counts the carried population
+        masks), so nothing here scans the table.  The populations'
+        bindings, which no request on the new version can reuse, are
+        released.  A batch of zero rows —
         ``[]`` or an empty :class:`Table` — changes nothing.
 
         Appends are serialised against each other, but readers keep serving
@@ -616,7 +615,6 @@ class ExplanationEngine:
             if appended.n_rows == 0:
                 return unchanged
             new_table = state.table.concat(appended)
-            new_state = replace(state, table=new_table, version=state.version + 1)
 
             # Durability first: a store-backed dataset commits the batch as a
             # new shard (atomic manifest replace) *before* the in-memory swap,
@@ -628,19 +626,36 @@ class ExplanationEngine:
                     np.arange(state.table.n_rows, new_table.n_rows))
                 state.store.append(batch, expected_version=state.version)
 
-            populations = [p for key, p in self._population_cache.items()
-                           if key[0] == name]
-            masks_carried = sum(len(p.estimator.mask_cache)
-                                for p in populations
-                                if p.estimator.mask_cache is not None)
+            # The new version inherits this one's memos: its WHERE masks,
+            # and the masks of every population cached at this version plus
+            # those carried here and not yet claimed (the newest
+            # POPULATION_CACHE_SIZE of them, as the population cache holds).
+            populations = [(key, estimator) for key, estimator
+                           in self._population_cache.items() if key[0] == name]
+            carried = dict([*state.carried.items(),
+                            *((key[2:], estimator.mask_cache)
+                              for key, estimator in populations
+                              if key[1] == state.epoch
+                              and estimator.mask_cache is not None),
+                            ][-POPULATION_CACHE_SIZE:])
+            where = state.where_masks
+            new_state = replace(
+                state, table=new_table, version=state.version + 1,
+                where_masks=where.extended(new_table)
+                if len(where) <= WHERE_MASK_CACHE_LIMIT
+                else MaskCache(new_table),
+                carried=carried)
+            masks_carried = sum(len(masks) for masks in carried.values())
             with self._datasets_lock:
                 invalidated = self._summary_cache.purge(
                     lambda key: key[0] == name)
+                self._population_cache.purge(lambda key: key[0] == name)
                 self._datasets[name] = new_state
             # The next request builds a fresh estimator over the carried
             # masks (_population), so no old binding is reachable from it.
             REGISTRY.counter("repro_engine_bindings_released_total").inc(
-                sum(p.estimator.release_bindings() for p in populations))
+                sum(estimator.release_bindings()
+                    for _, estimator in populations))
             return {"dataset": name, "version": new_state.version,
                     "appended_rows": appended.n_rows,
                     "n_rows": new_table.n_rows,
@@ -652,15 +667,21 @@ class ExplanationEngine:
     def stats(self) -> dict:
         """A JSON-compatible snapshot of all cache levels and serving counters."""
         with self._datasets_lock:
-            datasets = {
-                state.name: {"version": state.version,
-                             "rows": state.table.n_rows,
-                             "attributes": state.table.n_cols}
-                for state in self._datasets.values()
-            }
+            states = list(self._datasets.values())
+        datasets = {
+            state.name: {"version": state.version,
+                         "rows": state.table.n_rows,
+                         "attributes": state.table.n_cols}
+            for state in states
+        }
+        # The cached populations' masks, and those an append carried to a
+        # newer version that no request has claimed yet.
+        caches = [estimator.mask_cache
+                  for _, estimator in self._population_cache.items()]
+        for state in states:
+            caches.extend(list(state.carried.values()))
         mask_stats = {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
-        for _, population in self._population_cache.items():
-            cache = population.estimator.mask_cache
+        for cache in caches:
             if cache is None:
                 continue
             snapshot = cache.stats()
@@ -685,8 +706,6 @@ class ExplanationEngine:
             restored_summaries = self._restored_summaries
             summaries_rejected = self._summaries_rejected
         storage: dict = {}
-        with self._datasets_lock:
-            states = list(self._datasets.values())
         for state in states:
             entry: dict = {}
             if state.store is not None:
@@ -696,15 +715,10 @@ class ExplanationEngine:
                 entry["scan"] = scan_stats()
             if entry:
                 storage[state.name] = entry
-        with self._datasets_lock:
-            where_masks = {name: entry[1].stats()
-                           for name, entry in self._where_masks.items()}
         planner = {
             **GLOBAL_PLANNER_STATS.snapshot(),
-            "where_mask_caches": {
-                name: {"hits": s.hits, "misses": s.misses,
-                       "entries": s.entries, "bytes": s.bytes}
-                for name, s in where_masks.items()},
+            "where_mask_caches": {state.name: asdict(state.where_masks.stats())
+                                  for state in states},
         }
         result = {
             "datasets": datasets,
@@ -795,7 +809,7 @@ class ExplanationEngine:
         with self._flights_lock:
             self._computations += 1
         view = self._view(state, canonical)
-        population = self._population(state, plan, view, outcomes)
+        estimator = self._population(state, plan, view, outcomes)
         algorithm = CauSumX(state.table, state.dag, state.config)
         with trace.trace_span("engine.mine",
                               groups=view.m) if trace.enabled() else trace.NOOP:
@@ -803,79 +817,49 @@ class ExplanationEngine:
                 canonical,
                 grouping_attributes=state.grouping_attributes,
                 treatment_attributes=state.treatment_attributes,
-                view=view, estimator=population.estimator)
+                view=view, estimator=estimator)
         return summary, view.scan_plan
 
     def _view(self, state: DatasetState,
               canonical: GroupByAvgQuery) -> AggregateView:
+        """The query's view, its WHERE scan routed through the version's
+        mask memo (a stored table skips it until its first append, see
+        ``plan/execute.py``).
+
+        The memo is bounded: each entry is one ``n_rows``-byte mask, so
+        once ever-distinct predicates push it past
+        ``WHERE_MASK_CACHE_LIMIT`` entries it is flushed (masks are cheap
+        to recompute and expensive to keep).
+        """
+        if len(state.where_masks) > WHERE_MASK_CACHE_LIMIT:
+            state.where_masks.clear()
         with trace.trace_span("engine.view_materialize", dataset=state.name):
             return AggregateView(state.table, canonical,
-                                 mask_cache=self._where_mask_cache(state))
-
-    def _where_mask_cache(self, state: DatasetState) -> MaskCache:
-        """The per-dataset-version mask cache WHERE conjuncts route through.
-
-        Different queries over one dataset repeat the same WHERE predicates;
-        routing the scan through a shared
-        :class:`~repro.dataframe.MaskCache` makes a repeated predicate one
-        cached AND instead of a kernel pass.  (Storage-backed tables skip it
-        in ``plan_shard_select``: full-table masks would decode the shards
-        their zone maps skip.)
-
-        The cache is bounded: each entry is one ``n_rows``-byte mask, so
-        once a workload of ever-distinct predicates pushes past
-        ``WHERE_MASK_CACHE_LIMIT`` entries the cache is flushed rather than
-        allowed to grow for the life of the process (unlike the LRU levels,
-        masks are cheap to recompute and expensive to keep).
-        """
-        with self._datasets_lock:
-            epoch, cache = self._where_masks.get(state.name, ((-1, -1), None))
-            if epoch == state.epoch:
-                if len(cache) > WHERE_MASK_CACHE_LIMIT:
-                    cache.clear()
-                return cache
-            if epoch > state.epoch:
-                # A reader still mid-flight on an older epoch (a newer reader
-                # already replaced or extended the cache): serve it a private
-                # throwaway cache instead of clobbering the warm entry.
-                return MaskCache(state.table)
-            if _extends(epoch, state) and len(cache) <= WHERE_MASK_CACHE_LIMIT:
-                cache = cache.extended(state.table)  # inherit the older masks
-            else:
-                cache = MaskCache(state.table)
-            self._where_masks[state.name] = (state.epoch, cache)
-            return cache
+                                 mask_cache=state.where_masks)
 
     def _population(self, state: DatasetState, plan, view: AggregateView,
-                    outcomes: dict | None = None) -> _Population:
-        """The request's population, extending one cached at an older version.
+                    outcomes: dict | None = None) -> CATEEstimator:
+        """The estimator shared by every query over the request's filtered
+        population at ``state``'s version.
 
-        Within one registration only appends happen, so ``view.table`` is
-        the cached population's table followed by the appended rows that
-        pass the WHERE clause: the new estimator inherits the old masks.  An
-        entry of another registration is a miss.  A reader on an older epoch
-        than the cached entry builds a private population and never replaces
-        the newer one.
+        A miss builds one.  If an earlier version cached this population,
+        its masks were carried to ``state`` at the append: ``view.table``
+        is their table followed by the appended rows that pass the WHERE
+        clause, so the new estimator inherits them.
         """
-        key = (state.name, plan.where_key, plan.average)
-        cached = self._population_cache.get(key)
-        if cached is not None and cached.epoch == state.epoch:
-            if outcomes is not None:
-                outcomes["population"] = "hit"
-            return cached
-        carried = cached is not None and _extends(cached.epoch, state)
+        key = (state.name, state.epoch, plan.where_key, plan.average)
+        estimator = self._population_cache.get(key)
+        hit = estimator is not None
+        if estimator is None:
+            estimator = self._make_estimator(state, view.table, plan.average)
+            masks = state.carried.pop(key[2:], None)
+            hit = masks is not None
+            if hit and estimator.mask_cache is not None:
+                estimator.mask_cache = masks.extended(view.table)
+            self._population_cache.put(key, estimator)
         if outcomes is not None:
-            outcomes["population"] = "hit" if carried else "miss"
-        estimator = self._make_estimator(state, view.table, plan.average)
-        old_masks = cached.estimator.mask_cache if carried else None
-        if old_masks is not None and estimator.mask_cache is not None:
-            estimator.mask_cache = old_masks.extended(view.table)
-        population = _Population(plan.filter, estimator, state.epoch)
-        if cached is None or cached.epoch < state.epoch:
-            self._population_cache.put(
-                key, population,
-                keep=lambda current: current.epoch >= state.epoch)
-        return population
+            outcomes["population"] = "hit" if hit else "miss"
+        return estimator
 
     @staticmethod
     def _make_estimator(state: DatasetState, table: Table,
@@ -885,13 +869,11 @@ class ExplanationEngine:
     def _invalidate(self, name: str) -> int:  # guarded-by: _datasets_lock
         """Drop every cache entry belonging to dataset ``name`` (any version).
 
-        A re-registered table need not extend the old one; a reader still on
-        the old registration may put an entry back, but its older epoch
-        makes it a miss for the new registration (:func:`_extends`)."""
+        A reader still on the old registration may put an entry back under
+        its own epoch, which no later state looks up."""
         invalidated = 0
         for cache in (self._summary_cache, self._population_cache):
             invalidated += cache.purge(lambda key: key[0] == name)
-        self._where_masks.pop(name, None)
         return invalidated
 
 

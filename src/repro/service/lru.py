@@ -93,19 +93,12 @@ class LRUCache:
             self._misses += 1
             return default
 
-    def put(self, key: Hashable, value,
-            keep: Callable[[object], bool] | None = None) -> None:
-        """Insert/overwrite ``key``, evicting the LRU entry when over capacity.
-
-        An entry already under ``key`` for which ``keep(entry)`` is true (a
-        test made under the lock) stays, and ``value`` is dropped.
-        """
+    def put(self, key: Hashable, value) -> None:
+        """Insert/overwrite ``key``, evicting the LRU entry when over capacity."""
         weight = self.weigher(value) if self.weigher is not None else 0
         stamp = self.budget.tick() if self.budget is not None else None
         with self._lock:
             if key in self._entries:
-                if keep is not None and keep(self._entries[key]):
-                    return
                 self._total_bytes -= self._weights.get(key, 0)
             self._entries[key] = value
             self._entries.move_to_end(key)

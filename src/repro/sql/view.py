@@ -105,13 +105,6 @@ class AggregateView:
     def group_keys(self) -> list[tuple]:
         return [g.key for g in self.groups]
 
-    def group_weights(self) -> dict[tuple, float]:
-        """Per-group tuple counts (``{group key: size}``).
-
-        Consumers treat this as a mapping; they bring their own group order.
-        """
-        return {g.key: float(g.size) for g in self.groups}
-
     def group(self, key: tuple) -> GroupResult:
         return self.groups[self._group_index[key]]
 

@@ -296,24 +296,10 @@ class TestGreedy:
             expected = _reference_greedy(problem)
             assert greedy_selection(problem).chosen == expected, (trial, weights)
 
-    def test_greedy_group_weights_change_preference(self):
-        # Pattern 0 covers one huge group, pattern 1 covers two tiny ones.
-        problem_uniform = CoverageILP(
-            [1.0, 1.0], [frozenset(["big"]), frozenset(["t1", "t2"])],
-            ["big", "t1", "t2"], k=1, theta=0.0)
-        assert greedy_selection(problem_uniform).chosen == (1,)
-        problem_weighted = CoverageILP(
-            [1.0, 1.0], [frozenset(["big"]), frozenset(["t1", "t2"])],
-            ["big", "t1", "t2"], k=1, theta=0.0,
-            group_weights={"big": 1000.0, "t1": 1.0, "t2": 1.0})
-        assert greedy_selection(problem_weighted).chosen == (0,)
-
-    def test_coverage_matrix_and_weight_array(self):
+    def test_coverage_matrix(self):
         problem = CoverageILP([1.0], [frozenset(["g2"])], ["g1", "g2"],
-                              k=1, theta=0.0, group_weights={"g2": 3.0})
-        matrix = problem.coverage_matrix()
-        assert matrix.tolist() == [[False, True]]
-        assert problem.group_weight_array().tolist() == [1.0, 3.0]
+                              k=1, theta=0.0)
+        assert problem.coverage_matrix().tolist() == [[False, True]]
 
 
 def _reference_greedy(problem):

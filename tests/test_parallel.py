@@ -183,7 +183,6 @@ class TestWorkerInvariance:
                                            shard_rows=37)
             view = AggregateView(dataset.load_table(), query)
             assert _bits(view) == _bits(in_memory)
-            assert view.group_weights() == in_memory.group_weights()
 
 
 class TestMiningWidthInvariance:

@@ -9,6 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import CauSumX, CauSumXConfig, summary_to_dict
 from repro.dataframe import Table
@@ -734,9 +736,13 @@ class TestAppendPath:
                 served = engine.explain(self.NAME, query)
                 assert _summary_payload(served) == \
                     _summary_payload(self._fresh(so_small, table, query))
+        # The last version skipped BASE_QUERY's population: its masks wait
+        # in the state's carried memo.  The others were built from theirs.
+        _, plan = engine._lowered(BASE_QUERY)
+        assert list(engine.dataset_state(self.NAME).carried) == \
+            [(plan.where_key, plan.average)]
         stats = engine.stats()
-        assert stats["population_cache"]["entries"] == 3
-        assert stats["population_cache"]["hits"] >= 4
+        assert stats["population_cache"]["entries"] == 2
         assert stats["mask_caches"]["hits"] > 0
 
     def test_stale_reader_never_replaces_an_extended_entry(self, engine,
@@ -744,18 +750,21 @@ class TestAppendPath:
         before = engine.explain(self.NAME, self.WHERE_QUERY)
         stale = engine.dataset_state(self.NAME)
         engine.append_rows(self.NAME, self._batch(so_small, 1))
-        engine.explain(self.NAME, self.WHERE_QUERY)  # extends both caches
+        engine.explain(self.NAME, self.WHERE_QUERY)  # extends both memos
+        current = engine.dataset_state(self.NAME)
+        assert current.epoch == stale.epoch[:1] + (1,)
         canonical, plan = engine._lowered(self.WHERE_QUERY)
-        key = (self.NAME, plan.where_key, plan.average)
+        key = (self.NAME, current.epoch, plan.where_key, plan.average)
         extended = engine._population_cache.get(key)
-        where_cache = engine._where_masks[self.NAME]
-        assert extended.epoch == where_cache[0] == stale.epoch[:1] + (1,)
+        where_masks = current.where_masks.stats()
+        assert extended is not None and where_masks.entries > 0
         # A request that still holds version 0 computes on its own...
         summary, _ = engine._compute(stale, canonical, plan)
         assert _summary_payload(summary) == _summary_payload(before)
-        # ...and leaves the version-1 entries in place.
+        # ...and leaves the version-1 memos untouched.
         assert engine._population_cache.get(key) is extended
-        assert engine._where_masks[self.NAME] is where_cache
+        assert engine.dataset_state(self.NAME) is current
+        assert current.where_masks.stats() == where_masks
 
     @pytest.mark.parametrize("order", [np.s_[::-1], np.s_[:40:-1]],
                              ids=["same_size", "shorter"])
@@ -782,6 +791,20 @@ class TestAppendPath:
             assert _summary_payload(engine.explain(self.NAME, query)) == \
                 _summary_payload(self._fresh(so_small, table, query))
 
+    def test_carried_masks_are_bounded(self, so_small, monkeypatch):
+        """Masks no request claims are carried from append to append, so
+        only the newest ``POPULATION_CACHE_SIZE`` of them are kept."""
+        monkeypatch.setattr(engine_module, "POPULATION_CACHE_SIZE", 2)
+        engine = ExplanationEngine()
+        engine.register_bundle(so_small, config=small_config())
+        keys = [engine._lowered(query)[1] for query in self.QUERIES]
+        keys = [(plan.where_key, plan.average) for plan in keys]
+        for k, queries in enumerate((self.QUERIES[:2], self.QUERIES[2:])):
+            for query in queries:
+                engine.explain(self.NAME, query)
+            engine.append_rows(self.NAME, self._batch(so_small, k))
+        assert list(engine.dataset_state(self.NAME).carried) == keys[1:]
+
     def test_zero_row_table_is_a_no_op(self, tmp_path, so_small):
         store = DatasetStore.init(tmp_path / "store")
         so_small.to_store(store, config=small_config(), shard_rows=200)
@@ -793,6 +816,75 @@ class TestAppendPath:
         manifest = store.dataset(self.NAME).reload()
         assert (manifest.version, len(manifest.shards)) == (0, 4)
         assert engine.explain_with_info(self.NAME, BASE_QUERY)[1]["cached"]
+
+
+class TestMemoHandOver:
+    """Whatever appends, re-registrations and stale readers ran before, a
+    summary is ``CauSumX.explain`` on its state's table: the memos an append
+    hands to the next version may skip work, never change an answer."""
+
+    NAME = "stackoverflow"
+    QUERIES = TestAppendPath.QUERIES
+    OPERATIONS = st.lists(st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 60), st.integers(0, 999)),
+        st.tuples(st.just("reregister"), st.integers(0, 999)),
+        st.tuples(st.just("stale"), st.integers(0, 99), st.integers(0, 2)),
+        st.tuples(st.just("explain")),
+    ), min_size=1, max_size=8)
+
+    @staticmethod
+    def _rows(table, n: int, seed: int) -> list[dict]:
+        """``n`` rows resampled from ``table`` with float salaries; every
+        third carries a country and a role no version has seen."""
+        rng = np.random.default_rng(seed)
+        rows = table.take(rng.integers(0, table.n_rows, n)).to_rows()
+        for i, row in enumerate(rows):
+            row["Salary"] = float(rng.normal(60000.0, 15000.0))
+            if i % 3 == 0:
+                row.update(Country=f"Atlantis {seed}", Role=f"Role {seed}")
+        return rows
+
+    def _check(self, so_small, summary, table, query) -> None:
+        assert _summary_payload(summary) == \
+            _summary_payload(TestAppendPath._fresh(so_small, table, query))
+
+    @settings(max_examples=10, deadline=None)
+    @given(operations=OPERATIONS)
+    # Masks carried across a re-registration; a reader of the old
+    # registration leaving a population behind for the next append; a
+    # reader of the old version between two appends.
+    @example([("explain",), ("append", 10, 0), ("reregister", 0),
+              ("explain",)])
+    @example([("explain",), ("reregister", 1), ("stale", 0, 1),
+              ("append", 10, 1), ("explain",)])
+    @example([("explain",), ("append", 10, 2), ("stale", 0, 2),
+              ("explain",), ("append", 10, 3), ("explain",)])
+    def test_every_summary_matches_one_shot(self, so_small, operations):
+        engine = ExplanationEngine()
+        engine.register_bundle(so_small, config=small_config())
+        held = [engine.dataset_state(self.NAME)]
+        for operation, *args in operations:
+            state = engine.dataset_state(self.NAME)
+            if operation == "append":
+                engine.append_rows(self.NAME, self._rows(state.table, *args))
+            elif operation == "reregister":
+                order = np.random.default_rng(args[0]).permutation(
+                    state.table.n_rows)
+                engine.register_dataset(
+                    self.NAME, state.table.take(order), so_small.dag,
+                    config=small_config(),
+                    grouping_attributes=so_small.grouping_attributes,
+                    treatment_attributes=so_small.treatment_attributes)
+            elif operation == "stale":
+                older = held[args[0] % len(held)]
+                query = self.QUERIES[args[1]]
+                summary, _ = engine._compute(older, *engine._lowered(query))
+                self._check(so_small, summary, older.table, query)
+            else:
+                for query in self.QUERIES:
+                    self._check(so_small, engine.explain(self.NAME, query),
+                                state.table, query)
+            held.append(engine.dataset_state(self.NAME))
 
 
 class TestAppendReleasesBindings:
@@ -807,19 +899,21 @@ class TestAppendReleasesBindings:
     def test_bindings_released_masks_kept(self, engine, so_small):
         for query in self.QUERIES:
             engine.explain(self.NAME, query)
-        populations = [p for key, p in engine._population_cache.items()
+        populations = [estimator for key, estimator
+                       in engine._population_cache.items()
                        if key[0] == self.NAME]
-        caches = [p.estimator.mask_cache for p in populations]
+        caches = [estimator.mask_cache for estimator in populations]
         masks = [cache.stats() for cache in caches]
-        held = sum(len(p.estimator._bound) for p in populations)
+        held = sum(len(estimator._bound) for estimator in populations)
         released = REGISTRY.counter("repro_engine_bindings_released_total")
         released_before = released.value
         rows = so_small.table.take(range(40)).to_rows()
         report = engine.append_rows(self.NAME, rows)
-        assert [len(p.estimator._bound) for p in populations] == \
+        assert [len(estimator._bound) for estimator in populations] == \
             [0] * len(populations)
         assert held > 0 and released.value - released_before == held
-        assert [p.estimator.mask_cache for p in populations] == caches
+        assert len(engine._population_cache) == 0
+        assert list(engine.dataset_state(self.NAME).carried.values()) == caches
         assert [cache.stats() for cache in caches] == masks
         assert report["masks_carried"] == sum(m.entries for m in masks) > 0
 

@@ -949,19 +949,27 @@ class TestColumnStatsCompatibility:
 
 
 class TestRegistryCompatibility:
-    """Registries whose configs carry the retired ``n_jobs`` field (every
-    registry written before it was removed) still open, answer like the
-    in-memory oracle, and drop the field at their next commit."""
+    """Registries whose configs carry a retired field (``n_jobs``,
+    ``coverage_weighting``: every registry written before its removal)
+    still open, answer like the in-memory oracle, and drop the field at
+    their next commit."""
 
     QUERY = "SELECT Country, AVG(Salary) FROM SO GROUP BY Country"
 
     def test_legacy_n_jobs_opens_answers_and_is_shed(self, tmp_path):
+        self._check_shed(tmp_path, "n_jobs", 1)
+
+    def test_legacy_coverage_weighting_opens_answers_and_is_shed(
+            self, tmp_path):
+        self._check_shed(tmp_path, "coverage_weighting", "uniform")
+
+    def _check_shed(self, tmp_path, retired: str, value) -> None:
         bundle = load_dataset("stackoverflow", n=300, seed=0)
         store = DatasetStore.init(tmp_path / "store")
         bundle.to_store(store, config=_config(), shard_rows=100)
         path = store.root / "engine" / "registry.json"
         registry = json.loads(path.read_text())
-        registry["stackoverflow"]["config"]["n_jobs"] = 1
+        registry["stackoverflow"]["config"][retired] = value
         path.write_text(json.dumps(registry))
         reference = CauSumX(bundle.table, bundle.dag, _config()).explain(
             self.QUERY, grouping_attributes=bundle.grouping_attributes,
@@ -971,7 +979,7 @@ class TestRegistryCompatibility:
             _payload(reference)
         engine.snapshot()
         config = json.loads(path.read_text())["stackoverflow"]["config"]
-        assert "n_jobs" not in config
+        assert retired not in config
         assert config_from_dict(config) == _config()
 
 
