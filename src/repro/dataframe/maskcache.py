@@ -136,12 +136,6 @@ class MaskCache:
             result &= self.predicate_mask(predicate)
         return result
 
-    def support(self, pattern: Pattern | Predicate) -> int:
-        """Number of tuples satisfying a pattern or a single predicate."""
-        if isinstance(pattern, Predicate):
-            return int(self.predicate_mask(pattern).sum())
-        return int(self.pattern_mask(pattern).sum())
-
     def extended(self, new_table) -> "MaskCache":
         """A cache over ``new_table`` that inherits every mask of this one.
 

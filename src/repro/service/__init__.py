@@ -3,8 +3,8 @@
 ``repro.service`` turns the one-shot ``CauSumX.explain`` pipeline into a
 long-lived, cache-backed service: datasets are registered once, queries are
 canonicalised and fingerprinted, summaries are served through a multi-level
-cache hierarchy with single-flighted computation, batches deduplicate and
-parallelise, and new data arrives incrementally via versioned appends.  See
+cache hierarchy with single-flighted computation, batches deduplicate
+repeated queries, and new data arrives incrementally via versioned appends.  See
 :class:`ExplanationEngine` for the full contract.
 """
 

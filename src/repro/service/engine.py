@@ -10,10 +10,11 @@ served through a hierarchy of caches —
 1. **plan cache** — SQL text → canonical
    :class:`~repro.sql.GroupByAvgQuery` and its lowered
    :class:`~repro.plan.LogicalPlan`;
-2. **population cache** — (data version, WHERE clause, outcome) → a
-   :class:`~repro.causal.CATEEstimator` whose shared
-   :class:`~repro.dataframe.MaskCache` and lattice-atom cache are reused by
-   *every* query over that filtered population, whatever it groups by;
+2. **population memo** — one per data version (:class:`DatasetState`):
+   (WHERE clause, outcome) → a :class:`~repro.causal.CATEEstimator` whose
+   shared :class:`~repro.dataframe.MaskCache` and lattice-atom cache are
+   reused by *every* query over that filtered population, whatever it
+   groups by;
 3. **summary cache** — fingerprint → finished
    :class:`~repro.core.ExplanationSummary` (LRU with hit/miss/eviction
    statistics).
@@ -37,15 +38,15 @@ lock order.
 Data is versioned: :meth:`append_rows` concatenates new rows onto a
 registered table (merging dictionary vocabularies, see ``Table.concat``),
 bumps the dataset's monotonic data version, and invalidates the summaries
-and populations tied to older versions.  It hands their masks to the new
-:class:`DatasetState`: the version's WHERE memo is extended onto the new
-table, and each cached population's masks are carried until the first miss
-on that population at the new version extends them over its filtered rows
+tied to older versions.  The new :class:`DatasetState` inherits the old
+one's memos: the WHERE memo is extended onto the new table, and each
+cached population's masks wait in the new population memo until the first
+request on that population extends them over its filtered rows
 (:meth:`~repro.dataframe.MaskCache.extended`: a predicate mask is
-evaluated on the appended rows only, on first lookup).  Memos hang off the
-state they belong to, and population keys carry the state's epoch, so a
-request still computing on an older state never reads or replaces a newer
-one's, and a re-registration starts with none.
+evaluated on the appended rows only, on first lookup).  Every memo hangs
+off the one state it belongs to, so a request still computing on an older
+state never reads or replaces a newer one's, what it leaves behind goes
+with that state, and a re-registration starts with none.
 
 Results are *byte-identical* to fresh one-shot runs on the same canonical
 query: every cache level only removes recomputation, never changes inputs
@@ -87,7 +88,7 @@ from repro.obs.registry import REGISTRY, unified_engine_metrics
 from repro.obs.telemetry import telemetry_enabled
 from repro.parallel import GLOBAL_PARALLEL_STATS
 from repro.plan import GLOBAL_PLANNER_STATS, LogicalPlan, ScanPlan, lower_query
-from repro.service.lru import LRUCache
+from repro.service.lru import LRUCache, LRUStats
 from repro.sql import (
     AggregateView,
     GroupByAvgQuery,
@@ -100,8 +101,8 @@ from repro.sql import (
 #: it is flushed (each mask costs ``n_rows`` bytes; recomputing is one
 #: vectorized kernel pass, so flushing beats unbounded growth).
 WHERE_MASK_CACHE_LIMIT = 128
-#: Capacity of the population cache: estimators, one per (dataset version,
-#: WHERE clause, outcome).
+#: Capacity of one data version's population memo: estimators, one per
+#: (WHERE clause, outcome), and the masks an append carried in.
 POPULATION_CACHE_SIZE = 32
 #: Capacity of the plan cache: SQL text -> canonical query and its plan.
 PLAN_CACHE_SIZE = 512
@@ -141,22 +142,78 @@ class DatasetState:
     #: Optional :class:`~repro.storage.StoredDataset` backing this dataset:
     #: appends are written through to disk before the in-memory swap.
     store: object | None = None
-    #: Which registration of ``name`` this is: ``register_dataset`` draws a
-    #: fresh, larger number, appends keep it.
-    registration: int = 0
     #: The WHERE memo this version's in-memory scans route repeated
     #: conjuncts through (engine-set: built at registration, extended onto
     #: the new table by each append).
     where_masks: MaskCache | None = field(default=None, compare=False)
-    #: ``(where_key, average)`` -> the masks of a population cached at an
-    #: earlier version of this registration (engine-set by ``append_rows``);
-    #: the first miss on that population extends and takes them.
-    carried: dict = field(default_factory=dict, compare=False)
+    #: ``(where_key, average)`` -> this version's estimator for that
+    #: filtered population, or the masks an append carried in for it.
+    populations: LRUCache = field(
+        default_factory=lambda: LRUCache(POPULATION_CACHE_SIZE),
+        compare=False)
 
-    @property
-    def epoch(self) -> tuple[int, int]:
-        """``(registration, version)``: orders every state of one name."""
-        return self.registration, self.version
+    def view(self, canonical: GroupByAvgQuery) -> AggregateView:
+        """The query's view, its WHERE scan routed through this version's
+        mask memo (a stored table skips it until its first append, see
+        ``plan/execute.py``).
+
+        The memo is bounded: each entry is one ``n_rows``-byte mask, so
+        once ever-distinct predicates push it past
+        ``WHERE_MASK_CACHE_LIMIT`` entries it is flushed (masks are cheap
+        to recompute and expensive to keep).
+        """
+        if len(self.where_masks) > WHERE_MASK_CACHE_LIMIT:
+            self.where_masks.clear()
+        with trace.trace_span("engine.view_materialize", dataset=self.name):
+            return AggregateView(self.table, canonical,
+                                 mask_cache=self.where_masks)
+
+    def explain(self, canonical: GroupByAvgQuery, plan: LogicalPlan
+                ) -> tuple[ExplanationSummary, ScanPlan | None, bool]:
+        """The summary, the ``ScanPlan`` its WHERE scan executed, and whether
+        the population memo held the query's population (a miss builds its
+        estimator over any masks an append carried in: ``view.table`` is
+        their table followed by the appended rows that pass the WHERE)."""
+        view = self.view(canonical)
+        key = (plan.where_key, plan.average)
+        estimator = memo = self.populations.get(key)
+        if not isinstance(memo, CATEEstimator):
+            estimator = CauSumX.build_estimator(
+                view.table, plan.average, self.dag, self.config)
+            if memo is not None and estimator.mask_cache is not None:
+                estimator.mask_cache = memo.extended(view.table)
+            self.populations.put(key, estimator)
+        algorithm = CauSumX(self.table, self.dag, self.config)
+        with trace.trace_span("engine.mine",
+                              groups=view.m) if trace.enabled() else trace.NOOP:
+            summary = algorithm.explain(
+                canonical,
+                grouping_attributes=self.grouping_attributes,
+                treatment_attributes=self.treatment_attributes,
+                view=view, estimator=estimator)
+        return summary, view.scan_plan, memo is not None
+
+    def appended(self, table: Table) -> "DatasetState":
+        """The next version, over ``table`` (this one's rows, then appended
+        ones), inheriting this version's WHERE masks and, in LRU order, every
+        cached population's masks."""
+        populations = LRUCache(POPULATION_CACHE_SIZE)
+        for key, memo in self.populations.items():
+            masks = memo.mask_cache if isinstance(memo, CATEEstimator) else memo
+            if masks is not None:
+                populations.put(key, masks)
+        where = self.where_masks
+        return replace(self, table=table, version=self.version + 1,
+                       where_masks=where.extended(table)
+                       if len(where) <= WHERE_MASK_CACHE_LIMIT
+                       else MaskCache(table),
+                       populations=populations)
+
+    def release_bindings(self) -> int:
+        """Release this version's estimators' bindings; returns how many."""
+        return sum(memo.release_bindings()
+                   for _, memo in self.populations.items()
+                   if isinstance(memo, CATEEstimator))
 
 
 @dataclass
@@ -174,8 +231,9 @@ class ExplanationEngine:
     Parameters
     ----------
     summary_cache_size:
-        Capacity of the summary cache (the plan and population caches hold
-        ``PLAN_CACHE_SIZE`` and ``POPULATION_CACHE_SIZE`` entries).
+        Capacity of the summary cache (the plan cache holds
+        ``PLAN_CACHE_SIZE`` entries, each version's population memo
+        ``POPULATION_CACHE_SIZE``).
     memory_budget:
         Optional shared :class:`~repro.service.MemoryBudget`: the summary
         cache weighs its entries (codec and body bytes) against the
@@ -197,20 +255,20 @@ class ExplanationEngine:
         # Serialises this engine's summary computations (module docstring).
         self._compute_gate = named_lock("ExplanationEngine._compute_gate")
         self._plan_cache = LRUCache(PLAN_CACHE_SIZE)
-        self._population_cache = LRUCache(POPULATION_CACHE_SIZE)
         self._summary_cache = LRUCache(
             summary_cache_size, budget=memory_budget,
             weigher=_summary_nbytes if memory_budget is not None else None)
         # Values are EncodedSummary entries: restored ones decode on first hit.
-        self._flights_lock = named_lock("ExplanationEngine._flights_lock")
-        self._flights: dict[tuple, _Flight] = {}  # guarded-by: _flights_lock
-        self._registrations = 0  # guarded-by: _mutation_lock
-        self._computations = 0  # guarded-by: _flights_lock
-        self._coalesced = 0  # guarded-by: _flights_lock
-        self._batch_deduped = 0  # guarded-by: _flights_lock
+        self._flights: dict[tuple, _Flight] = {}  # guarded-by: _datasets_lock
+        # Population-memo counters of replaced states (stats never go back).
+        self._retired = dict.fromkeys(  # guarded-by: _datasets_lock
+            ("hits", "misses", "evictions", "invalidations"), 0)
+        self._computations = 0  # guarded-by: _datasets_lock
+        self._coalesced = 0  # guarded-by: _datasets_lock
+        self._batch_deduped = 0  # guarded-by: _datasets_lock
         self._store = None  # DatasetStore when built via from_store
-        self._restored_summaries = 0  # guarded-by: _flights_lock
-        self._summaries_rejected = 0  # guarded-by: _flights_lock
+        self._restored_summaries = 0  # guarded-by: _datasets_lock
+        self._summaries_rejected = 0  # guarded-by: _datasets_lock
         # HTTP-tier metrics hook (repro.net): attached once before serving
         # starts, read-only afterwards, so no lock is needed.
         self._http_metrics = None
@@ -233,14 +291,18 @@ class ExplanationEngine:
         bumps the data version, invalidating every cache entry of the old
         registration.  ``version`` pins the data version explicitly (used
         when restoring from a store, where the committed manifest version
-        must line up with restored cache keys); ``store`` attaches a
+        must line up with restored cache keys; a re-registration may pin
+        only a larger one); ``store`` attaches a
         :class:`~repro.storage.StoredDataset` for durable appends.
         """
         with self._mutation_lock, self._datasets_lock:
             previous = self._datasets.get(name)
             if version is None:
                 version = previous.version + 1 if previous is not None else 0
-            self._registrations += 1
+            elif previous is not None and version <= previous.version:
+                raise ValueError(
+                    f"cannot re-register {name!r} at version {version}: it "
+                    f"is registered at version {previous.version}")
             state = DatasetState(
                 name=name, table=table, dag=dag,
                 config=config or CauSumXConfig(),
@@ -250,12 +312,12 @@ class ExplanationEngine:
                 if treatment_attributes is not None else None,
                 version=version,
                 store=store,
-                registration=self._registrations,
                 where_masks=MaskCache(table),
             )
             self._datasets[name] = state
             if previous is not None:
-                self._invalidate(name)
+                self._summary_cache.purge(lambda key: key[0] == name)
+                self._retire(previous)
             return state
 
     def register_bundle(self, bundle, config: CauSumXConfig | None = None,
@@ -282,7 +344,6 @@ class ExplanationEngine:
         from cache, byte-identical to the summaries computed before the
         restart.
         """
-        from repro.graph import CausalDAG as _DAG  # local alias; already imported
         from repro.storage import DatasetStore, config_from_dict
 
         if not isinstance(store, DatasetStore):
@@ -294,7 +355,7 @@ class ExplanationEngine:
         for name in store.dataset_names():
             stored = store.dataset(name)
             entry = registry.get(name) or {}
-            dag = _DAG.from_dict(entry["dag"]) if entry.get("dag") else None
+            dag = CausalDAG.from_dict(entry["dag"]) if entry.get("dag") else None
             config = config_from_dict(entry["config"]) \
                 if entry.get("config") else None
             engine.register_dataset(
@@ -314,7 +375,7 @@ class ExplanationEngine:
                     rejected += 1
                     continue
                 restored += 1
-        with engine._flights_lock:
+        with engine._datasets_lock:
             engine._restored_summaries = restored
             engine._summaries_rejected = rejected
         return engine
@@ -454,7 +515,7 @@ class ExplanationEngine:
             outcomes["summary"] = "miss"
 
         while True:
-            with self._flights_lock:
+            with self._datasets_lock:
                 flight = self._flights.get(key)
                 leader = flight is None
                 if leader:
@@ -475,14 +536,14 @@ class ExplanationEngine:
                     flight.error = exc
                     raise
                 finally:
-                    with self._flights_lock:
+                    with self._datasets_lock:
                         self._flights.pop(key, None)
                     flight.done.set()
                 info["seconds"] = time.perf_counter() - start
                 return entry, info, canonical, scan_plan
             flight.done.wait()
             if flight.error is None and flight.entry is not None:
-                with self._flights_lock:
+                with self._datasets_lock:
                     self._coalesced += 1
                 if outcomes is not None:
                     outcomes["flight"] = "coalesced"
@@ -530,7 +591,7 @@ class ExplanationEngine:
         first_index: dict[str, int] = {}
         for i, fp in enumerate(fingerprints):
             first_index.setdefault(fp, i)
-        with self._flights_lock:
+        with self._datasets_lock:
             self._batch_deduped += len(queries) - len(first_index)
         computed = {fp: self.explain(name, canonicals[i], use_summary_cache)
                     for fp, i in first_index.items()}
@@ -545,7 +606,7 @@ class ExplanationEngine:
         """
         state = self.dataset_state(name)
         canonical, plan = self._lowered(query)
-        view = self._view(state, canonical)
+        view = state.view(canonical)
         scan = view.scan_plan.to_dict() if view.scan_plan is not None else None
         return {
             "dataset": name,
@@ -566,13 +627,13 @@ class ExplanationEngine:
         """Append rows to a registered dataset and bump its data version.
 
         The new table is built with ``Table.concat`` (vocabulary merge, no
-        re-factorization of the existing rows).  The summaries and
-        populations of the old data version are invalidated; the new state
-        inherits the WHERE memo and the populations' masks, to be *extended*
-        on first use (``masks_carried`` counts the carried population
-        masks), so nothing here scans the table.  The populations'
-        bindings, which no request on the new version can reuse, are
-        released.  A batch of zero rows —
+        re-factorization of the existing rows).  The old data version's
+        summaries are invalidated; the new state inherits its WHERE memo
+        and its populations' masks (:meth:`DatasetState.appended`), to be
+        *extended* on first use (``masks_carried`` counts the carried
+        population masks), so nothing here scans the table.  The old
+        estimators' bindings, which no request on the new version can
+        reuse, are released.  A batch of zero rows —
         ``[]`` or an empty :class:`Table` — changes nothing.
 
         Appends are serialised against each other, but readers keep serving
@@ -626,36 +687,18 @@ class ExplanationEngine:
                     np.arange(state.table.n_rows, new_table.n_rows))
                 state.store.append(batch, expected_version=state.version)
 
-            # The new version inherits this one's memos: its WHERE masks,
-            # and the masks of every population cached at this version plus
-            # those carried here and not yet claimed (the newest
-            # POPULATION_CACHE_SIZE of them, as the population cache holds).
-            populations = [(key, estimator) for key, estimator
-                           in self._population_cache.items() if key[0] == name]
-            carried = dict([*state.carried.items(),
-                            *((key[2:], estimator.mask_cache)
-                              for key, estimator in populations
-                              if key[1] == state.epoch
-                              and estimator.mask_cache is not None),
-                            ][-POPULATION_CACHE_SIZE:])
-            where = state.where_masks
-            new_state = replace(
-                state, table=new_table, version=state.version + 1,
-                where_masks=where.extended(new_table)
-                if len(where) <= WHERE_MASK_CACHE_LIMIT
-                else MaskCache(new_table),
-                carried=carried)
-            masks_carried = sum(len(masks) for masks in carried.values())
+            new_state = state.appended(new_table)
+            masks_carried = sum(len(masks) for _, masks
+                                in new_state.populations.items())
             with self._datasets_lock:
                 invalidated = self._summary_cache.purge(
                     lambda key: key[0] == name)
-                self._population_cache.purge(lambda key: key[0] == name)
                 self._datasets[name] = new_state
+                self._retire(state)
             # The next request builds a fresh estimator over the carried
-            # masks (_population), so no old binding is reachable from it.
+            # masks, so no old binding is reachable from it.
             REGISTRY.counter("repro_engine_bindings_released_total").inc(
-                sum(estimator.release_bindings()
-                    for _, estimator in populations))
+                state.release_bindings())
             return {"dataset": name, "version": new_state.version,
                     "appended_rows": appended.n_rows,
                     "n_rows": new_table.n_rows,
@@ -668,43 +711,33 @@ class ExplanationEngine:
         """A JSON-compatible snapshot of all cache levels and serving counters."""
         with self._datasets_lock:
             states = list(self._datasets.values())
+            retired = dict(self._retired)
+            computations = self._computations
+            coalesced = self._coalesced
+            batch_deduped = self._batch_deduped
+            restored_summaries = self._restored_summaries
+            summaries_rejected = self._summaries_rejected
         datasets = {
             state.name: {"version": state.version,
                          "rows": state.table.n_rows,
                          "attributes": state.table.n_cols}
             for state in states
         }
-        # The cached populations' masks, and those an append carried to a
-        # newer version that no request has claimed yet.
-        caches = [estimator.mask_cache
-                  for _, estimator in self._population_cache.items()]
-        for state in states:
-            caches.extend(list(state.carried.values()))
-        mask_stats = {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
-        for cache in caches:
-            if cache is None:
-                continue
-            snapshot = cache.stats()
-            mask_stats["hits"] += snapshot.hits
-            mask_stats["misses"] += snapshot.misses
-            mask_stats["entries"] += snapshot.entries
-            mask_stats["bytes"] += snapshot.bytes
+        # The cached populations' masks, and those an append carried in.
+        caches = [memo.mask_cache if isinstance(memo, CATEEstimator) else memo
+                  for state in states for _, memo in state.populations.items()]
+        mask_stats = _summed([asdict(cache.stats()) for cache in caches
+                              if cache is not None],
+                             ("hits", "misses", "entries", "bytes"))
+        # Every version's population memo, plus the replaced versions'.
+        populations = LRUStats(**_summed(
+            [retired, *(asdict(state.populations.stats()) for state in states)],
+            ("hits", "misses", "evictions", "invalidations", "entries",
+             "capacity", "bytes")))
 
-        def level(cache: LRUCache) -> dict:
-            snapshot = cache.stats()
-            return {"hits": snapshot.hits, "misses": snapshot.misses,
-                    "evictions": snapshot.evictions,
-                    "invalidations": snapshot.invalidations,
-                    "entries": snapshot.entries, "capacity": snapshot.capacity,
-                    "bytes": snapshot.bytes,
-                    "hit_rate": round(snapshot.hit_rate, 4)}
+        def level(snapshot: LRUStats) -> dict:
+            return {**asdict(snapshot), "hit_rate": round(snapshot.hit_rate, 4)}
 
-        with self._flights_lock:
-            computations = self._computations
-            coalesced = self._coalesced
-            batch_deduped = self._batch_deduped
-            restored_summaries = self._restored_summaries
-            summaries_rejected = self._summaries_rejected
         storage: dict = {}
         for state in states:
             entry: dict = {}
@@ -725,9 +758,9 @@ class ExplanationEngine:
             "planner": planner,
             # Per-shard loop batches and morsels run.
             "parallel": GLOBAL_PARALLEL_STATS.snapshot(),
-            "plan_cache": level(self._plan_cache),
-            "population_cache": level(self._population_cache),
-            "summary_cache": level(self._summary_cache),
+            "plan_cache": level(self._plan_cache.stats()),
+            "population_cache": level(populations),
+            "summary_cache": level(self._summary_cache.stats()),
             "mask_caches": mask_stats,
             "computations": computations,
             "coalesced": coalesced,
@@ -752,7 +785,7 @@ class ExplanationEngine:
     @property
     def computations(self) -> int:
         """Number of full summary computations performed (cache misses)."""
-        with self._flights_lock:
+        with self._datasets_lock:
             return self._computations
 
     # ------------------------------------------------------------------ internals
@@ -771,7 +804,7 @@ class ExplanationEngine:
             return entry
         except SummaryCodecError:
             self._summary_cache.purge(lambda k: k == key)
-            with self._flights_lock:
+            with self._datasets_lock:
                 self._summaries_rejected += 1
             return None
 
@@ -803,78 +836,28 @@ class ExplanationEngine:
         return lowered
 
     def _compute(self, state: DatasetState, canonical: GroupByAvgQuery,
-                 plan, outcomes: dict | None = None
+                 plan: LogicalPlan, outcomes: dict | None = None
                  ) -> tuple[ExplanationSummary, ScanPlan | None]:
         """The summary and the ``ScanPlan`` its view's WHERE scan executed."""
-        with self._flights_lock:
+        with self._datasets_lock:
             self._computations += 1
-        view = self._view(state, canonical)
-        estimator = self._population(state, plan, view, outcomes)
-        algorithm = CauSumX(state.table, state.dag, state.config)
-        with trace.trace_span("engine.mine",
-                              groups=view.m) if trace.enabled() else trace.NOOP:
-            summary = algorithm.explain(
-                canonical,
-                grouping_attributes=state.grouping_attributes,
-                treatment_attributes=state.treatment_attributes,
-                view=view, estimator=estimator)
-        return summary, view.scan_plan
-
-    def _view(self, state: DatasetState,
-              canonical: GroupByAvgQuery) -> AggregateView:
-        """The query's view, its WHERE scan routed through the version's
-        mask memo (a stored table skips it until its first append, see
-        ``plan/execute.py``).
-
-        The memo is bounded: each entry is one ``n_rows``-byte mask, so
-        once ever-distinct predicates push it past
-        ``WHERE_MASK_CACHE_LIMIT`` entries it is flushed (masks are cheap
-        to recompute and expensive to keep).
-        """
-        if len(state.where_masks) > WHERE_MASK_CACHE_LIMIT:
-            state.where_masks.clear()
-        with trace.trace_span("engine.view_materialize", dataset=state.name):
-            return AggregateView(state.table, canonical,
-                                 mask_cache=state.where_masks)
-
-    def _population(self, state: DatasetState, plan, view: AggregateView,
-                    outcomes: dict | None = None) -> CATEEstimator:
-        """The estimator shared by every query over the request's filtered
-        population at ``state``'s version.
-
-        A miss builds one.  If an earlier version cached this population,
-        its masks were carried to ``state`` at the append: ``view.table``
-        is their table followed by the appended rows that pass the WHERE
-        clause, so the new estimator inherits them.
-        """
-        key = (state.name, state.epoch, plan.where_key, plan.average)
-        estimator = self._population_cache.get(key)
-        hit = estimator is not None
-        if estimator is None:
-            estimator = self._make_estimator(state, view.table, plan.average)
-            masks = state.carried.pop(key[2:], None)
-            hit = masks is not None
-            if hit and estimator.mask_cache is not None:
-                estimator.mask_cache = masks.extended(view.table)
-            self._population_cache.put(key, estimator)
+        summary, scan_plan, hit = state.explain(canonical, plan)
         if outcomes is not None:
             outcomes["population"] = "hit" if hit else "miss"
-        return estimator
+        return summary, scan_plan
 
-    @staticmethod
-    def _make_estimator(state: DatasetState, table: Table,
-                        average: str) -> CATEEstimator:
-        return CauSumX.build_estimator(table, average, state.dag, state.config)
+    def _retire(self, state: DatasetState) -> None:  # guarded-by: _datasets_lock
+        """Fold a replaced state's population-memo counts into the engine's,
+        its entries as invalidations."""
+        snapshot = asdict(state.populations.stats())
+        snapshot["invalidations"] += snapshot["entries"]
+        for name in self._retired:
+            self._retired[name] += snapshot[name]
 
-    def _invalidate(self, name: str) -> int:  # guarded-by: _datasets_lock
-        """Drop every cache entry belonging to dataset ``name`` (any version).
 
-        A reader still on the old registration may put an entry back under
-        its own epoch, which no later state looks up."""
-        invalidated = 0
-        for cache in (self._summary_cache, self._population_cache):
-            invalidated += cache.purge(lambda key: key[0] == name)
-        return invalidated
+def _summed(parts: list[dict], names: Sequence[str]) -> dict:
+    """Field-wise sums of stats snapshots (a field a part lacks counts 0)."""
+    return {name: sum(part.get(name, 0) for part in parts) for name in names}
 
 
 def _summary_nbytes(entry: EncodedSummary) -> int:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CauSumX, CauSumXConfig, summary_to_dict
-from repro.dataframe import Table
+from repro.dataframe import MaskCache, Table
 from repro.mining.treatments import TreatmentMinerConfig
 from repro.obs import trace
 from repro.obs.registry import REGISTRY
@@ -21,6 +21,7 @@ from repro.service import engine as engine_module
 from repro.service import (
     ExplanationEngine,
     LRUCache,
+    dispatch_request,
     handle_request,
     read_queries,
     run_batch,
@@ -34,6 +35,12 @@ def _summary_payload(summary) -> str:
     payload = summary_to_dict(summary)
     payload.pop("timings", None)
     return json.dumps(payload, sort_keys=True, default=str)
+
+
+def _carried(state) -> list[tuple]:
+    """The population keys whose memo entry is masks an append carried in."""
+    return [key for key, memo in state.populations.items()
+            if isinstance(memo, MaskCache)]
 
 
 def small_config(**overrides) -> CauSumXConfig:
@@ -99,6 +106,55 @@ class TestRegistration:
         assert engine.dataset_state("stackoverflow").version == 0
         engine.register_bundle(so_small, config=small_config())
         assert engine.dataset_state("stackoverflow").version == 1
+
+    def test_pinned_reregistration_must_move_the_version_forward(
+            self, engine, so_small):
+        """The version is all that tells two registrations' summaries apart:
+        a table pinned at the current version would be served the old
+        table's cached answers."""
+        before = engine.explain("stackoverflow", BASE_QUERY)
+        smaller = so_small.table.take(range(300))
+        for version in (0, -1):
+            with pytest.raises(ValueError, match=f"version {version}: it is "
+                               "registered at version 0"):
+                engine.register_dataset(
+                    "stackoverflow", smaller, so_small.dag,
+                    config=small_config(), version=version,
+                    grouping_attributes=so_small.grouping_attributes,
+                    treatment_attributes=so_small.treatment_attributes)
+        assert engine.dataset_state("stackoverflow").table is so_small.table
+        assert engine.explain("stackoverflow", BASE_QUERY) is before
+        engine.register_dataset(
+            "stackoverflow", smaller, so_small.dag, config=small_config(),
+            version=5, grouping_attributes=so_small.grouping_attributes,
+            treatment_attributes=so_small.treatment_attributes)
+        served, info = engine.explain_with_info("stackoverflow", BASE_QUERY)
+        assert (info["version"], info["cached"]) == (5, False)
+        assert _summary_payload(served) == _summary_payload(
+            CauSumX(smaller, so_small.dag, small_config()).explain(
+                BASE_QUERY, grouping_attributes=so_small.grouping_attributes,
+                treatment_attributes=so_small.treatment_attributes))
+
+    def test_population_counts_never_go_back(self, engine, so_small):
+        """A replaced version's population-memo counts stay in ``stats()``;
+        its entries count as invalidated."""
+        queries = (BASE_QUERY, OTHER_QUERY, BASE_QUERY)
+        seen = []
+        for step in range(4):
+            for query in queries:
+                engine.explain("stackoverflow", query, use_summary_cache=False)
+            level = engine.stats()["population_cache"]
+            seen.append(tuple(level[name] for name in
+                              ("hits", "misses", "evictions", "invalidations")))
+            if step % 2:
+                engine.register_bundle(so_small, config=small_config())
+            else:
+                engine.append_rows("stackoverflow",
+                                   so_small.table.take(range(10)).to_rows())
+        assert all(a <= b for earlier, later in zip(seen, seen[1:])
+                   for a, b in zip(earlier, later))
+        assert seen[0] == (2, 1, 0, 0)  # one population, three requests
+        assert seen[-1][0] > seen[-2][0] and seen[-1][3] > 0
 
 
 class TestServing:
@@ -599,6 +655,41 @@ class TestServerProtocol:
         with pytest.raises(ValueError):
             read_queries('[{"not": "a string"}]')
 
+    def test_batch_op_deduplicates(self, engine):
+        other = "SELECT Continent, AVG(Salary) FROM SO GROUP BY Continent"
+        response = handle_request(engine, "stackoverflow", json.dumps(
+            {"op": "batch", "queries": [BASE_QUERY, other, BASE_QUERY]}))
+        assert response["ok"] and len(response["results"]) == 3
+        assert response["results"][0] == response["results"][2] == \
+            summary_to_dict(engine.explain("stackoverflow", BASE_QUERY))
+        assert engine.computations == 2
+        assert engine.stats()["batch_deduped"] == 1
+
+    def test_batch_op_stops_at_an_expired_deadline(self, engine):
+        class Expired(Exception):
+            pass
+
+        class ExpiresOnThirdCheck:
+            """Checked before the op, then before each query."""
+
+            def __init__(self):
+                self.where = []
+
+            def check(self, where):
+                self.where.append(where)
+                if len(self.where) == 3:
+                    raise Expired(where)
+
+        deadline = ExpiresOnThirdCheck()
+        with pytest.raises(Expired, match="batch query"):
+            dispatch_request(engine, "stackoverflow", {
+                "op": "batch", "queries": [BASE_QUERY, OTHER_QUERY, BASE_QUERY]},
+                deadline=deadline)
+        assert deadline.where == ["op 'batch'", "batch query", "batch query"]
+        assert engine.computations == 1  # the second query never started
+        assert engine.explain_with_info("stackoverflow", BASE_QUERY)[1]["cached"]
+        assert engine.computations == 1
+
     def test_run_batch_writes_json(self, engine):
         out = io.StringIO()
         payload = run_batch(engine, "stackoverflow", [BASE_QUERY, BASE_QUERY], out)
@@ -737,12 +828,12 @@ class TestAppendPath:
                 assert _summary_payload(served) == \
                     _summary_payload(self._fresh(so_small, table, query))
         # The last version skipped BASE_QUERY's population: its masks wait
-        # in the state's carried memo.  The others were built from theirs.
+        # in the state's population memo.  The others were built from theirs.
         _, plan = engine._lowered(BASE_QUERY)
-        assert list(engine.dataset_state(self.NAME).carried) == \
+        assert _carried(engine.dataset_state(self.NAME)) == \
             [(plan.where_key, plan.average)]
         stats = engine.stats()
-        assert stats["population_cache"]["entries"] == 2
+        assert stats["population_cache"]["entries"] == 3
         assert stats["mask_caches"]["hits"] > 0
 
     def test_stale_reader_never_replaces_an_extended_entry(self, engine,
@@ -752,17 +843,17 @@ class TestAppendPath:
         engine.append_rows(self.NAME, self._batch(so_small, 1))
         engine.explain(self.NAME, self.WHERE_QUERY)  # extends both memos
         current = engine.dataset_state(self.NAME)
-        assert current.epoch == stale.epoch[:1] + (1,)
+        assert current.version == stale.version + 1
         canonical, plan = engine._lowered(self.WHERE_QUERY)
-        key = (self.NAME, current.epoch, plan.where_key, plan.average)
-        extended = engine._population_cache.get(key)
+        key = (plan.where_key, plan.average)
+        extended = current.populations.get(key)
         where_masks = current.where_masks.stats()
         assert extended is not None and where_masks.entries > 0
         # A request that still holds version 0 computes on its own...
         summary, _ = engine._compute(stale, canonical, plan)
         assert _summary_payload(summary) == _summary_payload(before)
         # ...and leaves the version-1 memos untouched.
-        assert engine._population_cache.get(key) is extended
+        assert current.populations.get(key) is extended
         assert engine.dataset_state(self.NAME) is current
         assert current.where_masks.stats() == where_masks
 
@@ -791,6 +882,27 @@ class TestAppendPath:
             assert _summary_payload(engine.explain(self.NAME, query)) == \
                 _summary_payload(self._fresh(so_small, table, query))
 
+    def test_reader_of_a_replaced_registration_leaves_nothing_behind(
+            self, engine, so_small):
+        """What a request on a replaced registration memoises goes with its
+        state: once the request lets go of it, its table is freed."""
+        def register(table):
+            engine.register_dataset(
+                self.NAME, table, so_small.dag, config=small_config(),
+                grouping_attributes=so_small.grouping_attributes,
+                treatment_attributes=so_small.treatment_attributes)
+
+        n_rows = so_small.table.n_rows
+        # A copy: the fixture's own table outlives the test.
+        register(so_small.table.take(np.arange(n_rows)))
+        stale = engine.dataset_state(self.NAME)
+        register(stale.table.take(np.random.default_rng(0).permutation(n_rows)))
+        engine._compute(stale, *engine._lowered(BASE_QUERY))
+        table = weakref.ref(stale.table)
+        del stale
+        gc.collect()
+        assert table() is None
+
     def test_carried_masks_are_bounded(self, so_small, monkeypatch):
         """Masks no request claims are carried from append to append, so
         only the newest ``POPULATION_CACHE_SIZE`` of them are kept."""
@@ -803,7 +915,7 @@ class TestAppendPath:
             for query in queries:
                 engine.explain(self.NAME, query)
             engine.append_rows(self.NAME, self._batch(so_small, k))
-        assert list(engine.dataset_state(self.NAME).carried) == keys[1:]
+        assert _carried(engine.dataset_state(self.NAME)) == keys[1:]
 
     def test_zero_row_table_is_a_no_op(self, tmp_path, so_small):
         store = DatasetStore.init(tmp_path / "store")
@@ -899,9 +1011,8 @@ class TestAppendReleasesBindings:
     def test_bindings_released_masks_kept(self, engine, so_small):
         for query in self.QUERIES:
             engine.explain(self.NAME, query)
-        populations = [estimator for key, estimator
-                       in engine._population_cache.items()
-                       if key[0] == self.NAME]
+        populations = [estimator for _, estimator
+                       in engine.dataset_state(self.NAME).populations.items()]
         caches = [estimator.mask_cache for estimator in populations]
         masks = [cache.stats() for cache in caches]
         held = sum(len(estimator._bound) for estimator in populations)
@@ -912,8 +1023,8 @@ class TestAppendReleasesBindings:
         assert [len(estimator._bound) for estimator in populations] == \
             [0] * len(populations)
         assert held > 0 and released.value - released_before == held
-        assert len(engine._population_cache) == 0
-        assert list(engine.dataset_state(self.NAME).carried.values()) == caches
+        assert [masks for _, masks in engine.dataset_state(
+            self.NAME).populations.items()] == caches
         assert [cache.stats() for cache in caches] == masks
         assert report["masks_carried"] == sum(m.entries for m in masks) > 0
 
