@@ -155,7 +155,7 @@ def run_overhead(n_clients: int = N_CLIENTS,
         store = DatasetStore.init(Path(tmp) / "store")
         store.import_bundle(bundle, config=_config())
         registry = TenantRegistry.from_store(
-            store, tenant_budget_bytes=32 << 20, max_tenants=16,
+            store, summary_cache_bytes=32 << 20, max_tenants=16,
             summary_cache_size=16)
         server = create_server(registry, "127.0.0.1", 0,
                                max_inflight=MAX_INFLIGHT,

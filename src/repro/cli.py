@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,6 +43,18 @@ def _row_count(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _byte_cap(text: str) -> int | None:
+    """argparse type of ``--memory-budget-mb``: whole bytes, ``None`` for 0
+    (no cap)."""
+    megabytes = float(text)
+    if megabytes == 0:
+        return None
+    if not math.isfinite(megabytes) or megabytes * 2**20 < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (no cap) or at least one byte, got {text}")
+    return int(megabytes * 2**20)
 
 
 def _add_source_arguments(parser: argparse.ArgumentParser,
@@ -93,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "don't name one (default: the only/first dataset)")
     serve.add_argument("--summary-cache-size", type=int, default=256,
                        help="LRU capacity of the summary cache")
-    serve.add_argument("--memory-budget-mb", type=float, default=None,
-                       help="byte cap for cached summaries (shared LRU "
-                            "eviction across datasets)")
+    serve.add_argument("--memory-budget-mb", dest="summary_cache_bytes",
+                       type=_byte_cap, default=None, metavar="MB",
+                       help="byte cap of the summary cache (LRU eviction; "
+                            "with --http, of each tenant's); 0: no cap")
     serve.add_argument("--http", metavar="HOST:PORT", default=None,
                        help="serve over HTTP instead of the stdin loop "
                             "(POST /v1/<op>, GET /healthz, GET /metrics; "
@@ -109,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--http-deadline-ms", type=float, default=None,
                        help="default per-request deadline (504 on expiry); "
                             "X-Repro-Deadline-Ms overrides per request")
-    serve.add_argument("--http-tenant-budget-mb", type=float, default=None,
-                       help="isolated summary-cache byte budget per tenant")
     serve.add_argument("--http-drain-timeout", type=float, default=10.0,
                        help="seconds to let in-flight requests finish on "
                             "SIGTERM before snapshotting and closing")
@@ -256,15 +268,19 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0 if summary.feasible else 1
 
 
-def _make_engine(args: argparse.Namespace):
+def _engine_kwargs(args: argparse.Namespace) -> dict:
+    """The serve command's cache sizes as engine keywords."""
+    return {"summary_cache_size": args.summary_cache_size,
+            "summary_cache_bytes": args.summary_cache_bytes}
+
+
+def _make_engine(args: argparse.Namespace, **engine_kwargs):
     """Build an engine with one registered dataset from the CLI source options."""
     source = _load_source(args, require_query=False, machine_output=True)
     if source is None:
         return None
     table, dag, _, grouping_attributes, treatment_attributes, config, name = source
-    engine = ExplanationEngine(
-        summary_cache_size=getattr(args, "summary_cache_size", 256),
-        memory_budget=_memory_budget(args))
+    engine = ExplanationEngine(**engine_kwargs)
     engine.register_dataset(name, table, dag=dag, config=config,
                             grouping_attributes=grouping_attributes,
                             treatment_attributes=treatment_attributes)
@@ -286,7 +302,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if args.http:
         return _serve_http(args)
-    made = _make_engine(args)
+    made = _make_engine(args, **_engine_kwargs(args))
     if made is None:
         return 2
     engine, name = made
@@ -300,8 +316,6 @@ def _http_registry(args: argparse.Namespace):
     """A TenantRegistry from the serve command's source options, or None."""
     from repro.net import TenantRegistry
 
-    budget_mb = args.http_tenant_budget_mb
-    tenant_budget = int(budget_mb * 2**20) if budget_mb else None
     if args.store is not None:
         from repro.storage import DatasetStore, StorageError
 
@@ -313,8 +327,7 @@ def _http_registry(args: argparse.Namespace):
         try:
             return TenantRegistry.from_store(
                 store, default_dataset=args.store_dataset,
-                tenant_budget_bytes=tenant_budget,
-                summary_cache_size=args.summary_cache_size)
+                **_engine_kwargs(args))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return None
@@ -325,9 +338,7 @@ def _http_registry(args: argparse.Namespace):
     return TenantRegistry.single_dataset(
         name, table, dag=dag, config=config,
         grouping_attributes=grouping_attributes,
-        treatment_attributes=treatment_attributes,
-        tenant_budget_bytes=tenant_budget,
-        summary_cache_size=args.summary_cache_size)
+        treatment_attributes=treatment_attributes, **_engine_kwargs(args))
 
 
 def _serve_http(args: argparse.Namespace) -> int:
@@ -384,16 +395,6 @@ def _serve_http(args: argparse.Namespace) -> int:
     return 0
 
 
-def _memory_budget(args: argparse.Namespace):
-    """A MemoryBudget from --memory-budget-mb, or None when unset."""
-    budget_mb = getattr(args, "memory_budget_mb", None)
-    if not budget_mb:
-        return None
-    from repro.service import MemoryBudget
-
-    return MemoryBudget(int(budget_mb * 2**20))
-
-
 def _serve_store(args: argparse.Namespace) -> int:
     """Serve every dataset of an on-disk store, with warm-restart state."""
     from repro.storage import DatasetStore, StorageError
@@ -413,9 +414,7 @@ def _serve_store(args: argparse.Namespace) -> int:
         print(f"error: no dataset {default!r} in store (have: {names})",
               file=sys.stderr)
         return 2
-    engine = ExplanationEngine.from_store(
-        store, summary_cache_size=args.summary_cache_size,
-        memory_budget=_memory_budget(args))
+    engine = ExplanationEngine.from_store(store, **_engine_kwargs(args))
     restored = engine.stats().get("restored_summaries", 0)
     print(f"[serving store {str(args.store)!r}: datasets {names}, default "
           f"{default!r}, {restored} summaries restored; one JSON request per "

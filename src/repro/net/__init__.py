@@ -6,8 +6,9 @@ Layers, bottom-up:
   per-tenant in-flight caps, per-request deadlines, graceful draining.
 * :mod:`repro.net.metrics` — request counters and a latency ring buffer,
   surfaced via ``GET /metrics`` and the engine's ``stats`` op.
-* :mod:`repro.net.registry` — one isolated engine (+ memory budget) per
-  tenant, lazily materialized from a shared store or in-memory dataset.
+* :mod:`repro.net.registry` — one isolated engine (its own caches, byte
+  cap included) per tenant, lazily materialized from a shared store or
+  in-memory dataset.
 * :mod:`repro.net.server` — the ``ThreadingHTTPServer`` front end mapping
   ``POST /v1/<op>`` onto the same dispatch core the JSON-lines loop uses,
   byte-identical response bodies included.

@@ -1,14 +1,14 @@
 """Per-tenant engine registry for the HTTP serving tier.
 
 Multi-tenancy model: every tenant gets its **own**
-:class:`~repro.service.ExplanationEngine` with its **own**
-:class:`~repro.service.MemoryBudget`, lazily materialized by a shared
-factory on the tenant's first request.  Isolation is therefore at the cache
-level — one tenant's hot queries can never evict another tenant's summaries,
-and a tenant hammering ``append_rows`` only bumps its own data versions —
-while the expensive immutable inputs (memory-mapped shards on disk, the
-shared :class:`~repro.dataframe.Table` in single-dataset mode) are shared
-by construction.
+:class:`~repro.service.ExplanationEngine`, lazily materialized by a shared
+factory on the tenant's first request, with its own caches (and, given
+``summary_cache_bytes``, its own summary byte cap of that size).  Isolation
+is therefore at the cache level — one tenant's hot queries can never evict
+another tenant's summaries, and a tenant hammering ``append_rows`` only
+bumps its own data versions — while the expensive immutable inputs
+(memory-mapped shards on disk, the shared :class:`~repro.dataframe.Table`
+in single-dataset mode) are shared by construction.
 
 Tenant names come from the ``X-Repro-Tenant`` header; they are restricted to
 ``[A-Za-z0-9._-]`` (max 64 chars) so a hostile header can neither grow an
@@ -23,7 +23,6 @@ from typing import Callable
 
 from repro.analysis.lockwatch import named_lock
 from repro.service.engine import ExplanationEngine
-from repro.service.membudget import MemoryBudget
 from repro.service.server import ProtocolError
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
@@ -98,17 +97,6 @@ class TenantRegistry:
         with self._lock:
             return sorted(self._engines.items())
 
-    def stats(self) -> dict:
-        """Per-tenant dataset/budget overview (cheap; no cache walks)."""
-        result = {}
-        for tenant, engine in self.engines():
-            budget = engine.memory_budget
-            result[tenant] = {
-                "datasets": engine.datasets(),
-                "memory_budget": budget.stats() if budget is not None else None,
-            }
-        return result
-
     def snapshot_all(self) -> dict:
         """Snapshot every store-backed tenant engine (graceful shutdown).
 
@@ -127,14 +115,12 @@ class TenantRegistry:
 
     @classmethod
     def from_store(cls, store, default_dataset: str | None = None,
-                   tenant_budget_bytes: int | None = None,
                    max_tenants: int = 64, **engine_kwargs) -> "TenantRegistry":
         """A registry whose tenants each restore from one shared store.
 
         Every tenant engine memory-maps the same shard files (the OS page
-        cache shares the bytes) but owns its caches and, when
-        ``tenant_budget_bytes`` is given, an isolated
-        :class:`~repro.service.MemoryBudget` of that capacity.
+        cache shares the bytes) but owns its caches; ``engine_kwargs``
+        (``summary_cache_size``, ``summary_cache_bytes``) size each one.
 
         Snapshots are **not** shared: only the reserved ``default`` tenant
         writes back to the store on :meth:`snapshot_all`, so tenants cannot
@@ -158,10 +144,7 @@ class TenantRegistry:
                              f"store (has: {', '.join(names)})")
 
         def factory(tenant: str) -> ExplanationEngine:
-            kwargs = dict(engine_kwargs)
-            if tenant_budget_bytes is not None:
-                kwargs["memory_budget"] = MemoryBudget(tenant_budget_bytes)
-            engine = ExplanationEngine.from_store(store, **kwargs)
+            engine = ExplanationEngine.from_store(store, **engine_kwargs)
             if tenant != "default":
                 # Non-default tenants must not write back to the shared
                 # store: concurrent appends would race on its committed
@@ -174,7 +157,6 @@ class TenantRegistry:
     @classmethod
     def single_dataset(cls, name: str, table, dag=None, config=None,
                        grouping_attributes=None, treatment_attributes=None,
-                       tenant_budget_bytes: int | None = None,
                        max_tenants: int = 64, **engine_kwargs
                        ) -> "TenantRegistry":
         """A registry whose tenants all serve one in-memory dataset.
@@ -185,10 +167,7 @@ class TenantRegistry:
         """
 
         def factory(tenant: str) -> ExplanationEngine:
-            kwargs = dict(engine_kwargs)
-            if tenant_budget_bytes is not None:
-                kwargs["memory_budget"] = MemoryBudget(tenant_budget_bytes)
-            engine = ExplanationEngine(**kwargs)
+            engine = ExplanationEngine(**engine_kwargs)
             engine.register_dataset(
                 name, table, dag=dag, config=config,
                 grouping_attributes=grouping_attributes,

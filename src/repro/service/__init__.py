@@ -3,14 +3,14 @@
 ``repro.service`` turns the one-shot ``CauSumX.explain`` pipeline into a
 long-lived, cache-backed service: datasets are registered once, queries are
 canonicalised and fingerprinted, summaries are served through a multi-level
-cache hierarchy with single-flighted computation, batches deduplicate
-repeated queries, and new data arrives incrementally via versioned appends.  See
+cache hierarchy with single-flighted computation (the summary cache
+optionally byte-capped), batches deduplicate repeated queries, and new data
+arrives incrementally via versioned appends.  See
 :class:`ExplanationEngine` for the full contract.
 """
 
 from repro.service.engine import DatasetState, ExplanationEngine
 from repro.service.lru import LRUCache, LRUStats
-from repro.service.membudget import MemoryBudget
 from repro.service.server import (OPS, ProtocolError, classify_error,
                                   dispatch_request, encode_response,
                                   error_envelope, finalize_response,
@@ -22,7 +22,6 @@ __all__ = [
     "ExplanationEngine",
     "LRUCache",
     "LRUStats",
-    "MemoryBudget",
     "OPS",
     "ProtocolError",
     "classify_error",

@@ -17,7 +17,7 @@ served through a hierarchy of caches —
    groups by;
 3. **summary cache** — fingerprint → finished
    :class:`~repro.core.ExplanationSummary` (LRU with hit/miss/eviction
-   statistics).
+   statistics, optionally capped in bytes).
 
 Identical in-flight requests are *single-flighted*: concurrent callers with
 the same fingerprint block on one computation and all receive the identical
@@ -234,18 +234,17 @@ class ExplanationEngine:
         Capacity of the summary cache (the plan cache holds
         ``PLAN_CACHE_SIZE`` entries, each version's population memo
         ``POPULATION_CACHE_SIZE``).
-    memory_budget:
-        Optional shared :class:`~repro.service.MemoryBudget`: the summary
-        cache weighs its entries (codec and body bytes) against the
-        budget's global cap, and the budget may evict the globally
-        least-recently-used summaries across *every* engine attached to it.
+    summary_cache_bytes:
+        Optional byte cap of the summary cache: it weighs its entries
+        (codec and body bytes) and evicts least-recently-used ones to stay
+        under the cap.
     max_workers:
         Ignored; accepted for benchmarks/e2e/workloads.py (ENGINE_KWARGS).
     """
 
-    def __init__(self, summary_cache_size: int = 256, memory_budget=None,
+    def __init__(self, summary_cache_size: int = 256,
+                 summary_cache_bytes: int | None = None,
                  max_workers: int | None = None):
-        self.memory_budget = memory_budget
         self._datasets_lock = named_lock("ExplanationEngine._datasets_lock")
         self._datasets: dict[str, DatasetState] = {}  # guarded-by: _datasets_lock
         # Serialises mutations (append_rows) without blocking readers: the
@@ -256,8 +255,9 @@ class ExplanationEngine:
         self._compute_gate = named_lock("ExplanationEngine._compute_gate")
         self._plan_cache = LRUCache(PLAN_CACHE_SIZE)
         self._summary_cache = LRUCache(
-            summary_cache_size, budget=memory_budget,
-            weigher=_summary_nbytes if memory_budget is not None else None)
+            summary_cache_size, max_bytes=summary_cache_bytes,
+            weigher=_summary_nbytes if summary_cache_bytes is not None
+            else None)
         # Values are EncodedSummary entries: restored ones decode on first hit.
         self._flights: dict[tuple, _Flight] = {}  # guarded-by: _datasets_lock
         # Population-memo counters of replaced states (stats never go back).
@@ -272,8 +272,8 @@ class ExplanationEngine:
         # HTTP-tier metrics hook (repro.net): attached once before serving
         # starts, read-only afterwards, so no lock is needed.
         self._http_metrics = None
-        # Query-telemetry sink (repro.obs): attached once (from_store wires
-        # the store's log), read-only afterwards, so no lock is needed.
+        # Query-telemetry sink (repro.obs): from_store sets the store's log
+        # before serving starts, read-only afterwards, so no lock is needed.
         self._telemetry = None
 
     # ------------------------------------------------------------------ registration
@@ -339,8 +339,8 @@ class ExplanationEngine:
         partition recorded in the store's registry at the dataset's committed
         manifest version.  Persisted summary-cache entries whose
         ``(dataset, version)`` still matches are restored undecoded (each
-        body is decoded on its first hit, or at restore when a memory
-        budget weighs it), so repeated queries after a restart are served
+        body is decoded on its first hit, or at restore when a byte cap
+        weighs it), so repeated queries after a restart are served
         from cache, byte-identical to the summaries computed before the
         restart.
         """
@@ -371,7 +371,7 @@ class ExplanationEngine:
             if state is not None and state.version == version:
                 try:
                     engine._summary_cache.put(key, entry)
-                except SummaryCodecError:  # a budget decoded a bad body
+                except SummaryCodecError:  # the byte cap decoded a bad body
                     rejected += 1
                     continue
                 restored += 1
@@ -383,18 +383,13 @@ class ExplanationEngine:
     def snapshot(self) -> dict:
         """Persist registrations + summary cache to the backing store.
 
-        Only available on engines built via :meth:`from_store` (or with a
-        store attached through :attr:`attach_store`).  Returns the persisted
-        entry counts.
+        Only available on engines built via :meth:`from_store` (and not
+        since detached).  Returns the persisted entry counts.
         """
         if self._store is None:
             raise ValueError("engine has no backing store; build it with "
-                             "ExplanationEngine.from_store or attach_store()")
+                             "ExplanationEngine.from_store")
         return self._store.snapshot(self)
-
-    def attach_store(self, store) -> None:
-        """Attach a :class:`~repro.storage.DatasetStore` for :meth:`snapshot`."""
-        self._store = store
 
     def detach_store(self) -> None:
         """Detach the backing store from the engine and all its datasets.
@@ -410,19 +405,6 @@ class ExplanationEngine:
             for name, state in list(self._datasets.items()):
                 if state.store is not None:
                     self._datasets[name] = replace(state, store=None)
-
-    def attach_telemetry(self, log) -> None:
-        """Attach a :class:`~repro.obs.TelemetryLog` query-telemetry sink.
-
-        One record per served :meth:`explain` — fingerprint, the executed
-        scan's shard and row counts, cache outcomes, span timings — is
-        appended whenever telemetry is enabled
-        (:func:`~repro.obs.telemetry_enabled`); attaching alone changes
-        nothing.  :meth:`from_store` attaches the store's own log
-        automatically.  Attach before serving begins — the reference is
-        read without locking.
-        """
-        self._telemetry = log
 
     def attach_http_metrics(self, metrics) -> None:
         """Attach the HTTP tier's serving metrics (:mod:`repro.net`).
@@ -451,13 +433,12 @@ class ExplanationEngine:
 
     # ------------------------------------------------------------------ serving
 
-    def explain(self, name: str, query: GroupByAvgQuery | str,
-                use_summary_cache: bool = True) -> ExplanationSummary:
+    def explain(self, name: str,
+                query: GroupByAvgQuery | str) -> ExplanationSummary:
         """Serve one explanation summary (cached, single-flighted)."""
-        return self.explain_with_info(name, query, use_summary_cache)[0]
+        return self.explain_with_info(name, query)[0]
 
-    def explain_with_info(self, name: str, query: GroupByAvgQuery | str,
-                          use_summary_cache: bool = True,
+    def explain_with_info(self, name: str, query: GroupByAvgQuery | str
                           ) -> tuple[ExplanationSummary, dict]:
         """Like :meth:`explain` but also return serving metadata.
 
@@ -475,15 +456,14 @@ class ExplanationEngine:
         outcomes = {} if (telemetered or trace.enabled()) else None
         with trace.trace_span("engine.explain", dataset=name) as span:
             entry, info, canonical, scan_plan = self._explain_serve(
-                name, query, use_summary_cache, outcomes, start)
+                name, query, outcomes, start)
         if telemetered:
             self._record_telemetry(info, outcomes, span, canonical, scan_plan)
         info["entry"] = entry
         return entry.summary(), info
 
     def _explain_serve(self, name: str, query: GroupByAvgQuery | str,
-                       use_summary_cache: bool, outcomes: dict | None,
-                       start: float
+                       outcomes: dict | None, start: float
                        ) -> tuple[EncodedSummary, dict, GroupByAvgQuery,
                                   ScanPlan | None]:
         """The serving core of :meth:`explain_with_info`.
@@ -503,14 +483,13 @@ class ExplanationEngine:
         info = {"dataset": name, "version": state.version,
                 "fingerprint": fingerprint, "cached": False, "coalesced": False}
 
-        if use_summary_cache:
-            entry = self._cached_entry(key)
-            if entry is not None:
-                if outcomes is not None:
-                    outcomes["summary"] = "hit"
-                info["cached"] = True
-                info["seconds"] = time.perf_counter() - start
-                return entry, info, canonical, None
+        entry = self._cached_entry(key)
+        if entry is not None:
+            if outcomes is not None:
+                outcomes["summary"] = "hit"
+            info["cached"] = True
+            info["seconds"] = time.perf_counter() - start
+            return entry, info, canonical, None
         if outcomes is not None:
             outcomes["summary"] = "miss"
 
@@ -529,8 +508,7 @@ class ExplanationEngine:
                         summary, scan_plan = self._compute(
                             state, canonical, plan, outcomes)
                     entry = EncodedSummary(summary)
-                    if use_summary_cache:
-                        self._cache_entry(key, entry)
+                    self._cache_entry(state, key, entry)
                     flight.entry = entry
                 except BaseException as exc:
                     flight.error = exc
@@ -577,8 +555,8 @@ class ExplanationEngine:
         }
         self._telemetry.record(record)
 
-    def explain_many(self, name: str, queries: Sequence[GroupByAvgQuery | str],
-                     use_summary_cache: bool = True) -> list[ExplanationSummary]:
+    def explain_many(self, name: str, queries: Sequence[GroupByAvgQuery | str]
+                     ) -> list[ExplanationSummary]:
         """Serve a batch of queries, deduplicating identical fingerprints.
 
         Duplicate queries are computed once, in first-occurrence order,
@@ -593,7 +571,7 @@ class ExplanationEngine:
             first_index.setdefault(fp, i)
         with self._datasets_lock:
             self._batch_deduped += len(queries) - len(first_index)
-        computed = {fp: self.explain(name, canonicals[i], use_summary_cache)
+        computed = {fp: self.explain(name, canonicals[i])
                     for fp, i in first_index.items()}
         return [computed[fp] for fp in fingerprints]
 
@@ -770,8 +748,8 @@ class ExplanationEngine:
             result["storage"] = storage
             result["restored_summaries"] = restored_summaries
             result["summaries_rejected"] = summaries_rejected
-        if self.memory_budget is not None:
-            result["memory_budget"] = self.memory_budget.stats()
+        if self._summary_cache.max_bytes is not None:
+            result["memory_budget"] = self._summary_cache.byte_cap_stats()
         if self._http_metrics is not None:
             result["http"] = self._http_metrics.snapshot()
         if self._telemetry is not None:
@@ -808,14 +786,25 @@ class ExplanationEngine:
                 self._summaries_rejected += 1
             return None
 
-    def _cache_entry(self, key: tuple, entry: EncodedSummary) -> None:
-        """Cache a computed summary's entry, unless a memory budget must
-        weigh it and the codec cannot encode it (a group or predicate value
-        JSON has no form for): then it is served uncached."""
+    def _cache_entry(self, state: DatasetState, key: tuple,
+                     entry: EncodedSummary) -> None:
+        """Cache a computed summary's entry while ``state`` is still its
+        dataset's current version.
+
+        An append or re-registration that swapped ``state`` out while the
+        entry was computed has already purged that version's keys; the put
+        is undone under the lock the swap holds, so no stale entry keeps a
+        slot or reaches a snapshot.  The entry is also served uncached when
+        the byte cap must weigh it and the codec cannot encode it (a group
+        or predicate value JSON has no form for).
+        """
         try:
             self._summary_cache.put(key, entry)
         except SummaryCodecError:
-            pass
+            return
+        with self._datasets_lock:
+            if self._datasets.get(state.name) is not state:
+                self._summary_cache.purge(lambda k: k == key)
 
     def _lowered(self, query: GroupByAvgQuery | str,
                  outcomes: dict | None = None

@@ -6,12 +6,10 @@ populations, finished summaries).  Deliberately minimal: plain
 dataset's data version moves (:meth:`purge`), and capacity evictions drop the
 least recently *used* entry.
 
-A cache may additionally participate in a shared
-:class:`~repro.service.membudget.MemoryBudget`: constructed with ``budget=``
-and ``weigher=`` it weighs every inserted value (bytes), stamps each
-hit/insert with the budget's global recency clock, and lets the budget evict
-globally-least-recent entries across *all* attached caches when the summed
-bytes exceed the cap (the engine attaches only its summary cache).
+A cache may also cap its bytes: constructed with ``max_bytes=`` and
+``weigher=`` it weighs every inserted value, and an insert that takes the
+total past the cap drops least-recent entries until it fits (the engine caps
+only its summary cache, by ``--memory-budget-mb``).
 """
 
 from __future__ import annotations
@@ -52,51 +50,48 @@ class LRUCache:
     ----------
     capacity:
         Maximum number of entries (count-based, always enforced).
-    budget / weigher:
-        Optional shared :class:`~repro.service.membudget.MemoryBudget` and a
-        ``value -> bytes`` weigher.  With both set, inserts are weighed and
-        the budget may evict this cache's least-recent entries to keep the
-        global byte total under its cap.
+    max_bytes / weigher:
+        Optional byte cap and the ``value -> bytes`` weigher it needs.  With
+        both set, :meth:`put` drops least-recent entries until the weighed
+        total fits, the inserted entry too when it alone exceeds the cap.
     """
 
-    def __init__(self, capacity: int = 128, budget=None,
+    def __init__(self, capacity: int = 128, max_bytes: int | None = None,
                  weigher: Callable | None = None):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
+        if max_bytes is not None and (max_bytes < 1 or weigher is None):
+            raise ValueError("max_bytes must be positive and needs a weigher")
         self.capacity = capacity
-        self.budget = budget
+        self.max_bytes = max_bytes
         self.weigher = weigher
         self._lock = named_lock("LRUCache._lock")
         self._entries: OrderedDict = OrderedDict()  # guarded-by: _lock
         self._weights: dict = {}  # guarded-by: _lock
-        self._stamps: dict = {}  # guarded-by: _lock
         self._total_bytes = 0  # guarded-by: _lock
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
         self._evictions = 0  # guarded-by: _lock
         self._invalidations = 0  # guarded-by: _lock
-        if budget is not None:
-            budget.attach(self)
+        self._byte_evictions = 0  # guarded-by: _lock
+        self._bytes_evicted = 0  # guarded-by: _lock
 
     # ------------------------------------------------------------------ core ops
 
     def get(self, key: Hashable, default=None):
         """Look up ``key``, marking it most recently used.  Counts a hit/miss."""
-        stamp = self.budget.tick() if self.budget is not None else None
         with self._lock:
             if key in self._entries:
                 self._hits += 1
                 self._entries.move_to_end(key)
-                if stamp is not None:
-                    self._stamps[key] = stamp
                 return self._entries[key]
             self._misses += 1
             return default
 
     def put(self, key: Hashable, value) -> None:
-        """Insert/overwrite ``key``, evicting the LRU entry when over capacity."""
+        """Insert/overwrite ``key``, evicting LRU entries while over capacity
+        or over the byte cap."""
         weight = self.weigher(value) if self.weigher is not None else 0
-        stamp = self.budget.tick() if self.budget is not None else None
         with self._lock:
             if key in self._entries:
                 self._total_bytes -= self._weights.get(key, 0)
@@ -104,13 +99,12 @@ class LRUCache:
             self._entries.move_to_end(key)
             self._weights[key] = weight
             self._total_bytes += weight
-            if stamp is not None:
-                self._stamps[key] = stamp
             while len(self._entries) > self.capacity:
                 self._drop_oldest_locked()
-                self._evictions += 1
-        if self.budget is not None:
-            self.budget.rebalance()
+            while self.max_bytes is not None \
+                    and self._total_bytes > self.max_bytes:
+                self._bytes_evicted += self._drop_oldest_locked()
+                self._byte_evictions += 1
 
     def purge(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate`` (invalidation).
@@ -122,7 +116,6 @@ class LRUCache:
             for k in doomed:
                 del self._entries[k]
                 self._total_bytes -= self._weights.pop(k, 0)
-                self._stamps.pop(k, None)
             self._invalidations += len(doomed)
             return len(doomed)
 
@@ -136,37 +129,14 @@ class LRUCache:
             self._invalidations += len(self._entries)
             self._entries.clear()
             self._weights.clear()
-            self._stamps.clear()
             self._total_bytes = 0
 
-    # ------------------------------------------------------------------ budget hooks
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return self._total_bytes
-
-    def oldest_stamp(self):
-        """Recency stamp of the LRU entry, or ``None`` when empty/unstamped."""
-        with self._lock:
-            for key in self._entries:  # first key = least recently used
-                return self._stamps.get(key, 0)
-            return None
-
-    def evict_oldest(self):
-        """Evict the LRU entry for the budget; returns its weight (or None)."""
-        with self._lock:
-            if not self._entries:
-                return None
-            weight = self._drop_oldest_locked()
-            self._evictions += 1
-            return weight
-
     def _drop_oldest_locked(self) -> int:  # guarded-by: _lock
+        """Evict the LRU entry; returns its weight."""
         key, _ = self._entries.popitem(last=False)
         weight = self._weights.pop(key, 0)
-        self._stamps.pop(key, None)
         self._total_bytes -= weight
+        self._evictions += 1
         return weight
 
     # ------------------------------------------------------------------ dunder / stats
@@ -186,3 +156,12 @@ class LRUCache:
                             invalidations=self._invalidations,
                             entries=len(self._entries), capacity=self.capacity,
                             bytes=self._total_bytes)
+
+    def byte_cap_stats(self) -> dict:
+        """The byte cap and what it evicted (all evictions count in
+        :meth:`stats`; these only the ones the cap forced)."""
+        with self._lock:
+            return {"capacity_bytes": self.max_bytes,
+                    "bytes": self._total_bytes,
+                    "evictions": self._byte_evictions,
+                    "bytes_evicted": self._bytes_evicted}

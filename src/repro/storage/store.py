@@ -274,8 +274,8 @@ class DatasetStore:
             if not _index_item_ok(item, len(payload) - base):
                 return []
             name, version, fingerprint, offset, length = item
-            # A copy per entry: each owns exactly the bytes a memory budget
-            # weighs it by, and evicting it frees them.
+            # A copy per entry: each owns exactly the bytes the summary
+            # cache's byte cap weighs it by, and evicting it frees them.
             start = base + offset
             entries.append(((name, version, fingerprint), EncodedSummary(
                 blob=payload[start:start + length])))

@@ -128,6 +128,47 @@ class TestCommands:
         assert code == 2
         assert "--http-deadline-ms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("megabytes", ["-1", "1e-9", "nan", "inf"])
+    def test_serve_refuses_an_unusable_memory_budget(self, capsys,
+                                                     megabytes):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--dataset", "synthetic", "--n", "300",
+                  "--memory-budget-mb", megabytes])
+        assert exit_info.value.code == 2
+        assert "--memory-budget-mb" in capsys.readouterr().err
+
+    def test_tenant_budget_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["serve", "--dataset", "synthetic", "--http", "127.0.0.1:0",
+                 "--http-tenant-budget-mb", "1"])
+        assert exit_info.value.code == 2
+        assert "--http-tenant-budget-mb" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("megabytes, capacity",
+                             [("1", 1 << 20), ("0.5", 1 << 19), ("0", None)])
+    @pytest.mark.parametrize("source", ["dataset", "store"])
+    def test_memory_budget_caps_each_http_tenant(self, tmp_path, capsys,
+                                                 source, megabytes, capacity):
+        from repro.cli import _http_registry
+
+        if source == "store":
+            store = str(tmp_path / "store")
+            assert main(["store", "import", store, "--dataset", "synthetic",
+                         "--n", "300"]) == 0
+            argv = ["serve", "--store", store]
+        else:
+            argv = ["serve", "--dataset", "synthetic", "--n", "300"]
+        registry = _http_registry(build_parser().parse_args(
+            argv + ["--http", "127.0.0.1:0",
+                    "--memory-budget-mb", megabytes]))
+        for tenant in ("default", "guest"):
+            stats = registry.engine_for(tenant).stats()
+            if capacity is None:
+                assert "memory_budget" not in stats
+            else:
+                assert stats["memory_budget"]["capacity_bytes"] == capacity
+
     def test_case_study_command(self, capsys):
         code = main(["case-study", "figure18_german", "--n", "800"])
         out = capsys.readouterr().out

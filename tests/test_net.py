@@ -298,14 +298,20 @@ class TestTenantRegistry:
                 validate_tenant(bad)
 
     def test_lazy_isolated_engines(self, so_net):
-        registry = make_registry(so_net, tenant_budget_bytes=8 << 20)
+        registry = make_registry(so_net, summary_cache_bytes=8 << 20)
         assert registry.tenants() == []
         a = registry.engine_for("a")
         b = registry.engine_for("b")
         assert a is not b
         assert a is registry.engine_for("a")  # memoized
-        assert a.memory_budget is not b.memory_budget  # isolated budgets
         assert registry.tenants() == ["a", "b"]
+        # Each tenant's summary cache is its own, capped at the full size.
+        a.explain(registry.default_dataset, BASE_QUERY)
+        budgets = [engine.stats()["memory_budget"] for engine in (a, b)]
+        assert [budget["capacity_bytes"] for budget in budgets] == \
+            [8 << 20, 8 << 20]
+        assert budgets[0]["bytes"] > 0 and budgets[1]["bytes"] == 0
+        assert b.summary_cache_items() == []
 
     def test_tenant_cap(self, so_net):
         registry = make_registry(so_net, max_tenants=1)
@@ -479,7 +485,7 @@ class TestHTTPServer:
         watch = lockwatch.enable()
         watch.reset()
         try:
-            registry = make_registry(so_net, tenant_budget_bytes=16 << 20)
+            registry = make_registry(so_net, summary_cache_bytes=16 << 20)
             with live_server(registry, max_inflight=4,
                              max_queue=64) as server:
                 # Warm both distinct queries once so the storm is cache-served
@@ -615,9 +621,9 @@ class TestResponseBytes:
         request = {"op": "explain", "query": BASE_QUERY}
         if variant != "bare":
             request["id"] = 9
-        # A budget weighs each restored entry, decoding it at restore.
+        # A byte cap weighs each restored entry, decoding it at restore.
         registry = TenantRegistry.from_store(
-            snapshot_store, tenant_budget_bytes=16 << 20) \
+            snapshot_store, summary_cache_bytes=16 << 20) \
             if kind == "restored" else make_registry(so_net)
         engine = registry.engine_for("default")
         dataset = registry.default_dataset

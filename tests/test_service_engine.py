@@ -19,6 +19,7 @@ from repro.obs import trace
 from repro.obs.registry import REGISTRY
 from repro.service import engine as engine_module
 from repro.service import (
+    DatasetState,
     ExplanationEngine,
     LRUCache,
     dispatch_request,
@@ -138,11 +139,14 @@ class TestRegistration:
     def test_population_counts_never_go_back(self, engine, so_small):
         """A replaced version's population-memo counts stay in ``stats()``;
         its entries count as invalidated."""
-        queries = (BASE_QUERY, OTHER_QUERY, BASE_QUERY)
+        # One WHERE clause, three group-bys: one population, three misses
+        # of the summary cache.
+        queries = (BASE_QUERY, OTHER_QUERY,
+                   "SELECT Continent, AVG(Salary) FROM SO GROUP BY Continent")
         seen = []
         for step in range(4):
             for query in queries:
-                engine.explain("stackoverflow", query, use_summary_cache=False)
+                engine.explain("stackoverflow", query)
             level = engine.stats()["population_cache"]
             seen.append(tuple(level[name] for name in
                               ("hits", "misses", "evictions", "invalidations")))
@@ -200,11 +204,6 @@ class TestServing:
         assert summaries[0] is summaries[1] is summaries[3]
         assert engine.computations == 2
         assert engine.stats()["batch_deduped"] == 2
-
-    def test_summary_cache_opt_out_recomputes(self, engine):
-        engine.explain("stackoverflow", BASE_QUERY, use_summary_cache=False)
-        engine.explain("stackoverflow", BASE_QUERY, use_summary_cache=False)
-        assert engine.computations == 2
 
 
 class TestConcurrency:
@@ -902,6 +901,33 @@ class TestAppendPath:
         del stale
         gc.collect()
         assert table() is None
+
+    @pytest.mark.parametrize("swap", ["append", "register"])
+    def test_leader_finishing_after_a_swap_caches_nothing(
+            self, engine, so_small, monkeypatch, swap):
+        """A flight leader whose version an append or re-registration
+        replaced while it computed serves its summary but caches nothing:
+        the swap purged that version's keys, so an entry would only hold a
+        slot and its bytes, and reach a snapshot."""
+        explain = DatasetState.explain
+
+        def explain_then_swap(state, *args):
+            result = explain(state, *args)
+            monkeypatch.setattr(DatasetState, "explain", explain)
+            if swap == "append":
+                engine.append_rows(self.NAME, self._batch(so_small, 0)[:5])
+            else:
+                engine.register_bundle(so_small, config=small_config())
+            return result
+
+        monkeypatch.setattr(DatasetState, "explain", explain_then_swap)
+        summary, info = engine.explain_with_info(self.NAME, BASE_QUERY)
+        assert (info["version"], info["cached"]) == (0, False)
+        assert _summary_payload(summary) == _summary_payload(
+            self._fresh(so_small, so_small.table, BASE_QUERY))
+        assert engine.dataset_state(self.NAME).version == 1
+        assert engine.summary_cache_items() == []
+        assert engine.stats()["summary_cache"]["entries"] == 0
 
     def test_carried_masks_are_bounded(self, so_small, monkeypatch):
         """Masks no request claims are carried from append to append, so

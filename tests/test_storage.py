@@ -4,7 +4,7 @@ Covers the ISSUE 4 checklist: manifest versioning, atomic-commit crash
 simulation (leftover temp files are ignored), mmap-backed table equality
 with the in-memory table, hypothesis-based zone-map pruning correctness
 against unpruned scans, engine warm restarts with byte-identical summaries,
-and the cross-engine memory budget.
+and the summary cache's byte cap.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 import threading
 import tracemalloc
 import zipfile
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.core import CauSumX, CauSumXConfig, summary_to_dict
 from repro.dataframe import Column, LazyColumn, Op, Pattern, Predicate, Table
 from repro.datasets import load_dataset
 from repro.mining.treatments import TreatmentMinerConfig
-from repro.service import ExplanationEngine, LRUCache, MemoryBudget
+from repro.service import ExplanationEngine, LRUCache
 from repro.storage import (
     DatasetStore,
     ShardedTable,
@@ -984,27 +985,60 @@ class TestRegistryCompatibility:
 
 
 class TestMemoryBudget:
-    def test_cross_cache_global_lru_eviction(self):
-        budget = MemoryBudget(capacity_bytes=100)
-        a = LRUCache(10, budget=budget, weigher=len)
-        b = LRUCache(10, budget=budget, weigher=len)
-        a.put("a1", b"x" * 40)
-        b.put("b1", b"x" * 40)
-        a.put("a2", b"x" * 40)  # over cap: evicts a1 (globally oldest)
-        assert "a1" not in a
-        assert "b1" in b and "a2" in a
-        b.get("b1")
-        a.put("a3", b"x" * 40)  # over cap: a2 is now globally oldest
-        assert "a2" not in a and "b1" in b
-        stats = budget.stats()
-        assert stats["evictions"] == 2
-        assert stats["bytes"] <= 100
-        assert stats["bytes_evicted"] == 80
+    def test_byte_cap_lru_eviction(self):
+        cache = LRUCache(10, max_bytes=100, weigher=len)
+        cache.put("a1", b"x" * 40)
+        cache.put("b1", b"x" * 40)
+        cache.put("a2", b"x" * 40)  # over cap: evicts a1 (least recent)
+        assert "a1" not in cache
+        assert "b1" in cache and "a2" in cache
+        cache.get("b1")
+        cache.put("a3", b"x" * 40)  # over cap: a2 is now least recent
+        assert "a2" not in cache and "b1" in cache
+        assert cache.byte_cap_stats() == {"capacity_bytes": 100, "bytes": 80,
+                                          "evictions": 2, "bytes_evicted": 80}
+        cache.put("big", b"x" * 101)  # alone over the cap: nothing stays
+        assert len(cache) == 0 and cache.stats().evictions == 5
+
+    def test_byte_cap_needs_a_weigher_and_a_positive_size(self):
+        for max_bytes, weigher in ((100, None), (0, len), (-1, len)):
+            with pytest.raises(ValueError):
+                LRUCache(4, max_bytes=max_bytes, weigher=weigher)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 5), max_bytes=st.integers(1, 40),
+           ops=st.lists(st.tuples(st.sampled_from(("get", "put", "purge")),
+                                  st.integers(0, 6), st.binary(max_size=16)),
+                        max_size=60))
+    def test_byte_cap_matches_an_ordered_dict_model(self, capacity,
+                                                    max_bytes, ops):
+        cache = LRUCache(capacity, max_bytes=max_bytes, weigher=len)
+        model: OrderedDict = OrderedDict()
+        evicted = 0
+        for op, key, value in ops:
+            if op == "get":
+                assert cache.get(key) == model.get(key)
+                if key in model:
+                    model.move_to_end(key)
+            elif op == "put":
+                cache.put(key, value)
+                model[key] = value
+                model.move_to_end(key)
+                while len(model) > capacity \
+                        or sum(map(len, model.values())) > max_bytes:
+                    model.popitem(last=False)
+                    evicted += 1
+            else:
+                cache.purge(lambda k: k == key)
+                model.pop(key, None)
+            assert cache.items() == list(model.items())
+        stats = cache.stats()
+        assert stats.bytes == sum(map(len, model.values()))
+        assert stats.evictions == evicted
 
     def test_engine_budget_eviction_surfaces_in_stats(self):
         bundle = load_dataset("stackoverflow", n=200, seed=0)
-        budget = MemoryBudget(capacity_bytes=1)  # everything evicts
-        engine = ExplanationEngine(memory_budget=budget)
+        engine = ExplanationEngine(summary_cache_bytes=1)  # everything evicts
         engine.register_dataset("so", bundle.table, dag=bundle.dag,
                                 config=_config(),
                                 grouping_attributes=bundle.grouping_attributes,
@@ -1020,7 +1054,7 @@ class TestMemoryBudget:
 
     def test_unencodable_summary_is_served_uncached(self):
         # A categorical column keeps any hashable, here dates; the summary
-        # codec has no JSON form for them, so a budgeted cache cannot weigh
+        # codec has no JSON form for them, so a byte-capped cache cannot weigh
         # the summary and the request serves it uncached instead of failing.
         bundle = load_dataset("stackoverflow", n=200, seed=0)
         columns = {name: list(bundle.table.column(name).values)
@@ -1029,8 +1063,7 @@ class TestMemoryBudget:
                 enumerate(sorted(set(columns["Country"]), key=str))}
         columns["Country"] = [days[c] for c in columns["Country"]]
         table = Table.from_columns(columns)
-        engine = ExplanationEngine(
-            memory_budget=MemoryBudget(capacity_bytes=1 << 20))
+        engine = ExplanationEngine(summary_cache_bytes=1 << 20)
         engine.register_dataset("so", table, dag=bundle.dag, config=_config(),
                                 grouping_attributes=bundle.grouping_attributes,
                                 treatment_attributes=bundle.treatment_attributes)
