@@ -1,6 +1,7 @@
 """RL006: determinism of the fingerprint-feeding modules.
 
-``LogicalPlan.fingerprint`` / ``where_key`` / ``normalize_query`` are the
+A canonical query's ``fingerprint`` / ``where_key`` (computed by
+``normalize_query`` and the query class in ``sql/query.py``) are the
 cache keys of the whole serving stack; two processes must derive identical
 keys for identical logical inputs.  Any dict-order-dependent iteration,
 ``id()``, wall clock, or randomness in the modules that feed them silently
@@ -16,8 +17,7 @@ from .core import Finding, ModuleContext, Rule, register
 
 #: Modules whose outputs feed fingerprint/where_key/normalize.
 DETERMINISM_MODULES = (
-    ("plan", "ir"),
-    ("sql", "normalize"),
+    ("sql", "query"),
     ("dataframe", "predicates"),
 )
 

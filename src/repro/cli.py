@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "state is snapshotted back on quit)")
     serve.add_argument("--store-dataset", default=None,
                        help="with --store: default dataset for requests that "
-                            "don't name one (default: the only/first dataset)")
+                            "don't name one (default: the first by name)")
     serve.add_argument("--summary-cache-size", type=int, default=256,
                        help="LRU capacity of the summary cache")
     serve.add_argument("--memory-budget-mb", dest="summary_cache_bytes",
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="plan against a dataset of an on-disk store")
     plan.add_argument("--store-dataset", default=None,
                       help="with --store: dataset to plan against "
-                           "(default: the only/first dataset)")
+                           "(default: the first by name)")
 
     lint = sub.add_parser(
         "lint", help="run the project-invariant static analyzer "
@@ -312,25 +312,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_store(args: argparse.Namespace):
+    """``(store, dataset)`` for ``--store``: the dataset is
+    ``--store-dataset`` or the store's first.  ``None`` after printing the
+    error when the store cannot be opened, holds no dataset, or lacks the
+    named one."""
+    from repro.storage import DatasetStore, StorageError
+
+    try:
+        store = DatasetStore(args.store)
+    except StorageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    names = store.dataset_names()
+    if not names:
+        print(f"error: store {args.store} holds no datasets "
+              "(use `repro store import`)", file=sys.stderr)
+        return None
+    name = args.store_dataset or names[0]
+    if name not in names:
+        print(f"error: no dataset {name!r} in store (have: {names})",
+              file=sys.stderr)
+        return None
+    return store, name
+
+
 def _http_registry(args: argparse.Namespace):
     """A TenantRegistry from the serve command's source options, or None."""
     from repro.net import TenantRegistry
 
     if args.store is not None:
-        from repro.storage import DatasetStore, StorageError
-
-        try:
-            store = DatasetStore(args.store)
-        except StorageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        opened = _open_store(args)
+        if opened is None:
             return None
-        try:
-            return TenantRegistry.from_store(
-                store, default_dataset=args.store_dataset,
-                **_engine_kwargs(args))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None
+        store, name = opened
+        return TenantRegistry.from_store(store, default_dataset=name,
+                                         **_engine_kwargs(args))
     source = _load_source(args, require_query=False, machine_output=True)
     if source is None:
         return None
@@ -397,26 +414,14 @@ def _serve_http(args: argparse.Namespace) -> int:
 
 def _serve_store(args: argparse.Namespace) -> int:
     """Serve every dataset of an on-disk store, with warm-restart state."""
-    from repro.storage import DatasetStore, StorageError
-
-    try:
-        store = DatasetStore(args.store)
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    opened = _open_store(args)
+    if opened is None:
         return 2
-    names = store.dataset_names()
-    if not names:
-        print(f"error: store {args.store} holds no datasets "
-              "(use `repro store import`)", file=sys.stderr)
-        return 2
-    default = args.store_dataset or names[0]
-    if default not in names:
-        print(f"error: no dataset {default!r} in store (have: {names})",
-              file=sys.stderr)
-        return 2
+    store, default = opened
     engine = ExplanationEngine.from_store(store, **_engine_kwargs(args))
     restored = engine.stats().get("restored_summaries", 0)
-    print(f"[serving store {str(args.store)!r}: datasets {names}, default "
+    print(f"[serving store {str(args.store)!r}: datasets "
+          f"{store.dataset_names()}, default "
           f"{default!r}, {restored} summaries restored; one JSON request per "
           'line, {"op": "quit"} to stop]', file=sys.stderr)
     serve_loop(engine, default, sys.stdin, sys.stdout)
@@ -494,23 +499,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         if not args.query:
             print("error: --query is required with --store", file=sys.stderr)
             return 2
-        from repro.storage import DatasetStore, StorageError
-
-        try:
-            store = DatasetStore(args.store)
-        except StorageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        opened = _open_store(args)
+        if opened is None:
             return 2
-        names = store.dataset_names()
-        if not names:
-            print(f"error: store {args.store} holds no datasets",
-                  file=sys.stderr)
-            return 2
-        name = args.store_dataset or names[0]
-        if name not in names:
-            print(f"error: no dataset {name!r} in store (have: {names})",
-                  file=sys.stderr)
-            return 2
+        store, name = opened
         engine = ExplanationEngine.from_store(store)
         query = args.query
     else:

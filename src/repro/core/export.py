@@ -251,12 +251,12 @@ class EncodedSummary:
     from the other on first use, and its presentation body, derived once.
 
     Entries restored from a snapshot start as bytes and decode on first
-    hit; computed entries start as a summary and encode only when weighed
-    by a memory budget or written by a snapshot, once.  The body is what a
-    response carries as ``"result"``; it is encoded on the first response
-    and every later hit splices the same string.  Two threads may race on
-    a first use: both derive equal values and either may win, like any
-    memo of a pure function.
+    hit; computed entries start as a summary and encode only when the
+    summary cache's byte cap weighs them or a snapshot writes them, once.
+    The body is what a response carries as ``"result"``; it is encoded on
+    the first response and every later hit splices the same string.  Two
+    threads may race on a first use: both derive equal values and either
+    may win, like any memo of a pure function.
     """
 
     __slots__ = ("_summary", "_blob", "_body")

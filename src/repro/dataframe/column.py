@@ -399,14 +399,29 @@ def sorted_code_remap(values: Sequence) -> tuple[tuple, np.ndarray | None]:
     return tuple(ordered), remap
 
 
+def unwrap_scalar(value):
+    """A numpy scalar as the Python value it holds; anything else as is.
+
+    ``np.str_`` is unwrapped with ``str.__str__``, which keeps trailing NULs
+    (``.item()`` drops them, so ``np.str_('a\\x00')`` would become ``'a'``
+    while the equal ``'a\\x00'`` stays itself).
+    """
+    if isinstance(value, np.str_):
+        return str.__str__(value)
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _factorize(values) -> tuple[np.ndarray, tuple]:
     """Dictionary-encode raw values into ``(int32 codes, sorted vocab)``.
 
     A ``str`` array holds no missing value and is encoded in C by
     ``np.unique``. Other input is normalised once per distinct raw value, in
-    first-seen order (numpy scalars unwrapped, ``None``/``NaN`` to the
-    sentinel). The vocabulary order comes from :func:`sorted_code_remap`,
-    matching :meth:`Column.unique`.
+    first-seen order (numpy scalars unwrapped by :func:`unwrap_scalar`,
+    ``None``/``NaN`` to the sentinel), so one multiset encodes the same
+    whatever its order. The vocabulary order comes from
+    :func:`sorted_code_remap`, matching :meth:`Column.unique`. (A ``str``
+    array has already lost its values' trailing NULs: numpy drops them when
+    it builds the array.)
     """
     if isinstance(values, np.ndarray) and values.dtype.kind == "U":
         distinct, inverse = np.unique(values, return_inverse=True)
@@ -420,7 +435,7 @@ def _factorize(values) -> tuple[np.ndarray, tuple]:
         if _is_missing(raw):
             codes[raw] = MISSING_CODE
             continue
-        value = raw.item() if isinstance(raw, np.generic) else raw  # clean reprs
+        value = unwrap_scalar(raw)  # clean reprs
         codes[raw] = first_seen.setdefault(value, len(first_seen))
     tmp = np.fromiter(map(codes.__getitem__, values), np.int32, count=len(values))
     vocab, remap = sorted_code_remap(first_seen)

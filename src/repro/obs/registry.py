@@ -327,7 +327,6 @@ def unified_engine_metrics(stats: dict) -> dict:
                     section[fieldname]
     out["repro_engine_computations_total"] = stats.get("computations", 0)
     out["repro_engine_coalesced_total"] = stats.get("coalesced", 0)
-    out["repro_engine_batch_deduped_total"] = stats.get("batch_deduped", 0)
     if "summaries_rejected" in stats:  # store-backed engines only
         out["repro_store_summaries_rejected_total"] = \
             stats["summaries_rejected"]

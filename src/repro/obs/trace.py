@@ -15,8 +15,12 @@ strict no-op: :func:`trace_span` returns one shared, stateless context
 manager — no span allocation, no contextvar access, no timestamp — so hot
 kernels pay a boolean check and nothing else.  Callers that would build
 attribute dictionaries for a span should gate on :func:`enabled` first.
-:func:`set_enabled` / the :func:`tracing` context manager override the
-environment programmatically (tests, benchmarks).
+
+``REPRO_TRACE`` is read once, at import: :func:`enabled` is one global
+read, since a summary-cache hit asks it several times.  Changing the
+variable later changes nothing until :func:`set_enabled` ``(None)``
+re-reads it; :func:`set_enabled` / the :func:`tracing` context manager are
+the runtime switch (tests, benchmarks).
 """
 
 from __future__ import annotations
@@ -36,22 +40,20 @@ def _env_enabled() -> bool:
     return os.environ.get(ENV_VAR, "0").strip().lower() in _TRUE
 
 
-#: Programmatic override: None follows the environment (module-level flag,
-#: written only by set_enabled(); plain reads are atomic under the GIL).
-_override: bool | None = None
+#: Whether tracing is on (module-level flag, written only by set_enabled();
+#: plain reads are atomic under the GIL).
+_enabled: bool = _env_enabled()
 
 
 def enabled() -> bool:
-    """Whether tracing is on (programmatic override, else ``REPRO_TRACE``)."""
-    if _override is not None:
-        return _override
-    return _env_enabled()
+    """Whether tracing is on."""
+    return _enabled
 
 
 def set_enabled(on: bool | None) -> None:
-    """Force tracing on/off programmatically; ``None`` follows the env."""
-    global _override
-    _override = on
+    """Switch tracing on/off; ``None`` re-reads ``REPRO_TRACE``."""
+    global _enabled
+    _enabled = _env_enabled() if on is None else on
 
 
 class tracing:
@@ -59,10 +61,10 @@ class tracing:
 
     def __init__(self, on: bool = True):
         self._on = on
-        self._previous: bool | None = None
+        self._previous = False
 
     def __enter__(self):
-        self._previous = _override
+        self._previous = _enabled
         set_enabled(self._on)
         return self
 

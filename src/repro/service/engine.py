@@ -8,8 +8,8 @@ registered once, queries are canonicalised and fingerprinted, and results are
 served through a hierarchy of caches —
 
 1. **plan cache** — SQL text → canonical
-   :class:`~repro.sql.GroupByAvgQuery` and its lowered
-   :class:`~repro.plan.LogicalPlan`;
+   :class:`~repro.sql.GroupByAvgQuery`, which carries its own
+   ``fingerprint`` and ``where_key``;
 2. **population memo** — one per data version (:class:`DatasetState`):
    (WHERE clause, outcome) → a :class:`~repro.causal.CATEEstimator` whose
    shared :class:`~repro.dataframe.MaskCache` and lattice-atom cache are
@@ -21,8 +21,7 @@ served through a hierarchy of caches —
 
 Identical in-flight requests are *single-flighted*: concurrent callers with
 the same fingerprint block on one computation and all receive the identical
-summary object.  ``explain_many`` additionally deduplicates fingerprints
-within a batch.
+summary object.
 
 Distinct misses of one engine run one at a time: a flight leader computes
 (view, population, mining) under the engine's compute gate.  Mining is a
@@ -87,7 +86,7 @@ from repro.obs import trace
 from repro.obs.registry import REGISTRY, unified_engine_metrics
 from repro.obs.telemetry import telemetry_enabled
 from repro.parallel import GLOBAL_PARALLEL_STATS
-from repro.plan import GLOBAL_PLANNER_STATS, LogicalPlan, ScanPlan, lower_query
+from repro.plan import GLOBAL_PLANNER_STATS, ScanPlan
 from repro.service.lru import LRUCache, LRUStats
 from repro.sql import (
     AggregateView,
@@ -104,8 +103,11 @@ WHERE_MASK_CACHE_LIMIT = 128
 #: Capacity of one data version's population memo: estimators, one per
 #: (WHERE clause, outcome), and the masks an append carried in.
 POPULATION_CACHE_SIZE = 32
-#: Capacity of the plan cache: SQL text -> canonical query and its plan.
+#: Capacity of the plan cache: SQL text -> canonical query.
 PLAN_CACHE_SIZE = 512
+#: Kept for the e2e benchmark's span recorder, which rebinds this name to
+#: time a lowering step the engine no longer has (its span reads 0).
+lower_query = normalize_query
 
 
 @contextmanager
@@ -168,18 +170,18 @@ class DatasetState:
             return AggregateView(self.table, canonical,
                                  mask_cache=self.where_masks)
 
-    def explain(self, canonical: GroupByAvgQuery, plan: LogicalPlan
+    def explain(self, canonical: GroupByAvgQuery
                 ) -> tuple[ExplanationSummary, ScanPlan | None, bool]:
         """The summary, the ``ScanPlan`` its WHERE scan executed, and whether
         the population memo held the query's population (a miss builds its
         estimator over any masks an append carried in: ``view.table`` is
         their table followed by the appended rows that pass the WHERE)."""
         view = self.view(canonical)
-        key = (plan.where_key, plan.average)
+        key = (canonical.where_key, canonical.average)
         estimator = memo = self.populations.get(key)
         if not isinstance(memo, CATEEstimator):
             estimator = CauSumX.build_estimator(
-                view.table, plan.average, self.dag, self.config)
+                view.table, canonical.average, self.dag, self.config)
             if memo is not None and estimator.mask_cache is not None:
                 estimator.mask_cache = memo.extended(view.table)
             self.populations.put(key, estimator)
@@ -265,7 +267,6 @@ class ExplanationEngine:
             ("hits", "misses", "evictions", "invalidations"), 0)
         self._computations = 0  # guarded-by: _datasets_lock
         self._coalesced = 0  # guarded-by: _datasets_lock
-        self._batch_deduped = 0  # guarded-by: _datasets_lock
         self._store = None  # DatasetStore when built via from_store
         self._restored_summaries = 0  # guarded-by: _datasets_lock
         self._summaries_rejected = 0  # guarded-by: _datasets_lock
@@ -475,10 +476,10 @@ class ExplanationEngine:
         follower, WHERE-less query).
         """
         state = self.dataset_state(name)
-        # The plan's fingerprint is the cache key (two spellings of one
-        # question share a plan).
-        canonical, plan = self._lowered(query, outcomes)
-        fingerprint = plan.fingerprint
+        # The canonical query's fingerprint is the cache key (two spellings
+        # of one question share it).
+        canonical = self._canonical(query, outcomes)
+        fingerprint = canonical.fingerprint
         key = (name, state.version, fingerprint)
         info = {"dataset": name, "version": state.version,
                 "fingerprint": fingerprint, "cached": False, "coalesced": False}
@@ -506,7 +507,7 @@ class ExplanationEngine:
                 try:
                     with _holding(self._compute_gate):
                         summary, scan_plan = self._compute(
-                            state, canonical, plan, outcomes)
+                            state, canonical, outcomes)
                     entry = EncodedSummary(summary)
                     self._cache_entry(state, key, entry)
                     flight.entry = entry
@@ -555,43 +556,23 @@ class ExplanationEngine:
         }
         self._telemetry.record(record)
 
-    def explain_many(self, name: str, queries: Sequence[GroupByAvgQuery | str]
-                     ) -> list[ExplanationSummary]:
-        """Serve a batch of queries, deduplicating identical fingerprints.
-
-        Duplicate queries are computed once, in first-occurrence order,
-        sharing the population-level caches.  Results are returned in input
-        order, duplicates receiving the same summary object.
-        """
-        lowered = [self._lowered(q) for q in queries]
-        canonicals = [canonical for canonical, _ in lowered]
-        fingerprints = [plan.fingerprint for _, plan in lowered]
-        first_index: dict[str, int] = {}
-        for i, fp in enumerate(fingerprints):
-            first_index.setdefault(fp, i)
-        with self._datasets_lock:
-            self._batch_deduped += len(queries) - len(first_index)
-        computed = {fp: self.explain(name, canonicals[i])
-                    for fp, i in first_index.items()}
-        return [computed[fp] for fp in fingerprints]
-
     def explain_plan(self, name: str, query: GroupByAvgQuery | str) -> dict:
         """Describe how one query would execute, without mining treatments.
 
-        Returns the lowered logical plan and what the WHERE scan measured:
+        Returns the query's logical plan and what the WHERE scan measured:
         shards skipped by zone map and scanned, rows in and out.  The scan
         really runs — that is where the counts come from.
         """
         state = self.dataset_state(name)
-        canonical, plan = self._lowered(query)
+        canonical = self._canonical(query)
         view = state.view(canonical)
         scan = view.scan_plan.to_dict() if view.scan_plan is not None else None
         return {
             "dataset": name,
             "version": state.version,
-            "fingerprint": plan.fingerprint,
+            "fingerprint": canonical.fingerprint,
             "sql": canonical.to_sql(),
-            "logical_plan": plan.render(),
+            "logical_plan": canonical.logical_plan,
             "scan": scan,
             "rows": {"table": state.table.n_rows,
                      "filtered": view.table.n_rows},
@@ -692,7 +673,6 @@ class ExplanationEngine:
             retired = dict(self._retired)
             computations = self._computations
             coalesced = self._coalesced
-            batch_deduped = self._batch_deduped
             restored_summaries = self._restored_summaries
             summaries_rejected = self._summaries_rejected
         datasets = {
@@ -742,7 +722,6 @@ class ExplanationEngine:
             "mask_caches": mask_stats,
             "computations": computations,
             "coalesced": coalesced,
-            "batch_deduped": batch_deduped,
         }
         if storage:
             result["storage"] = storage
@@ -806,31 +785,27 @@ class ExplanationEngine:
             if self._datasets.get(state.name) is not state:
                 self._summary_cache.purge(lambda k: k == key)
 
-    def _lowered(self, query: GroupByAvgQuery | str,
-                 outcomes: dict | None = None
-                 ) -> tuple[GroupByAvgQuery, LogicalPlan]:
-        """The canonical query and its lowered plan, memoised by SQL text:
-        a repeated text skips parsing, normalising, lowering and hashing."""
+    def _canonical(self, query: GroupByAvgQuery | str,
+                   outcomes: dict | None = None) -> GroupByAvgQuery:
+        """The canonical query, memoised by SQL text: a repeated text skips
+        parsing, normalising and hashing."""
         if not isinstance(query, str):
-            canonical = normalize_query(query)
-            return canonical, lower_query(canonical)
-        lowered = self._plan_cache.get(query)
+            return normalize_query(query)
+        canonical = self._plan_cache.get(query)
         if outcomes is not None:
-            outcomes["plan"] = "miss" if lowered is None else "hit"
-        if lowered is None:
+            outcomes["plan"] = "miss" if canonical is None else "hit"
+        if canonical is None:
             canonical = normalize_query(parse_query(query))
-            plan = lower_query(canonical)
-            lowered = canonical, plan
-            self._plan_cache.put(query, lowered)
-        return lowered
+            self._plan_cache.put(query, canonical)
+        return canonical
 
     def _compute(self, state: DatasetState, canonical: GroupByAvgQuery,
-                 plan: LogicalPlan, outcomes: dict | None = None
+                 outcomes: dict | None = None
                  ) -> tuple[ExplanationSummary, ScanPlan | None]:
         """The summary and the ``ScanPlan`` its view's WHERE scan executed."""
         with self._datasets_lock:
             self._computations += 1
-        summary, scan_plan, hit = state.explain(canonical, plan)
+        summary, scan_plan, hit = state.explain(canonical)
         if outcomes is not None:
             outcomes["population"] = "hit" if hit else "miss"
         return summary, scan_plan

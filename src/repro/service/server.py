@@ -20,8 +20,8 @@ Three entry points are wired into the CLI:
   true}`` before the loop stops.  The loop never crashes on a bad request.
 
 * :func:`run_batch` — read a file of queries (one SQL statement per line,
-  ``#`` comments allowed, or a JSON array of strings), serve them through
-  :meth:`~repro.service.ExplanationEngine.explain_many`, and emit the JSON
+  ``#`` comments allowed, or a JSON array of strings), serve them one by
+  one (a repeated query is a summary-cache hit), and emit the JSON
   summaries (``repro batch``).
 
 * The HTTP tier (:mod:`repro.net`) calls :func:`dispatch_request` /
@@ -162,18 +162,8 @@ def dispatch_request(engine: ExplanationEngine, dataset: str, request: dict,
         return {"ok": True,
                 "result": engine.explain_plan(target, _require(request, "query"))}
     if op == "batch":
-        queries = list(_require(request, "queries"))
-        if deadline is None:
-            summaries = engine.explain_many(target, queries)
-        else:
-            # Cooperative cancellation between queries: each query is served
-            # individually (the summary cache makes this equivalent to the
-            # deduplicating batch path) so an expired deadline stops the
-            # batch at the next boundary instead of after the whole batch.
-            summaries = []
-            for query in queries:
-                deadline.check("batch query")
-                summaries.append(engine.explain(target, query))
+        summaries = _explain_each(engine, target,
+                                 list(_require(request, "queries")), deadline)
         return {"ok": True,
                 "results": [summary_to_dict(s) for s in summaries]}
     if op == "append_rows":
@@ -183,6 +173,18 @@ def dispatch_request(engine: ExplanationEngine, dataset: str, request: dict,
         return {"ok": True, "result": engine.stats()}
     # snapshot
     return {"ok": True, "result": engine.snapshot()}
+
+
+def _explain_each(engine: ExplanationEngine, dataset: str, queries: list,
+                 deadline=None) -> list:
+    """Serve a batch one query at a time: a repeated query is a summary-cache
+    hit, and an expired ``deadline`` stops the batch at the next query."""
+    summaries = []
+    for query in queries:
+        if deadline is not None:
+            deadline.check("batch query")
+        summaries.append(engine.explain(dataset, query))
+    return summaries
 
 
 def finalize_response(response: dict, request_id=None, trace_id=None,
@@ -289,7 +291,7 @@ def read_queries(text: str) -> list[str]:
 def run_batch(engine: ExplanationEngine, dataset: str,
               queries: list[str], out: IO[str]) -> list[dict]:
     """Serve a list of queries and write one JSON array of summaries to ``out``."""
-    summaries = engine.explain_many(dataset, queries)
+    summaries = _explain_each(engine, dataset, queries)
     payload = [summary_to_dict(s) for s in summaries]
     json.dump(payload, out, indent=2, default=str)
     out.write("\n")

@@ -1,7 +1,11 @@
 """Group-by-average query layer (the class of queries CauSumX explains)."""
 
-from repro.sql.query import GroupByAvgQuery, parse_query
-from repro.sql.normalize import normalize_literal, normalize_query, query_fingerprint
+from repro.sql.query import (
+    GroupByAvgQuery,
+    normalize_literal,
+    normalize_query,
+    parse_query,
+)
 from repro.sql.view import AggregateView, GroupResult
 
 __all__ = [
@@ -9,7 +13,6 @@ __all__ = [
     "parse_query",
     "normalize_literal",
     "normalize_query",
-    "query_fingerprint",
     "AggregateView",
     "GroupResult",
 ]

@@ -1,15 +1,32 @@
-"""The group-by-average query class of Section 4.
+"""The group-by-average query class of Section 4, and its canonical form.
 
 ``Q = SELECT A_gb, AVG(A_avg) FROM D WHERE phi GROUP BY A_gb``
+
+The explanation service must recognise that two syntactically different
+requests ask the same question, so it can serve one cached summary for both.
+:func:`normalize_query` rewrites a query into its *canonical form*: group-by
+attributes sorted, WHERE literals normalised (numpy scalars unwrapped,
+integral floats collapsed to ``int``), and, because
+:class:`~repro.dataframe.Pattern` sorts and deduplicates its predicates, a
+canonical WHERE clause.  A query's keys are computed on that form:
+:attr:`GroupByAvgQuery.fingerprint` keys the summary cache,
+:attr:`GroupByAvgQuery.where_key` a data version's population memo, and
+:attr:`GroupByAvgQuery.logical_plan` is the rendering ``repro plan`` prints.
+The table name is in none of the keys (the served dataset is addressed
+separately), and none depends on the process.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from repro.dataframe import Pattern, Predicate, Table
+from repro.dataframe.column import unwrap_scalar
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,82 @@ class GroupByAvgQuery:
                 for p in self.where)
             sql += f" WHERE {conditions}"
         return sql + f" GROUP BY {gb}"
+
+    # ------------------------------------------------------------------ keys
+
+    @cached_property
+    def where_key(self) -> tuple:
+        """The canonical WHERE clause as a hashable, type-aware tuple
+        (population-memo key): ``x = 1`` and ``x = '1'`` differ."""
+        return tuple((p.attribute, p.op.value,
+                      f"{type(p.value).__name__}:{p.value!r}")
+                     for p in normalize_query(self).where)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """A 16-hex-digit sha256 of the canonical query (summary-cache key).
+
+        The encoding is the one persisted ``summaries.jsonl`` snapshots are
+        keyed by, so changing a byte of it orphans every stored summary.
+        """
+        canonical = normalize_query(self)
+        parts = [
+            "gb=" + ",".join(canonical.group_by),
+            "avg=" + canonical.average,
+            "where=" + "&".join("".join(conjunct)
+                                for conjunct in canonical.where_key),
+        ]
+        return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+    @property
+    def logical_plan(self) -> str:
+        """The canonical query as a plan tree (``repro plan``)."""
+        canonical = normalize_query(self)
+        conjuncts = " AND ".join(map(repr, canonical.where)) or "TRUE"
+        return "\n".join([
+            f"Explain(k-summary of AVG({canonical.average}) heterogeneity)",
+            f"  GroupBy(keys=[{', '.join(canonical.group_by)}], "
+            f"avg={canonical.average})",
+            f"    Filter({conjuncts})",
+            f"      Scan({canonical.table_name})",
+        ])
+
+
+def normalize_literal(value):
+    """Collapse equivalent literal spellings onto one canonical value.
+
+    ``numpy`` scalars are unwrapped (:func:`~repro.dataframe.column.unwrap_scalar`,
+    as column encoding does) and floats holding an integral value become
+    ``int`` (``30.0`` → ``30``).  This is safe for evaluation: numeric
+    predicate kernels compare through ``float(value)`` and categorical
+    vocabulary lookups hash ``30`` and ``30.0`` identically.  Booleans are
+    kept as-is (they are their own spelling).
+    """
+    value = unwrap_scalar(value)
+    if isinstance(value, float) and math.isfinite(value) and value.is_integer():
+        return int(value)
+    return value
+
+
+def normalize_query(query: GroupByAvgQuery) -> GroupByAvgQuery:
+    """Return the canonical form of a query (idempotent: a canonical query
+    is returned as is).
+
+    Group-by attributes are sorted, WHERE literals are normalised, and the
+    predicate order/deduplication is canonicalised by ``Pattern`` itself.
+    """
+    group_by = tuple(sorted(query.group_by))
+    where = Pattern(Predicate(p.attribute, p.op, normalize_literal(p.value))
+                    for p in query.where)
+    # Predicate equality treats 30 == 30.0, so compare literal *spellings*
+    # to decide whether anything actually changed.
+    def spelling(pattern: Pattern) -> tuple:
+        return tuple((p.attribute, p.op, repr(p.value)) for p in pattern)
+
+    if group_by == query.group_by and spelling(where) == spelling(query.where):
+        return query
+    return GroupByAvgQuery(group_by=group_by, average=query.average,
+                           where=where, table_name=query.table_name)
 
 
 _QUERY_RE = re.compile(

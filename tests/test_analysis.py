@@ -641,13 +641,13 @@ class TestFingerprintDeterminism:
          "np.random"),
     ])
     def test_nondeterminism_fires(self, tmp_path, source, marker):
-        write_module(tmp_path, "plan/ir.py", source)
+        write_module(tmp_path, "sql/query.py", source)
         report = lint(tmp_path, select=["RL006"])
         assert report.findings, marker
         assert all(f.rule == "RL006" for f in report.findings)
 
     def test_sorted_iteration_is_clean(self, tmp_path):
-        write_module(tmp_path, "sql/normalize.py",
+        write_module(tmp_path, "sql/query.py",
                      "def f(d):\n"
                      "    return [v for _, v in sorted(d.items())]\n")
         assert lint(tmp_path, select=["RL006"]).findings == []

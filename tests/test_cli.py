@@ -169,6 +169,21 @@ class TestCommands:
             else:
                 assert stats["memory_budget"]["capacity_bytes"] == capacity
 
+    @pytest.mark.parametrize("pick, expected", [
+        ([], "german"), (["--store-dataset", "synthetic"], "synthetic")])
+    def test_http_serves_a_store_with_several_datasets(self, tmp_path, capsys,
+                                                       pick, expected):
+        from repro.cli import _http_registry
+
+        store = str(tmp_path / "store")
+        for name in ("synthetic", "german"):
+            assert main(["store", "import", store, "--dataset", name,
+                         "--n", "300"]) == 0
+        registry = _http_registry(build_parser().parse_args(
+            ["serve", "--store", store, "--http", "127.0.0.1:0", *pick]))
+        assert "error" not in capsys.readouterr().err
+        assert registry.default_dataset == expected
+
     def test_case_study_command(self, capsys):
         code = main(["case-study", "figure18_german", "--n", "800"])
         out = capsys.readouterr().out

@@ -650,8 +650,8 @@ class TestResponseBytes:
         assert raw == parent_line(engine, dataset, request, kind, raw)
 
     def test_hits_encode_nothing(self, so_net, monkeypatch):
-        """After one miss, a hit neither parses, normalises or lowers the
-        query text nor renders the summary: it sends the entry's body."""
+        """After one miss, a hit neither parses nor normalises the query
+        text, nor renders the summary: it sends the entry's body."""
         import repro.core.export
         import repro.service.engine
         import repro.service.server
@@ -660,8 +660,7 @@ class TestResponseBytes:
         for module, name in [(repro.core.export, "summary_to_dict"),
                              (repro.service.server, "summary_to_dict"),
                              (repro.service.engine, "parse_query"),
-                             (repro.service.engine, "normalize_query"),
-                             (repro.service.engine, "lower_query")]:
+                             (repro.service.engine, "normalize_query")]:
             def counted(*args, _original=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _original(*args)
@@ -673,8 +672,8 @@ class TestResponseBytes:
             status, miss = http_request(server, "POST", "/v1/explain",
                                         body=request)
             assert status == 200 and not json.loads(miss)["cached"]
-            assert sorted(set(calls)) == ["lower_query", "normalize_query",
-                                          "parse_query", "summary_to_dict"]
+            assert sorted(set(calls)) == ["normalize_query", "parse_query",
+                                          "summary_to_dict"]
             del calls[:]
             for _ in range(25):
                 status, hit = http_request(server, "POST", "/v1/explain",

@@ -98,15 +98,21 @@ class TestTracer:
             trace.set_current_attr(ignored=3)
 
     def test_env_var_controls_default(self, monkeypatch):
-        monkeypatch.setenv(trace.ENV_VAR, "1")
-        trace.set_enabled(None)
+        """The variable is read at import and by ``set_enabled(None)``."""
         try:
+            monkeypatch.setenv(trace.ENV_VAR, "1")
+            trace.set_enabled(None)
             assert trace.enabled()
             monkeypatch.setenv(trace.ENV_VAR, "0")
+            assert trace.enabled()  # not re-read until asked to
+            trace.set_enabled(None)
             assert not trace.enabled()
             monkeypatch.delenv(trace.ENV_VAR)
+            trace.set_enabled(True)
+            trace.set_enabled(None)
             assert not trace.enabled()  # off by default
         finally:
+            monkeypatch.undo()
             trace.set_enabled(None)
 
     def test_map_morsels_spans_attach_to_the_caller(self):

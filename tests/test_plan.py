@@ -1,4 +1,5 @@
-"""Tests for the unified query-plan IR (``repro.plan``) — ISSUE 5.
+"""Tests for query planning: a canonical query's keys and plan rendering,
+and the WHERE scan (``repro.plan``).
 
 The load-bearing property is *semantic transparency*: a WHERE scan (zone-map
 shard skips, one mask AND, mask-cache routing) and the lattice's deferred
@@ -22,10 +23,10 @@ from repro.dataframe import MaskCache, Op, Pattern, Predicate, Table
 from repro.datasets import load_dataset
 from repro.mining.lattice import PatternLattice
 from repro.mining.treatments import TreatmentMinerConfig
-from repro.plan import lower_query, planned_select_with_plan
+from repro.plan import planned_select_with_plan
 from repro.service import ExplanationEngine
 from repro.service.server import handle_request
-from repro.sql import AggregateView, parse_query, query_fingerprint
+from repro.sql import AggregateView, GroupByAvgQuery, normalize_query, parse_query
 from repro.storage import DatasetStore, StoredDataset
 
 
@@ -45,47 +46,79 @@ def _skewed_table(n: int = 2000, seed: int = 0) -> Table:
     }, name="skewed")
 
 
-# ---------------------------------------------------------------------- IR
+# ---------------------------------------------------------------------- keys
 
 
 class TestLogicalPlan:
+    """A query's keys and plan text are those of its canonical form."""
+
     def test_lowering_structure(self):
         query = parse_query("SELECT b, a, AVG(y) FROM T "
-                            "WHERE c = 'x' AND d > 3 GROUP BY b, a")
-        plan = lower_query(query)
-        assert plan.group_by == ("a", "b")          # canonical: sorted
-        assert plan.average == "y"
-        assert plan.table_name == "T"
-        assert [p.attribute for p in plan.conjuncts] == ["c", "d"]
-        rendered = plan.render()
-        assert "Explain" in rendered and "GroupBy" in rendered
-        assert "Filter" in rendered and "Scan(T)" in rendered
+                            "WHERE d > 3 AND c = 'x' GROUP BY b, a")
+        canonical = normalize_query(query)
+        assert canonical.group_by == ("a", "b")          # canonical: sorted
+        assert canonical.average == "y"
+        assert canonical.table_name == "T"
+        assert [p.attribute for p in canonical.where] == ["c", "d"]
+        assert query.logical_plan == canonical.logical_plan == "\n".join([
+            "Explain(k-summary of AVG(y) heterogeneity)",
+            "  GroupBy(keys=[a, b], avg=y)",
+            "    Filter(c == 'x' AND d > 3)",
+            "      Scan(T)"])
+        assert "Filter(TRUE)" in parse_query(
+            "SELECT g, AVG(y) FROM T GROUP BY g").logical_plan
 
     def test_equivalent_spellings_share_a_plan(self):
         a = parse_query("SELECT g, h, AVG(y) FROM T "
                         "WHERE x = 1 AND z = 'u' GROUP BY g, h")
         b = parse_query("SELECT h, g, AVG(y) FROM T "
                         "WHERE z = 'u' AND x = 1.0 GROUP BY h, g")
-        assert lower_query(a) == lower_query(b)
-        assert lower_query(a).fingerprint == lower_query(b).fingerprint
+        assert normalize_query(a) == normalize_query(b)
+        assert a.fingerprint == b.fingerprint
+        assert a.where_key == b.where_key
+        assert a.logical_plan == b.logical_plan
 
     def test_fingerprint_is_the_query_fingerprint(self):
-        query = parse_query("SELECT g, AVG(y) FROM T WHERE x > 2 GROUP BY g")
-        assert lower_query(query).fingerprint == query_fingerprint(query)
+        query = parse_query("SELECT g, AVG(y) FROM T WHERE x > 2.0 GROUP BY g")
+        canonical = normalize_query(query)
+        assert canonical is not query
+        assert query.fingerprint == canonical.fingerprint
+        assert query.where_key == canonical.where_key == (("x", ">", "int:2"),)
+
+    @pytest.mark.parametrize("query,fingerprint", [
+        # Recorded before the keys moved onto the query: persisted
+        # summaries.jsonl snapshots are keyed by these bytes.
+        ("SELECT Country, AVG(Salary) FROM SO GROUP BY Country",
+         "18da7e8e1e47952c"),
+        ("SELECT Role, Country, AVG(Salary) FROM SO WHERE Gender = 'Male' "
+         "GROUP BY Role, Country", "70fd23890a30901b"),
+        ("SELECT Country, AVG(Salary) FROM SO WHERE Salary > 30000.0 "
+         "GROUP BY Country", "b4432f37d70c64e2"),
+        ("SELECT Country, AVG(Salary) FROM SO WHERE Salary <= 90000 "
+         "AND Salary > 2.5 GROUP BY Country", "93a05a008836f84a"),
+        (GroupByAvgQuery(("b", "a"), "y", Pattern([
+            Predicate("x", "==", np.float64(3.0)),
+            Predicate("z", "==", np.str_("u"))])), "59b512a14356ccfb"),
+        (GroupByAvgQuery("g", "y", Pattern([Predicate("x", ">", True)])),
+         "9ec0049266d6f9d8"),
+    ])
+    def test_fingerprints_are_pinned(self, query, fingerprint):
+        if isinstance(query, str):
+            query = parse_query(query)
+        assert query.fingerprint == fingerprint
 
     def test_fingerprint_distinguishes_filters(self):
         base = "SELECT g, AVG(y) FROM T {} GROUP BY g"
-        plans = {lower_query(parse_query(base.format(w))).fingerprint
+        plans = {parse_query(base.format(w)).fingerprint
                  for w in ("", "WHERE x = 1", "WHERE x = '1'", "WHERE x > 1")}
         assert len(plans) == 4
 
     def test_where_key_hashable_and_type_aware(self):
-        one = lower_query(parse_query(
-            "SELECT g, AVG(y) FROM T WHERE x = 1 GROUP BY g"))
-        other = lower_query(parse_query(
-            "SELECT g, AVG(y) FROM T WHERE x = '1' GROUP BY g"))
-        assert hash(one.where_key) != hash(other.where_key) or \
-            one.where_key != other.where_key
+        one = parse_query("SELECT g, AVG(y) FROM T WHERE x = 1 GROUP BY g")
+        other = parse_query("SELECT g, AVG(y) FROM T WHERE x = '1' GROUP BY g")
+        assert one.where_key == (("x", "==", "int:1"),)
+        assert other.where_key == (("x", "==", "str:'1'"),)
+        assert len({one.where_key, other.where_key}) == 2
 
 
 # ---------------------------------------------------------------------- planner

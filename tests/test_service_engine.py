@@ -195,15 +195,15 @@ class TestServing:
         assert stats["population_cache"]["hits"] >= 1
         assert stats["computations"] == 2
 
-    def test_explain_many_deduplicates(self, engine):
+    def test_repeated_queries_compute_once(self, engine):
         queries = [BASE_QUERY, BASE_QUERY,
                    "SELECT Continent, AVG(Salary) FROM SO GROUP BY Continent",
                    BASE_QUERY]
-        summaries = engine.explain_many("stackoverflow", queries)
+        summaries = [engine.explain("stackoverflow", q) for q in queries]
         assert len(summaries) == 4
         assert summaries[0] is summaries[1] is summaries[3]
         assert engine.computations == 2
-        assert engine.stats()["batch_deduped"] == 2
+        assert engine.stats()["summary_cache"]["hits"] == 2
 
 
 class TestConcurrency:
@@ -659,10 +659,11 @@ class TestServerProtocol:
         response = handle_request(engine, "stackoverflow", json.dumps(
             {"op": "batch", "queries": [BASE_QUERY, other, BASE_QUERY]}))
         assert response["ok"] and len(response["results"]) == 3
+        # The repeated query is a summary-cache hit, not a second computation.
+        assert engine.computations == 2
+        assert engine.stats()["summary_cache"]["hits"] == 1
         assert response["results"][0] == response["results"][2] == \
             summary_to_dict(engine.explain("stackoverflow", BASE_QUERY))
-        assert engine.computations == 2
-        assert engine.stats()["batch_deduped"] == 1
 
     def test_batch_op_stops_at_an_expired_deadline(self, engine):
         class Expired(Exception):
@@ -828,9 +829,9 @@ class TestAppendPath:
                     _summary_payload(self._fresh(so_small, table, query))
         # The last version skipped BASE_QUERY's population: its masks wait
         # in the state's population memo.  The others were built from theirs.
-        _, plan = engine._lowered(BASE_QUERY)
+        canonical = engine._canonical(BASE_QUERY)
         assert _carried(engine.dataset_state(self.NAME)) == \
-            [(plan.where_key, plan.average)]
+            [(canonical.where_key, canonical.average)]
         stats = engine.stats()
         assert stats["population_cache"]["entries"] == 3
         assert stats["mask_caches"]["hits"] > 0
@@ -843,13 +844,13 @@ class TestAppendPath:
         engine.explain(self.NAME, self.WHERE_QUERY)  # extends both memos
         current = engine.dataset_state(self.NAME)
         assert current.version == stale.version + 1
-        canonical, plan = engine._lowered(self.WHERE_QUERY)
-        key = (plan.where_key, plan.average)
+        canonical = engine._canonical(self.WHERE_QUERY)
+        key = (canonical.where_key, canonical.average)
         extended = current.populations.get(key)
         where_masks = current.where_masks.stats()
         assert extended is not None and where_masks.entries > 0
         # A request that still holds version 0 computes on its own...
-        summary, _ = engine._compute(stale, canonical, plan)
+        summary, _ = engine._compute(stale, canonical)
         assert _summary_payload(summary) == _summary_payload(before)
         # ...and leaves the version-1 memos untouched.
         assert current.populations.get(key) is extended
@@ -870,7 +871,7 @@ class TestAppendPath:
             self.NAME, table, dag=so_small.dag, config=small_config(),
             grouping_attributes=so_small.grouping_attributes,
             treatment_attributes=so_small.treatment_attributes)
-        engine._compute(stale, *engine._lowered(self.WHERE_QUERY))
+        engine._compute(stale, engine._canonical(self.WHERE_QUERY))
         for query in self.QUERIES:
             assert _summary_payload(engine.explain(self.NAME, query)) == \
                 _summary_payload(self._fresh(so_small, table, query))
@@ -896,7 +897,7 @@ class TestAppendPath:
         register(so_small.table.take(np.arange(n_rows)))
         stale = engine.dataset_state(self.NAME)
         register(stale.table.take(np.random.default_rng(0).permutation(n_rows)))
-        engine._compute(stale, *engine._lowered(BASE_QUERY))
+        engine._compute(stale, engine._canonical(BASE_QUERY))
         table = weakref.ref(stale.table)
         del stale
         gc.collect()
@@ -935,8 +936,8 @@ class TestAppendPath:
         monkeypatch.setattr(engine_module, "POPULATION_CACHE_SIZE", 2)
         engine = ExplanationEngine()
         engine.register_bundle(so_small, config=small_config())
-        keys = [engine._lowered(query)[1] for query in self.QUERIES]
-        keys = [(plan.where_key, plan.average) for plan in keys]
+        keys = [engine._canonical(query) for query in self.QUERIES]
+        keys = [(query.where_key, query.average) for query in keys]
         for k, queries in enumerate((self.QUERIES[:2], self.QUERIES[2:])):
             for query in queries:
                 engine.explain(self.NAME, query)
@@ -1016,7 +1017,7 @@ class TestMemoHandOver:
             elif operation == "stale":
                 older = held[args[0] % len(held)]
                 query = self.QUERIES[args[1]]
-                summary, _ = engine._compute(older, *engine._lowered(query))
+                summary, _ = engine._compute(older, engine._canonical(query))
                 self._check(so_small, summary, older.table, query)
             else:
                 for query in self.QUERIES:
