@@ -23,9 +23,12 @@ def test_fig14_runtime_breakdown(benchmark, bundles):
                 "dataset": name,
                 **{step: round(seconds, 3) for step, seconds in summary.timings.items()},
                 "treatment_share": round(summary.timings["treatment_patterns"] / total, 3),
+                "largest_step": max(summary.timings, key=summary.timings.get),
             })
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     record_rows(benchmark, rows, paper_reference="Figures 14/20",
                 expected_shape="treatment-pattern mining dominates total runtime")
+    for row in rows:
+        assert row["largest_step"] == "treatment_patterns", row

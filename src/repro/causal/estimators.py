@@ -18,12 +18,16 @@ import numpy as np
 
 from repro.causal.effects import EffectEstimate
 from repro.causal.ols import DegenerateFit, FactoredDesign
-from repro.dataframe import MaskCache, Pattern, Predicate, Table, design_matrix
+from repro.dataframe import MaskCache, Pattern, Predicate, Table, design_rows
 from repro.graph import CausalDAG, backdoor_adjustment_set, parents_adjustment_set
 from repro.obs.registry import REGISTRY
 
 if TYPE_CHECKING:
     from repro.mining.lattice import AtomSet
+
+
+# Numbering keys through a bitmap of this + 4n slots costs less than a sort.
+_SCATTER_SPACE = 1 << 14
 
 
 def naive_difference_in_means(outcome: np.ndarray, treated: np.ndarray) -> EffectEstimate:
@@ -109,6 +113,7 @@ class CATEEstimator:
         #: per (grouping pattern, direction).
         self.atom_cache: dict = {}
         self._adjustment_cache: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._numeric_ranks: dict[str, tuple[np.ndarray, int]] = {}
         self._adjustment_lock = threading.Lock()
         self._bound: OrderedDict[tuple, BoundSubpopulation] = OrderedDict()
         self._bound_lock = threading.Lock()
@@ -134,6 +139,15 @@ class CATEEstimator:
         with self._adjustment_lock:
             self._adjustment_cache[key] = tuple(result)
         return result
+
+    def _numeric_codes(self, attribute: str) -> tuple[np.ndarray, int]:
+        """A numeric attribute's rank among the table's distinct values, NaN
+        last, and the number of ranks: factorised once, sliced per binding."""
+        if attribute not in self._numeric_ranks:
+            uniques, codes = np.unique(self.table.column(attribute).values,
+                                       return_inverse=True)
+            self._numeric_ranks[attribute] = codes, len(uniques)
+        return self._numeric_ranks[attribute]
 
     # ------------------------------------------------------------------ binding
 
@@ -215,18 +229,18 @@ class BoundSubpopulation:
     :meth:`CATEEstimator.estimate` exactly once: evaluating the sub-population
     pattern, applying the sampling optimisation, and dropping tuples with a
     missing outcome.  Per adjustment-attribute tuple the ``[1 | confounders]``
-    block is encoded and factored once (:class:`~repro.causal.ols.FactoredDesign`)
-    — within one sub-population every treatment over the same attributes
-    shares it — and every estimate is memoized, so the ``+`` and the ``-``
-    search of one grouping pattern solve their common lattice nodes once.
+    block is encoded, one row per confounder stratum, and factored once
+    (:class:`~repro.causal.ols.FactoredDesign`), and every estimate is
+    memoized, so the ``+`` and the ``-`` search of one grouping pattern solve
+    their common lattice nodes once.
 
     The bound table is a :meth:`Table.take` slice, so its categorical columns
     share the parent vocabulary: predicate masks sliced from the full-table
-    cache line up with the bound rows, and the confounder blocks are built by
-    fancy-indexing the inherited dictionary codes (no re-encoding of the
-    sub-population).  Each lattice atom's mask is sliced once per binding, so
+    cache line up with the bound rows, and strata are numbered from the
+    inherited dictionary codes (numeric confounders from codes the estimator
+    factorises once).  Each lattice atom's mask is sliced once per binding, so
     a candidate costs an AND of bound masks, one count that decides
-    positivity, and one ``flatnonzero`` into the solve.
+    positivity, and one ``nonzero`` into the solve.
 
     Bindings are shared across threads without a lock: factorisations and
     estimates are deterministic functions of the bound rows, so two threads
@@ -273,6 +287,7 @@ class BoundSubpopulation:
         self._identity = base is table  # binding covers the whole table unchanged
         self._atom_masks: dict = {}  # per atom space, see AtomSet.masks
         self._domain_sizes: dict[str, int] = {}
+        self._attribute_levels: dict[str, tuple[np.ndarray, int]] = {}
         self._adjustments: dict[tuple, tuple[str, ...]] = {}
         self._designs: dict[tuple[str, ...], FactoredDesign] = {}
         self._estimates: dict[tuple, EffectEstimate] = {}
@@ -325,14 +340,44 @@ class BoundSubpopulation:
                 key, tuple(a for a in chosen if self._domain_size(a) > 1))
         return adjustment
 
+    def _levels(self, attribute: str) -> tuple[np.ndarray, int]:
+        """One confounder's level on each bound row, numbered in value order
+        (a missing value is a level of its own), and the number of levels."""
+        if attribute not in self._attribute_levels:
+            column = self.base.column(attribute)
+            if column.numeric:
+                codes, size = self.estimator._numeric_codes(attribute)
+                codes = codes[self.indices]
+            else:
+                codes, size = column.codes + 1, len(column.vocab) + 1
+            self._attribute_levels[attribute] = _dense(codes, size)
+        return self._attribute_levels[attribute]
+
+    def _strata(self, attributes: tuple[str, ...]) -> tuple[np.ndarray, int]:
+        """Each bound row's confounder stratum, numbered in order of its
+        levels, and the number of strata."""
+        if len(attributes) == 1:
+            return self._levels(attributes[0])
+        strata, count = np.zeros(self.base.n_rows, dtype=np.int64), 1
+        for attribute in attributes:
+            levels, size = self._levels(attribute)
+            if count * size > 4 * len(strata) + _SCATTER_SPACE:
+                strata, count = _dense(strata, count)
+            strata, count = strata * size + levels, count * size
+        return _dense(strata, count) if attributes else (strata, count)
+
     def _design(self, attributes: tuple[str, ...]) -> FactoredDesign:
-        """The factored ``[1 | confounders]`` block of one adjustment tuple."""
+        """The factored ``[1 | confounders]`` block of one adjustment tuple:
+        one row per stratum, the row ``design_matrix`` gives its members."""
         design = self._designs.get(attributes)
         if design is None:
-            block, _ = design_matrix(self.base, list(attributes),
-                                     add_intercept=True)
+            strata, n_strata = self._strata(attributes)
+            members = np.empty(n_strata, dtype=np.int64)
+            members[strata] = np.arange(len(strata))
+            block, _ = design_rows(self.base, attributes, members,
+                                   add_intercept=True)
             design = self._designs.setdefault(
-                attributes, FactoredDesign(block, self.outcome_values))
+                attributes, FactoredDesign(block, strata, self.outcome_values))
         return design
 
     def estimate(self, treatment: "Pattern | AtomSet",
@@ -366,7 +411,7 @@ class BoundSubpopulation:
 
         adjustment = self._adjustment(treatment.attributes, extra_adjustment)
         try:
-            fit = self._design(adjustment).solve(np.flatnonzero(treated))
+            fit = self._design(adjustment).solve(treated.nonzero()[0])
         except DegenerateFit as skipped:
             REGISTRY.counter("repro_causal_skipped_total",
                              reason=skipped.reason).inc()
@@ -379,6 +424,19 @@ class BoundSubpopulation:
             n_control=n_control,
             estimator="linear_regression",
         )
+
+
+def _dense(key: np.ndarray, space: int) -> tuple[np.ndarray, int]:
+    """``key`` renumbered ``0..k-1`` in key order, and ``k``."""
+    if space > 4 * len(key) + _SCATTER_SPACE:
+        uniques, ids = np.unique(key, return_inverse=True)
+        return ids, len(uniques)
+    present = np.zeros(space, dtype=np.bool_)
+    present[key] = True
+    present = present.nonzero()[0]
+    ids = np.empty(space, dtype=np.int64)
+    ids[present] = np.arange(len(present), dtype=np.int64)
+    return ids[key], len(present)
 
 
 def estimate_ate(table: Table, treatment: Pattern, outcome: str,

@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import special
+from scipy.linalg import lapack
 
 _EPS = float(np.finfo(np.float64).eps)
 # A treatment whose squared distance to the confounder span is below this
@@ -58,33 +59,45 @@ class FactoredDesign:
     """``outcome ~ [block | treatment]`` with the fixed ``block`` factored once.
 
     CATE estimation fits the same regression once per candidate treatment and
-    only the 0/1 treatment column changes between fits.  By Frisch–Waugh–
-    Lovell, with ``Q`` an orthonormal basis of ``block`` (intercept and
-    confounders) and ``r = y - QQ'y``, the treatment coefficient is ``s / d``
-    where ``s`` sums ``r`` over the treated rows and ``d = n_t - |sum of the
-    treated rows of Q|^2``; the residual sum of squares of the full model is
-    ``r.r - s^2 / d``.  The factorisation runs once; :meth:`solve` is two row
-    gathers and a few scalar flops, and agrees with the treatment entries of
-    :func:`ols_fit` on the stacked design whenever the effect is identifiable.
-
-    Every number of a candidate is reduced over that candidate's rows alone,
-    in row order, so it is bit-identical whatever else is estimated beside it.
+    only the 0/1 treatment column changes between fits.  ``block`` holds one
+    row per confounder *stratum* and ``strata`` maps each observation to its
+    row, so the regression's block is ``block[strata]`` (``strata =
+    arange(n)`` passes it row by row).  With ``U`` from the SVD of
+    ``sqrt(count) * block``, ``W = U / sqrt(count)`` and ``Q = W[strata]`` is
+    an orthonormal basis of it.  By Frisch–Waugh–Lovell, with ``r = y -
+    QQ'y``, the treatment coefficient is ``s / d`` where ``s`` sums ``r``
+    over the treated rows and ``d = n_t - |c'W|^2``, ``c`` the treated rows'
+    integer count per stratum; the residual sum of squares of the full model
+    is ``r.r - s^2 / d``.  :meth:`solve` agrees with the treatment entries
+    of :func:`ols_fit` on the stacked design whenever the effect is
+    identifiable.  Counts are exact and ``s`` is a row-order sum over the
+    candidate's own rows, so a candidate's numbers are bit-identical whatever
+    else is estimated beside it.
     """
 
-    def __init__(self, block: np.ndarray, outcome: np.ndarray):
+    def __init__(self, block: np.ndarray, strata: np.ndarray,
+                 outcome: np.ndarray):
         # An inf/NaN outcome or confounder leaves no fit of this block
         # defined; decide it here, once, instead of per candidate.
         self._finite = bool(np.isfinite(outcome).all()
                             and np.isfinite(block).all())
         if not self._finite:
             return
-        n = len(outcome)
-        basis, singular, _ = np.linalg.svd(block, full_matrices=False)
-        # np.linalg.matrix_rank's rule, so df_resid agrees with ols_fit.
-        rank = int((singular > singular[0] * max(block.shape) * _EPS).sum())
-        self._basis = np.ascontiguousarray(basis[:, :rank])
-        self._residual = outcome - self._basis @ (self._basis.T @ outcome)
-        self._rss = float(self._residual @ self._residual)
+        n, (u, p) = len(outcome), block.shape
+        root = np.sqrt(np.bincount(strata, minlength=u))[:, None]
+        # LAPACK direct: on a few strata numpy's wrapper costs more than it.
+        basis, singular, _, info = lapack.dgesdd(root * block, full_matrices=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        # np.linalg.matrix_rank's rule on the n-row block, so df_resid
+        # agrees with ols_fit.
+        rank = int(np.count_nonzero(singular > singular[0] * max(n, p) * _EPS))
+        self._weights = basis[:, :rank] / root
+        self._strata = strata
+        sums = np.bincount(strata, weights=outcome, minlength=u)
+        fitted = self._weights.dot(sums.dot(self._weights))
+        self._residual = outcome - fitted.take(strata)
+        self._rss = float(self._residual.dot(self._residual))
         # Below this a residual sum of squares is rounding noise of the
         # projection (second term) or of the subtraction in solve (first).
         self._rss_floor = n * _EPS * (self._rss
@@ -104,11 +117,13 @@ class FactoredDesign:
         if self.df_resid < 1:
             raise DegenerateFit("no_residual_df")
         n_treated = len(treated_rows)
-        # ``take`` gathers the same rows as fancy indexing, in less time.
-        projected = self._basis.take(treated_rows, axis=0).sum(axis=0)
-        d = n_treated - float(projected @ projected)
+        counts = np.bincount(self._strata.take(treated_rows),
+                             minlength=len(self._weights))
+        projected = counts.dot(self._weights)
+        d = n_treated - float(projected.dot(projected))
         if d <= _COLLINEAR_TOL * n_treated:
             raise DegenerateFit("collinear_treatment")
+        # ``take`` gathers the same rows as fancy indexing, in less time.
         s = float(self._residual.take(treated_rows).sum())
         rss = self._rss - s * s / d
         if rss <= self._rss_floor:

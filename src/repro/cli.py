@@ -345,8 +345,8 @@ def _http_registry(args: argparse.Namespace):
         opened = _open_store(args)
         if opened is None:
             return None
-        store, name = opened
-        return TenantRegistry.from_store(store, default_dataset=name,
+        return TenantRegistry.from_store(opened[0],
+                                         default_dataset=args.store_dataset,
                                          **_engine_kwargs(args))
     source = _load_source(args, require_query=False, machine_output=True)
     if source is None:

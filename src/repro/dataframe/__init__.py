@@ -19,7 +19,7 @@ from repro.dataframe.groupby import GroupByIndex
 from repro.dataframe.maskcache import CacheStats, MaskCache
 from repro.dataframe.table import Table
 from repro.dataframe.functional_deps import fd_holds, fd_closure, grouping_attribute_partition
-from repro.dataframe.encoding import design_matrix, one_hot
+from repro.dataframe.encoding import design_matrix, design_rows, one_hot
 from repro.dataframe.io import read_csv, write_csv
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "fd_closure",
     "grouping_attribute_partition",
     "design_matrix",
+    "design_rows",
     "one_hot",
     "read_csv",
     "write_csv",

@@ -26,20 +26,13 @@ def one_hot(table: Table, attribute: str, drop_first: bool = True) -> tuple[np.n
     same layout the row-at-a-time encoder did.
     """
     column = table.column(attribute)
+    if not column.numeric:
+        return design_matrix(table, [attribute], drop_first)
     categories = column.unique()
     if drop_first and len(categories) > 1:
         categories = categories[1:]
     matrix = np.zeros((table.n_rows, len(categories)), dtype=np.float64)
-    names = [f"{attribute}={c}" for c in categories]
-    _one_hot_into(column, categories, matrix)
-    return matrix, names
-
-
-def _one_hot_into(column, categories: list, out: np.ndarray) -> None:
-    """Write one-hot indicator columns for ``categories`` into ``out`` in place."""
-    if not categories:
-        return
-    if column.numeric:
+    if categories:
         # Exact-match indicators against the sorted category values.
         cats = np.asarray(categories, dtype=np.float64)
         values = column.values
@@ -47,16 +40,8 @@ def _one_hot_into(column, categories: list, out: np.ndarray) -> None:
             positions = np.searchsorted(cats, values)
         positions = np.clip(positions, 0, len(cats) - 1)
         rows = np.flatnonzero(values == cats[positions])
-        out[rows, positions[rows]] = 1.0
-        return
-    # Map vocab codes to matrix columns; unselected codes (reference level)
-    # and the missing sentinel (-1, wrapping to the extra last slot) stay -1.
-    lookup = np.full(len(column.vocab) + 1, -1, dtype=np.int64)
-    for j, category in enumerate(categories):
-        lookup[column.vocab_code(category)] = j
-    positions = lookup[column.codes]
-    rows = np.flatnonzero(positions >= 0)
-    out[rows, positions[rows]] = 1.0
+        matrix[rows, positions[rows]] = 1.0
+    return matrix, [f"{attribute}={c}" for c in categories]
 
 
 def design_matrix(table: Table, attributes: Sequence[str], drop_first: bool = True,
@@ -67,8 +52,19 @@ def design_matrix(table: Table, attributes: Sequence[str], drop_first: bool = Tr
     column mean); categorical attributes are one-hot encoded from their
     dictionary codes.  The output matrix is allocated once and every block is
     written into it in place — no intermediate block list or ``hstack`` copy.
+    CATE estimation never builds it: it encodes one row per confounder
+    stratum with :func:`design_rows`.
     """
-    n_rows = table.n_rows
+    return design_rows(table, attributes, None, drop_first, add_intercept)
+
+
+def design_rows(table: Table, attributes: Sequence[str], rows: np.ndarray | None,
+                drop_first: bool = True, add_intercept: bool = False
+                ) -> tuple[np.ndarray, list[str]]:
+    """The rows ``rows`` (``None``: all) of :func:`design_matrix`, bit for bit,
+    without encoding the others: categories and imputed means still come
+    from every row of ``table``."""
+    n_rows = table.n_rows if rows is None else len(rows)
     plan: list[tuple] = []  # (column, categories-or-None)
     names: list[str] = []
     width = 0
@@ -83,13 +79,15 @@ def design_matrix(table: Table, attributes: Sequence[str], drop_first: bool = Tr
             names.append(attribute)
             width += 1
         else:
-            categories = column.unique()
+            # The present codes, in vocabulary (sorted) order.
+            categories = np.bincount(column.codes + 1)[1:].nonzero()[0]
             if drop_first and len(categories) > 1:
                 categories = categories[1:]
-            if not categories:
+            if not len(categories):
                 continue
             plan.append((column, categories))
-            names.extend(f"{attribute}={c}" for c in categories)
+            names.extend(f"{attribute}={column.vocab[c]}"
+                         for c in categories.tolist())
             width += len(categories)
     matrix = np.zeros((n_rows, width), dtype=np.float64)
     offset = 0
@@ -102,12 +100,18 @@ def design_matrix(table: Table, attributes: Sequence[str], drop_first: bool = Tr
             missing = np.isnan(values)
             if missing.any():
                 fill = values[~missing].mean() if (~missing).any() else 0.0
-                matrix[:, offset] = np.where(missing, fill, values)
-            else:
-                matrix[:, offset] = values
+                values = np.where(missing, fill, values)
+            matrix[:, offset] = values if rows is None else values[rows]
             offset += 1
         else:
-            _one_hot_into(column, categories,
-                          matrix[:, offset:offset + len(categories)])
+            # Map vocab codes to matrix columns; unselected codes (reference
+            # level) and the missing sentinel (-1, wrapping to the extra last
+            # slot) stay -1.
+            lookup = np.full(len(column.vocab) + 1, -1, dtype=np.int64)
+            lookup[categories] = np.arange(len(categories), dtype=np.int64)
+            positions = lookup[column.codes if rows is None
+                               else column.codes[rows]]
+            hit = (positions >= 0).nonzero()[0]
+            matrix[hit, offset + positions[hit]] = 1.0
             offset += len(categories)
     return matrix, names

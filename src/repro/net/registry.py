@@ -121,6 +121,7 @@ class TenantRegistry:
         Every tenant engine memory-maps the same shard files (the OS page
         cache shares the bytes) but owns its caches; ``engine_kwargs``
         (``summary_cache_size``, ``summary_cache_bytes``) size each one.
+        ``default_dataset`` defaults to the store's first dataset by name.
 
         Snapshots are **not** shared: only the reserved ``default`` tenant
         writes back to the store on :meth:`snapshot_all`, so tenants cannot
@@ -134,11 +135,7 @@ class TenantRegistry:
         if not names:
             raise ValueError(f"store at {store.root} has no datasets")
         if default_dataset is None:
-            default_dataset = names[0] if len(names) == 1 else None
-        if default_dataset is None:
-            raise ValueError(
-                f"store has several datasets ({', '.join(names)}); "
-                f"pass default_dataset to pick the fallback")
+            default_dataset = names[0]
         if default_dataset not in names:
             raise ValueError(f"default dataset {default_dataset!r} not in "
                              f"store (has: {', '.join(names)})")

@@ -177,13 +177,18 @@ def dispatch_request(engine: ExplanationEngine, dataset: str, request: dict,
 
 def _explain_each(engine: ExplanationEngine, dataset: str, queries: list,
                  deadline=None) -> list:
-    """Serve a batch one query at a time: a repeated query is a summary-cache
-    hit, and an expired ``deadline`` stops the batch at the next query."""
-    summaries = []
+    """Serve a batch one query at a time, each distinct question once: a
+    query whose canonical fingerprint the batch has already answered gets
+    that answer, whatever the summary cache has evicted since.  An expired
+    ``deadline`` stops the batch at the next query."""
+    answers, summaries = {}, []
     for query in queries:
         if deadline is not None:
             deadline.check("batch query")
-        summaries.append(engine.explain(dataset, query))
+        fingerprint = engine._canonical(query).fingerprint
+        if fingerprint not in answers:
+            answers[fingerprint] = engine.explain(dataset, query)
+        summaries.append(answers[fingerprint])
     return summaries
 
 

@@ -27,15 +27,26 @@ from repro.causal import CATEEstimator, EffectEstimate
 from repro.causal.estimators import BoundSubpopulation
 from repro.causal.ols import (
     _COLLINEAR_TOL,
+    _EPS,
     DegenerateFit,
     FactoredDesign,
     TreatmentFit,
 )
 from repro.core.export import summary_to_dict
-from repro.dataframe import Column, GroupByIndex, Op, Pattern, Predicate, Table
+from repro.dataframe import (
+    Column,
+    GroupByIndex,
+    Op,
+    Pattern,
+    Predicate,
+    Table,
+    design_matrix,
+    design_rows,
+)
 from repro.dataframe.groupby import _attribute_codes, _combine_codes
 from repro.datasets import load_dataset
 from repro.mining.lattice import AtomSet, AtomSpace, PatternLattice
+from repro.mining.treatments import TreatmentMinerConfig
 from repro.obs.registry import REGISTRY
 
 
@@ -64,15 +75,39 @@ def reference_next_level(survivors) -> list[Pattern]:
     return sorted(candidates, key=repr)
 
 
-def reference_fwl(design: FactoredDesign, treated_rows: np.ndarray
-                  ) -> TreatmentFit:
-    """:meth:`FactoredDesign.solve` with fancy-indexed row gathers."""
-    if not design._finite:
-        raise DegenerateFit("non_finite")
-    if design.df_resid < 1:
-        raise DegenerateFit("no_residual_df")
+class RowSpaceDesign:
+    """The row-space factorisation :class:`FactoredDesign` replaced: an SVD
+    of the ``n x p`` block, each candidate gathering its rows of the basis.
+    Kept as the accuracy oracle of the stratum solve."""
+
+    def __init__(self, block: np.ndarray, outcome: np.ndarray):
+        self._finite = bool(np.isfinite(outcome).all()
+                            and np.isfinite(block).all())
+        if not self._finite:
+            return
+        n = len(outcome)
+        basis, singular, _ = np.linalg.svd(block, full_matrices=False)
+        rank = int((singular > singular[0] * max(block.shape) * _EPS).sum())
+        self._basis = np.ascontiguousarray(basis[:, :rank])
+        self._residual = outcome - self._basis @ (self._basis.T @ outcome)
+        self._rss = float(self._residual @ self._residual)
+        self._rss_floor = n * _EPS * (self._rss
+                                      + n * _EPS * float(outcome @ outcome))
+        self.df_resid = n - rank - 1
+
+    def solve(self, treated_rows: np.ndarray) -> TreatmentFit:
+        if not self._finite:
+            raise DegenerateFit("non_finite")
+        if self.df_resid < 1:
+            raise DegenerateFit("no_residual_df")
+        projected = self._basis.take(treated_rows, axis=0).sum(axis=0)
+        return _finish(self, treated_rows, projected)
+
+
+def _finish(design, treated_rows: np.ndarray, projected: np.ndarray
+            ) -> TreatmentFit:
+    """The checks and statistics both solves share, from ``projected``."""
     n_treated = len(treated_rows)
-    projected = design._basis[treated_rows].sum(axis=0)
     d = n_treated - float(projected @ projected)
     if d <= _COLLINEAR_TOL * n_treated:
         raise DegenerateFit("collinear_treatment")
@@ -85,6 +120,18 @@ def reference_fwl(design: FactoredDesign, treated_rows: np.ndarray
     p_value = 2.0 * float(special.stdtr(design.df_resid,
                                         -abs(coefficient) / std_error))
     return TreatmentFit(coefficient, std_error, p_value)
+
+
+def reference_fwl(design: FactoredDesign, treated_rows: np.ndarray
+                  ) -> TreatmentFit:
+    """:meth:`FactoredDesign.solve` with fancy-indexed row gathers."""
+    if not design._finite:
+        raise DegenerateFit("non_finite")
+    if design.df_resid < 1:
+        raise DegenerateFit("no_residual_df")
+    counts = np.bincount(design._strata[treated_rows],
+                         minlength=len(design._weights))
+    return _finish(design, treated_rows, counts @ design._weights)
 
 
 def reference_solve(bound: BoundSubpopulation, treatment,
@@ -412,3 +459,157 @@ class TestSummaryOracle:
         assert all(body["patterns"] for body in got.values())
         for mode in expected:
             assert repr(got[mode]) == repr(expected[mode]), mode
+
+
+# --------------------------------------------------------------------------- strata
+
+
+def row_space_design(self: BoundSubpopulation, attributes) -> RowSpaceDesign:
+    """:meth:`BoundSubpopulation._design` over the ``n x p`` row block."""
+    design = self._designs.get(attributes)
+    if design is None:
+        block, _ = design_matrix(self.base, list(attributes), add_intercept=True)
+        design = self._designs.setdefault(
+            attributes, RowSpaceDesign(block, self.outcome_values))
+    return design
+
+
+def _fit_or_reason(design, rows: np.ndarray):
+    try:
+        return design.solve(rows)
+    except DegenerateFit as skipped:
+        return skipped.reason
+
+
+@st.composite
+def _confounded_tables(draw) -> tuple[Table, list[np.ndarray]]:
+    """Every kind of confounder block the stratum encoding meets, and
+    treatments over its rows (one of them a confounder level)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(25, 250))
+    country = rng.integers(0, 6, n)
+    columns = [
+        # Continent is a function of Country: a rank-deficient pair.
+        Column("Country", [f"c{v}" for v in country], numeric=False),
+        Column("Continent", [f"k{v // 3}" for v in country], numeric=False),
+        Column("level", [None if v == 3 else f"l{v}"
+                         for v in rng.integers(0, 4, n)], numeric=False),
+        Column("age", np.where(rng.random(n) < 0.1, np.nan,
+                               rng.integers(20, 30, n).astype(np.float64)),
+               numeric=True),
+        Column("amount", rng.permutation(n) * 1.5 + 0.25, numeric=True),
+    ]
+    outcome = (3.0 * (country % 2) + 0.1 * np.nan_to_num(columns[3].values)
+               + rng.normal(size=n))
+    if draw(st.booleans()):
+        outcome = np.full(n, 0.1)
+    table = Table(columns + [Column("y", outcome, numeric=True)])
+    treatments = [np.flatnonzero(rng.random(n) < share)
+                  for share in (0.2, 0.5)]
+    treatments.append(np.flatnonzero(country == 1))  # a confounder level
+    return table, treatments
+
+
+_ADJUSTMENTS = [(), ("Country",), ("Country", "Continent"), ("age",),
+                ("amount",), ("level", "age"), ("Continent", "level", "age"),
+                ("Country", "Continent", "level", "age", "amount")]
+
+
+class TestStratumOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_confounded_tables(), st.sampled_from([None, "k0"]))
+    def test_stratum_solve_equals_the_row_space_solve(self, drawn, continent):
+        table, treatments = drawn
+        estimator = CATEEstimator(table, "y")
+        subpopulation = None if continent is None else \
+            Pattern.equalities({"Continent": continent})
+        bound = estimator.bind(subpopulation)
+        if bound.n_rows < 2:
+            return
+        rows_of = np.full(table.n_rows, -1, dtype=np.int64)
+        rows_of[bound.indices] = np.arange(bound.n_rows)
+        for attributes in _ADJUSTMENTS:
+            strata, count = bound._strata(attributes)
+            assert sorted(set(strata.tolist())) == list(range(count))
+            members = np.empty(count, dtype=np.int64)
+            members[strata] = np.arange(bound.n_rows)
+            block, _ = design_rows(bound.base, attributes, members,
+                                   add_intercept=True)
+            rows, _ = design_matrix(bound.base, list(attributes),
+                                    add_intercept=True)
+            assert block[strata].tobytes() == rows.tobytes()
+
+            design = bound._design(attributes)
+            reference = RowSpaceDesign(rows, bound.outcome_values)
+            assert design.df_resid == reference.df_resid
+            for treated in treatments:
+                treated = rows_of[treated]
+                treated = treated[treated >= 0]
+                got = _fit_or_reason(design, treated)
+                expected = _fit_or_reason(reference, treated)
+                if isinstance(expected, str):
+                    assert got == expected
+                    continue
+                assert isinstance(got, TreatmentFit), (got, expected)
+                assert got.coefficient == pytest.approx(expected.coefficient,
+                                                        rel=1e-9)
+                assert got.std_error == pytest.approx(expected.std_error,
+                                                      rel=1e-9)
+                assert got.p_value == pytest.approx(expected.p_value, rel=0,
+                                                    abs=1e-9)
+
+
+# benchmarks/e2e's CONFIG; German as its case study runs it.
+_E2E_CONFIG = CauSumXConfig(
+    k=5, theta=0.75, apriori_threshold=0.1, sample_size=None,
+    min_group_size=10,
+    treatment=TreatmentMinerConfig(max_levels=2, min_group_size=10,
+                                   significance_level=0.05,
+                                   max_values_per_attribute=10))
+_EXPLAIN_SIZES = {"cps": 3000, "accidents": 3000, "stackoverflow": 1000,
+                  "german": 1000, "adult": 2000, "synthetic": 2000}
+
+
+def _assert_close(got, expected, path="summary"):
+    """Equal structure, strings, ints and booleans; floats within 1e-9
+    relative."""
+    if isinstance(expected, float):
+        assert isinstance(got, float), path
+        assert got == pytest.approx(expected, rel=1e-9), path
+    elif isinstance(expected, dict):
+        assert list(got) == list(expected), path
+        for key in expected:
+            _assert_close(got[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, (list, tuple)):
+        assert len(got) == len(expected), path
+        for i, (a, b) in enumerate(zip(got, expected)):
+            _assert_close(a, b, f"{path}[{i}]")
+    else:
+        assert got == expected, path
+
+
+class TestExplainOracle:
+    @pytest.mark.parametrize("dataset", sorted(_EXPLAIN_SIZES))
+    def test_explain_decisions_equal_the_row_space_solve(self, dataset,
+                                                         monkeypatch):
+        """The same patterns, coverage, signs and feasibility, and every
+        number within 1e-9 relative, with the stratum solve as with the
+        row-space one."""
+        bundle = load_dataset(dataset, n=_EXPLAIN_SIZES[dataset], seed=1)
+        config = _E2E_CONFIG.with_overrides(
+            include_singleton_groups=True, theta=0.5) \
+            if dataset == "german" else _E2E_CONFIG
+
+        def explain() -> dict:
+            body = summary_to_dict(CauSumX(bundle.table, bundle.dag, config)
+                                   .explain(bundle.query,
+                                            grouping_attributes=bundle.grouping_attributes,
+                                            treatment_attributes=bundle.treatment_attributes))
+            body.pop("timings")
+            return body
+
+        got = explain()
+        monkeypatch.setattr(BoundSubpopulation, "_design", row_space_design)
+        expected = explain()
+        assert expected["patterns"]
+        _assert_close(got, expected)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis import lockwatch
 from repro.core import CauSumXConfig, summary_to_dict
+from repro.datasets import load_dataset
 from repro.obs import trace as obs_trace
 from repro.mining.treatments import TreatmentMinerConfig
 from repro.net import (
@@ -296,6 +297,19 @@ class TestTenantRegistry:
         for bad in ("", "a/b", "x" * 65, "sp ace", None):
             with pytest.raises(ProtocolError):
                 validate_tenant(bad)
+
+    def test_store_default_is_its_first_dataset(self, so_net, tmp_path):
+        """A store of several datasets serves its first by name to requests
+        that name none: the rule every ``--store`` command follows."""
+        store = DatasetStore.init(tmp_path / "store")
+        store.import_bundle(so_net, config=net_config())
+        store.import_bundle(load_dataset("german", n=200, seed=0))
+        assert store.dataset_names() == ["german", "stackoverflow"]
+        registry = TenantRegistry.from_store(store)
+        assert registry.default_dataset == "german"
+        assert TenantRegistry.from_store(
+            store, default_dataset="stackoverflow").default_dataset == \
+            "stackoverflow"
 
     def test_lazy_isolated_engines(self, so_net):
         registry = make_registry(so_net, summary_cache_bytes=8 << 20)

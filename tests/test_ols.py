@@ -148,16 +148,15 @@ class TestFactoredDesign:
             (int(treated.sum()), int((~treated).sum()))
         adjustment = estimator.adjustment_set(["t"])  # its column order
         assert sorted(adjustment) == sorted(confounders)
-        block, _ = design_matrix(
-            kept, [a for a in adjustment if len(kept.domain(a)) > 1],
-            add_intercept=True)
+        adjusted = tuple(a for a in adjustment if len(kept.domain(a)) > 1)
+        block, _ = design_matrix(kept, adjusted, add_intercept=True)
         reference, stacked = _stacked_reference(block, treated,
                                                 kept.column("y").values)
         if not estimate.is_valid():
             assert min(estimate.n_treated, estimate.n_control) < 5 \
                 or np.linalg.matrix_rank(stacked) == np.linalg.matrix_rank(block)
             return
-        design = FactoredDesign(block, kept.column("y").values)
+        design = estimator.bind()._design(adjusted)  # the stratum block
         fit = design.solve(np.flatnonzero(treated))
         assert fit == (estimate.value, estimate.std_error, estimate.p_value)
         assert design.df_resid == reference.df_resid
@@ -168,7 +167,8 @@ class TestFactoredDesign:
                                             abs=1e-12)
 
     def test_no_confounders_is_the_difference_in_means(self):
-        design = FactoredDesign(np.ones((4, 1)), np.array([2.0, 1.0, 2.5, 1.5]))
+        design = FactoredDesign(np.ones((1, 1)), np.zeros(4, dtype=np.int64),
+                                np.array([2.0, 1.0, 2.5, 1.5]))
         assert design.solve(np.array([0, 2])).coefficient == pytest.approx(1.0)
         assert design.df_resid == 2
 
@@ -192,7 +192,8 @@ class TestFactoredDesign:
     def test_degenerate_designs_raise_their_reason(self, reason, block,
                                                    outcome, rows):
         with pytest.raises(DegenerateFit) as raised:
-            FactoredDesign(block, outcome).solve(np.array(rows))
+            FactoredDesign(block, np.arange(len(block)),
+                           outcome).solve(np.array(rows))
         assert raised.value.reason == reason
 
 
@@ -207,9 +208,12 @@ for seed in range(6):
     rng = np.random.default_rng(seed)
     n = 20_001
     block = np.column_stack([np.ones(n), rng.integers(0, 2, size=(n, 3))])
-    design = FactoredDesign(block.astype(float), rng.normal(size=n))
-    print(hashlib.sha256(design._residual.tobytes()).hexdigest(),
-          design._rss.hex())
+    outcome = rng.normal(size=n)
+    strata_block, strata = np.unique(block, axis=0, return_inverse=True)
+    for design in (FactoredDesign(block.astype(float), np.arange(n), outcome),
+                   FactoredDesign(strata_block.astype(float), strata, outcome)):
+        print(hashlib.sha256(design._residual.tobytes()).hexdigest(),
+              design._rss.hex())
 """
 
 
@@ -228,7 +232,7 @@ class TestBlasWidth:
                                   check=True, timeout=120).stdout
 
         single = factor("1")
-        assert len(single.splitlines()) == 6
+        assert len(single.splitlines()) == 12
         assert factor("4") == single
 
 

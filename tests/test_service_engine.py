@@ -659,11 +659,27 @@ class TestServerProtocol:
         response = handle_request(engine, "stackoverflow", json.dumps(
             {"op": "batch", "queries": [BASE_QUERY, other, BASE_QUERY]}))
         assert response["ok"] and len(response["results"]) == 3
-        # The repeated query is a summary-cache hit, not a second computation.
+        # The repeated query gets the batch's first answer: no second
+        # computation, and no summary-cache lookup either.
         assert engine.computations == 2
-        assert engine.stats()["summary_cache"]["hits"] == 1
+        assert engine.stats()["summary_cache"]["hits"] == 0
         assert response["results"][0] == response["results"][2] == \
             summary_to_dict(engine.explain("stackoverflow", BASE_QUERY))
+
+    def test_batch_op_computes_a_repeat_once_after_eviction(self, so_small):
+        """With one summary-cache slot, the second query evicts the first;
+        its repeats, in the same or another spelling, are still the batch's
+        first answer, not recomputations."""
+        engine = ExplanationEngine(summary_cache_size=1)
+        engine.register_bundle(so_small, config=small_config())
+        spelled = "select Country, avg(Salary) from SO group by Country"
+        response = handle_request(engine, "stackoverflow", json.dumps(
+            {"op": "batch",
+             "queries": [BASE_QUERY, OTHER_QUERY, BASE_QUERY, spelled]}))
+        assert response["ok"] and len(response["results"]) == 4
+        assert engine.computations == 2
+        results = response["results"]
+        assert results[0] == results[2] == results[3] != results[1]
 
     def test_batch_op_stops_at_an_expired_deadline(self, engine):
         class Expired(Exception):
