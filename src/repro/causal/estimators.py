@@ -9,13 +9,13 @@ is reported alongside.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.analysis.lockwatch import named_lock
 from repro.causal.effects import EffectEstimate
 from repro.causal.ols import DegenerateFit, FactoredDesign
 from repro.dataframe import MaskCache, Pattern, Predicate, Table, design_rows
@@ -28,6 +28,9 @@ if TYPE_CHECKING:
 
 # Numbering keys through a bitmap of this + 4n slots costs less than a sort.
 _SCATTER_SPACE = 1 << 14
+
+#: Bound sub-populations an estimator keeps alive at once (LRU).
+BOUND_CACHE_SIZE = 64
 
 
 def naive_difference_in_means(outcome: np.ndarray, treated: np.ndarray) -> EffectEstimate:
@@ -79,20 +82,16 @@ class CATEEstimator:
         estimate; below this the estimate is reported as undefined.
     seed:
         Random seed for the sampling optimisation.
-    use_cache:
-        Memoize across calls: predicate masks in a shared
-        :class:`~repro.dataframe.MaskCache` and bound sub-populations (with
-        their factorisations and estimates) per pattern.  Off, every call
-        binds afresh and nothing outlives it; the arithmetic is the same
-        :class:`BoundSubpopulation` either way, so results are bit-identical.
-    bound_cache_size:
-        Maximum number of bound sub-populations kept alive at once (LRU).
+
+    Estimation is memoized across calls: predicate masks in one
+    :class:`~repro.dataframe.MaskCache` over ``table``, and one bound
+    sub-population (with its factorisations and estimates) per pattern, the
+    last ``BOUND_CACHE_SIZE`` of them.
     """
 
     def __init__(self, table: Table, outcome: str, dag: CausalDAG | None = None,
                  adjustment: str = "parents", sample_size: int | None = None,
-                 min_group_size: int = 10, seed: int = 0,
-                 use_cache: bool = True, bound_cache_size: int = 64):
+                 min_group_size: int = 10, seed: int = 0):
         if adjustment not in {"parents", "minimal", "none"}:
             raise ValueError(f"unknown adjustment strategy {adjustment!r}")
         self.table = table
@@ -102,9 +101,7 @@ class CATEEstimator:
         self.sample_size = sample_size
         self.min_group_size = min_group_size
         self.seed = seed
-        self.use_cache = use_cache
-        self.bound_cache_size = bound_cache_size
-        self.mask_cache: MaskCache | None = MaskCache(table) if use_cache else None
+        self.mask_cache = MaskCache(table)
         #: Shared store of lattice atomic predicates, keyed by the lattice's
         #: generation parameters.  Treatment miners for different grouping
         #: patterns (and, in the serving engine, different queries over the
@@ -112,11 +109,11 @@ class CATEEstimator:
         #: so candidate atoms are enumerated once per table instead of once
         #: per (grouping pattern, direction).
         self.atom_cache: dict = {}
-        self._adjustment_cache: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._adjustment_lock = named_lock("CATEEstimator._adjustment_lock")
+        self._adjustment_cache: dict[tuple, tuple] = {}  # guarded-by: _adjustment_lock
         self._numeric_ranks: dict[str, tuple[np.ndarray, int]] = {}
-        self._adjustment_lock = threading.Lock()
-        self._bound: OrderedDict[tuple, BoundSubpopulation] = OrderedDict()
-        self._bound_lock = threading.Lock()
+        self._bound_lock = named_lock("CATEEstimator._bound_lock")
+        self._bound: OrderedDict = OrderedDict()  # guarded-by: _bound_lock
 
     # ------------------------------------------------------------------ adjustment sets
 
@@ -157,13 +154,11 @@ class CATEEstimator:
         Selection of the sub-population, the sampling optimisation, and the
         missing-outcome filtering are performed a single time; every subsequent
         :meth:`BoundSubpopulation.estimate` call only evaluates the treatment
-        mask (through the shared :class:`MaskCache` when enabled) and runs the
-        regression.  Bound sub-populations are memoized per pattern in a small
-        LRU so repeated lattice levels of the same grouping pattern reuse one
-        binding (with ``use_cache`` off, every call gets a fresh one).
+        mask (through the shared :class:`MaskCache`) and runs the regression.
+        Bound sub-populations are memoized per pattern in a small LRU so
+        repeated lattice levels of the same grouping pattern reuse one
+        binding.
         """
-        if not self.use_cache:
-            return BoundSubpopulation(self, subpopulation)
         key = () if subpopulation is None else subpopulation.predicates
         with self._bound_lock:
             bound = self._bound.get(key)
@@ -176,7 +171,7 @@ class CATEEstimator:
             if existing is not None:
                 return existing
             self._bound[key] = bound
-            while len(self._bound) > self.bound_cache_size:
+            while len(self._bound) > BOUND_CACHE_SIZE:
                 self._bound.popitem(last=False)
         return bound
 
@@ -192,15 +187,15 @@ class CATEEstimator:
 
     # ------------------------------------------------------------------ estimation
 
-    def estimate(self, treatment: Pattern, subpopulation: Pattern | None = None,
-                 extra_adjustment: Sequence[str] = ()) -> EffectEstimate:
+    def estimate(self, treatment: Pattern,
+                 subpopulation: Pattern | None = None) -> EffectEstimate:
         """Estimate ``CATE(treatment, outcome | subpopulation)``.
 
         ``treatment`` partitions the sub-population into treated (pattern holds)
         and control (pattern does not hold) units; the effect is the adjusted
         difference in expected outcome (Eq. 5) estimated by linear regression.
         """
-        return self.bind(subpopulation).estimate(treatment, extra_adjustment)
+        return self.bind(subpopulation).estimate(treatment)
 
     def estimate_many(self, treatments: Sequence["Pattern | AtomSet"],
                       subpopulation: Pattern | None = None) -> list[EffectEstimate]:
@@ -218,8 +213,8 @@ class CATEEstimator:
         return [bound.estimate(treatment) for treatment in treatments]
 
     def cache_stats(self):
-        """Statistics of the shared mask cache (``None`` when caching is off)."""
-        return self.mask_cache.stats() if self.mask_cache is not None else None
+        """Statistics of the shared mask cache."""
+        return self.mask_cache.stats()
 
 
 class BoundSubpopulation:
@@ -256,13 +251,11 @@ class BoundSubpopulation:
         self._estimator = weakref.ref(estimator)
         self.subpopulation = subpopulation
         table = estimator.table
-        cache = estimator.mask_cache
         if subpopulation is None or subpopulation.is_empty():
             indices = np.arange(table.n_rows, dtype=np.int64)
             base = table
         else:
-            mask = cache.pattern_mask(subpopulation) if cache is not None \
-                else subpopulation.evaluate(table)
+            mask = estimator.mask_cache.pattern_mask(subpopulation)
             indices = np.nonzero(mask)[0]
             base = table.take(indices)
         if estimator.sample_size is not None and base.n_rows > estimator.sample_size:
@@ -288,9 +281,9 @@ class BoundSubpopulation:
         self._atom_masks: dict = {}  # per atom space, see AtomSet.masks
         self._domain_sizes: dict[str, int] = {}
         self._attribute_levels: dict[str, tuple[np.ndarray, int]] = {}
-        self._adjustments: dict[tuple, tuple[str, ...]] = {}
+        self._adjustments: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._designs: dict[tuple[str, ...], FactoredDesign] = {}
-        self._estimates: dict[tuple, EffectEstimate] = {}
+        self._estimates: dict[Pattern | AtomSet, EffectEstimate] = {}
 
     @property
     def estimator(self) -> CATEEstimator:
@@ -302,10 +295,7 @@ class BoundSubpopulation:
 
     def _mask(self, predicate: Predicate) -> np.ndarray:
         """Boolean mask of one predicate over the bound (filtered) rows."""
-        cache = self.estimator.mask_cache
-        if cache is None:
-            return predicate.evaluate(self.base)
-        mask = cache.predicate_mask(predicate)
+        mask = self.estimator.mask_cache.predicate_mask(predicate)
         return mask if self._identity else mask[self.indices]
 
     def _masks(self, treatment: "Pattern | AtomSet") -> list[np.ndarray]:
@@ -322,22 +312,15 @@ class BoundSubpopulation:
             self._domain_sizes[attribute] = size
         return size
 
-    def _adjustment(self, attributes: tuple[str, ...],
-                    extra_adjustment: tuple[str, ...]) -> tuple[str, ...]:
+    def _adjustment(self, attributes: tuple[str, ...]) -> tuple[str, ...]:
         """The confounder tuple of a treatment over ``attributes``, memoized."""
-        key = (attributes, extra_adjustment)
-        adjustment = self._adjustments.get(key)
+        adjustment = self._adjustments.get(attributes)
         if adjustment is None:
-            estimator = self.estimator
-            chosen = list(estimator.adjustment_set(attributes))
-            for attr in extra_adjustment:
-                if attr not in chosen and attr in self.base \
-                        and attr != estimator.outcome:
-                    chosen.append(attr)
+            chosen = self.estimator.adjustment_set(attributes)
             # Attributes the sub-population pins to a single value carry no
             # variance; keep them out of the confounder block.
             adjustment = self._adjustments.setdefault(
-                key, tuple(a for a in chosen if self._domain_size(a) > 1))
+                attributes, tuple(a for a in chosen if self._domain_size(a) > 1))
         return adjustment
 
     def _levels(self, attribute: str) -> tuple[np.ndarray, int]:
@@ -380,22 +363,20 @@ class BoundSubpopulation:
                 attributes, FactoredDesign(block, strata, self.outcome_values))
         return design
 
-    def estimate(self, treatment: "Pattern | AtomSet",
-                 extra_adjustment: Sequence[str] = ()) -> EffectEstimate:
+    def estimate(self, treatment: "Pattern | AtomSet") -> EffectEstimate:
         """Estimate the CATE of one treatment within the bound sub-population.
 
         ``treatment`` is a :class:`~repro.dataframe.Pattern` or, from the
         lattice miners, an :class:`~repro.mining.lattice.AtomSet`: the same
         conjunction as sorted atom ids, whose bound masks the binding keeps.
         """
-        key = (treatment, tuple(extra_adjustment))
-        estimate = self._estimates.get(key)
+        estimate = self._estimates.get(treatment)
         if estimate is None:
-            estimate = self._estimates.setdefault(key, self._solve(*key))
+            estimate = self._estimates.setdefault(treatment,
+                                                  self._solve(treatment))
         return estimate
 
-    def _solve(self, treatment: "Pattern | AtomSet",
-               extra_adjustment: tuple[str, ...]) -> EffectEstimate:
+    def _solve(self, treatment: "Pattern | AtomSet") -> EffectEstimate:
         n_rows = self.base.n_rows
         if n_rows == 0:
             return EffectEstimate.undefined()
@@ -409,7 +390,7 @@ class BoundSubpopulation:
         if n_treated < min_group_size or n_control < min_group_size:
             return EffectEstimate.undefined(n_treated, n_control)
 
-        adjustment = self._adjustment(treatment.attributes, extra_adjustment)
+        adjustment = self._adjustment(treatment.attributes)
         try:
             fit = self._design(adjustment).solve(treated.nonzero()[0])
         except DegenerateFit as skipped:

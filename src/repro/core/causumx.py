@@ -189,7 +189,6 @@ class CauSumX:
             sample_size=config.sample_size,
             min_group_size=config.min_group_size,
             seed=config.seed,
-            use_cache=config.use_mask_cache,
         )
 
     def _mine_candidates(self, estimator: CATEEstimator,

@@ -41,13 +41,6 @@ class CauSumXConfig:
         grouping attributes exist (German-style datasets).
     treatment:
         Configuration of the Algorithm 2 lattice search.
-    use_mask_cache:
-        Enable the shared pattern-evaluation engine
-        (:class:`repro.dataframe.MaskCache`): predicate masks are memoized per
-        table and every grouping pattern's sub-population is bound once and
-        reused for all of its treatment candidates.  Explanation summaries are
-        identical with the cache on or off — the cache only removes redundant
-        recomputation (see ``benchmarks/bench_mask_cache.py``).  Default on.
     seed:
         Seed for randomized rounding and sampling.
     """
@@ -65,7 +58,6 @@ class CauSumXConfig:
     adjustment: str = "parents"
     min_group_size: int = 10
     treatment: TreatmentMinerConfig = field(default_factory=TreatmentMinerConfig)
-    use_mask_cache: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -56,8 +56,7 @@ def treatment_precision_recall(n_treatment_values: Sequence[int], n: int = 1000,
                                            min_support=0.0)[:n_grouping_patterns]
         estimator = CATEEstimator(view.table, bundle.query.average, dag=bundle.dag,
                                   min_group_size=5)
-        config = TreatmentMinerConfig(min_group_size=5, max_levels=3,
-                                      significance_level=1.0)
+        config = TreatmentMinerConfig(max_levels=3, significance_level=1.0)
         predicted, truth = [], []
         for grouping in groupings:
             fast = mine_top_treatment(estimator, grouping.pattern,

@@ -7,7 +7,6 @@ from repro.mining.treatments import (
     TreatmentMinerConfig,
     mine_top_k_treatments,
     mine_top_treatment,
-    mine_top_treatments,
 )
 from repro.mining.lattice import PatternLattice
 
@@ -20,6 +19,5 @@ __all__ = [
     "TreatmentMinerConfig",
     "mine_top_k_treatments",
     "mine_top_treatment",
-    "mine_top_treatments",
     "PatternLattice",
 ]

@@ -108,24 +108,23 @@ class AtomSet(NamedTuple):
 class PatternLattice:
     """Level-wise generator of candidate treatment patterns.
 
-    When a shared :class:`~repro.dataframe.MaskCache` is supplied, atomic
-    predicates whose full-table support is below ``min_support`` are
-    pruned.  Enumeration knows every atom's support in closed form (value
-    counts, a sorted pass), so no mask is evaluated here; the estimator
-    that shares the cache computes the survivors' masks on first use.  A
-    treatment that covers fewer than ``min_group_size`` tuples in the whole
-    table can never satisfy the positivity check inside any sub-population,
-    so pruning it cannot change any result.
+    Atomic predicates whose full-table support is below ``min_support``
+    are pruned (the default 0 prunes nothing).  Enumeration knows every
+    atom's support in closed form (value counts, a sorted pass), so no mask
+    is evaluated here; the estimator computes the survivors' masks on first
+    use.  The treatment miners pass the estimator's ``min_group_size``: a
+    treatment that covers fewer tuples in the whole table can never satisfy
+    the positivity check inside any sub-population, so pruning it cannot
+    change any result.
     """
 
     def __init__(self, table: Table, attributes: Sequence[str],
                  max_values_per_attribute: int = 20, numeric_bins: int = 3,
-                 mask_cache=None, min_support: int = 1, atom_cache: dict | None = None):
+                 min_support: int = 0, atom_cache: dict | None = None):
         self.table = table
         self.attributes = list(attributes)
         self.max_values_per_attribute = max_values_per_attribute
         self.numeric_bins = numeric_bins
-        self.mask_cache = mask_cache
         self.min_support = min_support
         self.atom_cache = atom_cache
 
@@ -154,8 +153,7 @@ class PatternLattice:
         """
         if self.atom_cache is not None:
             cache_key = (tuple(self.attributes), self.max_values_per_attribute,
-                         self.numeric_bins,
-                         self.min_support if self.mask_cache is not None else None)
+                         self.numeric_bins, self.min_support)
             cached = self.atom_cache.get(cache_key)
             if cached is not None:
                 return cached
@@ -177,7 +175,7 @@ class PatternLattice:
                 # (missing values satisfy neither), known without any mask.
                 candidates.extend((Predicate(attribute, Op.EQ, v), counts[v])
                                   for v in values)
-        if self.mask_cache is not None and self.min_support > 0:
+        if self.min_support > 0:
             atoms = AtomSpace(self._prune_by_support(candidates))
         else:
             atoms = AtomSpace(p for p, _ in candidates)

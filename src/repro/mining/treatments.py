@@ -49,7 +49,9 @@ class TreatmentMinerConfig:
     max_values_per_attribute / numeric_bins:
         Passed to the lattice's atomic-predicate generation.
     min_group_size:
-        Minimum treated/control group size for a CATE to be considered valid.
+        Inert: CATE validity and the lattice's support floor use the
+        estimator's ``min_group_size`` (``CauSumXConfig.min_group_size``).
+        Kept because ``benchmarks/e2e/workloads.py`` passes it.
     """
 
     max_levels: int = 4
@@ -83,7 +85,6 @@ def treatment_atoms(estimator: CATEEstimator, treatment_attributes: Sequence[str
         estimator.table, attributes,
         max_values_per_attribute=config.max_values_per_attribute,
         numeric_bins=config.numeric_bins,
-        mask_cache=estimator.mask_cache,
         min_support=estimator.min_group_size,
         atom_cache=estimator.atom_cache,
     ).atoms()
@@ -154,20 +155,6 @@ def mine_top_treatment(estimator: CATEEstimator, grouping_pattern: Pattern,
     if estimate.p_value > config.significance_level:
         return None
     return TreatmentCandidate(node.pattern(), estimate)
-
-
-def mine_top_treatments(estimator: CATEEstimator, grouping_pattern: Pattern,
-                        treatment_attributes: Sequence[str],
-                        dag: CausalDAG | None = None,
-                        config: TreatmentMinerConfig | None = None,
-                        ) -> dict[str, TreatmentCandidate | None]:
-    """Top positive and top negative treatment pattern for one grouping pattern."""
-    return {
-        "+": mine_top_treatment(estimator, grouping_pattern, treatment_attributes,
-                                "+", dag, config),
-        "-": mine_top_treatment(estimator, grouping_pattern, treatment_attributes,
-                                "-", dag, config),
-    }
 
 
 def mine_top_k_treatments(estimator: CATEEstimator, grouping_pattern: Pattern,

@@ -182,7 +182,7 @@ class DatasetState:
         if not isinstance(memo, CATEEstimator):
             estimator = CauSumX.build_estimator(
                 view.table, canonical.average, self.dag, self.config)
-            if memo is not None and estimator.mask_cache is not None:
+            if memo is not None:
                 estimator.mask_cache = memo.extended(view.table)
             self.populations.put(key, estimator)
         algorithm = CauSumX(self.table, self.dag, self.config)
@@ -201,9 +201,8 @@ class DatasetState:
         cached population's masks."""
         populations = LRUCache(POPULATION_CACHE_SIZE)
         for key, memo in self.populations.items():
-            masks = memo.mask_cache if isinstance(memo, CATEEstimator) else memo
-            if masks is not None:
-                populations.put(key, masks)
+            populations.put(key, memo.mask_cache
+                            if isinstance(memo, CATEEstimator) else memo)
         where = self.where_masks
         return replace(self, table=table, version=self.version + 1,
                        where_masks=where.extended(table)
@@ -684,8 +683,7 @@ class ExplanationEngine:
         # The cached populations' masks, and those an append carried in.
         caches = [memo.mask_cache if isinstance(memo, CATEEstimator) else memo
                   for state in states for _, memo in state.populations.items()]
-        mask_stats = _summed([asdict(cache.stats()) for cache in caches
-                              if cache is not None],
+        mask_stats = _summed([asdict(cache.stats()) for cache in caches],
                              ("hits", "misses", "entries", "bytes"))
         # Every version's population memo, plus the replaced versions'.
         populations = LRUStats(**_summed(

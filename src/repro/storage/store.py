@@ -320,13 +320,19 @@ def config_to_dict(config: CauSumXConfig) -> dict:
 
 def config_from_dict(spec: dict) -> CauSumXConfig:
     # Registries written by older versions may carry fields CauSumXConfig
-    # has since retired (the mining thread count, the coverage weighting);
-    # drop them on read, so the next registry write omits them.
-    known = {f.name for f in dataclasses.fields(CauSumXConfig)}
-    spec = {key: value for key, value in spec.items() if key in known}
+    # or TreatmentMinerConfig has since retired (the mining thread count,
+    # the coverage weighting, the mask-cache switch); drop them on read, so
+    # the next registry write omits them.
+    spec = _known_fields(CauSumXConfig, spec)
     treatment = spec.pop("treatment", None)
     if isinstance(treatment, dict):
-        spec["treatment"] = TreatmentMinerConfig(**treatment)
+        spec["treatment"] = TreatmentMinerConfig(
+            **_known_fields(TreatmentMinerConfig, treatment))
     elif treatment is not None:
         spec["treatment"] = treatment
     return CauSumXConfig(**spec)
+
+
+def _known_fields(cls, spec: dict) -> dict:
+    known = {f.name for f in dataclasses.fields(cls)}
+    return {key: value for key, value in spec.items() if key in known}

@@ -18,6 +18,7 @@ from repro.dataframe import Column, Pattern, Table
 from repro.graph import CausalDAG
 from repro.mining.treatments import TreatmentMinerConfig, mine_top_treatment
 from repro.obs.registry import REGISTRY
+from test_lattice_oracles import estimation
 
 
 class TestEffectEstimate:
@@ -121,9 +122,9 @@ class TestAdjustment:
         assert estimate.is_valid()
         assert estimate.n_units == 66
 
-    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("memoised", [True, False])
     def test_treatment_collinear_with_confounder_is_undefined_and_counted(
-            self, confounded_dag, use_cache):
+            self, confounded_dag, memoised):
         """``T`` is a function of its confounder ``Z``: the effect is not
         identifiable, and ``pinv`` used to return a minimum-norm coefficient
         for it as if it were."""
@@ -135,18 +136,19 @@ class TestAdjustment:
         skipped = REGISTRY.counter("repro_causal_skipped_total",
                                    reason="collinear_treatment")
         before = skipped.value
-        estimator = CATEEstimator(table, "Y", dag=confounded_dag,
-                                  min_group_size=5, use_cache=use_cache)
-        estimate = estimator.estimate(Pattern.of(("T", "=", 1)))
+        with estimation(memoised):
+            estimate = CATEEstimator(table, "Y", dag=confounded_dag,
+                                     min_group_size=5).estimate(
+                Pattern.of(("T", "=", 1)))
         assert not estimate.is_valid()
         assert (estimate.n_treated, estimate.n_control) == (50, 50)
         assert estimate.p_value == 1.0
         assert skipped.value == before + 1
 
-    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("memoised", [True, False])
     @pytest.mark.parametrize("poisoned", ["Y", "W"])
     def test_non_finite_value_is_undefined_and_counted(self, poisoned,
-                                                       use_cache):
+                                                       memoised):
         """One ``inf`` in the outcome or in a numeric confounder makes every
         fit over those rows undefined and counted, never a silent NaN."""
         rng = np.random.default_rng(3)
@@ -164,10 +166,10 @@ class TestAdjustment:
         skipped = REGISTRY.counter("repro_causal_skipped_total",
                                    reason="non_finite")
         before = skipped.value
-        estimator = CATEEstimator(table, "Y", dag=dag, min_group_size=5,
-                                  use_cache=use_cache)
-        estimates = estimator.estimate_many([Pattern.of(("T", "=", 1)),
-                                             Pattern.of(("T", "=", 0))])
+        with estimation(memoised):
+            estimates = CATEEstimator(table, "Y", dag=dag,
+                                      min_group_size=5).estimate_many(
+                [Pattern.of(("T", "=", 1)), Pattern.of(("T", "=", 0))])
         for estimate in estimates:
             assert not estimate.is_valid()
             assert estimate.n_treated + estimate.n_control == n
@@ -198,21 +200,21 @@ class TestOneSolvePerCandidate:
     def test_estimate_depends_on_its_own_candidate_alone(self, so_bundle):
         """Bit-identical alone, inside a batch, inside the reversed batch,
         memoised or not, and from two threads racing on one binding."""
-        def estimator(use_cache=True):
-            return CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
-                                 use_cache=use_cache)
+        def estimator():
+            return CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag)
 
         position = 5
         target = self.TREATMENTS[position]
         seen = {"alone": estimator().estimate(target, self.SUBPOPULATION)}
         assert seen["alone"].is_valid()
-        for use_cache in (True, False):
-            seen[f"batch/{use_cache}"] = estimator(use_cache).estimate_many(
-                self.TREATMENTS, self.SUBPOPULATION)[position]
-            seen[f"reversed/{use_cache}"] = estimator(use_cache).estimate_many(
-                self.TREATMENTS[::-1], self.SUBPOPULATION)[-1 - position]
-            seen[f"alone/{use_cache}"] = estimator(use_cache).estimate(
-                target, self.SUBPOPULATION)
+        for memoised in (True, False):
+            with estimation(memoised):
+                seen[f"batch/{memoised}"] = estimator().estimate_many(
+                    self.TREATMENTS, self.SUBPOPULATION)[position]
+                seen[f"reversed/{memoised}"] = estimator().estimate_many(
+                    self.TREATMENTS[::-1], self.SUBPOPULATION)[-1 - position]
+                seen[f"alone/{memoised}"] = estimator().estimate(
+                    target, self.SUBPOPULATION)
 
         shared = estimator()
         barrier = threading.Barrier(2)

@@ -1,4 +1,5 @@
-"""Oracles for the code-space treatment miner and the group-by index.
+"""Oracles for the code-space treatment miner, the memoised estimator and
+the group-by index.
 
 The miner joins lattice levels as sorted tuples of atom ids and estimates a
 node from atom masks bound once per sub-population.  The reference code below
@@ -8,13 +9,16 @@ candidate, solved with fancy-indexed gathers — kept here only, to check that
 the rework changed no output and no bit.  Likewise for
 :class:`~repro.dataframe.GroupByIndex`, which sorts ``uint16`` codes when they
 fit and reads its keys through the vocabulary: the reference sorts ``int64``
-codes and reads keys from decoded ``Column.values``.
+codes and reads keys from decoded ``Column.values``.  The estimator
+memoises masks, bindings and estimates; :func:`unmemoised` runs it the way
+it ran without any memo, as the reference the memoised path must equal.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager, nullcontext
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +40,7 @@ from repro.core.export import summary_to_dict
 from repro.dataframe import (
     Column,
     GroupByIndex,
+    MaskCache,
     Op,
     Pattern,
     Predicate,
@@ -134,8 +139,31 @@ def reference_fwl(design: FactoredDesign, treated_rows: np.ndarray
     return _finish(design, treated_rows, counts @ design._weights)
 
 
-def reference_solve(bound: BoundSubpopulation, treatment,
-                    extra_adjustment=()) -> EffectEstimate:
+@contextmanager
+def unmemoised():
+    """Run the estimator with nothing memoised across calls: every ``bind``
+    builds a fresh binding, a sub-population is selected and a predicate's
+    mask computed by evaluating it over the rows at hand, and the lattice
+    keeps the atoms below its support floor."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CATEEstimator, "bind",
+                      lambda self, subpopulation=None:
+                      BoundSubpopulation(self, subpopulation))
+        patch.setattr(BoundSubpopulation, "_mask",
+                      lambda self, predicate: predicate.evaluate(self.base))
+        patch.setattr(MaskCache, "pattern_mask",
+                      lambda self, pattern: pattern.evaluate(self.table))
+        patch.setattr(PatternLattice, "_prune_by_support",
+                      lambda self, candidates: [p for p, _ in candidates])
+        yield
+
+
+def estimation(memoised: bool):
+    """The memoised estimator, or its :func:`unmemoised` reference."""
+    return nullcontext() if memoised else unmemoised()
+
+
+def reference_solve(bound: BoundSubpopulation, treatment) -> EffectEstimate:
     """One estimate from the full-table mask of the whole conjunction,
     gathered onto the bound rows, with every check the estimate makes."""
     if isinstance(treatment, AtomSet):
@@ -143,22 +171,14 @@ def reference_solve(bound: BoundSubpopulation, treatment,
     if bound.base.n_rows == 0:
         return EffectEstimate.undefined()
     estimator = bound.estimator
-    cache = estimator.mask_cache
-    if cache is not None:
-        mask = cache.pattern_mask(treatment)
-        treated = mask if bound.base is estimator.table else mask[bound.indices]
-    else:
-        treated = treatment.evaluate(bound.base)
+    mask = estimator.mask_cache.pattern_mask(treatment)
+    treated = mask if bound.base is estimator.table else mask[bound.indices]
     n_treated = int(treated.sum())
     n_control = int(bound.base.n_rows - n_treated)
     if min(n_treated, n_control) < estimator.min_group_size:
         return EffectEstimate.undefined(n_treated, n_control)
-    adjustment = list(estimator.adjustment_set(treatment.attributes))
-    for attr in extra_adjustment:
-        if attr not in adjustment and attr in bound.base \
-                and attr != estimator.outcome:
-            adjustment.append(attr)
-    adjustment = [a for a in adjustment if len(bound.base.domain(a)) > 1]
+    adjustment = [a for a in estimator.adjustment_set(treatment.attributes)
+                  if len(bound.base.domain(a)) > 1]
     try:
         fit = reference_fwl(bound._design(tuple(adjustment)),
                             np.flatnonzero(treated))
@@ -272,21 +292,23 @@ class TestNextLevelOracle:
 
 
 class TestSolveOracle:
-    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("memoised", [True, False])
     @pytest.mark.parametrize("subpopulation", [
         None, Pattern.equalities({"Continent": "Europe"})])
     def test_bound_atom_masks_equal_the_full_table_mask_path(
-            self, so_bundle, use_cache, subpopulation):
+            self, so_bundle, memoised, subpopulation):
         """Every node of the first two levels: bit-identical estimates, the
         same undefined ones, and the same skip-counter increments."""
+        with estimation(memoised):
+            self._check(so_bundle, subpopulation)
+
+    @staticmethod
+    def _check(so_bundle, subpopulation):
         def estimator():
-            return CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
-                                 use_cache=use_cache)
+            return CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag)
 
         lattice = PatternLattice(so_bundle.table, so_bundle.treatment_attributes,
-                                 max_values_per_attribute=6,
-                                 mask_cache=estimator().mask_cache,
-                                 min_support=10)
+                                 max_values_per_attribute=6, min_support=10)
         atoms = lattice.atoms()
         nodes = atoms.first_level + atoms.join(atoms.first_level)
         assert len(nodes) > 50
@@ -421,22 +443,21 @@ def _summaries(bundle) -> dict:
     # as its case study runs it.
     base = CauSumXConfig(include_singleton_groups=True, theta=0.5) \
         if bundle.name == "german" else CauSumXConfig()
-    configs = {
-        "cache": base,
-        "no_cache": dataclasses.replace(base, use_mask_cache=False),
-        "exhaustive": dataclasses.replace(
-            base, treatment_mode="exhaustive",
-            treatment=dataclasses.replace(base.treatment, max_levels=2)),
-    }
+    exhaustive = dataclasses.replace(
+        base, treatment_mode="exhaustive",
+        treatment=dataclasses.replace(base.treatment, max_levels=2))
     lists = {"grouping_attributes": bundle.grouping_attributes,
              "treatment_attributes": bundle.treatment_attributes}
-    runs = {name: (config, lists) for name, config in configs.items()}
-    runs["partition"] = (base, {})
-    runs["partition_no_cache"] = (configs["no_cache"], {})
+    runs = {"cache": (base, lists, True),
+            "no_cache": (base, lists, False),
+            "exhaustive": (exhaustive, lists, True),
+            "partition": (base, {}, True),
+            "partition_no_cache": (base, {}, False)}
     out = {}
-    for name, (config, attribute_lists) in runs.items():
-        summary = CauSumX(bundle.table, bundle.dag, config).explain(
-            bundle.query, **attribute_lists)
+    for name, (config, attribute_lists, memoised) in runs.items():
+        with estimation(memoised):
+            summary = CauSumX(bundle.table, bundle.dag, config).explain(
+                bundle.query, **attribute_lists)
         body = summary_to_dict(summary)
         body.pop("timings")
         out[name] = body

@@ -4,7 +4,7 @@ import pytest
 
 from repro.causal import CATEEstimator
 from repro.dataframe import Pattern
-from repro.mining import PatternLattice, TreatmentMinerConfig, mine_top_treatment, mine_top_treatments
+from repro.mining import PatternLattice, TreatmentMinerConfig, mine_top_treatment
 from repro.sql import AggregateView
 
 
@@ -118,11 +118,12 @@ class TestAlgorithm2:
         assert best is None
 
     def test_mine_both_directions(self, estimator, synthetic_bundle, config):
-        both = mine_top_treatments(estimator, Pattern(),
-                                   synthetic_bundle.treatment_attributes,
-                                   synthetic_bundle.dag, config)
-        assert set(both) == {"+", "-"}
-        assert both["+"].cate > 0 > both["-"].cate
+        positive, negative = (
+            mine_top_treatment(estimator, Pattern(),
+                               synthetic_bundle.treatment_attributes, direction,
+                               synthetic_bundle.dag, config)
+            for direction in "+-")
+        assert positive.cate > 0 > negative.cate
 
     def test_grouping_pattern_restricts_subpopulation(self, synthetic_bundle, config):
         estimator = CATEEstimator(synthetic_bundle.table, "O",

@@ -6,12 +6,15 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.causal import CATEEstimator
+from repro.causal import CATEEstimator, estimators
+from repro.causal.estimators import BoundSubpopulation
 from repro.core import CauSumX, CauSumXConfig, render_summary
 from repro.dataframe import MaskCache, Op, Pattern, Predicate, Table
+from repro.datasets import load_dataset
 from repro.mining.lattice import PatternLattice
 from repro.mining.treatments import TreatmentMinerConfig, mine_top_treatment
 from repro.sql import AggregateView, parse_query
+from test_lattice_oracles import _E2E_CONFIG, unmemoised
 
 
 @pytest.fixture
@@ -97,8 +100,7 @@ class TestLatticePruning:
             "y": [float(i) for i in range(61)],
         })
         unpruned = PatternLattice(table, ["t"]).atomic_predicates()
-        pruned = PatternLattice(table, ["t"], mask_cache=MaskCache(table),
-                                min_support=10).atomic_predicates()
+        pruned = PatternLattice(table, ["t"], min_support=10).atomic_predicates()
         assert {p.value for p in unpruned} == {"a", "b", "rare"}
         assert {p.value for p in pruned} == {"a", "b"}
 
@@ -119,13 +121,18 @@ class TestBoundEstimation:
         subpops = [None, Pattern.equalities({"Continent": "Europe"}),
                    Pattern.equalities({"GDP": "High"})]
         for sample_size in (None, 300):
-            cached = CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
-                                   sample_size=sample_size, use_cache=True)
-            plain = CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
-                                  sample_size=sample_size, use_cache=False)
-            for subpop in subpops:
+            def estimator():
+                return CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
+                                     sample_size=sample_size)
+
+            cached = estimator()
+            with unmemoised():
+                plain = estimator()
+                expected = [plain.estimate_many(treatments, subpop)
+                            for subpop in subpops]
+            for subpop, reference in zip(subpops, expected):
                 for a, b in zip(cached.estimate_many(treatments, subpop),
-                                plain.estimate_many(treatments, subpop)):
+                                reference):
                     _assert_same_estimate(a, b)
 
     def test_missing_outcome_rows_handled_identically(self):
@@ -138,20 +145,22 @@ class TestBoundEstimation:
         })
         treatment = Pattern.of(("t", "==", "1"))
         subpop = Pattern.of(("g", "==", "0"))
-        cached = CATEEstimator(table, "y", min_group_size=2, use_cache=True)
-        plain = CATEEstimator(table, "y", min_group_size=2, use_cache=False)
-        _assert_same_estimate(cached.estimate(treatment, subpop),
-                              plain.estimate(treatment, subpop))
+        cached = CATEEstimator(table, "y", min_group_size=2).estimate(
+            treatment, subpop)
+        with unmemoised():
+            plain = CATEEstimator(table, "y", min_group_size=2).estimate(
+                treatment, subpop)
+        _assert_same_estimate(cached, plain)
 
     def test_bind_is_memoized(self, so_bundle):
-        estimator = CATEEstimator(so_bundle.table, "Salary", use_cache=True)
+        estimator = CATEEstimator(so_bundle.table, "Salary")
         subpop = Pattern.equalities({"Continent": "Asia"})
         assert estimator.bind(subpop) is estimator.bind(subpop)
         assert estimator.bind(None) is estimator.bind(Pattern())
 
-    def test_bound_cache_is_lru(self, so_bundle):
-        estimator = CATEEstimator(so_bundle.table, "Salary", use_cache=True,
-                                  bound_cache_size=2)
+    def test_bound_cache_is_lru(self, so_bundle, monkeypatch):
+        monkeypatch.setattr(estimators, "BOUND_CACHE_SIZE", 2)
+        estimator = CATEEstimator(so_bundle.table, "Salary")
         first = estimator.bind(Pattern.equalities({"Continent": "Asia"}))
         estimator.bind(Pattern.equalities({"Continent": "Europe"}))
         estimator.bind(Pattern.equalities({"GDP": "High"}))  # evicts the oldest
@@ -193,13 +202,16 @@ class TestBoundEstimation:
         config = TreatmentMinerConfig(max_levels=2, min_group_size=10,
                                       max_values_per_attribute=8)
         grouping = Pattern.equalities({"Continent": "Europe"})
-        results = {}
-        for use_cache in (False, True):
-            estimator = CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag,
-                                      use_cache=use_cache)
-            results[use_cache] = mine_top_treatment(
+
+        def mine():
+            estimator = CATEEstimator(so_bundle.table, "Salary", dag=so_bundle.dag)
+            return mine_top_treatment(
                 estimator, grouping, ["Gender", "Education", "Student"],
                 "+", so_bundle.dag, config)
+
+        with unmemoised():
+            results = {False: mine()}
+        results[True] = mine()
         assert (results[True] is None) == (results[False] is None)
         if results[True] is not None:
             assert results[True].pattern == results[False].pattern
@@ -240,9 +252,39 @@ class TestExplainInvariance:
 
     def test_summary_invariant_under_cache(self, small_bundle,
                                            invariance_config):
-        reference = self._explain(small_bundle,
-                                  invariance_config.with_overrides(use_mask_cache=False))
-        summary = self._explain(small_bundle,
-                                invariance_config.with_overrides(use_mask_cache=True))
+        with unmemoised():
+            reference = self._explain(small_bundle, invariance_config)
+        summary = self._explain(small_bundle, invariance_config)
         assert self._signature(summary) == self._signature(reference)
         assert render_summary(summary) == render_summary(reference)
+
+
+class TestMemoisation:
+    @pytest.mark.parametrize("dataset,n", [
+        ("stackoverflow", 600), ("cps", 1500), ("german", 500)])
+    def test_one_explain_solves_and_evaluates_each_thing_once(
+            self, dataset, n, monkeypatch):
+        """Every CATE solve of an explain is in a kept binding's memo, and
+        every predicate mask is built once: the memos are the work done."""
+        bundle = load_dataset(dataset, n=n, seed=0)
+        config = _E2E_CONFIG.with_overrides(
+            include_singleton_groups=True, theta=0.5) \
+            if dataset == "german" else _E2E_CONFIG
+        built, solved = [], []
+        build, solve = CauSumX.build_estimator, BoundSubpopulation._solve
+        monkeypatch.setattr(CauSumX, "build_estimator", staticmethod(
+            lambda *args: built.append(build(*args)) or built[-1]))
+        monkeypatch.setattr(BoundSubpopulation, "_solve",
+                            lambda self, treatment:
+                            solved.append(treatment) or solve(self, treatment))
+        summary = CauSumX(bundle.table, bundle.dag, config).explain(
+            bundle.query, bundle.grouping_attributes,
+            bundle.treatment_attributes)
+        assert summary.patterns
+        [estimator] = built
+        with estimator._bound_lock:
+            bindings = list(estimator._bound.values())
+        assert 0 < len(bindings) < estimators.BOUND_CACHE_SIZE  # none evicted
+        assert len(solved) == sum(len(bound._estimates) for bound in bindings)
+        stats = estimator.cache_stats()
+        assert stats.misses == stats.entries > 0

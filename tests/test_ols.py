@@ -13,6 +13,7 @@ from repro.causal import CATEEstimator, ols_fit
 from repro.causal.ols import DegenerateFit, FactoredDesign
 from repro.dataframe import Column, Pattern, Table, design_matrix
 from repro.graph import CausalDAG
+from test_lattice_oracles import estimation
 
 
 class TestOLSFit:
@@ -136,11 +137,11 @@ class TestFactoredDesign:
         table = Table([*columns, Column("t", treatment_values, numeric=False),
                        Column("y", outcome, numeric=True)])
         dag = CausalDAG.from_dict({"t": confounders, "y": ["t", *confounders]})
-        use_cache = data.draw(st.booleans())
+        memoised = data.draw(st.booleans())
 
-        estimator = CATEEstimator(table, "y", dag=dag, min_group_size=5,
-                                  use_cache=use_cache)
-        estimate = estimator.estimate(Pattern.of(("t", "=", "yes")))
+        with estimation(memoised):
+            estimator = CATEEstimator(table, "y", dag=dag, min_group_size=5)
+            estimate = estimator.estimate(Pattern.of(("t", "=", "yes")))
 
         kept = table.take(np.flatnonzero(~np.isnan(outcome)))
         treated = np.array([v == "yes" for v in kept.column("t").values])

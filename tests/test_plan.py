@@ -300,25 +300,26 @@ class TestLatticeStatsDeferral:
         kwargs = dict(max_values_per_attribute=5, numeric_bins=3,
                       min_support=15)
         planned = PatternLattice(table, ["t", "many"],
-                                 mask_cache=MaskCache(table),
                                  **kwargs).atomic_predicates()
         # The reference: every atom enumerated without a support floor,
         # kept when its evaluated mask reaches the floor.
         kwargs["min_support"] = 0
         everything = PatternLattice(table, ["t", "many"],
-                                    mask_cache=MaskCache(table),
                                     **kwargs).atomic_predicates()
         oracle = [p for p in everything if p.evaluate(table).sum() >= 15]
         assert planned == oracle
         assert len(oracle) < len(everything)  # the floor dropped something
 
-    def test_low_support_atoms_deferred_without_mask_evaluation(self):
+    def test_low_support_atoms_deferred_without_mask_evaluation(
+            self, monkeypatch):
         table = self._table()
-        cache = MaskCache(table)
-        atoms = PatternLattice(table, ["t"], mask_cache=cache,
-                               min_support=15).atomic_predicates()
+
+        def evaluate(self, table):
+            raise AssertionError(f"mask of {self!r} built")
+
+        monkeypatch.setattr(Predicate, "evaluate", evaluate)
+        atoms = PatternLattice(table, ["t"], min_support=15).atomic_predicates()
         assert {p.value for p in atoms} == {"hi"}   # "rare" deferred
-        assert len(cache) == 0                      # and no mask was built
 
 
 # ---------------------------------------------------------------------- staleness

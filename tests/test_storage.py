@@ -951,9 +951,10 @@ class TestColumnStatsCompatibility:
 
 class TestRegistryCompatibility:
     """Registries whose configs carry a retired field (``n_jobs``,
-    ``coverage_weighting``: every registry written before its removal)
-    still open, answer like the in-memory oracle, and drop the field at
-    their next commit."""
+    ``coverage_weighting``, ``use_mask_cache``: every registry written
+    before its removal), also in the nested miner config, still open,
+    answer like the in-memory oracle, and drop the field at their next
+    commit."""
 
     QUERY = "SELECT Country, AVG(Salary) FROM SO GROUP BY Country"
 
@@ -964,13 +965,21 @@ class TestRegistryCompatibility:
             self, tmp_path):
         self._check_shed(tmp_path, "coverage_weighting", "uniform")
 
-    def _check_shed(self, tmp_path, retired: str, value) -> None:
+    def test_legacy_use_mask_cache_opens_answers_and_is_shed(self, tmp_path):
+        self._check_shed(tmp_path, "use_mask_cache", True)
+
+    def test_retired_miner_field_opens_answers_and_is_shed(self, tmp_path):
+        self._check_shed(tmp_path, "retired", 1, section="treatment")
+
+    def _check_shed(self, tmp_path, retired: str, value,
+                    section: str | None = None) -> None:
         bundle = load_dataset("stackoverflow", n=300, seed=0)
         store = DatasetStore.init(tmp_path / "store")
         bundle.to_store(store, config=_config(), shard_rows=100)
         path = store.root / "engine" / "registry.json"
         registry = json.loads(path.read_text())
-        registry["stackoverflow"]["config"][retired] = value
+        config = registry["stackoverflow"]["config"]
+        (config[section] if section else config)[retired] = value
         path.write_text(json.dumps(registry))
         reference = CauSumX(bundle.table, bundle.dag, _config()).explain(
             self.QUERY, grouping_attributes=bundle.grouping_attributes,
@@ -980,7 +989,7 @@ class TestRegistryCompatibility:
             _payload(reference)
         engine.snapshot()
         config = json.loads(path.read_text())["stackoverflow"]["config"]
-        assert retired not in config
+        assert retired not in (config[section] if section else config)
         assert config_from_dict(config) == _config()
 
 
